@@ -38,7 +38,6 @@ class RunConfig:
     mu: float = 1.0
     T: float = 1.0
     N_unit: int = 0      # 0 = auto: 1000 for eigs, max(3000, 2*n_max) for mse
-    N_semi: int = 144
     gl_order: int = 64
     n_max: int = 0       # 0 = auto: 20 for eigs, >= 1500 for mse
     eps: tuple = (1e-3, 1e-4, 1e-5)
@@ -53,7 +52,7 @@ class RunConfig:
 
 
 _LIST_KEYS = {"eps", "u"}
-_INT_KEYS = {"N_unit", "N_semi", "gl_order", "n_max", "threads"}
+_INT_KEYS = {"N_unit", "gl_order", "n_max", "threads"}
 _FLOAT_KEYS = {"H", "beta", "mu", "T", "nu"}
 _BOOL_KEYS = {"quick", "with_wh"}
 
@@ -141,8 +140,6 @@ def _build_parser():
         sp.add_argument("--N-unit", dest="N_unit", type=int,
                         help="unit-interval grid size [auto: 1000 for eigs, "
                              ">= 3000 for mse]")
-        sp.add_argument("--N-semi", dest="N_semi", type=int,
-                        help="semi-axis grid size [144]")
         sp.add_argument("--gl-order", dest="gl_order", type=int,
                         help="Gauss order per 1-d integral [64]")
         sp.add_argument("--n-max", dest="n_max", type=int,

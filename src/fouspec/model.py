@@ -12,12 +12,19 @@ with R the fBm covariance.  Since R is continuous this single formula is
 valid for every H in (0,1).  Expanding R termwise reduces everything to
 one-dimensional integrals of e^{sigma*w} * w^{2H}, which Gauss rules with a
 w^{2H} endpoint weight integrate to machine precision, so the kernel needs
-no 2-d quadrature at all.  `fou_cov_singular` keeps an independent
-slow-but-honest evaluation of the H > 1/2 singular-kernel double integral
-for cross-checking.
+no 2-d quadrature at all.
+
+One assembler, `_kernel`, evaluates the expansion for a block of pairs
+s_i <= t_j: per-node exponential tables turn every pairwise quadrature
+into a GEMM.  `cov_matrix` (upper-triangle blocks, mirrored), `cov_row`
+(one Nystrom row) and `fou_cov` (one pair) are thin calls into it.  It
+refuses beta*T below `MIN_BETA_T`, where e^{+|beta|t} terms cancel off the
+diagonal, and any non-finite result.  `fou_cov_singular` keeps an
+independent slow-but-honest evaluation of the H > 1/2 singular-kernel
+double integral for cross-checking.
 
 All kernels satisfy the rescaling law K_beta(sT, tT) = T^{2H} K_{beta*T}(s, t),
-so matrix assembly works on the unit interval with effective drift beta*T.
+so the assembler works on the unit interval with effective drift beta*T.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +35,15 @@ from ._quad import gauss_legendre_01, graded_nodes, jacobi_01
 from .exceptions import DomainError
 
 DEFAULT_GL_ORDER = 64
+
+# Most negative beta*T the expansion is trusted at.  Error against the exact
+# H = 1/2 covariance, max |dK| / sqrt(K(s,s) K(t,t)) on a 200-node grid:
+# 1.4e-9 at beta*T = -12, 3.3e-8 at -15, 4.2e-6 at -20, 9.4e-2 at -30.
+# Positive beta*T stays <= 1e-13 from +5 to +300; from about +350 the
+# exponentials overflow, which the non-finite check refuses.
+MIN_BETA_T = -12.0
+
+_ROW_BLOCK = 128  # rows per block of cov_matrix: bounds the pairwise temporaries
 
 
 @dataclass(frozen=True)
@@ -142,86 +158,112 @@ def fbm_cov(s, t, H):
     return out if out.ndim else float(out)
 
 
-def _em(y, b):
-    """int_0^y e^{-2 b u} du, stable for every b."""
-    if b == 0.0:
-        return np.asarray(y, dtype=float)
-    return -np.expm1(-2.0 * b * np.asarray(y, dtype=float)) / (2.0 * b)
+def _node_tables(x, b, c, m):
+    """Every factor of the expansion that depends on one time x_i, over all i.
 
-
-def _ebv(y, b):
-    """int_0^y e^{-b v} dv, stable for every b."""
-    if b == 0.0:
-        return np.asarray(y, dtype=float)
-    return -np.expm1(-b * np.asarray(y, dtype=float)) / b
-
-
-def _f_exp_pow(sign, y, b, c, m):
-    """int_0^y e^{sign*b*v} v^c dv via a Gauss rule with weight v^c."""
+    b != 0; Ebv(x) = int_0^x e^{-bv} dv and Em(x) = int_0^x e^{-2bu} du are
+    written with expm1, so they stay accurate for tiny |b|.
+    """
     z, w = jacobi_01(m, c)
-    y = np.asarray(y, dtype=float)
-    val = y[..., None] ** (c + 1.0) * np.exp(sign * b * y[..., None] * z) @ w
-    return val
+    A = np.exp(-b * np.outer(x, z))   # e^{-b x_i z_k}
+    B = np.exp(+b * np.outer(x, z))   # e^{+b x_i z_k}
+    xc1 = x ** (c + 1.0)
+    # D_A(s) = int_0^s w^c e^{-bw} Em(s-w) dw, single-variable
+    em_s = -np.expm1(-2.0 * b * np.outer(x, 1.0 - z)) / (2.0 * b)
+    return {"x": x, "xc": x ** c, "ebx": np.exp(b * x), "embx": np.exp(-b * x),
+            "em2bx": np.exp(-2.0 * b * x), "ebv": -np.expm1(-b * x) / b,
+            "emv": -np.expm1(-2.0 * b * x) / (2.0 * b),
+            "fm": xc1 * (A @ w),      # F-(x_i) = int_0^x e^{-bv} v^c dv
+            "fp": xc1 * (B @ w),      # F+(x_i) = int_0^x e^{+bv} v^c dv
+            "d_a": xc1 * ((A * em_s) @ w),
+            "A": A, "B": B, "Aw": A * w, "Bw": B * w}
+
+
+def _rows(tab, lo, hi):
+    return {k: v[lo:hi] for k, v in tab.items()}
+
+
+def _pairs(S, T, b, c):
+    """K(s_i, t_j) on [0,1] from the tables of s and of t; valid where s_i <= t_j."""
+    s, t = S["x"][:, None], T["x"][None, :]
+    sc, ebs, embs, ebvs, emvs, fms, fps = (S[k][:, None] for k in
+                                           ("xc", "ebx", "embx", "ebv", "emv", "fm", "fp"))
+    tc, ebt, embt, em2bt, ebvt, fmt, fpt = (T[k][None, :] for k in
+                                            ("xc", "ebx", "embx", "em2bx", "ebv", "fm", "fp"))
+    delta = t - s
+    # F+-(t - s) via exponential table factorization:
+    # sum_k w_k e^{-+b (t - s) z_k} is a rank-m product of the two tables
+    dpow = np.where(delta > 0, np.abs(delta) ** (c + 1.0), 0.0)
+    fm_d = dpow * (S["Bw"] @ T["A"].T)
+    fp_d = dpow * (S["Aw"] @ T["B"].T)
+    t1 = 0.5 * (sc + tc - np.abs(delta) ** c)
+    t2 = b * ebt * (0.5 * sc * ebvt + 0.5 * fmt - 0.5 * embs * (fps + fm_d))
+    t3 = b * ebs * (0.5 * tc * ebvs + 0.5 * fms - 0.5 * embt * (fpt - fp_d))
+    # cross term of the double integral, split at the diagonal
+    p2 = (fmt - fm_d) / (2.0 * b) - em2bt / (2.0 * b) * (fpt - fp_d)
+    d_cross = S["d_a"][:, None] + emvs * fm_d + p2
+    t4 = b * b * np.exp(b * (s + t)) * (0.5 * fms * ebvt + 0.5 * ebvs * fmt - 0.5 * d_cross)
+    return t1 + t2 + t3 + t4
+
+
+def _kernel(s, t, p: ModelParams, m):
+    """K(s_i*T, t_j*T) for unit-interval times s_i <= t_j: the one evaluator.
+
+    Works on [0,1] with drift beta*T and rescales by T^{2H}.  With t = None it
+    returns the symmetric matrix K(s_i*T, s_j*T): only the upper-triangle
+    blocks, `_ROW_BLOCK` rows at a time, are evaluated and then mirrored.
+    Refuses beta*T below MIN_BETA_T and any non-finite result.
+    """
+    if m < 2:
+        raise DomainError(f"gl_order must be >= 2, got {m}")
+    b = p.beta_eff
+    if b < MIN_BETA_T:
+        raise DomainError(f"beta*T = {b:g} is below {MIN_BETA_T:g}; the covariance "
+                          "expansion is not accurate there")
+    c = 2.0 * p.H
+    symmetric = t is None
+    if symmetric:
+        t = s
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        if abs(b) < np.finfo(float).tiny:
+            # beta = 0, or subnormal: the beta terms vanish below rounding, and
+            # the 1/b factors of the expansion would overflow
+            K = 0.5 * (s[:, None] ** c + t[None, :] ** c
+                       - np.abs(t[None, :] - s[:, None]) ** c)
+        elif symmetric:
+            n = len(s)
+            tab = _node_tables(s, b, c, m)
+            lower = np.tri(_ROW_BLOCK, k=-1, dtype=bool)
+            K = np.empty((n, n))
+            for lo in range(0, n, _ROW_BLOCK):
+                hi = min(lo + _ROW_BLOCK, n)
+                h = hi - lo
+                blk = _pairs(_rows(tab, lo, hi), _rows(tab, lo, n), b, c)
+                K[lo:hi, hi:] = blk[:, h:]
+                K[hi:, lo:hi] = blk[:, h:].T
+                K[lo:hi, lo:hi] = np.where(lower[:h, :h], blk[:, :h].T, blk[:, :h])
+        else:
+            K = _pairs(_node_tables(s, b, c, m), _node_tables(t, b, c, m), b, c)
+    K[s == 0.0] = 0.0  # X_0 = 0 makes K(0, t) = 0 exactly
+    if not np.all(np.isfinite(K)):
+        raise DomainError(f"covariance is not finite at beta*T = {b:g}")
+    K *= p.T ** c
+    return K
 
 
 def fou_cov(s, t, p: ModelParams, gl_order: int = DEFAULT_GL_ORDER):
     """Covariance E[X_s X_t] of the fractional OU signal, scalar arguments.
 
-    Each 1-d integral of the variation-of-constants expansion is evaluated
-    with a `gl_order`-point Gauss rule whose weight absorbs the algebraic
-    v^{2H} / |s-v|^{2H} factors, so the result is accurate to machine
-    precision for all H in (0,1) and moderate beta*t.
+    A 1x1 call of the assembler.  Each 1-d integral of the
+    variation-of-constants expansion is evaluated with a `gl_order`-point
+    Gauss rule whose weight absorbs the algebraic v^{2H} factor, so the
+    result is accurate to machine precision for all H in (0,1) and
+    MIN_BETA_T <= beta*T <= 300.
     """
-    if gl_order < 2:
-        raise DomainError(f"gl_order must be >= 2, got {gl_order}")
-    s = float(s)
-    t = float(t)
-    if s < 0 or t < 0 or s > p.T or t > p.T:
+    s, t = sorted((float(s), float(t)))
+    if s < 0 or t > p.T:
         raise DomainError("times must lie in [0, T]")
-    return _fou_cov_raw(s, t, p.H, p.beta, gl_order)
-
-
-def _fou_cov_raw(s, t, H, b, m):
-    if s > t:
-        s, t = t, s
-    c = 2.0 * H
-    T1 = 0.5 * (s ** c + t ** c - (t - s) ** c)
-    if b == 0.0 or s == 0.0:
-        # beta terms carry a factor b; and X_0 = 0 makes K(0, t) = 0 exactly
-        return float(T1)
-    fm_t = _f_exp_pow(-1, np.array(t), b, c, m)
-    fp_t = _f_exp_pow(+1, np.array(t), b, c, m)
-    fm_s = _f_exp_pow(-1, np.array(s), b, c, m)
-    fp_s = _f_exp_pow(+1, np.array(s), b, c, m)
-    fm_ts = _f_exp_pow(-1, np.array(t - s), b, c, m) if t > s else 0.0
-    fp_ts = _f_exp_pow(+1, np.array(t - s), b, c, m) if t > s else 0.0
-    T2 = b * np.exp(b * t) * (0.5 * s ** c * _ebv(t, b) + 0.5 * fm_t
-                              - 0.5 * np.exp(-b * s) * (fp_s + fm_ts))
-    T3 = b * np.exp(b * s) * (0.5 * t ** c * _ebv(s, b) + 0.5 * fm_s
-                              - 0.5 * np.exp(-b * t) * (fp_t - fp_ts))
-    # cross term of the double integral, diagonal split: both pieces are
-    # single Gauss sums with the w^{2H} factor at an endpoint
-    z, w = jacobi_01(m, c)
-    wa = s * z
-    d_a = s ** (c + 1.0) * np.sum(w * np.exp(-b * wa) * _em(s - wa, b))
-    if s <= 0.5 * t:
-        # singular point w=0 is well separated from [t-s, t]: plain GL
-        g, gw = gauss_legendre_01(m)
-        wb = (t - s) + s * g
-        p2 = s * np.sum(gw * wb ** c * np.exp(-b * wb) * _em(t - wb, b))
-    else:
-        # difference of two weight-absorbing rules, cancellation <= factor 2
-        def q(upper):
-            if upper == 0.0:
-                return 0.0
-            wb = upper * z
-            return upper ** (c + 1.0) * np.sum(w * np.exp(-b * wb) * _em(t - wb, b))
-
-        p2 = q(t) - q(t - s)
-    d_cross = d_a + _em(s, b) * fm_ts + p2
-    T4 = b * b * np.exp(b * (s + t)) * (0.5 * fm_s * _ebv(t, b)
-                                        + 0.5 * _ebv(s, b) * fm_t - 0.5 * d_cross)
-    return float(T1 + T2 + T3 + T4)
+    return float(_kernel(np.array([s / p.T]), np.array([t / p.T]), p, gl_order)[0, 0])
 
 
 def c_alpha(alpha):
@@ -296,92 +338,27 @@ def fou_cov_singular(s, t, p: ModelParams, n_panels: int = 16, ratio: float = 0.
     return ca * np.exp(b * (s + t)) * total
 
 
-def cov_matrix(grid: QuadGrid, p: ModelParams, gl_order: int = DEFAULT_GL_ORDER,
-               block: int = 1024) -> CovMatrix:
+def cov_matrix(grid: QuadGrid, p: ModelParams, gl_order: int = DEFAULT_GL_ORDER) -> CovMatrix:
     """Assemble K_ij = fou_cov(t_i*T, t_j*T, p) on a unit-interval grid.
 
-    Uses the same termwise reduction as `fou_cov` but vectorized: the only
-    pairwise quadratures are rank-`gl_order` products of per-node exponential
-    tables, so assembly is a handful of GEMMs.  Exactly symmetric by
-    construction (upper triangle computed once).
+    The pairwise quadratures are rank-`gl_order` products of per-node
+    exponential tables, so assembly is a handful of GEMMs per block of
+    `_ROW_BLOCK` rows.  Only the upper-triangle blocks are computed; the lower
+    triangle is their mirror, so the matrix is exactly symmetric.
     """
     if grid.domain != "unit-interval":
         raise DomainError("cov_matrix requires a unit-interval grid")
-    if gl_order < 2:
-        raise DomainError(f"gl_order must be >= 2, got {gl_order}")
-    # work on [0,1] with effective drift; rescale by T^{2H} afterwards
-    x = grid.nodes
-    H = p.H
-    b = p.beta_eff
-    c = 2.0 * H
-    n = grid.size
-    xc = x ** c
-    if b == 0.0:
-        K = 0.5 * (xc[:, None] + xc[None, :] - np.abs(x[:, None] - x[None, :]) ** c)
-    elif abs(b) < 1e-3:
-        # closed forms below lose digits to 1/(2b) cancellations; fall back
-        # to the stable scalar route (rare: |beta*T| below 1e-3 but nonzero)
-        K = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                K[i, j] = _fou_cov_raw(x[i], x[j], H, b, gl_order)
-        iu = np.triu_indices(n, 1)
-        K[(iu[1], iu[0])] = K[iu]
-    else:
-        K = _cov_matrix_gemm(x, H, b, gl_order, block)
-    K *= p.T ** c
-    return CovMatrix(K, grid, p)
-
-
-def _cov_matrix_gemm(x, H, b, m, block):
-    c = 2.0 * H
-    n = len(x)
-    z, w = jacobi_01(m, c)
-    xc = x ** c
-    embx = np.exp(-b * x)
-    em2bx = np.exp(-2.0 * b * x)
-    ebx = np.exp(b * x)
-    ebv = _ebv(x, b)
-    emv = _em(x, b)
-    A = np.exp(-b * np.outer(x, z))   # e^{-b x_i z_k}
-    B = np.exp(+b * np.outer(x, z))   # e^{+b x_i z_k}
-    fm = x ** (c + 1.0) * (A @ w)     # F-(x_i) = int_0^x e^{-bv} v^c dv
-    fp = x ** (c + 1.0) * (B @ w)
-    # D_A(s) = int_0^s w^c e^{-bw} Em(s-w) dw, single-variable
-    em_s = -np.expm1(-2.0 * b * np.outer(x, 1.0 - z)) / (2.0 * b)
-    d_a = x ** (c + 1.0) * ((A * em_s) @ w)
-    Aw = A * w
-    Bw = B * w
-    K = np.empty((n, n))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        S = x[lo:hi, None]          # s = x_i (rows, i <= j region used)
-        T = x[None, :]              # t = x_j
-        delta = T - S
-        # F+-(t - s) via exponential table factorization
-        core_m = Bw[lo:hi] @ A.T    # sum_k w_k e^{-b (x_j - x_i) z_k}
-        core_p = Aw[lo:hi] @ B.T
-        dpow = np.where(delta > 0, np.abs(delta) ** (c + 1.0), 0.0)
-        fm_d = dpow * core_m
-        fp_d = dpow * core_p
-        t1 = 0.5 * (xc[lo:hi, None] + xc[None, :] - np.abs(delta) ** c)
-        t2 = b * ebx[None, :] * (0.5 * (S ** c) * ebv[None, :] + 0.5 * fm[None, :]
-                                 - 0.5 * embx[lo:hi, None] * (fp[lo:hi, None] + fm_d))
-        t3 = b * ebx[lo:hi, None] * (0.5 * (T ** c) * ebv[lo:hi, None] + 0.5 * fm[lo:hi, None]
-                                     - 0.5 * embx[None, :] * (fp[None, :] - fp_d))
-        p2 = (fm[None, :] - fm_d) / (2.0 * b) \
-            - em2bx[None, :] / (2.0 * b) * (fp[None, :] - fp_d)
-        d_cross = d_a[lo:hi, None] + emv[lo:hi, None] * fm_d + p2
-        t4 = b * b * np.exp(b * (S + T)) * (0.5 * fm[lo:hi, None] * ebv[None, :]
-                                            + 0.5 * ebv[lo:hi, None] * fm[None, :]
-                                            - 0.5 * d_cross)
-        K[lo:hi] = t1 + t2 + t3 + t4
-    iu = np.triu_indices(n)
-    K[(iu[1], iu[0])] = K[iu]  # mirror upper triangle: exact symmetry
-    return K
+    return CovMatrix(_kernel(grid.nodes, None, p, gl_order), grid, p)
 
 
 def cov_row(xs, p: ModelParams, grid: QuadGrid, gl_order: int = DEFAULT_GL_ORDER):
-    """Kernel values fou_cov(xs*T, t_j*T) against all grid nodes (Nystrom rows)."""
-    return np.array([_fou_cov_raw(min(float(xs), t), max(float(xs), t), p.H, p.beta_eff,
-                                  gl_order) for t in grid.nodes]) * p.T ** (2.0 * p.H)
+    """Kernel values fou_cov(xs*T, t_j*T) against all grid nodes (Nystrom rows).
+
+    Nodes below xs pair with xs as s, the others as t, so that every
+    evaluation has s <= t.
+    """
+    x = grid.nodes
+    xs = np.array([float(xs)])
+    k = int(np.searchsorted(x, xs[0]))
+    return np.concatenate([_kernel(x[:k], xs, p, gl_order)[:, 0],
+                           _kernel(xs, x[k:], p, gl_order)[0]])

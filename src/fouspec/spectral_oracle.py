@@ -21,6 +21,7 @@ from .exceptions import DomainError, SolverError
 from .model import CovMatrix, ModelParams, QuadGrid, cov_row
 
 _INTEGRAL_TIE_TOL = 1e-12
+PSD_TOL = 1e-10  # refuse a matrix whose min eigenvalue / trace is below -PSD_TOL
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,8 @@ def nystrom_eigs(cov: CovMatrix, grid: QuadGrid, n_max: int) -> Spectrum:
 
     Solves the symmetric problem W^{1/2} K W^{1/2} v = lambda v and recovers
     eigenfunction samples as W^{-1/2} v, which already have unit weighted-L2
-    norm; phi_n(1) comes from the Nystrom extension at x = 1.
+    norm; phi_n(1) comes from the Nystrom extension at x = 1.  Raises
+    SolverError when the matrix is not positive semidefinite to PSD_TOL.
     """
     if n_max > grid.size:
         raise DomainError("n_max cannot exceed the grid size")
@@ -138,6 +140,10 @@ def nystrom_eigs(cov: CovMatrix, grid: QuadGrid, n_max: int) -> Spectrum:
         "trace": trace,
         "psd_defect": float(min(lam_all.min(), 0.0) / max(trace, 1e-300)),
     }
+    if diagnostics["psd_defect"] < -PSD_TOL:
+        raise SolverError("covariance matrix is not positive semidefinite: min "
+                          f"eigenvalue / trace = {diagnostics['psd_defect']:.3g}",
+                          stage="nystrom_eigs")
     if lam[n_max - 1] <= 0:
         raise SolverError("requested eigenvalues are not all positive; "
                           "reduce n_max or refine the grid", stage="nystrom_eigs")

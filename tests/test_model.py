@@ -2,12 +2,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
-from fouspec.exceptions import DomainError
-from fouspec.model import (ModelParams, QuadGrid, c_alpha, cov_matrix, fbm_cov,
-                           fou_cov, fou_cov_singular)
-from fouspec.model import _fou_cov_raw
+from fouspec import cli
+from fouspec.exceptions import DomainError, SolverError
+from fouspec.model import (MIN_BETA_T, CovMatrix, ModelParams, QuadGrid, c_alpha,
+                           cov_matrix, cov_row, fbm_cov, fou_cov, fou_cov_singular)
+from fouspec.spectral_oracle import nystrom_eigs
+
+
+def _voc_quad(s, t, H, beta):
+    """K(s, t) on [0, 1] by adaptive quadrature of the variation-of-constants form."""
+    c = 2.0 * H
+
+    def R(u, v):
+        return 0.5 * (u ** c + v ** c - abs(u - v) ** c)
+
+    kw = dict(epsabs=0.0, epsrel=1e-11, limit=100)
+
+    def inner(u, x):  # int_0^x e^{beta(x-v)} R(u, v) dv, kink of R at v = u
+        pts = [u] if 0.0 < u < x else None
+        return quad(lambda v: math.exp(beta * (x - v)) * R(u, v), 0.0, x, points=pts, **kw)[0]
+
+    k = R(s, t) + beta * inner(s, t) + beta * inner(t, s)
+    return k + beta * beta * quad(lambda u: math.exp(beta * (s - u)) * inner(u, t),
+                                  0.0, s, **kw)[0]
 
 
 def test_params_invariants():
@@ -152,15 +174,31 @@ class TestCovMatrix:
         assert lam.min() >= -1e-10 * np.trace(B)
 
     @pytest.mark.parametrize("H,beta", [(0.7, -1.0), (0.3, 1.5), (0.5, 1.0),
-                                        (0.9, -2.0), (0.6, 1e-4)])
+                                        (0.9, -2.0), (0.6, 1e-4), (0.5, -2.0),
+                                        (0.3, 0.0), (0.3, 1e-300),
+                                        (0.3, np.nextafter(0.0, 1.0))])
     def test_matches_scalar_kernel(self, H, beta):
+        # matrix entries against scalar routes independent of the assembler:
+        # the singular-kernel oracle for H > 1/2, the closed form at H = 1/2,
+        # fBm when beta*T is zero or too small to move K (subnormal included),
+        # and adaptive quadrature of the variation-of-constants form otherwise
         g = QuadGrid.gauss_legendre_unit(25)
         p = ModelParams(H=H, beta=beta)
         K = cov_matrix(g, p).values
-        for i in range(0, 25, 6):
-            for j in range(i, 25, 5):
-                assert_allclose(K[i, j], fou_cov(g.nodes[i], g.nodes[j], p),
-                                rtol=1e-8, atol=1e-14)
+        assert np.all(np.isfinite(K))
+        for i in (4, 12, 20):
+            for j in (i, 24):
+                s, t = g.nodes[i], g.nodes[j]
+                if H > 0.5:
+                    ref, rtol = fou_cov_singular(s, t, p), 1e-9
+                elif H == 0.5:
+                    ref = math.exp(beta * (s + t)) * -math.expm1(-2.0 * beta * s) / (2.0 * beta)
+                    rtol = 1e-13
+                elif abs(beta) < 1e-100:
+                    ref, rtol = fbm_cov(s, t, H), 1e-15
+                else:
+                    ref, rtol = _voc_quad(s, t, H, beta), 1e-9
+                assert_allclose(K[i, j], ref, rtol=rtol)
 
     def test_t_scaling_in_matrix(self):
         g = QuadGrid.gauss_legendre_unit(10)
@@ -177,8 +215,56 @@ class TestCovMatrix:
 
 
 def test_raw_kernel_branches_order_converged():
-    # both sides of the s = t/2 branch switch already converged at order 64
-    for H, b in [(0.3, -1.0), (0.8, 2.0)]:
+    # the Gauss order 64 the assembler uses is already converged, on both
+    # sides of s = t/2 (where the former scalar kernel switched branches)
+    for H, b in [(0.3, -1.0), (0.3, 1.5), (0.8, 2.0)]:
+        p = ModelParams(H=H, beta=b)
         for s in (0.4999, 0.5001):
-            assert_allclose(_fou_cov_raw(s, 1.0, H, b, 64),
-                            _fou_cov_raw(s, 1.0, H, b, 96), rtol=1e-12)
+            assert_allclose(fou_cov(s, 1.0, p, gl_order=64),
+                            fou_cov(s, 1.0, p, gl_order=96), rtol=1e-12)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(H=st.floats(0.55, 0.95), beta=st.floats(-5.0, 5.0),
+       s=st.floats(0.02, 1.0), t=st.floats(0.02, 1.0))
+def test_kernel_matches_singular_oracle(H, beta, s, t):
+    p = ModelParams(H=H, beta=beta)
+    assert_allclose(fou_cov(s, t, p), fou_cov_singular(s, t, p), rtol=1e-9)
+
+
+@pytest.mark.parametrize("H,beta", [(0.7, -1.0), (0.3, 1.5), (0.5, 1.0)])
+def test_cov_row_matches_matrix_row(H, beta):
+    g = QuadGrid.gauss_legendre_unit(200)
+    p = ModelParams(H=H, beta=beta, T=1.5)
+    K = cov_matrix(g, p).values
+    for k in (0, 17, 100, 199):
+        assert np.max(np.abs(cov_row(g.nodes[k], p, g) - K[k])) <= 1e-15 * np.max(np.abs(K))
+    assert np.all(cov_row(0.0, p, g) == 0.0)
+
+
+class TestRefusals:
+    def test_beta_t_below_bound(self):
+        g = QuadGrid.gauss_legendre_unit(20)
+        p = ModelParams(H=0.7, beta=-6.25, T=2.0)  # beta*T = -12.5
+        assert p.beta_eff < MIN_BETA_T
+        for call in (lambda: cov_matrix(g, p), lambda: cov_row(1.0, p, g),
+                     lambda: fou_cov(0.5, 1.0, p)):
+            with pytest.raises(DomainError):
+                call()
+        assert np.all(np.isfinite(cov_matrix(g, ModelParams(H=0.7, beta=MIN_BETA_T)).values))
+
+    def test_overflow(self):
+        assert math.isfinite(fou_cov(1.0, 1.0, ModelParams(H=0.5, beta=340.0)))
+        with pytest.raises(DomainError):
+            fou_cov(1.0, 1.0, ModelParams(H=0.5, beta=350.0))
+
+    def test_cli_exit_code(self, capsys):
+        assert cli.main(["eigs", "--H", "0.7", "--beta", "-30"]) == cli.EXIT_USAGE
+        assert "beta*T" in capsys.readouterr().err
+
+    def test_non_psd_matrix(self):
+        g = QuadGrid.gauss_legendre_unit(3)
+        K = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        cov = CovMatrix(K, g, ModelParams(H=0.5))
+        with pytest.raises(SolverError):
+            nystrom_eigs(cov, g, 1)
