@@ -18,7 +18,7 @@ sweeps eps and tabulates the ratios to this limit together with tail and
 oscillation diagnostics.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate
@@ -123,28 +123,30 @@ def check_truncation(eps, p: ModelParams, spec: Spectrum, u=1.0):
 def mse_wiener_hopf(u, eps, p: ModelParams, grid: QuadGrid, cov: CovMatrix = None):
     """P(u, eps) from the dense discretized Wiener-Hopf solve.
 
-    u is snapped to the nearest grid node.  Algebraically identical to
-    `mse_series` fed the full spectrum of the same matrix.
+    u is one point or a sequence of points, each snapped to the nearest grid
+    node; a sequence shares one Cholesky factorization and returns an array.
+    Algebraically identical to `mse_series` fed the full spectrum of the same
+    matrix.
     """
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     if cov is None:
         cov = cov_matrix(grid, p)
-    j = int(np.argmin(np.abs(grid.nodes - u)))
-    w = grid.weights
-    sw = np.sqrt(w)
-    B = sw[:, None] * cov.values * sw[None, :]
-    A = p.mu ** 2 * p.T * B
+    us = np.atleast_1d(np.asarray(u, dtype=float))
+    j = np.argmin(np.abs(grid.nodes[:, None] - us[None, :]), axis=0)
+    sw = np.sqrt(grid.weights)
+    A = sw[:, None] * cov.values * sw[None, :]
+    A *= p.mu ** 2 * p.T
     A[np.diag_indices_from(A)] += eps
     try:
-        ch = cho_factor(A, lower=True)
+        ch = cho_factor(A, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Wiener-Hopf system not positive definite: {exc}",
                           stage="mse_wiener_hopf")
-    rhs = p.mu ** 2 * sw * cov.values[:, j]
-    y = cho_solve(ch, rhs)
-    h_col = y / sw
-    return float(eps / p.mu ** 2 * h_col[j])
+    rhs = p.mu ** 2 * sw[:, None] * cov.values[:, j]
+    h_cols = cho_solve(ch, rhs) / sw[:, None]
+    P = eps / p.mu ** 2 * h_cols[j, np.arange(len(j))]
+    return float(P[0]) if np.ndim(u) == 0 else P
 
 
 def mse_asymptotic(position, eps, p: ModelParams):
@@ -178,7 +180,8 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
             grid = QuadGrid.gauss_legendre_unit(grid_size)
         kwargs = {} if gl_order is None else {"gl_order": gl_order}
         cov = cov_matrix(grid, p, **kwargs)
-        return nystrom_eigs(cov, grid, n_max)
+        # the matrix stays on the spectrum for the Wiener-Hopf route
+        return replace(nystrom_eigs(cov, grid, n_max), cov=cov)
     if method == "closed_form_ou":
         return ou_closed_form_eigs(p.beta_eff, n_max, grid=grid, params=p)
     if method == "first_order":
@@ -248,9 +251,10 @@ def convergence_study(p: ModelParams, eps_grid, u_points, spec: Spectrum,
     if with_wiener_hopf:
         if spec.grid is None:
             raise DomainError("Wiener-Hopf route needs a spectrum with a grid")
-        cov = cov_matrix(spec.grid, p)
-        P_wh = np.array([[mse_wiener_hopf(float(u), float(eps), p, spec.grid, cov)
-                          for u in u_points] for eps in eps_grid])
+        cov = spec.cov if spec.cov is not None and spec.cov.params == p \
+            else cov_matrix(spec.grid, p)
+        P_wh = np.array([mse_wiener_hopf(u_points, float(eps), p, spec.grid, cov)
+                         for eps in eps_grid])
     diagnostics = {
         "tails": tails,
         "I2": I2,

@@ -6,11 +6,12 @@ integral equations
 
     p_j^±(t) = ± (1/pi) int_0^inf h(s nu) e^{-nu s} / (s + t) p_j^±(s) ds + t^j
 
-with the weight h from `asymptotics.h_weight`.  The equations are solved by
-fixed-point iteration (the operator is a contraction for large nu), the
-frequency by bracketed root finding around the first-order guess, and the
-eigenfunction by evaluating the inverse-Laplace representation: a residue
-oscillation plus a semi-axis layer integral.  Eigenvalues follow from
+with the weight h from `asymptotics.h_weight`.  Discretized, each sign is
+one dense linear system (I -+ A) p = t^j with both right-hand sides j = 0, 1,
+solved directly.  The frequency comes from bracketed root finding around
+the first-order guess, and the eigenfunction from evaluating the
+inverse-Laplace representation: a residue oscillation plus a semi-axis layer
+integral.  Eigenvalues follow from
 
     lambda = sin(pi H) Gamma(2H+1) nu^{alpha-1} / (beta^2 + nu^2),
 
@@ -37,8 +38,6 @@ from .model import ModelParams, QuadGrid
 from .spectral_oracle import EigenPair, Spectrum
 
 U_MAX = 37.0
-FP_TOL = 1e-12
-FP_MAXIT = 200
 DEFAULT_BRACKET = 0.3
 DEFAULT_N_MIN = 3
 NU_MIN = 1.0
@@ -67,12 +66,16 @@ class IARefinement:
     xi: complex
     eta: complex
     residual: float
-    fp_iterations: int
-    contraction_norm: float
+    contraction_norm: float  # ||A||; bounds cond_2(I -+ A), see _QPSolution
 
 
 class _QPSolution:
-    """Sampled fixed-point solutions plus the machinery to extend them."""
+    """Sampled solutions of the auxiliary equations plus their extension.
+
+    `iterations` counts the linear solves (one per sign).  `contraction_norm`
+    is the spectral-norm estimate ||A|| of the discretized operator; where it
+    is below 1 it bounds cond_2(I -+ A) <= (1 + ||A||) / (1 - ||A||).
+    """
 
     def __init__(self, nu, profile, grid, kernel_row, p_tilde, iterations,
                  contraction_norm):
@@ -84,18 +87,19 @@ class _QPSolution:
         self.iterations = iterations
         self.contraction_norm = contraction_norm
 
-    def extend(self, z, j, sign):
-        """p_j^{sign}(z) for z (t-scale of the w-substitution: w = nu*s, z = t)."""
-        w = self.grid.nodes
-        return sign * np.sum(self.kernel_row * self.p_tilde[(j, sign)]
-                             / (w + self.nu * np.asarray(z))) + np.asarray(z) ** j
-
     def extend_many(self, z, j, sign):
+        """p_j^{sign}(z) at the points z (t-scale of the w-substitution w = nu*s)."""
         z = np.asarray(z)
         w = self.grid.nodes
         core = (self.kernel_row * self.p_tilde[(j, sign)])[None, :] \
             / (w[None, :] + self.nu * z[:, None])
         return sign * core.sum(axis=1) + z ** j
+
+    def ab(self, z):
+        """a_+-(z) = p_0^+ +- p_0^- and b_+-(z) = p_1^+ +- p_1^-, four extensions."""
+        p0p, p0m, p1p, p1m = (self.extend_many(z, j, sign)
+                              for j in (0, 1) for sign in (+1, -1))
+        return p0p + p0m, p0p - p0m, p1p + p1m, p1p - p1m
 
 
 def _check_params(p: ModelParams):
@@ -104,10 +108,11 @@ def _check_params(p: ModelParams):
 
 
 def solve_p(nu, p: ModelParams, semigrid: QuadGrid = None) -> _QPSolution:
-    """Fixed-point solve of the four auxiliary integral equations at frequency nu.
+    """Direct solve of the four auxiliary integral equations at frequency nu.
 
-    Iterates to sup-norm change below 1e-12 (cap 200); aborts with a
-    diagnostic if the iterate-change ratio reaches 1 (lost contraction).
+    One LU solve of (I -+ A) per sign, with the right-hand sides j = 0, 1 as
+    two columns.  Raises SolverError if a system is singular or its solution
+    is not finite.
     """
     _check_params(p)
     if nu < NU_MIN:
@@ -121,32 +126,19 @@ def solve_p(nu, p: ModelParams, semigrid: QuadGrid = None) -> _QPSolution:
     h_vals = np.zeros_like(w) if alpha == 1.0 else h_weight(w / nu, profile)
     ker = h_vals * np.exp(-w) * semigrid.weights / math.pi
     A = ker[None, :] / (w[:, None] + w[None, :])
-    norm_est = _power_norm(A)
+    rhs = np.column_stack([np.ones_like(w), w / nu])
     p_tilde = {}
-    total_it = 0
-    for j in (0, 1):
-        rhs = (w / nu) ** j
-        for sign in (+1, -1):
-            x = rhs.copy()
-            prev_delta = None
-            for it in range(1, FP_MAXIT + 1):
-                xn = sign * (A @ x) + rhs
-                delta = float(np.max(np.abs(xn - x)))
-                x = xn
-                if delta < FP_TOL:
-                    break
-                if prev_delta is not None and prev_delta > 0 and it > 3 \
-                        and delta / prev_delta >= 1.0:
-                    raise SolverError(
-                        f"fixed point not contracting at nu={nu:.4g} "
-                        f"(ratio {delta / prev_delta:.3f})", stage="solve_p")
-                prev_delta = delta
-            else:
-                raise SolverError(f"fixed point hit the {FP_MAXIT}-iteration cap "
-                                  f"at nu={nu:.4g}", stage="solve_p")
-            p_tilde[(j, sign)] = x
-            total_it += it
-    return _QPSolution(nu, profile, semigrid, ker, p_tilde, total_it, norm_est)
+    for sign in (+1, -1):
+        try:
+            x = np.linalg.solve(np.eye(len(w)) - sign * A, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"I {'-' if sign > 0 else '+'} A is singular at "
+                              f"nu={nu:.4g}: {exc}", stage="solve_p")
+        if not np.all(np.isfinite(x)):
+            raise SolverError(f"auxiliary solution not finite at nu={nu:.4g}",
+                              stage="solve_p")
+        p_tilde[(0, sign)], p_tilde[(1, sign)] = x[:, 0], x[:, 1]
+    return _QPSolution(nu, profile, semigrid, ker, p_tilde, 2, _power_norm(A))
 
 
 def _power_norm(A, iters=30):
@@ -174,17 +166,12 @@ def evaluate_abxi(nu, p: ModelParams, solution: _QPSolution = None):
     prof = solution.profile
     r = p.beta_eff / nu
     ba = prof.b_alpha_nu()
-    p0p = solution.extend(-1j, 0, +1)
-    p0m = solution.extend(-1j, 0, -1)
-    p1p = solution.extend(-1j, 1, +1)
-    p1m = solution.extend(-1j, 1, -1)
-    a_plus_mi = p0p + p0m
-    a_minus_mi = p0p - p0m
-    b_plus_mi = p1p + p1m
+    a_plus_mi, a_minus_mi, b_plus_mi, b_minus_mi = \
+        (v[0] for v in solution.ab(np.array([-1j])))
     # p real on the positive axis: values at +i are conjugates of those at -i
     a_plus_pi = np.conj(a_plus_mi)
     a_minus_pi = np.conj(a_minus_mi)
-    b_minus_pi = np.conj(p1p - p1m)
+    b_minus_pi = np.conj(b_minus_mi)
     x_i = prof.x_cauchy(1j)
     e = cmath.exp(1j * nu / 2.0)
     xi = e * x_i * (b_plus_mi + (r - ba) * a_plus_mi) \
@@ -254,34 +241,26 @@ def find_nu(n, p: ModelParams, bracket=DEFAULT_BRACKET, n_min=DEFAULT_N_MIN,
         b_plus_mi=vals["b_plus_mi"], b_minus_pi=vals["b_minus_pi"],
         x_beta_i=vals["x_beta_i"], b_alpha_nu=vals["b_alpha_nu"],
         xi=vals["xi"], eta=vals["eta"], residual=residual,
-        fp_iterations=sol.iterations, contraction_norm=sol.contraction_norm,
+        contraction_norm=sol.contraction_norm,
     )
     return float(root), ref, sol
 
 
-def _phi_tilde_factories(ref: IARefinement, sol: _QPSolution, p: ModelParams):
-    """Normalized forms Phi~_0, Phi~_1 as functions of the t-scale argument."""
+def _phi_tilde(ref: IARefinement, sol: _QPSolution, p: ModelParams):
+    """Normalized forms (Phi~_0, Phi~_1) as one function of the t-scale argument."""
     nu = ref.nu
     r = p.beta_eff / nu
     ba = ref.b_alpha_nu
     ratio = (ref.xi * np.conj(ref.eta)).real / abs(ref.eta) ** 2  # xi/eta, real at a root
-    prof = sol.profile
 
-    def phi0(zeta):
-        zr = -np.asarray(zeta) / nu
-        x = prof.x_cauchy(np.asarray(zeta) / nu)
-        return x * (sol.extend_many(zr, 1, +1) + sol.extend_many(zr, 1, -1)
-                    + (r - ba) * (sol.extend_many(zr, 0, +1) + sol.extend_many(zr, 0, -1))
-                    - ratio * (sol.extend_many(zr, 0, +1) - sol.extend_many(zr, 0, -1)))
+    def phi_tilde(zeta):
+        zeta = np.asarray(zeta)
+        x = sol.profile.x_cauchy(zeta / nu)
+        a_p, a_m, b_p, b_m = sol.ab(-zeta / nu)
+        return (x * (b_p + (r - ba) * a_p - ratio * a_m),
+                x * (b_m + (r - ba) * a_m - ratio * a_p))
 
-    def phi1(zeta):
-        zr = -np.asarray(zeta) / nu
-        x = prof.x_cauchy(np.asarray(zeta) / nu)
-        return x * (sol.extend_many(zr, 1, +1) - sol.extend_many(zr, 1, -1)
-                    + (r - ba) * (sol.extend_many(zr, 0, +1) - sol.extend_many(zr, 0, -1))
-                    - ratio * (sol.extend_many(zr, 0, +1) + sol.extend_many(zr, 0, -1)))
-
-    return phi0, phi1, ratio
+    return phi_tilde, ratio
 
 
 def refined_eigenpair(n, p: ModelParams, unit_grid: QuadGrid,
@@ -299,12 +278,12 @@ def refined_eigenpair(n, p: ModelParams, unit_grid: QuadGrid,
     alpha = p.alpha
     r = p.beta_eff / nu
     prof = sol.profile
-    phi0_f, phi1_f, ratio = _phi_tilde_factories(ref, sol, p)
+    phi_tilde, ratio = _phi_tilde(ref, sol, p)
     x = unit_grid.nodes
     w = unit_grid.weights
 
     # residue part
-    p0_inu = phi0_f(np.array([1j * nu]))[0]
+    p0_inu = phi_tilde(np.array([1j * nu]))[0][0]
     denom = 2.0 / (r * r + 1.0) - alpha + 1.0
     res = -2.0 * np.real(np.exp(1j * nu * x) * p0_inu * (1.0 - 1j * r) / denom)
 
@@ -315,8 +294,7 @@ def refined_eigenpair(n, p: ModelParams, unit_grid: QuadGrid,
                 + u ** (alpha - 1.0) * np.exp(1j * (1.0 - alpha) * math.pi / 2.0))
     if np.any(gb <= 0.0):
         raise SolverError("gamma_beta vanished on the layer grid", stage="refined_eigenpair")
-    p1_m = phi1_f(-u * nu).real
-    p0_m = phi0_f(-u * nu).real
+    p0_m, p1_m = (v.real for v in phi_tilde(-u * nu))
     w0 = uw * st / gb * (u + r) * p1_m
     w1 = uw * st / gb * (u - r) * p0_m
     with np.errstate(under="ignore"):

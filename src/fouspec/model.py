@@ -299,8 +299,10 @@ def fou_cov_singular(s, t, p: ModelParams, n_panels: int = 16, ratio: float = 0.
         # int_lo^hi e^{-b u} |u - sing|^{-alpha} du, sing an endpoint of [lo,hi]
         if hi <= lo:
             return 0.0
-        nodes, weights = graded_nodes(lo, hi, sing, n_panels, panel_order, ratio)
-        dist = np.abs(nodes - sing)
+        # distances come straight from the rule: recomputed from rounded
+        # nodes they can round to 0 next to `sing` when hi - lo is tiny
+        dist, weights = graded_nodes(0.0, hi - lo, 0.0, n_panels, panel_order, ratio)
+        nodes = sing + dist if sing == lo else sing - dist
         acc = np.sum(weights * np.exp(-b * nodes) * dist ** (-a))
         # innermost sliver: Gauss rule with the |u-sing|^{-alpha} weight
         sliver = (hi - lo) * ratio ** n_panels
@@ -327,14 +329,9 @@ def fou_cov_singular(s, t, p: ModelParams, n_panels: int = 16, ratio: float = 0.
         return np.sum(weights * np.exp(-b * nodes) * vals)
 
     mid = 0.5 * s
-    total = outer(0.0, mid, 0.0) + outer(mid, s, s)
-    if t > s:
-        total += outer(s, min(2.0 * s, t), s)
-        if t > 2.0 * s:
-            g, gw = gauss_legendre_01(4 * panel_order)
-            v = 2.0 * s + (t - 2.0 * s) * g
-            vals = np.array([inner(x) for x in v])
-            total += (t - 2.0 * s) * np.sum(gw * np.exp(-b * v) * vals)
+    # beyond 2s, inner(v) still varies on the scale s, hence grading toward 2s
+    total = outer(0.0, mid, 0.0) + outer(mid, s, s) \
+        + outer(s, min(2.0 * s, t), s) + outer(2.0 * s, t, 2.0 * s)
     return ca * np.exp(b * (s + t)) * total
 
 

@@ -56,6 +56,7 @@ class Spectrum:
     phi_integral: np.ndarray = None
     diagnostics: dict = field(default_factory=dict, repr=False)
     n_values: tuple = None  # explicit indices when not contiguous from 1
+    cov: CovMatrix = field(default=None, repr=False)  # oracle matrix, if kept
 
     @property
     def n_max(self):

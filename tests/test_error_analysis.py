@@ -65,6 +65,13 @@ class TestWienerHopf:
                 b = mse_wiener_hopf(u, eps, p, grid, cov)
                 assert abs(a - b) / b <= 1e-6
 
+    def test_many_points_share_one_factorization(self, small_oracle):
+        p, grid, cov, _ = small_oracle
+        us = [float(grid.nodes[j]) for j in (40, 75, 148)]
+        many = mse_wiener_hopf(us, 1e-3, p, grid, cov)
+        assert_allclose(many, [mse_wiener_hopf(u, 1e-3, p, grid, cov) for u in us],
+                        rtol=1e-12)
+
     def test_large_eps_limit(self, small_oracle):
         p, grid, cov, _ = small_oracle
         j = 100
@@ -141,6 +148,14 @@ class TestConvergenceStudy:
             convergence_study(p, [1e-4, 1e-3], [0.5], spec)  # not decreasing
         with pytest.raises(DomainError):
             convergence_study(p, [1e-4], [0.0], spec)
+
+    def test_oracle_spectrum_keeps_its_matrix(self, small_oracle):
+        p, grid, cov, spec = small_oracle
+        built = build_spectrum(p, "oracle", n_max=spec.n_max, grid=grid)
+        assert np.array_equal(built.cov.values, cov.values)
+        u = float(grid.nodes[75])
+        rep = convergence_study(p, [1e-3], [u], built, with_wiener_hopf=True)
+        assert_allclose(rep.P_wiener_hopf, rep.P_series, rtol=1e-6)
 
     def test_wiener_hopf_column(self, small_oracle):
         p, grid, cov, spec = small_oracle

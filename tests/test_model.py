@@ -148,6 +148,13 @@ class TestFouCovSingular:
         p = ModelParams(H=H, beta=beta)
         assert_allclose(fou_cov_singular(s, t, p), fou_cov(s, t, p), rtol=1e-4)
 
+    def test_finite_under_fine_grading(self):
+        # 24 halvings make the innermost panels too thin to resolve by node value
+        p = ModelParams(H=0.7, beta=-1.0)
+        val = fou_cov_singular(0.3, 0.6, p, n_panels=24)
+        assert np.isfinite(val)
+        assert_allclose(val, fou_cov(0.3, 0.6, p), rtol=1e-12)
+
     def test_rejects_small_h(self):
         with pytest.raises(DomainError):
             fou_cov_singular(0.5, 0.5, ModelParams(H=0.5))
@@ -186,19 +193,21 @@ class TestCovMatrix:
         p = ModelParams(H=H, beta=beta)
         K = cov_matrix(g, p).values
         assert np.all(np.isfinite(K))
-        for i in (4, 12, 20):
-            for j in (i, 24):
-                s, t = g.nodes[i], g.nodes[j]
-                if H > 0.5:
-                    ref, rtol = fou_cov_singular(s, t, p), 1e-9
-                elif H == 0.5:
-                    ref = math.exp(beta * (s + t)) * -math.expm1(-2.0 * beta * s) / (2.0 * beta)
-                    rtol = 1e-13
-                elif abs(beta) < 1e-100:
-                    ref, rtol = fbm_cov(s, t, H), 1e-15
-                else:
-                    ref, rtol = _voc_quad(s, t, H, beta), 1e-9
-                assert_allclose(K[i, j], ref, rtol=rtol)
+        pairs = [(i, j) for i in (4, 12, 20) for j in (i, 24)]
+        if H > 0.5:
+            pairs.append((0, 24))  # s = 0.00222 << t = 0.99778
+        for i, j in pairs:
+            s, t = g.nodes[i], g.nodes[j]
+            if H > 0.5:
+                ref, rtol = fou_cov_singular(s, t, p), 1e-9
+            elif H == 0.5:
+                ref = math.exp(beta * (s + t)) * -math.expm1(-2.0 * beta * s) / (2.0 * beta)
+                rtol = 1e-13
+            elif abs(beta) < 1e-100:
+                ref, rtol = fbm_cov(s, t, H), 1e-15
+            else:
+                ref, rtol = _voc_quad(s, t, H, beta), 1e-9
+            assert_allclose(K[i, j], ref, rtol=rtol)
 
     def test_t_scaling_in_matrix(self):
         g = QuadGrid.gauss_legendre_unit(10)
