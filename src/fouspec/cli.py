@@ -322,7 +322,7 @@ def compute_mse(cfg: RunConfig):
         raise UsageError(f"n_max={n_max} exceeds the grid size {grid_size}; "
                          "raise --N-unit or lower --n-max")
     spec = build_spectrum(p, method, n_max=n_max, grid_size=grid_size,
-                          gl_order=cfg.gl_order if method == "oracle" else None)
+                          gl_order=cfg.gl_order)
     us = []
     for u in cfg.u:
         u = float(u)

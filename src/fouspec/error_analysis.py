@@ -26,7 +26,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gamma as _gamma_fn
 
 from .exceptions import DomainError, SolverError, TruncationError
-from .model import CovMatrix, ModelParams, QuadGrid, cov_matrix
+from .model import DEFAULT_GL_ORDER, CovMatrix, ModelParams, QuadGrid, cov_matrix
 from .spectral_oracle import Spectrum, nystrom_eigs, ou_closed_form_eigs
 
 EXCLUDED_TERM_BUDGET = 1e-3  # largest excluded series term, relative to P
@@ -165,7 +165,7 @@ def mse_asymptotic(position, eps, p: ModelParams):
 
 
 def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = None,
-                   grid_size=1000, gl_order=None) -> Spectrum:
+                   grid_size=1000, gl_order=DEFAULT_GL_ORDER) -> Spectrum:
     """Construct the requested spectrum source for error sweeps.
 
     oracle         : Nystrom eigensolve on a Gauss-Legendre grid
@@ -178,8 +178,7 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
     if method == "oracle":
         if grid is None:
             grid = QuadGrid.gauss_legendre_unit(grid_size)
-        kwargs = {} if gl_order is None else {"gl_order": gl_order}
-        cov = cov_matrix(grid, p, **kwargs)
+        cov = cov_matrix(grid, p, gl_order)
         # the matrix stays on the spectrum for the Wiener-Hopf route
         return replace(nystrom_eigs(cov, grid, n_max), cov=cov)
     if method == "closed_form_ou":
@@ -202,7 +201,7 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
         ref = ia_refine.refined_spectrum(p, range(n_min, n_max + 1), grid)
         # the solver starts at n_min; head pairs come from the oracle so the
         # series over the spectrum stays complete
-        head = nystrom_eigs(cov_matrix(grid, p), grid, n_min - 1)
+        head = nystrom_eigs(cov_matrix(grid, p, gl_order), grid, n_min - 1)
         return Spectrum("refined", p,
                         np.concatenate([head.lam, ref.lam]),
                         np.concatenate([np.full(n_min - 1, np.nan), ref.nu]),

@@ -25,6 +25,7 @@ are h(w) e^{-w} independent of the eventual evaluation points.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -72,20 +73,25 @@ class IARefinement:
 class _QPSolution:
     """Sampled solutions of the auxiliary equations plus their extension.
 
-    `iterations` counts the linear solves (one per sign).  `contraction_norm`
-    is the spectral-norm estimate ||A|| of the discretized operator; where it
-    is below 1 it bounds cond_2(I -+ A) <= (1 + ||A||) / (1 - ||A||).
+    `iterations` counts the linear solves (one per sign).
     """
 
-    def __init__(self, nu, profile, grid, kernel_row, p_tilde, iterations,
-                 contraction_norm):
+    def __init__(self, nu, profile, grid, kernel_row, p_tilde, iterations):
         self.nu = nu
         self.profile = profile
         self.grid = grid
         self.kernel_row = kernel_row
         self.p_tilde = p_tilde  # {(j, sign): samples on grid.nodes}
         self.iterations = iterations
-        self.contraction_norm = contraction_norm
+
+    @functools.cached_property
+    def contraction_norm(self):
+        """Spectral-norm estimate ||A|| of the discretized operator, on first read.
+
+        Where it is below 1 it bounds cond_2(I -+ A) <= (1 + ||A||) / (1 - ||A||).
+        """
+        w = self.grid.nodes
+        return _power_norm(self.kernel_row[None, :] / (w[:, None] + w[None, :]))
 
     def extend_many(self, z, j, sign):
         """p_j^{sign}(z) at the points z (t-scale of the w-substitution w = nu*s)."""
@@ -138,7 +144,7 @@ def solve_p(nu, p: ModelParams, semigrid: QuadGrid = None) -> _QPSolution:
             raise SolverError(f"auxiliary solution not finite at nu={nu:.4g}",
                               stage="solve_p")
         p_tilde[(0, sign)], p_tilde[(1, sign)] = x[:, 0], x[:, 1]
-    return _QPSolution(nu, profile, semigrid, ker, p_tilde, 2, _power_norm(A))
+    return _QPSolution(nu, profile, semigrid, ker, p_tilde, 2)
 
 
 def _power_norm(A, iters=30):

@@ -173,50 +173,33 @@ def nystrom_extend(spec: Spectrum, x: float) -> np.ndarray:
     return (spec.grid.weights * kx) @ spec.phi / spec.lam
 
 
-def _bisect_to_root(f, lo, hi):
-    flo = f(lo)
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            b = mid
-        else:
-            a, flo = mid, fm
-        if b - a < 1e-15 * max(1.0, mid):
-            break
-    return 0.5 * (a + b)
+_HALVINGS = 64  # a pi/2-wide bracket shrinks to 8.5e-20: below one ulp of roots > 4e-4
 
 
-def _tan_roots(beta: float, n_max: int, delta: float = 1e-9) -> np.ndarray:
-    """Increasing positive roots of nu/beta = tan(nu), bisection per branch."""
-    roots = []
-    k = 0
-    f = lambda v: v / beta - math.tan(v)
-    while len(roots) < n_max:
-        lo = max((k - 0.5) * math.pi + delta, delta)
-        hi = (k + 0.5) * math.pi - delta
-        first_branch = k == 0
-        k += 1
-        if k > 10 * n_max + 100:
-            raise SolverError("root bracketing failed near "
-                              f"[{lo:.6g}, {hi:.6g}]", stage="ou_closed_form_eigs")
-        if hi <= lo:
-            continue
-        if first_branch:
-            # near 0 both sides agree to rounding; use the series sign of
-            # nu/beta - tan(nu) ~ nu (1/beta - 1) - nu^3/3 instead
-            flo = 1.0 / beta - 1.0
-            if flo == 0.0:
-                flo = -1.0
-        else:
-            flo = f(lo)
-        if flo * f(hi) > 0:
-            continue  # this tan branch hosts no root
-        roots.append(_bisect_to_root(f, lo, hi))
-    return np.array(roots[:n_max])
+def _bisect(g, lo, hi):
+    """Roots of g in the brackets [lo, hi], all at once.
+
+    g must be negative left of each root and positive right of it; it is
+    evaluated only at midpoints, never at the bracket ends.
+    """
+    for _ in range(_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        right = g(mid) > 0
+        lo, hi = np.where(right, lo, mid), np.where(right, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def _tan_roots(beta: float, n_max: int) -> np.ndarray:
+    """Increasing positive roots of nu/beta = tan(nu).
+
+    Branch k >= 1 holds exactly one root, between k pi and the pole at
+    k pi + sign(beta) pi/2, where tan(nu) - nu/beta rises through zero;
+    branch 0 holds one (in (0, pi/2)) only when 0 < beta < 1.
+    """
+    kpi = (np.arange(n_max) + (0 if 0.0 < beta < 1.0 else 1)) * np.pi
+    half = math.copysign(0.5 * math.pi, beta)
+    return _bisect(lambda v: np.tan(v) - v / beta,
+                   kpi + min(half, 0.0), kpi + max(half, 0.0))
 
 
 def _ou_modes(beta: float, n_max: int) -> np.ndarray:
@@ -225,48 +208,42 @@ def _ou_modes(beta: float, n_max: int) -> np.ndarray:
     Entries > 0 are tan-branch roots (oscillatory modes sin(nu x)).  For
     beta >= 1 the operator has one additional non-oscillatory top mode:
     phi ~ x at beta = 1 (encoded 0.0) and phi ~ sinh(kappa x) for beta > 1
-    with tanh(kappa) = kappa/beta (encoded -kappa, lambda = 1/(beta^2 -
-    kappa^2)).  Without it the spectrum misses its largest eigenvalue and
-    the trace identity fails.
+    with tanh(kappa) = kappa/beta (encoded -kappa).  Without it the
+    spectrum misses its largest eigenvalue and the trace identity fails.
     """
     if beta == 0.0:
         return (np.arange(1, n_max + 1) - 0.5) * np.pi
-    head = []
     if beta > 1.0:
-        kappa = _bisect_to_root(lambda k: math.tanh(k) - k / beta, 1e-12,
-                                beta * (1.0 - 1e-14))
-        head = [-kappa]
-    elif beta == 1.0:
-        head = [0.0]
-    tails = _tan_roots(beta, n_max - len(head))
-    return np.concatenate([head, tails]) if head else tails
+        head = -_bisect(lambda k: k / beta - np.tanh(k), np.zeros(1), np.full(1, beta))
+    else:
+        head = np.zeros(1 if beta == 1.0 else 0)
+    return np.concatenate([head, _tan_roots(beta, n_max - len(head))])
 
 
-def _ou_lambda(nu, beta):
-    lam = np.empty_like(nu)
-    osc = nu > 0
-    lam[osc] = 1.0 / (nu[osc] ** 2 + beta ** 2)
-    lam[~osc] = 1.0 / (beta ** 2 - nu[~osc] ** 2)
-    return lam
+def _ou_forms(nu, osc, lin, hyp):
+    """One value per encoded mode: osc(v) where nu = v > 0, `lin` where nu = 0
+    and hyp(k) where nu = -k < 0.  The last axis runs over the modes; `lin`
+    and `hyp` are evaluated on the (at most one) non-oscillatory mode only.
+    """
+    out = osc(np.where(nu > 0, nu, 1.0))
+    out[..., nu == 0] = lin
+    out[..., nu < 0] = hyp(-nu[nu < 0])
+    return out
+
+
+def _ou_norms(nu):
+    """L2 norms of the eigenfunction shapes sin(v x), x and sinh(k x)."""
+    return _ou_forms(nu, lambda v: np.sqrt(0.5 - np.sin(2.0 * v) / (4.0 * v)),
+                     1.0 / math.sqrt(3.0),
+                     lambda k: np.sqrt(np.sinh(2.0 * k) / (4.0 * k) - 0.5))
 
 
 def _ou_phi_values(nu, u):
-    """Unit-norm eigenfunction values at u for the encoded frequency list."""
-    nu = np.asarray(nu)
-    out = np.empty_like(nu, dtype=float)
-    osc = nu > 0
-    if np.any(osc):
-        v = nu[osc]
-        norm = np.sqrt(1.0 - np.sin(2.0 * v) / (2.0 * v))
-        out[osc] = -np.sqrt(2.0) * np.sin(v * u) / norm
-    for idx in np.nonzero(~osc)[0]:
-        k = -nu[idx]
-        if k == 0.0:
-            out[idx] = -math.sqrt(3.0) * u
-        else:
-            norm = math.sqrt(math.sinh(2.0 * k) / (4.0 * k) - 0.5)
-            out[idx] = -math.sinh(k * u) / norm
-    return out
+    """Unit-norm eigenfunction values, one row per point of u (a row for scalar u)."""
+    nu = np.asarray(nu, dtype=float)
+    u = np.asarray(u, dtype=float)[..., None]
+    return -_ou_forms(nu, lambda v: np.sin(v * u), u,
+                      lambda k: np.sinh(k * u)) / _ou_norms(nu)
 
 
 def ou_closed_form_eigs(beta: float, n_max: int, grid: QuadGrid = None,
@@ -274,12 +251,14 @@ def ou_closed_form_eigs(beta: float, n_max: int, grid: QuadGrid = None,
     """Exact H = 1/2 spectrum on the unit interval (drift `beta`).
 
     Oscillatory modes have lambda_n = 1/(nu_n^2 + beta^2) with nu/beta =
-    tan(nu) found by bisection between consecutive poles (beta = 0: exactly
-    nu_n = (n-1/2) pi) and eigenfunctions proportional to sqrt(2) sin(nu_n x);
-    for beta >= 1 the complete spectrum additionally starts with one
-    non-oscillatory mode (see `_ou_modes`).  Eigenfunctions are unit-norm
-    and sign-fixed to int phi < 0.  When `params` is given (H must be 1/2),
-    eigenvalues carry the T^{2H} scaling and roots use the drift beta*T.
+    tan(nu) found by one array bisection over the half-branch brackets of
+    `_tan_roots` (beta = 0: exactly nu_n = (n-1/2) pi) and eigenfunctions
+    proportional to sqrt(2) sin(nu_n x); for beta >= 1 the complete spectrum
+    additionally starts with one non-oscillatory mode (see `_ou_modes`).
+    Eigenfunctions are unit-norm and sign-fixed to int phi < 0.  When
+    `params` is given (H must be 1/2), eigenvalues carry the T^{2H} scaling
+    and roots use the drift beta*T.  Raises DomainError when the head mode
+    overflows (beta*T above about 355).
     """
     if params is not None:
         if abs(params.H - 0.5) > 1e-12:
@@ -287,25 +266,22 @@ def ou_closed_form_eigs(beta: float, n_max: int, grid: QuadGrid = None,
         beta = params.beta_eff
     else:
         params = ModelParams(H=0.5, beta=beta)
-    nu = _ou_modes(beta, n_max)
-    lam = _ou_lambda(nu, beta)
-    order = np.argsort(lam)[::-1]  # decreasing lambda (head mode is largest)
-    nu, lam = nu[order], lam[order]
-    phi1 = _ou_phi_values(nu, 1.0)
-
-    def _integral(v):
-        if v > 0:
-            norm = math.sqrt(1.0 - math.sin(2.0 * v) / (2.0 * v))
-            return -math.sqrt(2.0) * (1.0 - math.cos(v)) / (v * norm)
-        if v == 0.0:
-            return -math.sqrt(3.0) / 2.0
-        k = -v
-        norm = math.sqrt(math.sinh(2.0 * k) / (4.0 * k) - 0.5)
-        return -(math.cosh(k) - 1.0) / (k * norm)
-
-    integrals = np.array([_integral(v) for v in nu])
-    phi = None
-    if grid is not None:
-        phi = np.column_stack([_ou_phi_values(nu, float(x)) for x in grid.nodes]).T
+    # nu/beta may overflow to inf at subnormal beta, which bisects correctly;
+    # overflow (and inf/inf) in the head mode is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu = _ou_modes(beta, n_max)
+        # head mode: tanh(kappa) = kappa/beta turns 1/(beta^2 - kappa^2) into
+        # cosh(kappa)^2/beta^2, which does not cancel as kappa -> beta.  The
+        # list is already decreasing: cosh(kappa)^2/beta^2 >= 1/beta^2 exceeds
+        # every 1/(nu^2 + beta^2), and the tan roots increase.
+        lam = _ou_forms(nu, lambda v: 1.0 / (v ** 2 + beta * beta), 1.0,
+                        lambda k: (np.cosh(k) / beta) ** 2)
+        norm = _ou_norms(nu)
+        phi1 = -_ou_forms(nu, np.sin, 1.0, np.sinh) / norm
+        integrals = -_ou_forms(nu, lambda v: (1.0 - np.cos(v)) / v, 0.5,
+                               lambda k: (np.cosh(k) - 1.0) / k) / norm
+    if not all(np.all(np.isfinite(a)) for a in (lam, norm, phi1, integrals)):
+        raise DomainError(f"closed-form OU spectrum overflows at beta*T = {beta:g}")
+    phi = None if grid is None else _ou_phi_values(nu, grid.nodes)
     lam = lam * params.T ** (2.0 * params.H)
     return Spectrum("closed_form_ou", params, lam, nu, grid, phi, phi1, integrals)

@@ -183,3 +183,26 @@ class TestTruncationGuard:
         check_truncation(1e-6, p, spec, u=1.0)
         worst = largest_excluded_term(1e-6, p, spec)
         assert worst < 1e-3 * mse_series(1.0, 1e-6, p, spec)
+
+
+@pytest.mark.parametrize("beta", [-1.0, 1e-4, 2.0, 7.5])
+def test_endpoint_matches_kalman_bucy(beta):
+    # at H = 1/2 the endpoint error solves the Riccati equation of the
+    # Kalman-Bucy filter, P' = 2 beta P + 1 - P^2/eps, P(0) = 0
+    p = ModelParams(H=0.5, beta=beta)
+    spec = build_spectrum(p, "closed_form_ou", n_max=100_000)
+    for eps in (1e-4, 1e-5):
+        val, tail = mse_series(1.0, eps, p, spec, return_tail=True)
+        d = math.sqrt(beta ** 2 + 1.0 / eps)
+        e = math.exp(-2.0 * d)
+        assert_allclose(val + tail, (1.0 - e) / ((d - beta) + (d + beta) * e), rtol=1e-6)
+
+
+def test_refined_head_pairs_follow_gl_order():
+    # the head pairs come from the oracle matrix, assembled at the given order
+    p = ModelParams(H=0.7, beta=-1.0)
+    g = QuadGrid.gauss_legendre_unit(60)
+    spec = build_spectrum(p, "refined", n_max=3, grid=g, gl_order=8)
+    head = nystrom_eigs(cov_matrix(g, p, 8), g, 2)
+    assert np.array_equal(spec.lam[:2], head.lam)
+    assert not np.array_equal(head.lam, nystrom_eigs(cov_matrix(g, p), g, 2).lam)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fouspec import cli
 from fouspec.exceptions import DomainError
 from fouspec.model import ModelParams, QuadGrid, cov_matrix, fou_cov
 from fouspec.spectral_oracle import nystrom_eigs, nystrom_extend, ou_closed_form_eigs
@@ -103,6 +104,19 @@ class TestClosedFormOU:
         assert np.all(np.diff(spec.nu[osc]) > 0)
         assert np.all(np.diff(spec.lam) < 0)
 
+    @pytest.mark.parametrize("beta", [-1.5, 0.5, 3.0])
+    def test_roots_match_scalar_bisection(self, beta):
+        # reference: scalar bisection over each whole tan branch that changes sign
+        f = lambda v: v / beta - math.tan(v)
+        ref = []
+        for k in range(25):
+            lo, hi = max((k - 0.5) * math.pi, 0.0) + 1e-9, (k + 0.5) * math.pi - 1e-9
+            if f(lo) * f(hi) < 0:
+                ref.append(_bisect(f, lo, hi))
+        nu = ou_closed_form_eigs(beta, 20).nu
+        osc = nu[nu > 0]
+        assert_allclose(osc, ref[:len(osc)], rtol=1e-14)
+
     @pytest.mark.parametrize("beta", [-2.0, 0.5, 2.0])
     def test_asymptotic_spacing(self, beta):
         spec = ou_closed_form_eigs(beta, 60)
@@ -128,6 +142,38 @@ class TestClosedFormOU:
         norm = np.sqrt(1.0 - np.sin(2 * nu) / (2 * nu))
         assert_allclose(vals[1:], -math.sqrt(2.0) * np.sin(nu * 0.5) / norm,
                         rtol=1e-12)
+
+    @pytest.mark.parametrize("beta", [20.0, 40.0])
+    def test_trace_identity_large_beta(self, beta):
+        # sum lambda_n = int_0^1 K(t,t) dt; the head eigenvalue carries almost
+        # all of it and the truncated tail is below 1e-17 of the trace
+        spec = ou_closed_form_eigs(beta, 2000)
+        trace = (math.exp(2 * beta) - 1 - 2 * beta) / (4 * beta ** 2)
+        assert_allclose(np.sum(spec.lam), trace, rtol=1e-12)
+
+    def test_refuses_overflow(self, capsys):
+        spec = ou_closed_form_eigs(300.0, 50)
+        for a in (spec.lam, spec.phi1, spec.phi_integral):
+            assert np.all(np.isfinite(a))
+        for beta in (355.4, 400.0):  # at 355.4 only the sinh norm overflows
+            with pytest.raises(DomainError):
+                ou_closed_form_eigs(beta, 50)
+        assert cli.main(["mse", "--H", "0.5", "--beta", "400",
+                         "--eps", "1e-3"]) == cli.EXIT_USAGE
+        assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", [1e-12, -1e-12])
+    def test_tiny_beta_roots(self, beta):
+        spec = ou_closed_form_eigs(beta, 100)
+        assert_allclose(spec.nu, (np.arange(1, 101) - 0.5) * np.pi, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [-1.0, 1.0, 2.0])
+    def test_closed_forms_match_quadrature(self, beta):
+        # beta = 1 and 2 start with the linear and the sinh head mode
+        g = QuadGrid.gauss_legendre_unit(2000)
+        spec = ou_closed_form_eigs(beta, 50, grid=g)
+        assert_allclose(g.weights @ spec.phi, spec.phi_integral, rtol=1e-10)
+        assert_allclose(g.weights @ spec.phi ** 2, 1.0, rtol=0, atol=1e-12)
 
 
 class TestNystromExtend:
