@@ -1,15 +1,18 @@
 """Command-line front end: eigs / mse / special / validate.
 
 Output is CSV with '#'-prefixed header comments (default) or JSON with a
-top-level {config, results} object.  All numbers are printed with 17
+top-level {config, results, notes} object.  All numbers are printed with 17
 significant digits and no timestamps, so identical configs give
 byte-identical files.  Exit codes: 0 ok, 1 validation failure, 2 usage,
 3 solver failure, 4 truncation refusal.
 
-Heavy imports happen inside the command handlers so that --threads (or a
-`threads` line in the config file) can pin the BLAS thread count before
-numpy loads; results are thread-count invariant up to BLAS reduction
-order, and exactly reproducible for a fixed count.
+Each command takes only the flags it reads; a config file may set any
+RunConfig field, and flags override it.  The thread count resolves as
+--threads, then the config file, then FOUSPEC_THREADS, then 0 (machine
+default), and `main` pins BLAS to it before any handler imports numpy, so
+the `# threads=` header line records the count that was pinned.  Results
+are thread-count invariant up to BLAS reduction order, and exactly
+reproducible for a fixed count.
 """
 
 import argparse
@@ -51,14 +54,23 @@ class RunConfig:
     with_wh: bool = False
 
 
-_LIST_KEYS = {"eps", "u"}
-_INT_KEYS = {"N_unit", "gl_order", "n_max", "threads"}
-_FLOAT_KEYS = {"H", "beta", "mu", "T", "nu"}
-_BOOL_KEYS = {"quick", "with_wh"}
+def float_list(text):
+    """'1e-3, 1e-4' -> (0.001, 0.0001); empty items are skipped."""
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _flag(text):
+    return text.lower() in ("1", "true", "yes")
+
+
+# config-file value parser for each RunConfig field, from its default's type
+_PARSE = {f.name: {tuple: float_list, bool: _flag}.get(type(f.default), type(f.default))
+          for f in fields(RunConfig)}
 
 
 def parse_config_text(text):
-    """Parse 'key = value' lines; '#' starts a comment."""
+    """Parse 'key = value' lines; '#' starts a comment.  Keys are RunConfig
+    fields; an unknown key or a malformed value raises ValueError."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -68,16 +80,9 @@ def parse_config_text(text):
             raise ValueError(f"config line {lineno}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _LIST_KEYS:
-            out[key] = tuple(float(v) for v in val.split(",") if v.strip())
-        elif key in _INT_KEYS:
-            out[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(val)
-        elif key in _BOOL_KEYS:
-            out[key] = val.lower() in ("1", "true", "yes")
-        else:
-            out[key] = val
+        if key not in _PARSE:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        out[key] = _PARSE[key](val)
     return out
 
 
@@ -86,7 +91,7 @@ def config_text(cfg: RunConfig):
     lines = []
     for f in fields(RunConfig):
         v = getattr(cfg, f.name)
-        if f.name in _LIST_KEYS:
+        if isinstance(v, (tuple, list)):
             v = ",".join(_fmt(x) for x in v)
         elif isinstance(v, float):
             v = _fmt(v)
@@ -99,29 +104,60 @@ def _fmt(x):
 
 
 def _merge_config(args, parser):
-    file_vals = {}
+    """Flags over config file over defaults; threads also from FOUSPEC_THREADS."""
+    try:
+        merged = {"threads": int(os.environ.get("FOUSPEC_THREADS", "0"))}
+    except ValueError:
+        parser.error("FOUSPEC_THREADS must be an integer, got "
+                     f"{os.environ['FOUSPEC_THREADS']!r}")
     if args.config:
         try:
             with open(args.config) as fh:
-                file_vals = parse_config_text(fh.read())
+                merged.update(parse_config_text(fh.read()))
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read config file: {exc}")
-    cfg = RunConfig(command=args.command)
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        flag_val = getattr(args, f.name, None)
-        if flag_val is not None:
-            if f.name in _LIST_KEYS and isinstance(flag_val, str):
-                try:
-                    flag_val = tuple(float(v) for v in flag_val.split(",") if v.strip())
-                except ValueError:
-                    parser.error(f"--{f.name}: expected a comma list of numbers, "
-                                 f"got {flag_val!r}")
-            setattr(cfg, f.name, flag_val)
-        elif f.name in file_vals:
-            setattr(cfg, f.name, file_vals[f.name])
+    merged.update((k, v) for k, v in vars(args).items() if v is not None and k != "config")
+    cfg = RunConfig(**merged)
+    for key in ("n_max", "N_unit", "threads"):
+        if getattr(cfg, key) < 0:
+            parser.error(f"{key} must be >= 0 (0 = auto), got {getattr(cfg, key)}")
     return cfg
+
+
+# every flag, by name; _COMMANDS lists which ones each command takes
+_FLAGS = {
+    "config": dict(help="flat key=value config file; flags override"),
+    "out": dict(help="output path, '-' for stdout [-]"),
+    "threads": dict(type=int, help="BLAS thread count (0 = machine default); "
+                                   "else the config file, else FOUSPEC_THREADS"),
+    "format": dict(choices=("csv", "json"), help="output format [csv]"),
+    "H": dict(type=float, help="Hurst exponent in (0,1) [0.7]"),
+    "beta": dict(type=float, help="drift coefficient [0]"),
+    "T": dict(type=float, help="horizon [1]"),
+    "N-unit": dict(type=int, help="unit-interval grid size [auto: 1000 for eigs, "
+                                  ">= 3000 for mse]"),
+    "gl-order": dict(type=int, help="Gauss order per 1-d integral [64]"),
+    "n-max": dict(type=int, help="eigenpairs [auto: 20 for eigs, sized to the "
+                                 "smallest eps for mse]"),
+    "mu": dict(type=float, help="observation gain [1]"),
+    "eps": dict(type=float_list, help="comma list of noise intensities"),
+    "u": dict(type=float_list, help="comma list of relative times in (0,1]"),
+    "spectrum": dict(choices=("oracle", "closed_form_ou", "first_order", "refined"),
+                     help="spectrum source [oracle]"),
+    "with-wh": dict(action="store_const", const=True,
+                    help="include the dense Wiener-Hopf column"),
+    "nu": dict(type=float, help="frequency for the finite-nu profile [50]"),
+    "quick": dict(action="store_const", const=True, help="fast subset (no refined solver)"),
+}
+_EIGS_FLAGS = ("format", "H", "beta", "T", "N-unit", "gl-order", "n-max")
+_COMMANDS = {
+    "eigs": ("three-way eigenvalue/eigenfunction table", _EIGS_FLAGS),
+    "mse": ("estimation-error sweep with asymptote ratios",
+            _EIGS_FLAGS + ("mu", "eps", "u", "spectrum", "with-wh")),
+    "special": ("tabulate theta, h, rho0 and the constants",
+                ("format", "H", "beta", "T", "nu")),
+    "validate": ("run the acceptance suite", ("quick",)),
+}
 
 
 def _build_parser():
@@ -130,107 +166,40 @@ def _build_parser():
         description="Spectra and small-noise estimation error of the "
                     "fractional Ornstein-Uhlenbeck signal.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="flat key=value config file; flags override")
-        sp.add_argument("--H", type=float, help="Hurst exponent in (0,1) [0.7]")
-        sp.add_argument("--beta", type=float, help="drift coefficient [0]")
-        sp.add_argument("--mu", type=float, help="observation gain [1]")
-        sp.add_argument("--T", type=float, help="horizon [1]")
-        sp.add_argument("--N-unit", dest="N_unit", type=int,
-                        help="unit-interval grid size [auto: 1000 for eigs, "
-                             ">= 3000 for mse]")
-        sp.add_argument("--gl-order", dest="gl_order", type=int,
-                        help="Gauss order per 1-d integral [64]")
-        sp.add_argument("--n-max", dest="n_max", type=int,
-                        help="eigenpairs [auto: 20 for eigs, sized to the "
-                             "smallest eps for mse]")
-        sp.add_argument("--out", help="output path, '-' for stdout [-]")
-        sp.add_argument("--format", choices=("csv", "json"), help="output format [csv]")
-        sp.add_argument("--threads", type=int,
-                        help="BLAS thread count (0 = machine default); also "
-                             "FOUSPEC_THREADS")
-
-    sp = sub.add_parser("eigs", help="three-way eigenvalue/eigenfunction table")
-    common(sp)
-    sp = sub.add_parser("mse", help="estimation-error sweep with asymptote ratios")
-    common(sp)
-    sp.add_argument("--eps", type=str, help="comma list of noise intensities")
-    sp.add_argument("--u", type=str, help="comma list of relative times in (0,1]")
-    sp.add_argument("--spectrum",
-                    choices=("oracle", "closed_form_ou", "first_order", "refined"),
-                    help="spectrum source [oracle]")
-    sp.add_argument("--with-wh", dest="with_wh", action="store_const", const=True,
-                    help="include the dense Wiener-Hopf column")
-    sp = sub.add_parser("special", help="tabulate theta, h, rho0 and the constants")
-    common(sp)
-    sp.add_argument("--nu", type=float, help="frequency for the finite-nu profile [50]")
-    sp = sub.add_parser("validate", help="run the acceptance suite")
-    common(sp)
-    sp.add_argument("--quick", action="store_const", const=True,
-                    help="fast subset (no refined solver)")
+    for name, (help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in ("config", "out", "threads") + flags:
+            sp.add_argument("--" + flag, **_FLAGS[flag])
     return ap
 
 
-def _apply_threads(argv):
-    n = 0
-    env = os.environ.get("FOUSPEC_THREADS")
-    if env and env.isdigit():
-        n = int(env)
-    for i, a in enumerate(argv):
-        if a == "--threads" and i + 1 < len(argv) and argv[i + 1].lstrip("-").isdigit():
-            n = int(argv[i + 1])
-        elif a.startswith("--threads="):
-            n = int(a.split("=", 1)[1])
-        elif a == "--config" and i + 1 < len(argv):
-            try:
-                with open(argv[i + 1]) as fh:
-                    n = parse_config_text(fh.read()).get("threads", n) or n
-            except (OSError, ValueError):
-                pass
-    if n > 0:
-        for var in _THREAD_VARS:
-            os.environ[var] = str(n)
-
-
 # ---------------------------------------------------------------------------
-# renderers
+# renderer
 # ---------------------------------------------------------------------------
 
-def _csv_lines(cfg, comments, header, rows):
+def render(cfg: RunConfig):
+    """CSV or JSON text of the eigs, mse or special command described by cfg."""
+    compute = {"eigs": compute_eigs, "mse": compute_mse,
+               "special": compute_special}[cfg.command]
+    comments, header, rows = compute(cfg)
+    if cfg.format == "json":
+        results = [dict(zip(header, row)) for row in rows]
+        return json.dumps({"config": asdict(cfg), "results": results, "notes": comments},
+                          indent=2) + "\n"
     from . import __version__
     lines = [f"# fouspec {__version__}", f"# command: {cfg.command}"]
     for f in fields(RunConfig):
-        if f.name in ("command", "out", "format"):
-            continue
-        v = getattr(cfg, f.name)
-        if f.name in _LIST_KEYS:
-            v = ",".join(_fmt(x) for x in v)
-        lines.append(f"# {f.name}={v}")
+        if f.name not in ("command", "out", "format"):
+            v = getattr(cfg, f.name)
+            if isinstance(v, (tuple, list)):
+                v = ",".join(_fmt(x) for x in v)
+            lines.append(f"# {f.name}={v}")
     lines += [f"# {c}" for c in comments]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join("" if v is None else (_fmt(v) if isinstance(v, float) else str(v))
                               for v in row))
     return "\n".join(lines) + "\n"
-
-
-def _emit(cfg, text_or_obj):
-    if cfg.format == "json":
-        payload = json.dumps(text_or_obj, indent=2, sort_keys=False)
-        data = payload + "\n"
-    else:
-        data = text_or_obj
-    if cfg.out in ("-", "", None):
-        sys.stdout.write(data)
-    else:
-        with open(cfg.out, "w") as fh:
-            fh.write(data)
-
-
-def render_eigs_csv(cfg: RunConfig):
-    text, _ = compute_eigs(cfg)
-    return text
 
 
 def compute_eigs(cfg: RunConfig):
@@ -245,50 +214,32 @@ def compute_eigs(cfg: RunConfig):
     n_max = cfg.n_max or 20
     grid = QuadGrid.gauss_legendre_unit(cfg.N_unit or 1000)
     spec = nystrom_eigs(cov_matrix(grid, p, gl_order=cfg.gl_order), grid, n_max)
-    ns = np.arange(1, n_max + 1)
-    nu_fo = nu_first_order(ns, p.H)
+    ns = range(1, n_max + 1)
+    nu_fo = nu_first_order(np.array(ns), p.H)
     lam_fo = lambda_from_nu(nu_fo, p.H, p.beta_eff) * p.T ** (2 * p.H)
-    phi1_fo = [phi_first_order(1.0, int(n), p.H) for n in ns]
-    refined_ok = p.H >= 0.5
+    # one ordered column per header entry; the refined ones stay None (and
+    # are dropped) below H = 1/2, where the refined solver is out of scope
+    cols = {"n": list(ns), "lambda_oracle": spec.lam.tolist(),
+            "lambda_first_order": lam_fo.tolist(), "lambda_refined": None,
+            "nu_first_order": nu_fo.tolist(), "nu_refined": None,
+            "phi1_oracle": spec.phi1.tolist(),
+            "phi1_asym": [float(phi_first_order(1.0, n, p.H)) for n in ns],
+            "rel_err_first_order": np.abs(lam_fo / spec.lam - 1.0).tolist(),
+            "rel_err_refined": None}
     comments = []
-    if not refined_ok:
+    if p.H >= 0.5:
+        nu_rf = {n: float(find_nu(n, p)[0]) for n in range(DEFAULT_N_MIN, n_max + 1)}
+        lam_rf = {n: float(lambda_from_nu(v, p.H, p.beta_eff) * p.T ** (2 * p.H))
+                  for n, v in nu_rf.items()}
+        err_rf = {n: float(abs(v / spec.lam[n - 1] - 1.0)) for n, v in lam_rf.items()}
+        for key, vals in (("lambda_refined", lam_rf), ("nu_refined", nu_rf),
+                          ("rel_err_refined", err_rf)):
+            cols[key] = [vals.get(n) for n in ns]
+    else:
         comments.append("warning: H < 1/2, refined solver out of scope; "
                         "refined columns omitted")
-    lam_rf = {}
-    nu_rf = {}
-    if refined_ok:
-        for n in range(max(DEFAULT_N_MIN, 1), n_max + 1):
-            nu_val, _, _ = find_nu(n, p)
-            nu_rf[n] = nu_val
-            lam_rf[n] = lambda_from_nu(nu_val, p.H, p.beta_eff) * p.T ** (2 * p.H)
-    header = ["n", "lambda_oracle", "lambda_first_order"]
-    if refined_ok:
-        header.append("lambda_refined")
-    header += ["nu_first_order"]
-    if refined_ok:
-        header.append("nu_refined")
-    header += ["phi1_oracle", "phi1_asym", "rel_err_first_order"]
-    if refined_ok:
-        header.append("rel_err_refined")
-    rows = []
-    results = []
-    for i, n in enumerate(ns):
-        n = int(n)
-        row = [n, float(spec.lam[i]), float(lam_fo[i])]
-        if refined_ok:
-            row.append(float(lam_rf[n]) if n in lam_rf else None)
-        row.append(float(nu_fo[i]))
-        if refined_ok:
-            row.append(float(nu_rf[n]) if n in nu_rf else None)
-        row += [float(spec.phi1[i]), float(phi1_fo[i]),
-                float(abs(lam_fo[i] / spec.lam[i] - 1.0))]
-        if refined_ok:
-            row.append(float(abs(lam_rf[n] / spec.lam[i] - 1.0)) if n in lam_rf else None)
-        rows.append(row)
-        results.append(dict(zip(header, row)))
-    if cfg.format == "json":
-        return {"config": asdict(cfg), "results": results, "notes": comments}, results
-    return _csv_lines(cfg, comments, header, rows), results
+    cols = {k: v for k, v in cols.items() if v is not None}
+    return comments, list(cols), [list(row) for row in zip(*cols.values())]
 
 
 def compute_mse(cfg: RunConfig):
@@ -339,23 +290,13 @@ def compute_mse(cfg: RunConfig):
         f"C = sin(pi H)*Gamma(2H+1) = {_fmt(float(np.sin(np.pi * H) * gamma_fn(2 * H + 1)))}",
         f"spectrum = {spec.method}, n_max = {spec.n_max}",
     ]
-    header = ["eps", "u", "P_series", "P_asymptotic", "ratio", "tail_est"]
-    if rep.P_wiener_hopf is not None:
-        header.insert(3, "P_wiener_hopf")
-    rows = []
-    results = []
-    for i, e in enumerate(eps):
-        for k, u in enumerate(us):
-            row = [float(e), float(u), float(rep.P_series[i, k])]
-            if rep.P_wiener_hopf is not None:
-                row.append(float(rep.P_wiener_hopf[i, k]))
-            row += [float(rep.P_asymptotic[i, k]), float(rep.ratios[i, k]),
-                    float(rep.diagnostics["tails"][i, k])]
-            rows.append(row)
-            results.append(dict(zip(header, row)))
-    if cfg.format == "json":
-        return {"config": asdict(cfg), "results": results, "notes": comments}, results
-    return _csv_lines(cfg, comments, header, rows), results
+    cols = {"P_series": rep.P_series, "P_wiener_hopf": rep.P_wiener_hopf,
+            "P_asymptotic": rep.P_asymptotic, "ratio": rep.ratios,
+            "tail_est": rep.diagnostics["tails"]}
+    cols = {k: v for k, v in cols.items() if v is not None}
+    rows = [[float(e), u, *(float(v[i, k]) for v in cols.values())]
+            for i, e in enumerate(eps) for k, u in enumerate(us)]
+    return comments, ["eps", "u", *cols], rows
 
 
 def compute_special(cfg: RunConfig):
@@ -388,19 +329,21 @@ def compute_special(cfg: RunConfig):
     th0 = lim.theta(us)
     thn = finite.theta(us) if finite is not None else th0
     hv = h_weight(us, finite if finite is not None else lim)
-    rv = rho0(us, alpha)
-    gv = gamma0(us, alpha)
     header = ["u", "theta_nu", "theta0", "h", "rho0", "gamma0"]
-    rows = [[float(us[i]), float(thn[i]), float(th0[i]), float(hv[i]),
-             float(rv[i]), float(gv[i])] for i in range(len(us))]
-    results = [dict(zip(header, r)) for r in rows]
-    if cfg.format == "json":
-        return {"config": asdict(cfg), "results": results, "notes": comments}, results
-    return _csv_lines(cfg, comments, header, rows), results
+    cols = (us, thn, th0, hv, rho0(us, alpha), gamma0(us, alpha))
+    return comments, header, np.column_stack(cols).tolist()
 
 
 class UsageError(Exception):
     pass
+
+
+def _write(cfg: RunConfig, text):
+    if cfg.out in ("-", "", None):
+        sys.stdout.write(text)
+    else:
+        with open(cfg.out, "w") as fh:
+            fh.write(text)
 
 
 def _run_validate(cfg: RunConfig):
@@ -409,33 +352,25 @@ def _run_validate(cfg: RunConfig):
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"
         sys.stderr.write(f"{status} {r['id']:>2} {r['name']} ({r['seconds']}s)\n")
-    verdict = {"config": asdict(cfg), "results": results}
-    _emit(cfg, verdict if cfg.format == "json" else json.dumps(verdict, indent=2) + "\n")
+    _write(cfg, json.dumps({"config": asdict(cfg), "results": results}, indent=2) + "\n")
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_VALIDATION
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    _apply_threads(argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        cfg = _merge_config(parser.parse_args(argv), parser)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    cfg = _merge_config(args, parser)
+    if cfg.threads:
+        for var in _THREAD_VARS:
+            os.environ[var] = str(cfg.threads)
     from .exceptions import DomainError, SolverError, TruncationError
     try:
         if cfg.command == "validate":
             return _run_validate(cfg)
-        if cfg.command == "eigs":
-            out, _ = compute_eigs(cfg)
-        elif cfg.command == "mse":
-            out, _ = compute_mse(cfg)
-        elif cfg.command == "special":
-            out, _ = compute_special(cfg)
-        else:  # pragma: no cover
-            raise UsageError(f"unknown command {cfg.command!r}")
-        _emit(cfg, out)
+        _write(cfg, render(cfg))
         return EXIT_OK
     except UsageError as exc:
         sys.stderr.write(f"fouspec: usage error: {exc}\n")

@@ -117,6 +117,8 @@ class QuadGrid:
 
     @classmethod
     def gauss_legendre_unit(cls, n):
+        if n < 1:
+            raise DomainError(f"grid size must be >= 1, got {n}")
         x, w = gauss_legendre_01(n)
         return cls(x, w, "unit-interval")
 

@@ -123,8 +123,8 @@ def nystrom_eigs(cov: CovMatrix, grid: QuadGrid, n_max: int) -> Spectrum:
     norm; phi_n(1) comes from the Nystrom extension at x = 1.  Raises
     SolverError when the matrix is not positive semidefinite to PSD_TOL.
     """
-    if n_max > grid.size:
-        raise DomainError("n_max cannot exceed the grid size")
+    if not 1 <= n_max <= grid.size:
+        raise DomainError(f"n_max must lie in [1, grid size {grid.size}], got {n_max}")
     w = grid.weights
     sw = np.sqrt(w)
     B = sw[:, None] * cov.values * sw[None, :]
@@ -231,11 +231,46 @@ def _ou_forms(nu, osc, lin, hyp):
     return out
 
 
+_SMALL_MODE = 0.5  # frequencies v, k below this take the cancellation-free forms
+
+
+def _small_or(x, small, large):
+    """small(x) where x < _SMALL_MODE, else large(x).
+
+    Only the branch-0 root or the head mode can be that small (beta near 1),
+    so `small` runs on at most one entry and every other value is exactly
+    what `large` gives.
+    """
+    out = large(x)
+    mask = x < _SMALL_MODE
+    out[mask] = small(x[mask])
+    return out
+
+
+def _excess(x, sign):
+    """(sinh x - x)/(2x) for sign = 1 and (x - sin x)/(2x) for sign = -1, from
+    the Taylor series sum_j sign^(j+1) x^(2j) / (2 (2j+1)!); eight terms are
+    exact to rounding for x < 1."""
+    y = sign * x * x
+    out = np.zeros_like(x)
+    for j in range(8, 0, -1):
+        out = (out + 0.5 / math.factorial(2 * j + 1)) * y
+    return sign * out
+
+
 def _ou_norms(nu):
-    """L2 norms of the eigenfunction shapes sin(v x), x and sinh(k x)."""
-    return _ou_forms(nu, lambda v: np.sqrt(0.5 - np.sin(2.0 * v) / (4.0 * v)),
-                     1.0 / math.sqrt(3.0),
-                     lambda k: np.sqrt(np.sinh(2.0 * k) / (4.0 * k) - 0.5))
+    """L2 norms of the eigenfunction shapes sin(v x), x and sinh(k x).
+
+    The squares are (2v - sin 2v)/(4v), 1/3 and (sinh 2k - 2k)/(4k); their
+    differences cancel as v or k -> 0 (beta -> 1), where the series is used.
+    """
+    return _ou_forms(
+        nu,
+        lambda v: np.sqrt(_small_or(v, lambda v: _excess(2.0 * v, -1.0),
+                                    lambda v: 0.5 - np.sin(2.0 * v) / (4.0 * v))),
+        1.0 / math.sqrt(3.0),
+        lambda k: np.sqrt(_small_or(k, lambda k: _excess(2.0 * k, 1.0),
+                                    lambda k: np.sinh(2.0 * k) / (4.0 * k) - 0.5)))
 
 
 def _ou_phi_values(nu, u):
@@ -278,8 +313,15 @@ def ou_closed_form_eigs(beta: float, n_max: int, grid: QuadGrid = None,
                         lambda k: (np.cosh(k) / beta) ** 2)
         norm = _ou_norms(nu)
         phi1 = -_ou_forms(nu, np.sin, 1.0, np.sinh) / norm
-        integrals = -_ou_forms(nu, lambda v: (1.0 - np.cos(v)) / v, 0.5,
-                               lambda k: (np.cosh(k) - 1.0) / k) / norm
+        # 1 - cos v = 2 sin^2(v/2) and cosh k - 1 = 2 sinh^2(k/2) without the
+        # cancellation at small v, k
+        integrals = -_ou_forms(
+            nu,
+            lambda v: _small_or(v, lambda v: 2.0 * np.sin(0.5 * v) ** 2 / v,
+                                lambda v: (1.0 - np.cos(v)) / v),
+            0.5,
+            lambda k: _small_or(k, lambda k: 2.0 * np.sinh(0.5 * k) ** 2 / k,
+                                lambda k: (np.cosh(k) - 1.0) / k)) / norm
     if not all(np.all(np.isfinite(a)) for a in (lam, norm, phi1, integrals)):
         raise DomainError(f"closed-form OU spectrum overflows at beta*T = {beta:g}")
     phi = None if grid is None else _ou_phi_values(nu, grid.nodes)

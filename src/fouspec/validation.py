@@ -256,10 +256,8 @@ def check_property_suites(quick=False):
     ok &= mono
     # determinism: identical config => byte-identical CSV
     from . import cli
-    out1 = cli.render_eigs_csv(cli.RunConfig(command="eigs", H=0.6, beta=-1.0,
-                                             n_max=5, N_unit=150))
-    out2 = cli.render_eigs_csv(cli.RunConfig(command="eigs", H=0.6, beta=-1.0,
-                                             n_max=5, N_unit=150))
+    cfg = cli.RunConfig(command="eigs", H=0.6, beta=-1.0, n_max=5, N_unit=150)
+    out1, out2 = cli.render(cfg), cli.render(cfg)
     details["determinism"] = out1 == out2
     ok &= out1 == out2
     return {"id": 10, "name": "property_suites", "passed": bool(ok),

@@ -1,15 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from fouspec import cli
 
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
-def run_cli(args):
+
+def run_cli(args, env=None):
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "fouspec.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -35,8 +41,8 @@ def test_flags_override_config(tmp_path):
 
 def test_eigs_determinism_and_precision():
     cfg = cli.RunConfig(command="eigs", H=0.6, beta=-1.0, n_max=4, N_unit=120)
-    out1 = cli.render_eigs_csv(cfg)
-    out2 = cli.render_eigs_csv(cfg)
+    out1 = cli.render(cfg)
+    out2 = cli.render(cfg)
     assert out1 == out2
     data_row = out1.strip().splitlines()[-1]
     cell = data_row.split(",")[1]
@@ -128,10 +134,91 @@ def test_validate_quick_subset():
     assert set(validation.QUICK_CHECKS) < set(validation.ALL_CHECKS)
     assert validation.check_refinement_dominance not in validation.QUICK_CHECKS
     t0 = time.time()
-    code, out, err = run_cli(["validate", "--quick", "--format", "json"])
+    code, out, err = run_cli(["validate", "--quick"])
     elapsed = time.time() - t0
     assert code == 0, err
     assert elapsed < 60.0
     doc = json.loads(out)
     assert all(r["passed"] for r in doc["results"])
     assert "PASS" in err  # human-readable lines go to stderr
+
+
+COMMAND_FLAGS = {
+    "eigs": {"--format", "--H", "--beta", "--T", "--N-unit", "--gl-order", "--n-max"},
+    "special": {"--format", "--H", "--beta", "--T", "--nu"},
+    "validate": {"--quick"},
+}
+COMMAND_FLAGS["mse"] = COMMAND_FLAGS["eigs"] | {"--mu", "--eps", "--u", "--spectrum",
+                                                "--with-wh"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_takes_only_its_flags(command, capsys):
+    assert cli.main([command, "--help"]) == cli.EXIT_OK
+    listed = {w.strip("[],") for w in capsys.readouterr().out.split()
+              if w.startswith(("--", "[--"))}
+    assert listed == COMMAND_FLAGS[command] | {"--config", "--out", "--threads", "--help"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigs", "--mu", "2"],
+    ["special", "--mu", "2"], ["special", "--N-unit", "100"],
+    ["special", "--gl-order", "8"], ["special", "--n-max", "3"],
+    ["validate", "--H", "0.3"], ["validate", "--beta", "-1"], ["validate", "--mu", "2"],
+    ["validate", "--T", "2"], ["validate", "--N-unit", "100"],
+    ["validate", "--gl-order", "8"], ["validate", "--n-max", "3"],
+    ["validate", "--format", "json"],
+])
+def test_deleted_flags_are_usage_errors(argv, capsys):
+    # these flags were accepted and ignored; validate --H 0.3 validated nothing at 0.3
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_unknown_config_key(tmp_path):
+    conf = tmp_path / "typo.conf"
+    conf.write_text("n_maxx = 4\n")
+    code, _, err = run_cli(["eigs", "--config", str(conf)])
+    assert code == 2
+    assert "n_maxx" in err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["mse", "--threads=abc", "--eps", "1e-2"], {}),
+    (["eigs"], {"FOUSPEC_THREADS": "abc"}),
+    (["mse", "--H", "0.7", "--n-max", "-5", "--eps", "1e-2", "--u", "0.5"], {}),
+    (["eigs", "--n-max", "-1"], {}),
+    (["eigs", "--N-unit", "-3"], {}),
+    (["eigs", "--threads", "-1"], {}),
+])
+def test_malformed_counts_are_usage_errors(argv, env, monkeypatch, capsys):
+    # each of these used to exit 0 (n_max = -5 ran 2995 pairs) or raise ValueError
+    for var, val in env.items():
+        monkeypatch.setenv(var, val)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("extra, env, pinned", [
+    (["--threads", "2", "--config", "CONF"], "4", "2"),
+    (["--config", "CONF", "--threads", "2"], "4", "2"),
+    (["--config", "CONF"], "4", "3"),
+    ([], "4", "4"),
+    ([], None, "0"),
+])
+def test_thread_precedence(extra, env, pinned, tmp_path, monkeypatch, capsys):
+    """--threads over the config file (threads = 3) over FOUSPEC_THREADS; the
+    header records the count that was pinned."""
+    for var in cli._THREAD_VARS:
+        monkeypatch.setenv(var, "unset")
+    if env is None:
+        monkeypatch.delenv("FOUSPEC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FOUSPEC_THREADS", env)
+    conf = tmp_path / "run.conf"
+    conf.write_text("threads = 3\n")
+    argv = ["eigs", "--H", "0.3", "--n-max", "2", "--N-unit", "40"]
+    assert cli.main(argv + [str(conf) if a == "CONF" else a for a in extra]) == cli.EXIT_OK
+    assert f"# threads={pinned}\n" in capsys.readouterr().out
+    want = "unset" if pinned == "0" else pinned
+    assert all(os.environ[var] == want for var in cli._THREAD_VARS)

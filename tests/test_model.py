@@ -60,6 +60,9 @@ def test_quad_grid_invariants():
         QuadGrid([0.1, 0.2], [0.5, -0.5])
     with pytest.raises(DomainError):
         QuadGrid([0.1, 1.5], [0.5, 0.5])
+    for n in (0, -3):
+        with pytest.raises(DomainError):
+            QuadGrid.gauss_legendre_unit(n)
 
 
 class TestFbmCov:

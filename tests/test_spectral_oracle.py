@@ -71,6 +71,13 @@ class TestNystrom:
         with pytest.raises(DomainError):
             nystrom_eigs(cov_matrix(g, p), g, 21)
 
+    @pytest.mark.parametrize("n_max", [0, -5])
+    def test_refuses_fewer_than_one_pair(self, n_max):
+        # a negative n_max used to slice off all but |n_max| pairs
+        g = QuadGrid.gauss_legendre_unit(20)
+        with pytest.raises(DomainError):
+            nystrom_eigs(cov_matrix(g, ModelParams(H=0.5)), g, n_max)
+
 
 class TestClosedFormOU:
     def test_bm_case(self):
@@ -174,6 +181,19 @@ class TestClosedFormOU:
         spec = ou_closed_form_eigs(beta, 50, grid=g)
         assert_allclose(g.weights @ spec.phi, spec.phi_integral, rtol=1e-10)
         assert_allclose(g.weights @ spec.phi ** 2, 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [1 + 1e-4, 1 - 1e-4, 1 + 1e-7, 1 - 1e-7,
+                                      1 + 1e-10, 1 - 1e-10])
+    def test_head_mode_near_beta_one(self, beta):
+        # the head frequency tends to 0 as beta -> 1, where 1/2 - sin(2v)/(4v),
+        # sinh(2k)/(4k) - 1/2 and 1 - cos v cancel (5.6e-7 norm defect at
+        # 1 + 1e-10 before the series forms)
+        g = QuadGrid.gauss_legendre_unit(400)
+        spec = ou_closed_form_eigs(beta, 3, grid=g)
+        assert abs(spec.nu[0]) < 0.05
+        phi0 = spec.phi[:, 0]
+        assert abs(g.weights @ phi0 ** 2 - 1.0) <= 1e-12
+        assert_allclose(g.weights @ phi0, spec.phi_integral[0], rtol=1e-11)
 
 
 class TestNystromExtend:
