@@ -78,8 +78,9 @@ class ThetaProfile:
         phi  = (1-alpha) pi / 2,   r = beta/nu.
 
     nu = inf (the default) gives the limit profile theta0 with
-    D = u^{3-alpha} + cos phi.  theta is odd under u -> -u by construction
-    and decays like sin(phi) u^{alpha-3}.
+    D = u^{3-alpha} + cos phi; a finite nu must be positive, with beta/nu
+    finite.  theta is odd under u -> -u by construction and decays like
+    sin(phi) u^{alpha-3}.
     """
 
     def __init__(self, alpha, beta=0.0, nu=math.inf):
@@ -88,6 +89,9 @@ class ThetaProfile:
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.nu = float(nu)
+        if not (self.nu > 0.0 and math.isfinite(self.r)):
+            raise DomainError(f"nu must be positive with beta/nu finite, got "
+                              f"beta = {beta}, nu = {nu}")
         self.phi_angle = (1.0 - alpha) * math.pi / 2.0
         self._sin_phi = math.sin(self.phi_angle)
         self._cos_phi = math.cos(self.phi_angle)
@@ -105,8 +109,9 @@ class ThetaProfile:
         if r == 0.0:
             return self._cos_phi if self._cos_phi < 1.0 else 1.0
         a = self.alpha
+        # r^(3-a) / (1 + r^2), with no power that overflows at large r
         dip = (2.0 / (3.0 - a)) * ((1.0 - a) / (3.0 - a)) ** ((1.0 - a) / 2.0) \
-            * r ** (3.0 - a) / (1.0 + r * r)
+            * r ** (1.0 - a) * (r / math.hypot(1.0, r)) ** 2
         return self._cos_phi - dip
 
     def theta(self, u):
@@ -339,7 +344,10 @@ def phi_first_order(x, n, H):
     return float(out[0]) if scalar else out
 
 
-def phi_first_order_many(x, ns, H, chunk=4096):
+_CHUNK = 4096  # indices per block of phi_first_order_many: bounds the temporaries
+
+
+def phi_first_order_many(x, ns, H):
     """phi_first_order at one point x for a whole index array ns."""
     ns = np.asarray(ns)
     nu = nu_first_order(ns, H)
@@ -349,8 +357,8 @@ def phi_first_order_many(x, ns, H, chunk=4096):
     alpha = 2.0 - 2.0 * H
     u, w, f0, f1 = _layer_rule(alpha)
     out = np.empty(len(ns))
-    for lo in range(0, len(ns), chunk):
-        hi = min(lo + chunk, len(ns))
+    for lo in range(0, len(ns), _CHUNK):
+        hi = min(lo + _CHUNK, len(ns))
         with np.errstate(under="ignore"):
             lay0 = np.exp(-x * np.outer(nu[lo:hi], u)) @ (w * f0)
             lay1 = np.exp(-(1.0 - x) * np.outer(nu[lo:hi], u)) @ (w * f1)

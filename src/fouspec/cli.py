@@ -70,7 +70,8 @@ _PARSE = {f.name: {tuple: float_list, bool: _flag}.get(type(f.default), type(f.d
 
 def parse_config_text(text):
     """Parse 'key = value' lines; '#' starts a comment.  Keys are RunConfig
-    fields; an unknown key or a malformed value raises ValueError."""
+    fields; an unknown key, a malformed value or one outside its flag's
+    `choices` raises ValueError."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -83,6 +84,10 @@ def parse_config_text(text):
         if key not in _PARSE:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         out[key] = _PARSE[key](val)
+        choices = _FLAGS.get(key, {}).get("choices")
+        if choices and out[key] not in choices:
+            raise ValueError(f"config line {lineno}: {key} must be one of "
+                             f"{', '.join(choices)}, got {val!r}")
     return out
 
 
@@ -253,6 +258,11 @@ def compute_mse(cfg: RunConfig):
         raise UsageError("mse requires a nonempty --eps list")
     if not cfg.u:
         raise UsageError("mse requires a nonempty --u list")
+    # before the auto n_max divides by eps and u is snapped into the grid
+    if not all(0.0 < e < np.inf for e in cfg.eps):
+        raise UsageError(f"eps must be finite and positive, got {cfg.eps}")
+    if not all(0.0 < u <= 1.0 for u in cfg.u):
+        raise UsageError(f"u must lie in (0, 1], got {cfg.u}")
     p = ModelParams(H=cfg.H, beta=cfg.beta, mu=cfg.mu, T=cfg.T)
     eps = sorted((float(e) for e in cfg.eps), reverse=True)
     if len(set(eps)) != len(eps):

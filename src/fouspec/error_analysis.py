@@ -60,8 +60,8 @@ def mse_series(u, eps, p: ModelParams, spec: Spectrum, return_tail=False):
     The truncation tail beyond the available eigenpairs is estimated from
     the power-law decay of the trailing eigenvalues and optionally returned.
     """
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < np.inf:
+        raise DomainError(f"eps must be finite and positive, got {eps}")
     if spec.n_max == 0:
         raise DomainError("empty spectrum")
     phi2 = np.asarray(spec.phi_values(u)) ** 2
@@ -128,8 +128,8 @@ def mse_wiener_hopf(u, eps, p: ModelParams, grid: QuadGrid, cov: CovMatrix = Non
     Algebraically identical to `mse_series` fed the full spectrum of the same
     matrix.
     """
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < np.inf:
+        raise DomainError(f"eps must be finite and positive, got {eps}")
     if cov is None:
         cov = cov_matrix(grid, p)
     us = np.atleast_1d(np.asarray(u, dtype=float))
@@ -151,8 +151,8 @@ def mse_wiener_hopf(u, eps, p: ModelParams, grid: QuadGrid, cov: CovMatrix = Non
 
 def mse_asymptotic(position, eps, p: ModelParams):
     """Leading small-noise term; `position` is "interior" or "endpoint"."""
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < np.inf:
+        raise DomainError(f"eps must be finite and positive, got {eps}")
     H = p.H
     C = np.sin(np.pi * H) * _gamma_fn(2.0 * H + 1.0)
     base = (eps / p.mu ** 2) ** (2.0 * H / (1.0 + 2.0 * H)) \
@@ -171,16 +171,21 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
     oracle         : Nystrom eigensolve on a Gauss-Legendre grid
     closed_form_ou : exact H = 1/2 spectrum (requires H = 1/2)
     first_order    : two-term frequencies and the eigenvalue formula
-    refined        : integro-algebraic solver (H >= 1/2, n from n_min up)
+    refined        : oracle pairs below the solver's reach, then the
+                     integro-algebraic solver (H >= 1/2)
     """
     from . import asymptotics, ia_refine
 
+    if method in ("oracle", "refined") and grid is None:
+        grid = QuadGrid.gauss_legendre_unit(grid_size)
     if method == "oracle":
-        if grid is None:
-            grid = QuadGrid.gauss_legendre_unit(grid_size)
         cov = cov_matrix(grid, p, gl_order)
         # the matrix stays on the spectrum for the Wiener-Hopf route
         return replace(nystrom_eigs(cov, grid, n_max), cov=cov)
+    if method == "refined":
+        head = nystrom_eigs(cov_matrix(grid, p, gl_order), grid,
+                            min(n_max, ia_refine.DEFAULT_N_MIN - 1))
+        return ia_refine.refined_spectrum(p, head, n_max)
     if method == "closed_form_ou":
         return ou_closed_form_eigs(p.beta_eff, n_max, grid=grid, params=p)
     if method == "first_order":
@@ -193,43 +198,30 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
                                    for k in n])
         phi1 = asymptotics.phi_first_order_many(1.0, n, p.H)
         integ = asymptotics.phi_integral_first_order(n, p.H)
-        return Spectrum("first_order", p, lam, nu, grid, phi, phi1, integ)
-    if method == "refined":
-        if grid is None:
-            grid = QuadGrid.gauss_legendre_unit(grid_size)
-        n_min = ia_refine.DEFAULT_N_MIN
-        ref = ia_refine.refined_spectrum(p, range(n_min, n_max + 1), grid)
-        # the solver starts at n_min; head pairs come from the oracle so the
-        # series over the spectrum stays complete
-        head = nystrom_eigs(cov_matrix(grid, p, gl_order), grid, n_min - 1)
-        return Spectrum("refined", p,
-                        np.concatenate([head.lam, ref.lam]),
-                        np.concatenate([np.full(n_min - 1, np.nan), ref.nu]),
-                        grid,
-                        np.column_stack([head.phi, ref.phi]),
-                        np.concatenate([head.phi1, ref.phi1]),
-                        np.concatenate([head.phi_integral, ref.phi_integral]),
-                        diagnostics={"head_from_oracle": n_min - 1})
+        return Spectrum("first_order", p, lam, nu, grid, phi, phi1, integ,
+                        extend=lambda spec, u: asymptotics.phi_first_order_many(
+                            u, n, spec.params.H))
     raise DomainError(f"unknown spectrum method {method!r}")
 
 
 def convergence_study(p: ModelParams, eps_grid, u_points, spec: Spectrum,
-                      with_wiener_hopf=False, strict_truncation=True) -> MseReport:
+                      with_wiener_hopf=False) -> MseReport:
     """Sweep P over decreasing eps and u, with ratios to the asymptote.
 
-    Also records the oscillation diagnostic I2 = P(u) - I1, where I1 is the
-    series with phi^2 replaced by its interior mean 1: I2 must stay O(eps),
-    i.e. vanish faster than the main term.
+    Raises TruncationError when the smallest eps needs more eigenpairs than
+    `spec` holds (see `check_truncation`).  Also records the oscillation
+    diagnostic I2 = P(u) - I1, where I1 is the series with phi^2 replaced by
+    its interior mean 1: I2 must stay O(eps), i.e. vanish faster than the
+    main term.
     """
     eps_grid = np.asarray(list(eps_grid), dtype=float)
     u_points = np.asarray(list(u_points), dtype=float)
-    if len(eps_grid) == 0 or np.any(np.diff(eps_grid) >= 0):
+    if len(eps_grid) == 0 or not np.all(np.diff(eps_grid) < 0):
         raise DomainError("eps_grid must be strictly decreasing")
-    if np.any((u_points <= 0) | (u_points > 1)):
+    if not np.all((u_points > 0) & (u_points <= 1)):
         raise DomainError("u_points must lie in (0, 1]")
-    if strict_truncation:
-        for u in u_points:
-            check_truncation(eps_grid[-1], p, spec, u=float(u))
+    for u in u_points:
+        check_truncation(eps_grid[-1], p, spec, u=float(u))
     n_eps, n_u = len(eps_grid), len(u_points)
     P_series = np.empty((n_eps, n_u))
     tails = np.empty((n_eps, n_u))

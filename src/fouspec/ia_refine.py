@@ -27,7 +27,7 @@ are h(w) e^{-w} independent of the eventual evaluation points.
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -47,25 +47,17 @@ RESIDUAL_REL = 1e-10
 
 @dataclass(frozen=True)
 class IARefinement:
-    """Solver state for one refined frequency."""
+    """Root of one refined frequency and its health numbers.
+
+    The auxiliary solutions stay on `find_nu`'s `_QPSolution`, and the
+    boundary values in `evaluate_abxi`'s dict.
+    """
 
     n: int
     nu: float
-    p_grid: QuadGrid = field(repr=False)
-    p0_plus: np.ndarray = field(repr=False)
-    p0_minus: np.ndarray = field(repr=False)
-    p1_plus: np.ndarray = field(repr=False)
-    p1_minus: np.ndarray = field(repr=False)
-    a_plus_mi: complex   # a_+(-i)
-    a_plus_pi: complex   # a_+(+i)
-    a_minus_mi: complex
-    a_minus_pi: complex
-    b_plus_mi: complex   # b_+(-i)
-    b_minus_pi: complex  # b_-(+i)
-    x_beta_i: complex
-    b_alpha_nu: float
     xi: complex
     eta: complex
+    b_alpha_nu: float
     residual: float
     contraction_norm: float  # ||A||; bounds cond_2(I -+ A), see _QPSolution
 
@@ -86,12 +78,12 @@ class _QPSolution:
 
     @functools.cached_property
     def contraction_norm(self):
-        """Spectral-norm estimate ||A|| of the discretized operator, on first read.
+        """Spectral norm ||A|| of the discretized operator, on first read.
 
         Where it is below 1 it bounds cond_2(I -+ A) <= (1 + ||A||) / (1 - ||A||).
         """
         w = self.grid.nodes
-        return _power_norm(self.kernel_row[None, :] / (w[:, None] + w[None, :]))
+        return float(np.linalg.norm(self.kernel_row[None, :] / (w[:, None] + w[None, :]), 2))
 
     def extend_many(self, z, j, sign):
         """p_j^{sign}(z) at the points z (t-scale of the w-substitution w = nu*s)."""
@@ -147,23 +139,6 @@ def solve_p(nu, p: ModelParams, semigrid: QuadGrid = None) -> _QPSolution:
     return _QPSolution(nu, profile, semigrid, ker, p_tilde, 2)
 
 
-def _power_norm(A, iters=30):
-    """Spectral-norm estimate of the (nonnegative) discretized operator."""
-    v = np.ones(A.shape[0]) / math.sqrt(A.shape[0])
-    s = 0.0
-    for _ in range(iters):
-        u = A @ v
-        un = np.linalg.norm(u)
-        if un == 0.0:
-            return 0.0
-        w = A.T @ (u / un)
-        s = np.linalg.norm(w)
-        if s == 0.0:
-            return 0.0
-        v = w / s
-    return float(s)
-
-
 def evaluate_abxi(nu, p: ModelParams, solution: _QPSolution = None):
     """Boundary values a_+-, b_+- at +-i, the factor X(i; nu), and xi, eta."""
     _check_params(p)
@@ -192,63 +167,46 @@ def evaluate_abxi(nu, p: ModelParams, solution: _QPSolution = None):
     }
 
 
-def find_nu(n, p: ModelParams, bracket=DEFAULT_BRACKET, n_min=DEFAULT_N_MIN,
-            semigrid: QuadGrid = None):
+def find_nu(n, p: ModelParams, bracket=DEFAULT_BRACKET):
     """Refined frequency: root of Im{xi conj(eta)} near the first-order guess.
 
     The enumeration is already calibrated: initializing at nu_first_order(n)
     reproduces nu_n = (n - 1/2) pi exactly in the degenerate case alpha = 1,
-    beta = 0.  Returns (nu, IARefinement).
+    beta = 0.  Returns (nu, IARefinement, the root's _QPSolution).
     """
     _check_params(p)
-    if n < n_min:
-        raise DomainError(f"refined frequencies start at n = {n_min}")
+    if n < DEFAULT_N_MIN:
+        raise DomainError(f"refined frequencies start at n = {DEFAULT_N_MIN}")
     guess = nu_first_order(n, p.H)
     if guess - bracket < NU_MIN:
         raise DomainError(f"bracket around nu={guess:.3g} dips below nu_min={NU_MIN}")
-    if semigrid is None:
-        semigrid = QuadGrid.semi_axis(U_MAX)
+    semigrid = QuadGrid.semi_axis(U_MAX)
     cache = {}
 
     def imxe(nu):
-        sol = solve_p(nu, p, semigrid)
-        vals = evaluate_abxi(nu, p, sol)
-        cache[nu] = (sol, vals)
-        prod = vals["xi"] * np.conj(vals["eta"])
-        return prod.imag
+        if nu not in cache:  # brentq evaluates the bracket ends again
+            sol = solve_p(nu, p, semigrid)
+            cache[nu] = (sol, evaluate_abxi(nu, p, sol))
+        vals = cache[nu][1]
+        return (vals["xi"] * np.conj(vals["eta"])).imag
 
     lo, hi = guess - bracket, guess + bracket
     flo, fhi = imxe(lo), imxe(hi)
-    if flo == 0.0:
-        root = lo
-    elif fhi == 0.0:
-        root = hi
-    elif flo * fhi > 0:
+    if flo * fhi > 0:
         raise SolverError(f"no sign change of Im(xi eta*) in [{lo:.6g}, {hi:.6g}] "
                           f"(f={flo:.3g}, {fhi:.3g})", stage="find_nu")
-    else:
-        root = brentq(imxe, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    sol, vals = cache[root] if root in cache else (None, None)
-    if sol is None:
-        sol = solve_p(root, p, semigrid)
-        vals = evaluate_abxi(root, p, sol)
+    # brentq returns a point it evaluated: an end where f vanishes, or its root
+    root = brentq(imxe, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    sol, vals = cache[root]
     prod = vals["xi"] * np.conj(vals["eta"])
     residual = abs(prod.imag)
     if residual > RESIDUAL_REL * abs(prod):
         raise SolverError(f"root residual {residual:.2e} exceeds "
                           f"{RESIDUAL_REL:.0e} * |xi eta*| = {RESIDUAL_REL * abs(prod):.2e}",
                           stage="find_nu")
-    ref = IARefinement(
-        n=n, nu=float(root), p_grid=sol.grid,
-        p0_plus=sol.p_tilde[(0, 1)], p0_minus=sol.p_tilde[(0, -1)],
-        p1_plus=sol.p_tilde[(1, 1)], p1_minus=sol.p_tilde[(1, -1)],
-        a_plus_mi=vals["a_plus_mi"], a_plus_pi=vals["a_plus_pi"],
-        a_minus_mi=vals["a_minus_mi"], a_minus_pi=vals["a_minus_pi"],
-        b_plus_mi=vals["b_plus_mi"], b_minus_pi=vals["b_minus_pi"],
-        x_beta_i=vals["x_beta_i"], b_alpha_nu=vals["b_alpha_nu"],
-        xi=vals["xi"], eta=vals["eta"], residual=residual,
-        contraction_norm=sol.contraction_norm,
-    )
+    ref = IARefinement(n=n, nu=float(root), xi=vals["xi"], eta=vals["eta"],
+                       b_alpha_nu=vals["b_alpha_nu"], residual=residual,
+                       contraction_norm=sol.contraction_norm)
     return float(root), ref, sol
 
 
@@ -269,8 +227,7 @@ def _phi_tilde(ref: IARefinement, sol: _QPSolution, p: ModelParams):
     return phi_tilde, ratio
 
 
-def refined_eigenpair(n, p: ModelParams, unit_grid: QuadGrid,
-                      bracket=DEFAULT_BRACKET, n_min=DEFAULT_N_MIN):
+def refined_eigenpair(n, p: ModelParams, unit_grid: QuadGrid):
     """Refined (lambda_n, phi_n) with phi sampled on `unit_grid`.
 
     The eigenfunction combines the residue oscillation with the layer
@@ -280,7 +237,7 @@ def refined_eigenpair(n, p: ModelParams, unit_grid: QuadGrid,
     """
     if unit_grid.domain != "unit-interval":
         raise DomainError("refined_eigenpair requires a unit-interval grid")
-    nu, ref, sol = find_nu(n, p, bracket, n_min)
+    nu, ref, sol = find_nu(n, p)
     alpha = p.alpha
     r = p.beta_eff / nu
     prof = sol.profile
@@ -331,20 +288,20 @@ def refined_eigenpair(n, p: ModelParams, unit_grid: QuadGrid,
     return pair, ref
 
 
-def refined_spectrum(p: ModelParams, n_values, unit_grid: QuadGrid,
-                     bracket=DEFAULT_BRACKET, n_min=DEFAULT_N_MIN) -> Spectrum:
-    """Refined eigenpairs for each n in `n_values`, packed as a Spectrum.
+def refined_spectrum(p: ModelParams, head: Spectrum, n_max) -> Spectrum:
+    """The `head` spectrum extended by refined pairs head.n_max + 1 .. n_max.
 
-    Indices below n_min are outside the solver's reach; when a contiguous
-    spectrum is required (series summation), fill them from the Nystrom
-    oracle, see `error_analysis.build_spectrum`.
+    The solver starts at DEFAULT_N_MIN, so the head (the Nystrom oracle on
+    the unit grid the refined eigenfunctions are sampled on) must supply the
+    indices below it; see `error_analysis.build_spectrum`.  Refined pairs
+    have grid samples and phi(1) only, so the result has no `extend`.
     """
-    n_values = list(n_values)
-    pairs = [refined_eigenpair(n, p, unit_grid, bracket, n_min)[0] for n in n_values]
-    lam = np.array([q.lam for q in pairs])
-    nu = np.array([q.nu for q in pairs])
-    phi = np.column_stack([q.phi for q in pairs])
-    phi1 = np.array([q.phi1 for q in pairs])
-    integ = np.array([q.phi_integral for q in pairs])
-    return Spectrum("refined", p, lam, nu, unit_grid, phi, phi1, integ,
-                    n_values=tuple(n_values))
+    pairs = [refined_eigenpair(n, p, head.grid)[0] for n in range(head.n_max + 1, n_max + 1)]
+    return Spectrum("refined", p,
+                    np.concatenate([head.lam, [q.lam for q in pairs]]),
+                    np.concatenate([np.full(head.n_max, np.nan), [q.nu for q in pairs]]),
+                    head.grid,
+                    np.column_stack([head.phi, *(q.phi for q in pairs)]),
+                    np.concatenate([head.phi1, [q.phi1 for q in pairs]]),
+                    np.concatenate([head.phi_integral, [q.phi_integral for q in pairs]]),
+                    diagnostics={"head_from_oracle": head.n_max})

@@ -51,9 +51,9 @@ class ModelParams:
     """Constants of the estimation problem.
 
     H     : Hurst exponent, 0 < H < 1
-    beta  : drift coefficient (1/time)
-    mu    : observation gain, nonzero
-    T     : horizon, > 0
+    beta  : drift coefficient (1/time), (beta*T)^2 finite
+    mu    : observation gain, mu^2 positive and finite
+    T     : horizon, > 0 with T^(2H+1) finite
     alpha : derived, alpha = 2 - 2H
     """
 
@@ -65,10 +65,16 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 < self.H < 1.0:
             raise DomainError(f"H must lie in (0,1), got {self.H}")
-        if self.T <= 0.0:
+        if not self.T > 0.0:
             raise DomainError(f"T must be positive, got {self.T}")
-        if self.mu == 0.0:
-            raise DomainError("mu must be nonzero")
+        # the formulas raise these to powers as Python floats, which overflow
+        # with OverflowError, not inf; mu^2 = 0 would divide by zero
+        with np.errstate(over="ignore", under="ignore"):
+            powers = np.float64([self.mu, self.beta_eff, self.T]) ** [2, 2, 2 * self.H + 1]
+        if not (powers[0] > 0.0 and np.all(powers < np.inf)):
+            raise DomainError("beta, mu and T must be finite, with mu^2 > 0 and mu^2, "
+                              f"(beta*T)^2, T^(2H+1) finite; got beta = {self.beta}, "
+                              f"mu = {self.mu}, T = {self.T}")
 
     @property
     def alpha(self):

@@ -13,6 +13,7 @@ comparable without alignment.
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh
@@ -38,12 +39,15 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ordered eigenpairs of one covariance operator.
+    """Ordered eigenpairs n = 1..n_max of one covariance operator.
 
     `lam` holds eigenvalues of the kernel fou_cov(uT, vT) viewed on
     L^2([0,1], du), i.e. T^{2H} times the unit-interval eigenvalues of the
     drift-beta*T kernel.  `phi` columns are eigenfunction samples on
-    `grid.nodes` with unit weighted-L2 norm.
+    `grid.nodes` with unit weighted-L2 norm.  `extend(spectrum, u)` gives
+    phi_n(u) for all n at any u in [0,1]; the route that builds the spectrum
+    sets it, or leaves it None when it has no off-grid evaluator.  `method`
+    only labels the route.
     """
 
     method: str
@@ -55,39 +59,20 @@ class Spectrum:
     phi1: np.ndarray = None
     phi_integral: np.ndarray = None
     diagnostics: dict = field(default_factory=dict, repr=False)
-    n_values: tuple = None  # explicit indices when not contiguous from 1
     cov: CovMatrix = field(default=None, repr=False)  # oracle matrix, if kept
+    extend: Callable = field(default=None, repr=False)
 
     @property
     def n_max(self):
         return len(self.lam)
 
-    def index_of(self, k):
-        return self.n_values[k] if self.n_values is not None else k + 1
-
-    @property
-    def pairs(self):
-        return [EigenPair(self.index_of(k), float(self.lam[k]),
-                          None if self.nu is None else float(self.nu[k]),
-                          None if self.phi is None else self.phi[:, k],
-                          None if self.phi1 is None else float(self.phi1[k]),
-                          None if self.phi_integral is None else float(self.phi_integral[k]))
-                for k in range(self.n_max)]
-
     def phi_values(self, u):
         """Eigenfunction values phi_n(u) for one point u in [0,1], all n.
 
-        At a grid node this returns the stored samples; elsewhere it uses the
-        Nystrom extension (oracle) or the closed form.
+        The stored sample at a grid node, else phi1 at u = 1, else `extend`.
         """
         if not 0.0 <= u <= 1.0:
             raise DomainError(f"u must lie in [0,1], got {u}")
-        if self.method == "closed_form_ou":
-            return _ou_phi_values(self.nu, u)
-        if self.method == "first_order":
-            from .asymptotics import phi_first_order_many
-            return phi_first_order_many(u, np.arange(1, self.n_max + 1),
-                                        self.params.H)
         if self.grid is not None and self.phi is not None:
             j = np.searchsorted(self.grid.nodes, u)
             for k in (j - 1, j):
@@ -95,10 +80,10 @@ class Spectrum:
                     return self.phi[k, :].copy()
         if u == 1.0 and self.phi1 is not None:
             return self.phi1.copy()
-        if self.method == "oracle":
-            return nystrom_extend(self, u)
-        raise DomainError(f"{self.method} spectrum has no samples at u={u}; "
-                          "use a grid node or u = 1")
+        if self.extend is not None:
+            return self.extend(self, u)
+        raise DomainError(f"spectrum has no samples at u={u} and no off-grid "
+                          "evaluator; use a grid node or u = 1")
 
 
 def _sign_fix(phi_cols, phi1, integrals):
@@ -160,7 +145,7 @@ def nystrom_eigs(cov: CovMatrix, grid: QuadGrid, n_max: int) -> Spectrum:
     integrals = w @ phi
     _sign_fix(phi, phi1, integrals)
     return Spectrum("oracle", cov.params, lam, None, grid, phi, phi1, integrals,
-                    diagnostics)
+                    diagnostics, extend=nystrom_extend)
 
 
 def nystrom_extend(spec: Spectrum, x: float) -> np.ndarray:
@@ -326,4 +311,5 @@ def ou_closed_form_eigs(beta: float, n_max: int, grid: QuadGrid = None,
         raise DomainError(f"closed-form OU spectrum overflows at beta*T = {beta:g}")
     phi = None if grid is None else _ou_phi_values(nu, grid.nodes)
     lam = lam * params.T ** (2.0 * params.H)
-    return Spectrum("closed_form_ou", params, lam, nu, grid, phi, phi1, integrals)
+    return Spectrum("closed_form_ou", params, lam, nu, grid, phi, phi1, integrals,
+                    extend=lambda spec, u: _ou_phi_values(spec.nu, u))

@@ -81,6 +81,19 @@ class TestTheta:
         with pytest.raises(DomainError):
             ThetaProfile(0.5, 5.0, 1.0).b_alpha_nu()  # denominator dips through 0
 
+    @pytest.mark.parametrize("beta, nu", [(1.0, 0.0), (1.0, -3.0), (1.0, math.nan),
+                                          (-math.inf, 1.0), (1e10, 1e-300)])
+    def test_refuses_nonpositive_nu(self, beta, nu):
+        # nu = 0 raised ZeroDivisionError and nu = -3 was accepted
+        with pytest.raises(DomainError, match="nu must be positive"):
+            ThetaProfile(0.6, beta, nu)
+
+    def test_tiny_nu_is_refused_without_overflow(self):
+        # beta/nu = 1e300 raised OverflowError in denominator_min
+        assert ThetaProfile(0.6, 1.0, math.inf).r == 0.0
+        with pytest.raises(DomainError, match="nu too small"):
+            b_alpha_numeric(1.0, 1e-300, 0.6)
+
 
 class TestBAlphaNumeric:
     def test_alpha_one(self):

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fouspec import cli
 
@@ -222,3 +227,113 @@ def test_thread_precedence(extra, env, pinned, tmp_path, monkeypatch, capsys):
     assert f"# threads={pinned}\n" in capsys.readouterr().out
     want = "unset" if pinned == "0" else pinned
     assert all(os.environ[var] == want for var in cli._THREAD_VARS)
+
+
+def test_config_values_obey_flag_choices(tmp_path):
+    # format = xml used to print CSV, and spectrum = bogus reached build_spectrum
+    for line, key in (("format = xml", "format"), ("spectrum = bogus", "spectrum")):
+        conf = tmp_path / "choice.conf"
+        conf.write_text(line + "\n")
+        code, out, err = run_cli(["mse", "--config", str(conf)])
+        assert (code, out) == (2, "")
+        assert key in err and "must be one of" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # each comment says what the command did before these values were refused
+    ["special", "--nu", "0"],                            # ZeroDivisionError
+    ["special", "--nu=-3"],                              # printed a table
+    ["special", "--nu", "1e-300", "--beta", "1"],        # OverflowError
+    ["special", "--beta", "nan"],                        # NaN columns
+    ["mse", "--H", "0.5", "--mu", "inf", "--eps", "1e-3"],  # OverflowError
+    ["mse", "--H", "0.5", "--T", "inf", "--eps", "1e-3"],   # OverflowError
+    ["mse", "--H", "0.5", "--eps", "nan"],               # ValueError
+    ["mse", "--H", "0.5", "--eps", "inf"],               # NaN rows
+    ["mse", "--H", "0.5", "--eps=-1e-3"],                # TypeError
+    # u = 7 was snapped to the last grid node and printed as u = 0.999964
+    ["mse", "--H", "0.7", "--beta", "-1", "--n-max", "100", "--N-unit", "200",
+     "--eps", "1e-1", "--u", "7"],
+    ["mse", "--H", "0.7", "--n-max", "3", "--N-unit", "20", "--eps", "1e-1",
+     "--u", "nan"],                         # snapped to the first grid node
+])
+def test_nonsense_values_are_refused(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def test_refined_below_solver_start_is_refused_by_truncation(capsys):
+    # n_max < DEFAULT_N_MIN used to die in np.concatenate (exit 1); the
+    # head-only spectrum is too short for this eps
+    argv = ["mse", "--H", "0.7", "--spectrum", "refined", "--n-max", "2",
+            "--N-unit", "50", "--eps", "1e-1", "--u", "1"]
+    assert cli.main(argv) == cli.EXIT_TRUNCATION
+    assert "truncation refusal" in capsys.readouterr().err
+
+
+def _numbers(text):
+    """Numeric cells of a CSV or JSON result table."""
+    text = text.lstrip()
+    if text.startswith("{"):
+        return [v for row in json.loads(text)["results"] for v in row.values()
+                if isinstance(v, (int, float))]
+    rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
+    return [float(cell) for row in rows for cell in row.split(",") if cell]
+
+
+_ODD = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, 7.0)
+
+
+def _log10(lo, hi):
+    return st.floats(lo, hi).map(lambda x: 10.0 ** x)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzz_cli(data):
+    """Every input gets finite numbers with exit 0, or a typed refusal.
+
+    Each example draws every RunConfig field the command reads from its
+    working range, then may replace one of them by a value from _ODD.
+    `threads` stays 0, so the test leaves the process environment alone.
+    """
+    command = data.draw(st.sampled_from(["eigs", "mse", "special"]), label="command")
+    spectrum = data.draw(st.sampled_from(cli._FLAGS["spectrum"]["choices"]))
+    # refined pairs and the eigs table's refined column cost ~0.1 s per index
+    slow = command == "eigs" or spectrum == "refined"
+    N_unit = data.draw(st.integers(1, 60), label="N_unit")
+    # n_max = n_cap comes often: a short spectrum fails the truncation check
+    n_cap = min(N_unit, 6 if slow else 60)
+    H = 0.5 if spectrum == "closed_form_ou" else data.draw(st.floats(0.05, 0.95)
+                                                            | st.just(0.5))
+    values = {
+        "H": H, "beta": data.draw(st.floats(-3.0, 3.0)), "mu": data.draw(_log10(-1, 1)),
+        "T": data.draw(_log10(-1, 0.5)), "N-unit": N_unit,
+        "gl-order": data.draw(st.integers(2, 12)),
+        "n-max": data.draw(st.just(n_cap) | st.integers(1, n_cap)),
+        "eps": data.draw(st.lists(_log10(0, 6), min_size=1, max_size=2, unique=True)),
+        "u": data.draw(st.lists(st.floats(0.01, 1.0) | st.just(1.0), min_size=1,
+                                max_size=3)),
+        "spectrum": spectrum, "nu": data.draw(_log10(0, 2)),
+        "format": data.draw(st.sampled_from(["csv", "json"])),
+    }
+    odd = data.draw(st.none() | st.sampled_from(["H", "beta", "mu", "T", "eps", "u", "nu"]))
+    if odd is not None:
+        v = data.draw(st.sampled_from(_ODD), label=odd)
+        values[odd] = [v] if odd in ("eps", "u") else v
+    argv = [command, "--threads=0"]
+    for flag in cli._COMMANDS[command][1]:
+        v = values.get(flag)
+        if isinstance(v, list):
+            argv.append(f"--{flag}=" + ",".join(map(repr, v)))
+        elif v is not None:
+            argv.append(f"--{flag}={v}")
+    # only the grid routes have a Wiener-Hopf column
+    if command == "mse" and spectrum in ("oracle", "refined") \
+            and data.draw(st.booleans(), label="with_wh"):
+        argv.append("--with-wh")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # a raw exception fails the test with its traceback
+    assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    if code == 0:
+        assert all(map(math.isfinite, _numbers(out.getvalue()))), argv

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fouspec.asymptotics import phi_first_order_many
 from fouspec.error_analysis import (build_spectrum, check_truncation,
                                     convergence_study, largest_excluded_term,
                                     mse_asymptotic, mse_series, mse_wiener_hopf)
 from fouspec.exceptions import DomainError, TruncationError
+from fouspec.ia_refine import refined_eigenpair
 from fouspec.model import ModelParams, QuadGrid, cov_matrix
 from fouspec.spectral_oracle import nystrom_eigs
 
@@ -206,3 +208,54 @@ def test_refined_head_pairs_follow_gl_order():
     head = nystrom_eigs(cov_matrix(g, p, 8), g, 2)
     assert np.array_equal(spec.lam[:2], head.lam)
     assert not np.array_equal(head.lam, nystrom_eigs(cov_matrix(g, p), g, 2).lam)
+
+
+def test_first_order_extends_by_formula():
+    p = ModelParams(H=0.7, beta=-1.0)
+    g = QuadGrid.gauss_legendre_unit(30)
+    spec = build_spectrum(p, "first_order", n_max=25, grid=g)
+    n = np.arange(1, 26)
+    assert np.array_equal(spec.phi_values(1.0), phi_first_order_many(1.0, n, p.H))
+    assert np.array_equal(spec.phi_values(0.3), phi_first_order_many(0.3, n, p.H))
+    assert_allclose(spec.phi_values(float(g.nodes[11])),
+                    phi_first_order_many(float(g.nodes[11]), n, p.H), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 4])
+def test_refined_spectrum_is_complete(n_max):
+    # indices below the solver's start come from the oracle; n_max = 1, 2
+    # used to raise ValueError in np.concatenate
+    p = ModelParams(H=0.7, beta=-1.0)
+    g = QuadGrid.gauss_legendre_unit(60)
+    spec = build_spectrum(p, "refined", n_max=n_max, grid=g)
+    n_head = min(n_max, 2)
+    head = nystrom_eigs(cov_matrix(g, p), g, n_head)
+    assert spec.n_max == n_max and spec.diagnostics["head_from_oracle"] == n_head
+    assert np.array_equal(spec.lam[:n_head], head.lam)
+    assert np.array_equal(spec.phi[:, :n_head], head.phi)
+    assert np.all(np.isnan(spec.nu[:n_head]))
+    for n in range(3, n_max + 1):
+        pair, _ = refined_eigenpair(n, p, g)
+        assert (spec.lam[n - 1], spec.nu[n - 1]) == (pair.lam, pair.nu)
+        assert np.array_equal(spec.phi[:, n - 1], pair.phi)
+    assert spec.extend is None
+    with pytest.raises(DomainError, match="no samples"):
+        spec.phi_values(0.123)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+def test_eps_must_be_finite_and_positive(eps, bm_spectrum):
+    p, spec = bm_spectrum
+    g = QuadGrid.gauss_legendre_unit(10)
+    for call in (lambda: mse_series(1.0, eps, p, spec),
+                 lambda: mse_asymptotic("endpoint", eps, p),
+                 lambda: mse_wiener_hopf(1.0, eps, p, g),
+                 lambda: convergence_study(p, [1e-3, eps], [1.0], spec)):
+        with pytest.raises(DomainError, match="eps"):
+            call()
+
+
+def test_nan_u_is_refused(bm_spectrum):
+    p, spec = bm_spectrum
+    with pytest.raises(DomainError, match="u_points"):
+        convergence_study(p, [1e-3], [0.5, math.nan], spec)

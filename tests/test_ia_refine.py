@@ -76,6 +76,16 @@ class TestDirectSolve:
             defect = np.max(np.abs(x - sign * (A @ x) - rhs))
             assert defect <= 1e-13 * np.max(np.abs(rhs))
 
+    def test_contraction_norm_is_spectral_norm(self):
+        # ||A||_2^2 is the largest eigenvalue of A^T A; the 30-step power
+        # iteration this replaced gave 0.45651237920078636 here
+        sol = solve_p(20.0, ModelParams(H=0.7, beta=-1.0))
+        w = sol.grid.nodes
+        A = sol.kernel_row[None, :] / (w[:, None] + w[None, :])
+        assert_allclose(sol.contraction_norm ** 2, np.linalg.eigvalsh(A.T @ A)[-1],
+                        rtol=1e-12)
+        assert_allclose(sol.contraction_norm, 0.45651237920078636, rtol=1e-14)
+
 
 class TestBoundaryAsymptotics:
     def test_a_b_rates(self):
@@ -181,7 +191,8 @@ class TestRefinedEigenpair:
         assert ref.contraction_norm < 1.0
         assert ref.residual <= 1e-10 * abs(ref.xi * np.conj(ref.eta))
         assert pair.phi_integral < 0
-        assert np.all(np.isfinite(ref.p0_plus))
+        _, _, sol = find_nu(6, p)
+        assert all(np.all(np.isfinite(v)) for v in sol.p_tilde.values())
 
     def test_gamma_beta_positive_on_grid(self, oracle_07):
         p, _, _ = oracle_07

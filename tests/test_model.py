@@ -44,6 +44,22 @@ def test_params_invariants():
         ModelParams(H=0.5, T=0.0)
     with pytest.raises(DomainError):
         ModelParams(H=0.5, mu=0.0)
+    with pytest.raises(DomainError, match="T must be positive"):
+        ModelParams(H=0.5, T=math.nan)
+    assert ModelParams(H=0.7, beta=1e49, mu=1e-150, T=1e100).mu == 1e-150
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(beta=math.nan), dict(beta=math.inf), dict(beta=1e300),
+    dict(mu=math.nan), dict(mu=-math.inf), dict(mu=1e300), dict(mu=1e-300),
+    dict(T=math.inf), dict(T=1e160),
+])
+def test_params_refuse_unrepresentable_values(kwargs):
+    # beta = nan reached the output as NaN columns, mu = 1e-300 made eps / mu^2
+    # raise ZeroDivisionError, and the others raised OverflowError from Python
+    # float powers (T = 1e160: T^(2H+1) at H = 0.7)
+    with pytest.raises(DomainError, match="beta, mu and T must be finite"):
+        ModelParams(H=0.7, **kwargs)
 
 
 def test_quad_grid_invariants():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,3 +214,28 @@ class TestNystromExtend:
         _, _, spec = oracle_07
         with pytest.raises(DomainError):
             nystrom_extend(spec, 1.5)
+
+
+class TestLookupRule:
+    """phi_values: grid sample, then phi1 at u = 1, then the route's `extend`."""
+
+    def test_grid_samples_equal_the_closed_form(self):
+        g = QuadGrid.gauss_legendre_unit(40)
+        spec = ou_closed_form_eigs(0.5, 12, grid=g)
+        for j in (0, 17, 39):
+            assert np.array_equal(spec.phi_values(float(g.nodes[j])),
+                                  spec.extend(spec, float(g.nodes[j])))
+        assert np.array_equal(spec.phi_values(1.0), spec.extend(spec, 1.0))
+
+    def test_oracle_extends_by_nystrom(self, oracle_07):
+        _, _, spec = oracle_07
+        assert spec.extend is nystrom_extend
+        assert np.array_equal(spec.phi_values(1.0), nystrom_extend(spec, 1.0))
+        assert np.array_equal(spec.phi_values(0.123), nystrom_extend(spec, 0.123))
+
+    def test_without_extend_off_grid_is_refused(self, oracle_07):
+        _, grid, spec = oracle_07
+        bare = replace(spec, extend=None)
+        assert np.array_equal(bare.phi_values(float(grid.nodes[5])), spec.phi[5])
+        with pytest.raises(DomainError, match="no samples"):
+            bare.phi_values(0.123)
