@@ -33,6 +33,14 @@ from .exceptions import DomainError
 _HEAD = 2.0 ** -26  # lower cutoff of the master semi-axis rule
 
 
+@lru_cache(maxsize=1)
+def _master_rule():
+    """The semi-axis rule [_HEAD, _HEAD * 2^52] every ThetaProfile integrates on."""
+    nodes, weights, u_end = doubling_nodes(_HEAD, 52, 16)
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by all profiles
+    return nodes, weights, u_end
+
+
 def eta_h(H):
     """Phase constant (H - 1/2)(H - 3/2) / (4(H + 1/2)); the interior
     eigenfunction phase in radians is pi times this value."""
@@ -129,16 +137,36 @@ class ThetaProfile:
         u = np.asarray(u, dtype=float)
         if np.any(u <= 0):
             raise DomainError("dtheta requires u > 0")
-        a, r = self.alpha, self.r
-        D = (u * u - r * r) / (1.0 + r * r) * u ** (1.0 - a) + self._cos_phi
-        Dp = ((3.0 - a) * u ** (2.0 - a) - (1.0 - a) * r * r * u ** (-a)) / (1.0 + r * r)
-        out = -self._sin_phi * Dp / (D * D + self._sin_phi ** 2)
-        return out if out.ndim else float(out)
+        out = self._dtheta(u, u ** -self.alpha / (1.0 + self.r ** 2))
+        return out if np.ndim(out) else float(out)
+
+    def _dtheta(self, u, u_ac):
+        """dtheta at u > 0 given u_ac = u^{-alpha} / (1 + r^2), from
+
+            D  = (u^2 - r^2) u u_ac + cos phi,
+            D' = ((3 - alpha) u^2 - (1 - alpha) r^2) u_ac,
+
+        with the temporaries updated in place."""
+        a, r2 = self.alpha, self.r * self.r
+        uu = u * u
+        D = uu - r2
+        D *= u
+        D *= u_ac
+        D += self._cos_phi
+        Dp = uu
+        Dp *= 3.0 - a
+        Dp -= (1.0 - a) * r2
+        Dp *= u_ac
+        D *= D
+        D += self._sin_phi ** 2
+        Dp /= D
+        Dp *= -self._sin_phi
+        return Dp
 
     # -- master semi-axis rule shared by the integral transforms ------------
     def _master(self):
         if "master" not in self._cache:
-            nodes, weights, u_end = doubling_nodes(_HEAD, 52, 16)
+            nodes, weights, u_end = _master_rule()
             self._cache["master"] = (nodes, weights, self.theta(nodes), u_end)
         return self._cache["master"]
 
@@ -158,11 +186,13 @@ class ThetaProfile:
 
         z (scalar or array) must avoid the cut [0, inf).  Near the cut the
         pole is subtracted and integrated in closed form, so the two boundary
-        limits reproduce the jump X+ = e^{2 i theta} X-.
+        limits reproduce the jump X+ = e^{2 i theta} X-.  A real z (the
+        negative axis) is evaluated in real arithmetic, which gives the same
+        values at a fraction of the cost; the result is complex either way.
         """
         nodes, weights, th, u_end = self._master()
-        z = np.asarray(z, dtype=complex)
-        zf = z.reshape(-1)
+        z = np.asarray(z)
+        zf = z.reshape(-1).astype(complex if np.iscomplexobj(z) else float)
         if np.any((zf.imag == 0) & (zf.real >= 0)):
             raise DomainError("x_cauchy is undefined on the cut [0, inf)")
         # theta value at the pole abscissa, zero when the pole is off [head, end]
@@ -174,7 +204,7 @@ class ThetaProfile:
         # exact integrals of the subtracted constant and of the head plateau
         la0, lz, lu = np.log(_HEAD - zf), np.log(-zf), np.log(u_end - zf)
         analytic = th_r * (lu - la0) + self.phi_angle * (la0 - lz)
-        val = np.exp((core + analytic) / math.pi)
+        val = np.exp((core + analytic) / math.pi).astype(complex)
         val = val.reshape(z.shape)
         return complex(val) if val.ndim == 0 else val
 
@@ -239,6 +269,9 @@ def _h_pattern(n_inner=28, n_outer=29, m=16):
     return s, w * kern, delta
 
 
+_H_BLOCK = 8192  # elements of one dtheta block in h_weight
+
+
 def h_weight(t, profile: ThetaProfile, strategy="split"):
     """Weight h(t) = exp(-(1/pi) int_0^inf theta'(s) log|(t+s)/(t-s)| ds) sin(theta(t)).
 
@@ -252,8 +285,16 @@ def h_weight(t, profile: ThetaProfile, strategy="split"):
     if np.any(t_arr <= 0):
         raise DomainError("h_weight requires t > 0")
     s, w_log, delta = _h_pattern()
-    dth = profile.dtheta(t_arr[:, None] * s[None, :])
-    expo = t_arr * (dth @ w_log)
+    # row blocks of about _H_BLOCK pattern nodes keep the temporaries in
+    # cache; (t s)^{-alpha} = t^{-alpha} s^{-alpha} needs no power per node
+    rows = max(1, _H_BLOCK // len(s))
+    t_a = t_arr ** -profile.alpha / (1.0 + profile.r ** 2)
+    s_a = s ** -profile.alpha
+    expo = np.empty(len(t_arr))
+    for lo in range(0, len(t_arr), rows):
+        blk = slice(lo, lo + rows)
+        expo[blk] = profile._dtheta(t_arr[blk, None] * s, t_a[blk, None] * s_a) @ w_log
+    expo *= t_arr
     # slivers [1-delta, 1] and [1, 1+delta]:  theta'(t) * t * delta * (log(2/delta)+1) each
     expo += 2.0 * profile.dtheta(t_arr) * t_arr * delta * (math.log(2.0 / delta) + 1.0)
     out = np.exp(-expo / math.pi) * np.sin(profile.theta(t_arr))

@@ -106,7 +106,8 @@ def check_truncation(eps, p: ModelParams, spec: Spectrum, u=1.0):
     single excluded term can look negligible while their sum is not.
     """
     P, tail = mse_series(u, eps, p, spec, return_tail=True)
-    n_eff = (p.mu ** 2 * p.T ** (2.0 * p.H + 1.0) / eps) ** (1.0 / (2.0 * p.H + 1.0))
+    with np.errstate(over="ignore"):  # only the messages read it; inf is fine
+        n_eff = (p.mu ** 2 * p.T ** (2.0 * p.H + 1.0) / eps) ** (1.0 / (2.0 * p.H + 1.0))
     worst = largest_excluded_term(eps, p, spec, endpoint=(u == 1.0))
     if worst > EXCLUDED_TERM_BUDGET * P:
         raise TruncationError(
@@ -209,7 +210,8 @@ def convergence_study(p: ModelParams, eps_grid, u_points, spec: Spectrum,
     """Sweep P over decreasing eps and u, with ratios to the asymptote.
 
     Raises TruncationError when the smallest eps needs more eigenpairs than
-    `spec` holds (see `check_truncation`).  Also records the oscillation
+    `spec` holds (see `check_truncation`), and DomainError when a tabulated
+    value is not finite (eps/mu^2 outside the float range).  Also records the oscillation
     diagnostic I2 = P(u) - I1, where I1 is the series with phi^2 replaced by
     its interior mean 1: I2 must stay O(eps), i.e. vanish faster than the
     main term.
@@ -246,6 +248,14 @@ def convergence_study(p: ModelParams, eps_grid, u_points, spec: Spectrum,
             else cov_matrix(spec.grid, p)
         P_wh = np.array([mse_wiener_hopf(u_points, float(eps), p, spec.grid, cov)
                          for eps in eps_grid])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios = P_series / P_asym
+    cells = {"P_series": P_series, "P_asymptotic": P_asym, "ratio": ratios,
+             "tail_est": tails, "P_wiener_hopf": P_wh}
+    bad = [k for k, v in cells.items() if v is not None and not np.all(np.isfinite(v))]
+    if bad:
+        raise DomainError(f"{', '.join(bad)} not finite at mu = {p.mu:g}: "
+                          "eps/mu^2 leaves the float range")
     diagnostics = {
         "tails": tails,
         "I2": I2,
@@ -254,6 +264,6 @@ def convergence_study(p: ModelParams, eps_grid, u_points, spec: Spectrum,
     }
     return MseReport(params=p, eps_values=eps_grid, u_points=u_points,
                      P_series=P_series, P_asymptotic=P_asym,
-                     ratios=P_series / P_asym, spectrum_method=spec.method,
+                     ratios=ratios, spectrum_method=spec.method,
                      truncation_n=spec.n_max, P_wiener_hopf=P_wh,
                      diagnostics=diagnostics)

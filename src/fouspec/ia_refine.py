@@ -40,9 +40,14 @@ from .spectral_oracle import EigenPair, Spectrum
 
 U_MAX = 37.0
 DEFAULT_BRACKET = 0.3
+MAX_BRACKET = math.pi / 2  # half the spacing of consecutive roots
+WIDENINGS = 6              # widest try: 6 * DEFAULT_BRACKET > MAX_BRACKET
 DEFAULT_N_MIN = 3
 NU_MIN = 1.0
 RESIDUAL_REL = 1e-10
+LAYER_LO, LAYER_HI = -16, 13  # layer integral covers v in [2^LAYER_LO nu, 2^LAYER_HI nu]
+LAYER_PANEL_NODES = 16        # Gauss-Legendre nodes per dyadic layer panel
+LAYER_ROWS = 512              # grid rows per block of the layer exponential table
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,9 @@ def find_nu(n, p: ModelParams, bracket=DEFAULT_BRACKET):
 
     The enumeration is already calibrated: initializing at nu_first_order(n)
     reproduces nu_n = (n - 1/2) pi exactly in the degenerate case alpha = 1,
-    beta = 0.  Returns (nu, IARefinement, the root's _QPSolution).
+    beta = 0.  The bracket is guess +- bracket, widened when it shows no
+    sign change (strong drift moves the low roots by more than 0.3).
+    Returns (nu, IARefinement, the root's _QPSolution).
     """
     _check_params(p)
     if n < DEFAULT_N_MIN:
@@ -192,6 +199,25 @@ def find_nu(n, p: ModelParams, bracket=DEFAULT_BRACKET):
 
     lo, hi = guess - bracket, guess + bracket
     flo, fhi = imxe(lo), imxe(hi)
+    # no sign change: widen to k * bracket, k = 2 .. WIDENINGS, never past
+    # MAX_BRACKET; the root nearest the guess lies in the first outer piece
+    # that changes sign
+    k = 1
+    while flo * fhi > 0 and k < WIDENINGS and k * bracket < MAX_BRACKET:
+        k += 1
+        half = min(k * bracket, MAX_BRACKET)
+        lo2, hi2 = guess - half, guess + half
+        flo2, fhi2 = imxe(lo2), imxe(hi2)
+        left, right = flo2 * flo <= 0, fhi2 * fhi <= 0
+        if left and right:
+            raise SolverError(f"Im(xi eta*) changes sign on both sides of nu={guess:.6g} "
+                              f"at distance {half:.3g}", stage="find_nu")
+        if left:
+            lo, flo, hi, fhi = lo2, flo2, lo, flo
+        elif right:
+            lo, flo, hi, fhi = hi, fhi, hi2, fhi2
+        else:
+            lo, flo, hi, fhi = lo2, flo2, hi2, fhi2
     if flo * fhi > 0:
         raise SolverError(f"no sign change of Im(xi eta*) in [{lo:.6g}, {hi:.6g}] "
                           f"(f={flo:.3g}, {fhi:.3g})", stage="find_nu")
@@ -227,45 +253,79 @@ def _phi_tilde(ref: IARefinement, sol: _QPSolution, p: ModelParams):
     return phi_tilde, ratio
 
 
-def refined_eigenpair(n, p: ModelParams, unit_grid: QuadGrid):
-    """Refined (lambda_n, phi_n) with phi sampled on `unit_grid`.
+class _PairTerms:
+    """One index's root, the residue part of phi on the grid, and its layer
+    weights on the dyadic panels [2^k, 2^(k+1)], k_lo <= k < k_hi, of v = nu*u:
+    w0 against e^{-(1-x) v} and w1 against e^{-x v}."""
 
-    The eigenfunction combines the residue oscillation with the layer
-    integral of the inverse Laplace transform, is rescaled to unit weighted
-    L2 norm and sign-fixed (int phi < 0); phi(1) uses its own closed
-    expression -2 (xi/eta)(1 + r^2) under the same normalization.
+    def __init__(self, n, ref, ratio, residue, k_lo, k_hi, w0, w1):
+        self.n, self.ref, self.ratio, self.residue = n, ref, ratio, residue
+        self.k_lo, self.k_hi, self.w0, self.w1 = k_lo, k_hi, w0, w1
+
+
+def _layer_panels(nu):
+    """Dyadic panel exponents [k_lo, k_hi) covering v in [2^LAYER_LO nu, 2^LAYER_HI nu]."""
+    m, e = math.frexp(nu)  # nu = m 2^e with 1/2 <= m < 1
+    return e - 1 + LAYER_LO, (e - 1 if m == 0.5 else e) + LAYER_HI
+
+
+def _pair_terms(n, p: ModelParams, x) -> _PairTerms:
+    nu, ref, sol = find_nu(n, p)
+    r = p.beta_eff / nu
+    phi_tilde, ratio = _phi_tilde(ref, sol, p)
+    p0_inu = phi_tilde(np.array([1j * nu]))[0][0]
+    denom = 2.0 / (r * r + 1.0) - p.alpha + 1.0
+    res = -2.0 * np.real(np.exp(1j * nu * x) * p0_inu * (1.0 - 1j * r) / denom)
+    # layer integral over u = v/nu in (0, inf), du = dv/nu
+    k_lo, k_hi = _layer_panels(nu)
+    v, vw, _ = doubling_nodes(2.0 ** k_lo, k_hi - k_lo, LAYER_PANEL_NODES)
+    u = v / nu
+    st = np.sin(sol.profile.theta(u))
+    gb = np.abs((u * u - r * r) / (r * r + 1.0)
+                + u ** (p.alpha - 1.0) * np.exp(1j * (1.0 - p.alpha) * math.pi / 2.0))
+    if np.any(gb <= 0.0):
+        raise SolverError("gamma_beta vanished on the layer grid", stage="refined_eigenpair")
+    p0_m, p1_m = (t.real for t in phi_tilde(-v))
+    scale = vw / nu * st / gb
+    return _PairTerms(n, ref, ratio, res, k_lo, k_hi,
+                      scale * (u + r) * p1_m, scale * (u - r) * p0_m)
+
+
+def _refined_pairs(p: ModelParams, unit_grid: QuadGrid, ns):
+    """(EigenPair, IARefinement) for each index in ns, phi sampled on `unit_grid`.
+
+    All layer integrals share one table of e^{-x v} and e^{-(1-x) v} over the
+    union of the indices' panels, built in blocks of LAYER_ROWS grid rows.
+    Index n sums over its own panels only, so its pair does not depend on
+    which other indices come with it.
     """
     if unit_grid.domain != "unit-interval":
         raise DomainError("refined_eigenpair requires a unit-interval grid")
-    nu, ref, sol = find_nu(n, p)
-    alpha = p.alpha
-    r = p.beta_eff / nu
-    prof = sol.profile
-    phi_tilde, ratio = _phi_tilde(ref, sol, p)
     x = unit_grid.nodes
-    w = unit_grid.weights
+    terms = [_pair_terms(n, p, x) for n in ns]
+    if not terms:
+        return []
+    k_lo = min(t.k_lo for t in terms)
+    v, _, _ = doubling_nodes(2.0 ** k_lo, max(t.k_hi for t in terms) - k_lo,
+                             LAYER_PANEL_NODES)
+    lay = np.empty((len(x), len(terms)))
+    for lo in range(0, len(x), LAYER_ROWS):
+        xb = x[lo:lo + LAYER_ROWS]
+        with np.errstate(under="ignore"):
+            e_x, e_1x = np.exp(-np.outer(v, xb)), np.exp(-np.outer(v, 1.0 - xb))
+        for j, t in enumerate(terms):
+            rows = slice(LAYER_PANEL_NODES * (t.k_lo - k_lo),
+                         LAYER_PANEL_NODES * (t.k_hi - k_lo))
+            lay[lo:lo + LAYER_ROWS, j] = (t.w0 @ e_1x[rows] - t.w1 @ e_x[rows]) / math.pi
+    return [_finish_pair(t, t.residue + lay[:, j], unit_grid.weights, p)
+            for j, t in enumerate(terms)]
 
-    # residue part
-    p0_inu = phi_tilde(np.array([1j * nu]))[0][0]
-    denom = 2.0 / (r * r + 1.0) - alpha + 1.0
-    res = -2.0 * np.real(np.exp(1j * nu * x) * p0_inu * (1.0 - 1j * r) / denom)
 
-    # layer integral over u in (0, inf)
-    u, uw, _ = doubling_nodes(2.0 ** -16, 28, 16)
-    st = np.sin(prof.theta(u))
-    gb = np.abs((u * u - r * r) / (r * r + 1.0)
-                + u ** (alpha - 1.0) * np.exp(1j * (1.0 - alpha) * math.pi / 2.0))
-    if np.any(gb <= 0.0):
-        raise SolverError("gamma_beta vanished on the layer grid", stage="refined_eigenpair")
-    p0_m, p1_m = (v.real for v in phi_tilde(-u * nu))
-    w0 = uw * st / gb * (u + r) * p1_m
-    w1 = uw * st / gb * (u - r) * p0_m
-    with np.errstate(under="ignore"):
-        lay = (np.exp(-np.outer(1.0 - x, nu * u)) @ w0
-               - np.exp(-np.outer(x, nu * u)) @ w1) / math.pi
-    phi = res + lay
-    phi1_val = -2.0 * ratio * (1.0 + r * r)
-
+def _finish_pair(t: _PairTerms, phi, w, p: ModelParams):
+    """Unit weighted-L2 norm and the sign convention; phi(1) from its closed form."""
+    nu = t.ref.nu
+    r = p.beta_eff / nu
+    phi1_val = -2.0 * t.ratio * (1.0 + r * r)
     norm = math.sqrt(float(w @ phi ** 2))
     if norm == 0.0:
         raise SolverError("assembled eigenfunction has zero norm",
@@ -276,16 +336,29 @@ def refined_eigenpair(n, p: ModelParams, unit_grid: QuadGrid):
     sign = 1.0
     if abs(integral) > 1e-12:
         sign = -1.0 if integral > 0 else 1.0
-    elif phi1_val * (-1.0) ** n > 0:
+    elif phi1_val * (-1.0) ** t.n > 0:
         sign = -1.0
     phi *= sign
     phi1_val *= sign
     integral *= sign
-
     lam = lambda_from_nu(nu, p.H, p.beta_eff) * p.T ** (2.0 * p.H)
-    pair = EigenPair(n=n, lam=float(lam), nu=float(nu), phi=phi,
+    pair = EigenPair(n=t.n, lam=float(lam), nu=float(nu), phi=phi,
                      phi1=float(phi1_val), phi_integral=integral)
-    return pair, ref
+    return pair, t.ref
+
+
+def refined_eigenpair(n, p: ModelParams, unit_grid: QuadGrid):
+    """Refined (lambda_n, phi_n) with phi sampled on `unit_grid`.
+
+    The eigenfunction combines the residue oscillation with the layer
+    integral of the inverse Laplace transform, is rescaled to unit weighted
+    L2 norm and sign-fixed (int phi < 0); phi(1) uses its own closed
+    expression -2 (xi/eta)(1 + r^2) under the same normalization.  The
+    layer integral runs over v = nu*u on the dyadic panels [2^k, 2^(k+1)]
+    that cover [2^LAYER_LO nu, 2^LAYER_HI nu], with LAYER_PANEL_NODES
+    Gauss-Legendre nodes each.
+    """
+    return _refined_pairs(p, unit_grid, [n])[0]
 
 
 def refined_spectrum(p: ModelParams, head: Spectrum, n_max) -> Spectrum:
@@ -293,10 +366,12 @@ def refined_spectrum(p: ModelParams, head: Spectrum, n_max) -> Spectrum:
 
     The solver starts at DEFAULT_N_MIN, so the head (the Nystrom oracle on
     the unit grid the refined eigenfunctions are sampled on) must supply the
-    indices below it; see `error_analysis.build_spectrum`.  Refined pairs
-    have grid samples and phi(1) only, so the result has no `extend`.
+    indices below it; see `error_analysis.build_spectrum`.  Each refined
+    pair is the one `refined_eigenpair` returns, with the exponential table
+    of the layer integrals built once.  Refined pairs have grid samples and
+    phi(1) only, so the result has no `extend`.
     """
-    pairs = [refined_eigenpair(n, p, head.grid)[0] for n in range(head.n_max + 1, n_max + 1)]
+    pairs = [q for q, _ in _refined_pairs(p, head.grid, range(head.n_max + 1, n_max + 1))]
     return Spectrum("refined", p,
                     np.concatenate([head.lam, [q.lam for q in pairs]]),
                     np.concatenate([np.full(head.n_max, np.nan), [q.nu for q in pairs]]),

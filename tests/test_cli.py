@@ -337,3 +337,43 @@ def test_fuzz_cli(data):
     assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue(), (argv, err.getvalue())
     if code == 0:
         assert all(map(math.isfinite, _numbers(out.getvalue()))), argv
+
+
+@pytest.mark.parametrize("beta", [2.5, 3.0])
+def test_eigs_strong_drift_finds_every_root(beta, capsys):
+    # the root n = 3 sits near 7.4-7.5, outside nu_first_order(3) +- 0.3 =
+    # [7.50, 8.10]; the whole table used to be dropped with exit 3
+    argv = ["eigs", "--H", "0.7", "--beta", str(beta), "--N-unit", "600", "--n-max", "6"]
+    assert cli.main(argv) == cli.EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("#")]
+    col = {name: k for k, name in enumerate(rows[0])}
+    for row in rows[3:]:  # n = 3..6
+        assert float(row[col["rel_err_refined"]]) < float(row[col["rel_err_first_order"]])
+
+
+@pytest.mark.parametrize("mu,eps", [("1000", "5e-324"), ("1e-150", "1e300")])
+def test_noise_ratio_out_of_float_range_is_refused(mu, eps, capsys):
+    # eps/mu^2 under- or overflows: the table used to print nan or inf cells
+    argv = ["mse", "--mu", mu, "--eps", eps, "--N-unit", "20", "--n-max", "20",
+            "--H", "0.7", "--u", "1.0"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not finite" in captured.err
+
+
+def test_refined_mse_matches_oracle(capsys):
+    # the benchmark's check of the refined route on a smaller grid with the
+    # same n_max/N = 1/20: the series agree to 1e-4 relative at every (eps, u).
+    # (N = 300 misses it at u = 0.5 by the oracle's own error, 1.2e-4.)
+    tables = {}
+    for spectrum in ("refined", "oracle"):
+        argv = ["mse", "--H", "0.7", "--beta", "-1", "--spectrum", spectrum,
+                "--N-unit", "600", "--n-max", "30", "--eps", "1e-2", "--u", "0.5,1.0"]
+        assert cli.main(argv) == cli.EXIT_OK
+        tables[spectrum] = _numbers(capsys.readouterr().out)
+    rows = {k: [v[i:i + 6] for i in range(0, len(v), 6)] for k, v in tables.items()}
+    assert len(rows["refined"]) == len(rows["oracle"]) == 2
+    for ref, ora in zip(rows["refined"], rows["oracle"]):
+        assert ref[:2] == ora[:2]  # eps, u
+        assert abs(ref[2] - ora[2]) <= 1e-4 * abs(ora[2])

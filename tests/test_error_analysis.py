@@ -221,10 +221,12 @@ def test_first_order_extends_by_formula():
                     phi_first_order_many(float(g.nodes[11]), n, p.H), rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("n_max", [1, 2, 4])
+@pytest.mark.parametrize("n_max", [1, 2, 4, 7])
 def test_refined_spectrum_is_complete(n_max):
     # indices below the solver's start come from the oracle; n_max = 1, 2
-    # used to raise ValueError in np.concatenate
+    # used to raise ValueError in np.concatenate.  n = 3..7 share one layer
+    # table over different panel ranges, and each column still equals the
+    # pair computed alone.
     p = ModelParams(H=0.7, beta=-1.0)
     g = QuadGrid.gauss_legendre_unit(60)
     spec = build_spectrum(p, "refined", n_max=n_max, grid=g)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from fouspec.asymptotics import b_alpha_closed, lambda_from_nu, nu_first_order, phi_first_order
 from fouspec.exceptions import DomainError, SolverError
+from fouspec import ia_refine
 from fouspec.ia_refine import evaluate_abxi, find_nu, refined_eigenpair, solve_p
 from fouspec.model import ModelParams, QuadGrid
 from fouspec.spectral_oracle import ou_closed_form_eigs
@@ -207,3 +208,26 @@ class TestRefinedEigenpair:
         p = ModelParams(H=0.7, beta=-1.0)
         with pytest.raises(DomainError):
             refined_eigenpair(5, p, QuadGrid.semi_axis())
+
+
+class TestLayerRule:
+    # max |phi - phi_wide| on the N = 2000 grid at H = 0.7, beta = -1 of the
+    # earlier rule, 16-node panels doubling from u = 2^-16 to 2^12; its error
+    # is the truncated tail near x = 0
+    EARLIER = {3: 1.33e-6, 10: 1.59e-6, 50: 1.07e-6, 100: 7.21e-7}
+
+    def test_no_farther_from_wide_rule(self, monkeypatch):
+        p = ModelParams(H=0.7, beta=-1.0)
+        g = QuadGrid.gauss_legendre_unit(2000)
+        phi = {n: refined_eigenpair(n, p, g)[0].phi for n in self.EARLIER}
+        monkeypatch.setattr(ia_refine, "LAYER_LO", -30)
+        monkeypatch.setattr(ia_refine, "LAYER_HI", 24)
+        for n, earlier in self.EARLIER.items():
+            wide = refined_eigenpair(n, p, g)[0].phi
+            assert np.max(np.abs(phi[n] - wide)) <= earlier
+
+    def test_panels_cover_the_range(self):
+        for nu in (7.8, 8.0, 314.9, 1024.0):
+            k_lo, k_hi = ia_refine._layer_panels(nu)
+            assert 2.0 ** k_lo <= 2.0 ** ia_refine.LAYER_LO * nu < 2.0 ** (k_lo + 1)
+            assert 2.0 ** (k_hi - 1) < 2.0 ** ia_refine.LAYER_HI * nu <= 2.0 ** k_hi

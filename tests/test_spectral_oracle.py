@@ -6,9 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fouspec import cli
-from fouspec.exceptions import DomainError
-from fouspec.model import ModelParams, QuadGrid, cov_matrix, fou_cov
-from fouspec.spectral_oracle import nystrom_eigs, nystrom_extend, ou_closed_form_eigs
+from fouspec import spectral_oracle
+from fouspec.exceptions import DomainError, SolverError
+from fouspec.model import CovMatrix, ModelParams, QuadGrid, cov_matrix, fou_cov
+from fouspec.spectral_oracle import PSD_TOL, nystrom_eigs, nystrom_extend, ou_closed_form_eigs
 
 
 def _bisect(f, lo, hi, steps=200):
@@ -78,6 +79,39 @@ class TestNystrom:
         g = QuadGrid.gauss_legendre_unit(20)
         with pytest.raises(DomainError):
             nystrom_eigs(cov_matrix(g, ModelParams(H=0.5)), g, n_max)
+
+
+class TestEigensolveBranches:
+    """Up to N/10 kept pairs the solve computes only those and certifies PSD
+    by a Cholesky factorization; above, the full solve reports the minimum."""
+
+    @pytest.mark.parametrize("H,beta,N,n_max", [(0.7, -1.0, 1000, 20), (0.3, 1.0, 2000, 30)])
+    def test_subset_matches_full(self, H, beta, N, n_max, monkeypatch):
+        p = ModelParams(H=H, beta=beta)
+        g = QuadGrid.gauss_legendre_unit(N)
+        cov = cov_matrix(g, p)
+        sub = nystrom_eigs(cov, g, n_max)
+        monkeypatch.setattr(spectral_oracle, "SUBSET_FRACTION", 0.0)
+        full = nystrom_eigs(cov, g, n_max)
+        assert np.max(np.abs(sub.lam - full.lam)) <= 1e-13 * full.lam[0]
+        align = np.sign(np.sum(sub.phi * full.phi, axis=0))
+        assert np.max(np.abs(sub.phi * align - full.phi)) <= 1e-12
+        assert np.max(np.abs(sub.phi1 * align - full.phi1)) <= 1e-12
+        # the subset branch reports the certified bound, the full one the minimum
+        trace = full.diagnostics["trace"]
+        assert sub.diagnostics["trace"] == trace
+        assert sub.diagnostics["min_eigenvalue"] == -PSD_TOL * trace
+        assert sub.diagnostics["psd_defect"] == -PSD_TOL
+        assert full.diagnostics["min_eigenvalue"] >= -PSD_TOL * trace
+        assert full.diagnostics["psd_defect"] >= -PSD_TOL
+
+    @pytest.mark.parametrize("n_max", [1, 5])  # 1 <= 20/10 takes the subset branch
+    def test_non_psd_matrix_is_refused(self, n_max):
+        g = QuadGrid.gauss_legendre_unit(20)
+        K = np.eye(20)
+        K[7, 7] = -1e-3
+        with pytest.raises(SolverError, match="not positive semidefinite"):
+            nystrom_eigs(CovMatrix(K, g, ModelParams(H=0.5)), g, n_max)
 
 
 class TestClosedFormOU:
