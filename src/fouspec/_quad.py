@@ -61,15 +61,15 @@ def graded_nodes(a, b, toward, n_panels, m, ratio=0.5, cover_sliver=False):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def doubling_nodes(a, n_panels, m, first=None):
-    """Composite GL nodes/weights on [a, a*2^n_panels] (or [a, a+first*2^n...]).
+def doubling_nodes(a, n_panels, m):
+    """Composite GL nodes/weights on [a, a*2^n_panels]: panel k is [a 2^k, a 2^(k+1)].
 
     Covers a semi-infinite range with geometrically growing panels; the caller
     adds an analytic tail correction beyond the last edge when needed.
     """
     xg, wg = gauss_legendre_01(m)
     lo = a
-    h = first if first is not None else a
+    h = a
     nodes, weights = [], []
     for _ in range(n_panels):
         nodes.append(lo + h * xg)

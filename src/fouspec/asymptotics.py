@@ -237,8 +237,8 @@ def special_constants(alpha, beta=0.0, nu=math.inf):
 # Hoelder weight h(t)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
-def _h_pattern(n_inner=28, n_outer=29, m=16):
+@lru_cache(maxsize=1)
+def _h_pattern():
     """Master pattern for int_0^inf theta'(t*s) log|(1+s)/(1-s)| t ds.
 
     Relative nodes s and weights already multiplied by the log kernel; the
@@ -246,6 +246,7 @@ def _h_pattern(n_inner=28, n_outer=29, m=16):
     only.  Panels grade geometrically into the log singularity at s = 1 from
     both sides; the skipped slivers are handled analytically by the caller.
     """
+    n_inner, n_outer, m = 28, 29, 16  # graded panels, doubling panels, nodes each
     xg, wg = gauss_legendre_01(m)
     segs = []
     # [head, 1/2]: doubling panels away from 0 (theta' may blow up like v^-alpha)
@@ -353,8 +354,11 @@ def _layer_rule(alpha):
     return nodes, weights, f0, f1
 
 
+_CHUNK = 4096  # (x, n) pairs per block of layer exponentials: bounds the temporaries
+
+
 def phi_first_order(x, n, H):
-    """First-order unit-norm eigenfunction at points x in [0,1].
+    """First-order unit-norm eigenfunction phi_n(x), x in [0,1].
 
     Interior wave -sqrt(2) sin(nu_n x + pi*eta_H) plus endpoint layers:
 
@@ -365,46 +369,30 @@ def phi_first_order(x, n, H):
     f1 = sqrt(2H+1)/pi * rho0(u).  This is the combination validated against
     the Nystrom oracle; it vanishes at x = 0, satisfies the sign convention
     int phi < 0, and gives phi_n(1) -> (-1)^n sqrt(2H+1).
+
+    x and n broadcast against each other: the result has shape
+    x.shape + n.shape (a float when both are scalars).
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+    n = np.asarray(n)
     if np.any((x < 0) | (x > 1)):
         raise DomainError("x must lie in [0,1]")
-    nu = nu_first_order(n, H)
-    wave = -math.sqrt(2.0) * np.sin(nu * x + math.pi * eta_h(H))
-    if abs(H - 0.5) < 1e-14:
-        out = wave  # layers vanish identically at H = 1/2
-    else:
-        alpha = 2.0 - 2.0 * H
-        u, w, f0, f1 = _layer_rule(alpha)
-        with np.errstate(under="ignore"):
-            lay0 = np.exp(-np.outer(x, nu * u)) @ (w * f0)
-            lay1 = np.exp(-np.outer(1.0 - x, nu * u)) @ (w * f1)
-        out = wave - lay0 + (-1.0) ** n * lay1
-    return float(out[0]) if scalar else out
-
-
-_CHUNK = 4096  # indices per block of phi_first_order_many: bounds the temporaries
-
-
-def phi_first_order_many(x, ns, H):
-    """phi_first_order at one point x for a whole index array ns."""
-    ns = np.asarray(ns)
+    # one entry per (x, n) pair, x-major
+    xs = np.repeat(x.reshape(-1), n.size)
+    ns = np.tile(n.reshape(-1), x.size)
     nu = nu_first_order(ns, H)
-    wave = -math.sqrt(2.0) * np.sin(nu * x + math.pi * eta_h(H))
-    if abs(H - 0.5) < 1e-14:
-        return wave
-    alpha = 2.0 - 2.0 * H
-    u, w, f0, f1 = _layer_rule(alpha)
-    out = np.empty(len(ns))
-    for lo in range(0, len(ns), _CHUNK):
-        hi = min(lo + _CHUNK, len(ns))
-        with np.errstate(under="ignore"):
-            lay0 = np.exp(-x * np.outer(nu[lo:hi], u)) @ (w * f0)
-            lay1 = np.exp(-(1.0 - x) * np.outer(nu[lo:hi], u)) @ (w * f1)
-        out[lo:hi] = wave[lo:hi] - lay0 + (-1.0) ** ns[lo:hi] * lay1
-    return out
+    out = -math.sqrt(2.0) * np.sin(nu * xs + math.pi * eta_h(H))
+    if abs(H - 0.5) >= 1e-14:  # layers vanish identically at H = 1/2
+        u, w, f0, f1 = _layer_rule(2.0 - 2.0 * H)
+        for lo in range(0, len(ns), _CHUNK):
+            b = slice(lo, lo + _CHUNK)
+            nu_u = np.outer(nu[b], u)
+            with np.errstate(under="ignore"):
+                lay0 = np.exp(-xs[b, None] * nu_u) @ (w * f0)
+                lay1 = np.exp(-(1.0 - xs[b])[:, None] * nu_u) @ (w * f1)
+            out[b] = out[b] - lay0 + (-1.0) ** ns[b] * lay1
+    out = out.reshape(x.shape + n.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def phi_integral_first_order(n, H):

@@ -210,40 +210,42 @@ def render(cfg: RunConfig):
 def compute_eigs(cfg: RunConfig):
     import numpy as np
 
-    from .asymptotics import lambda_from_nu, nu_first_order, phi_first_order
+    from .asymptotics import lambda_from_nu
+    from .error_analysis import build_spectrum
+    from .exceptions import DomainError, SolverError
     from .ia_refine import DEFAULT_N_MIN, find_nu
-    from .model import ModelParams, QuadGrid, cov_matrix
-    from .spectral_oracle import nystrom_eigs
+    from .model import ModelParams
 
     p = ModelParams(H=cfg.H, beta=cfg.beta, mu=cfg.mu, T=cfg.T)
     n_max = cfg.n_max or 20
-    grid = QuadGrid.gauss_legendre_unit(cfg.N_unit or 1000)
-    spec = nystrom_eigs(cov_matrix(grid, p, gl_order=cfg.gl_order), grid, n_max)
-    ns = range(1, n_max + 1)
-    nu_fo = nu_first_order(np.array(ns), p.H)
-    lam_fo = lambda_from_nu(nu_fo, p.H, p.beta_eff) * p.T ** (2 * p.H)
+    spec = build_spectrum(p, "oracle", n_max=n_max, grid_size=cfg.N_unit or 1000,
+                          gl_order=cfg.gl_order)
+    fo = build_spectrum(p, "first_order", n_max=n_max)
     # one ordered column per header entry; the refined ones stay None (and
     # are dropped) below H = 1/2, where the refined solver is out of scope
-    cols = {"n": list(ns), "lambda_oracle": spec.lam.tolist(),
-            "lambda_first_order": lam_fo.tolist(), "lambda_refined": None,
-            "nu_first_order": nu_fo.tolist(), "nu_refined": None,
-            "phi1_oracle": spec.phi1.tolist(),
-            "phi1_asym": [float(phi_first_order(1.0, n, p.H)) for n in ns],
-            "rel_err_first_order": np.abs(lam_fo / spec.lam - 1.0).tolist(),
+    cols = {"n": list(range(1, n_max + 1)), "lambda_oracle": spec.lam,
+            "lambda_first_order": fo.lam, "lambda_refined": None,
+            "nu_first_order": fo.nu, "nu_refined": None,
+            "phi1_oracle": spec.phi1, "phi1_asym": fo.phi1,
+            "rel_err_first_order": np.abs(fo.lam / spec.lam - 1.0),
             "rel_err_refined": None}
     comments = []
     if p.H >= 0.5:
-        nu_rf = {n: float(find_nu(n, p)[0]) for n in range(DEFAULT_N_MIN, n_max + 1)}
-        lam_rf = {n: float(lambda_from_nu(v, p.H, p.beta_eff) * p.T ** (2 * p.H))
-                  for n, v in nu_rf.items()}
-        err_rf = {n: float(abs(v / spec.lam[n - 1] - 1.0)) for n, v in lam_rf.items()}
-        for key, vals in (("lambda_refined", lam_rf), ("nu_refined", nu_rf),
-                          ("rel_err_refined", err_rf)):
-            cols[key] = [vals.get(n) for n in ns]
+        # a refused index keeps its refined cells empty (NaN until printed)
+        nu_rf = np.full(n_max, np.nan)
+        for n in range(DEFAULT_N_MIN, n_max + 1):
+            try:
+                nu_rf[n - 1] = find_nu(n, p)[0]
+            except (DomainError, SolverError) as exc:
+                comments.append(f"warning: refined n={n} refused: {exc}")
+        cols["nu_refined"] = nu_rf
+        cols["lambda_refined"] = lambda_from_nu(nu_rf, p.H, p.beta_eff) * p.T ** (2 * p.H)
+        cols["rel_err_refined"] = np.abs(cols["lambda_refined"] / spec.lam - 1.0)
     else:
         comments.append("warning: H < 1/2, refined solver out of scope; "
                         "refined columns omitted")
-    cols = {k: v for k, v in cols.items() if v is not None}
+    cols = {k: [None if v != v else v for v in np.asarray(c).tolist()]
+            for k, c in cols.items() if c is not None}
     return comments, list(cols), [list(row) for row in zip(*cols.values())]
 
 

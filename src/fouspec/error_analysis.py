@@ -193,14 +193,11 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
         n = np.arange(1, n_max + 1)
         nu = asymptotics.nu_first_order(n, p.H)
         lam = asymptotics.lambda_from_nu(nu, p.H, p.beta_eff) * p.T ** (2.0 * p.H)
-        phi = None
-        if grid is not None:
-            phi = np.column_stack([asymptotics.phi_first_order(grid.nodes, int(k), p.H)
-                                   for k in n])
-        phi1 = asymptotics.phi_first_order_many(1.0, n, p.H)
+        phi = None if grid is None else asymptotics.phi_first_order(grid.nodes, n, p.H)
+        phi1 = asymptotics.phi_first_order(1.0, n, p.H)
         integ = asymptotics.phi_integral_first_order(n, p.H)
         return Spectrum("first_order", p, lam, nu, grid, phi, phi1, integ,
-                        extend=lambda spec, u: asymptotics.phi_first_order_many(
+                        extend=lambda spec, u: asymptotics.phi_first_order(
                             u, n, spec.params.H))
     raise DomainError(f"unknown spectrum method {method!r}")
 

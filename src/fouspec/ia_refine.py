@@ -36,7 +36,7 @@ from ._quad import doubling_nodes
 from .asymptotics import ThetaProfile, h_weight, lambda_from_nu, nu_first_order
 from .exceptions import DomainError, SolverError
 from .model import ModelParams, QuadGrid
-from .spectral_oracle import EigenPair, Spectrum
+from .spectral_oracle import EigenPair, Spectrum, _sign_fix
 
 U_MAX = 37.0
 DEFAULT_BRACKET = 0.3
@@ -253,23 +253,17 @@ def _phi_tilde(ref: IARefinement, sol: _QPSolution, p: ModelParams):
     return phi_tilde, ratio
 
 
-class _PairTerms:
-    """One index's root, the residue part of phi on the grid, and its layer
-    weights on the dyadic panels [2^k, 2^(k+1)], k_lo <= k < k_hi, of v = nu*u:
-    w0 against e^{-(1-x) v} and w1 against e^{-x v}."""
-
-    def __init__(self, n, ref, ratio, residue, k_lo, k_hi, w0, w1):
-        self.n, self.ref, self.ratio, self.residue = n, ref, ratio, residue
-        self.k_lo, self.k_hi, self.w0, self.w1 = k_lo, k_hi, w0, w1
-
-
 def _layer_panels(nu):
     """Dyadic panel exponents [k_lo, k_hi) covering v in [2^LAYER_LO nu, 2^LAYER_HI nu]."""
     m, e = math.frexp(nu)  # nu = m 2^e with 1/2 <= m < 1
     return e - 1 + LAYER_LO, (e - 1 if m == 0.5 else e) + LAYER_HI
 
 
-def _pair_terms(n, p: ModelParams, x) -> _PairTerms:
+def _pair_terms(n, p: ModelParams, x):
+    """One index's root, its xi/eta ratio, the residue part of phi on the grid
+    x, and its layer weights on the dyadic panels [2^k, 2^(k+1)],
+    k_lo <= k < k_hi, of v = nu*u: w0 against e^{-(1-x) v} and w1 against
+    e^{-x v}.  Returns (ref, ratio, residue, k_lo, k_hi, w0, w1)."""
     nu, ref, sol = find_nu(n, p)
     r = p.beta_eff / nu
     phi_tilde, ratio = _phi_tilde(ref, sol, p)
@@ -287,64 +281,55 @@ def _pair_terms(n, p: ModelParams, x) -> _PairTerms:
         raise SolverError("gamma_beta vanished on the layer grid", stage="refined_eigenpair")
     p0_m, p1_m = (t.real for t in phi_tilde(-v))
     scale = vw / nu * st / gb
-    return _PairTerms(n, ref, ratio, res, k_lo, k_hi,
-                      scale * (u + r) * p1_m, scale * (u - r) * p0_m)
+    return ref, ratio, res, k_lo, k_hi, scale * (u + r) * p1_m, scale * (u - r) * p0_m
 
 
 def _refined_pairs(p: ModelParams, unit_grid: QuadGrid, ns):
-    """(EigenPair, IARefinement) for each index in ns, phi sampled on `unit_grid`.
+    """Refined pairs for the indices ns as columns, phi sampled on `unit_grid`.
 
+    Returns (nu, lam, phi, phi1, phi_integral, [IARefinement per index]).
     All layer integrals share one table of e^{-x v} and e^{-(1-x) v} over the
     union of the indices' panels, built in blocks of LAYER_ROWS grid rows.
     Index n sums over its own panels only, so its pair does not depend on
-    which other indices come with it.
+    which other indices come with it.  The columns are scaled to unit
+    weighted-L2 norm and sign-fixed by `_sign_fix`; phi(1) comes from its
+    closed form -2 (xi/eta)(1 + r^2) under the same scaling.
     """
     if unit_grid.domain != "unit-interval":
         raise DomainError("refined_eigenpair requires a unit-interval grid")
-    x = unit_grid.nodes
-    terms = [_pair_terms(n, p, x) for n in ns]
-    if not terms:
-        return []
-    k_lo = min(t.k_lo for t in terms)
-    v, _, _ = doubling_nodes(2.0 ** k_lo, max(t.k_hi for t in terms) - k_lo,
-                             LAYER_PANEL_NODES)
-    lay = np.empty((len(x), len(terms)))
-    for lo in range(0, len(x), LAYER_ROWS):
-        xb = x[lo:lo + LAYER_ROWS]
-        with np.errstate(under="ignore"):
-            e_x, e_1x = np.exp(-np.outer(v, xb)), np.exp(-np.outer(v, 1.0 - xb))
-        for j, t in enumerate(terms):
-            rows = slice(LAYER_PANEL_NODES * (t.k_lo - k_lo),
-                         LAYER_PANEL_NODES * (t.k_hi - k_lo))
-            lay[lo:lo + LAYER_ROWS, j] = (t.w0 @ e_1x[rows] - t.w1 @ e_x[rows]) / math.pi
-    return [_finish_pair(t, t.residue + lay[:, j], unit_grid.weights, p)
-            for j, t in enumerate(terms)]
-
-
-def _finish_pair(t: _PairTerms, phi, w, p: ModelParams):
-    """Unit weighted-L2 norm and the sign convention; phi(1) from its closed form."""
-    nu = t.ref.nu
-    r = p.beta_eff / nu
-    phi1_val = -2.0 * t.ratio * (1.0 + r * r)
-    norm = math.sqrt(float(w @ phi ** 2))
-    if norm == 0.0:
+    x, w = unit_grid.nodes, unit_grid.weights
+    ns = np.asarray(ns, dtype=int)
+    terms = [_pair_terms(int(n), p, x) for n in ns]
+    refs = [t[0] for t in terms]
+    nu = np.array([ref.nu for ref in refs], dtype=float)
+    phi = np.empty((len(terms), len(x)))  # one row per index until the end
+    if terms:
+        k_lo = min(t[3] for t in terms)
+        v, _, _ = doubling_nodes(2.0 ** k_lo, max(t[4] for t in terms) - k_lo,
+                                 LAYER_PANEL_NODES)
+        for lo in range(0, len(x), LAYER_ROWS):
+            xb = x[lo:lo + LAYER_ROWS]
+            with np.errstate(under="ignore"):
+                e_x, e_1x = np.exp(-np.outer(v, xb)), np.exp(-np.outer(v, 1.0 - xb))
+            for j, (_, _, res, lo_j, hi_j, w0, w1) in enumerate(terms):
+                rows = slice(LAYER_PANEL_NODES * (lo_j - k_lo),
+                             LAYER_PANEL_NODES * (hi_j - k_lo))
+                phi[j, lo:lo + LAYER_ROWS] = res[lo:lo + LAYER_ROWS] \
+                    + (w0 @ e_1x[rows] - w1 @ e_x[rows]) / math.pi
+    # row sums, unlike a matrix product, round each row the same way
+    # whatever the other rows are
+    norm = np.sqrt(np.sum(w * phi ** 2, axis=1))
+    if np.any(norm == 0.0):
         raise SolverError("assembled eigenfunction has zero norm",
                           stage="refined_eigenpair")
-    phi /= norm
-    phi1_val /= norm
-    integral = float(w @ phi)
-    sign = 1.0
-    if abs(integral) > 1e-12:
-        sign = -1.0 if integral > 0 else 1.0
-    elif phi1_val * (-1.0) ** t.n > 0:
-        sign = -1.0
-    phi *= sign
-    phi1_val *= sign
-    integral *= sign
+    phi /= norm[:, None]
+    r = p.beta_eff / nu
+    phi1 = -2.0 * np.array([t[1] for t in terms], dtype=float) * (1.0 + r * r) / norm
+    integrals = np.sum(w * phi, axis=1)
+    phi = phi.T
+    _sign_fix(phi, phi1, integrals, ns)
     lam = lambda_from_nu(nu, p.H, p.beta_eff) * p.T ** (2.0 * p.H)
-    pair = EigenPair(n=t.n, lam=float(lam), nu=float(nu), phi=phi,
-                     phi1=float(phi1_val), phi_integral=integral)
-    return pair, t.ref
+    return nu, lam, phi, phi1, integrals, refs
 
 
 def refined_eigenpair(n, p: ModelParams, unit_grid: QuadGrid):
@@ -358,7 +343,10 @@ def refined_eigenpair(n, p: ModelParams, unit_grid: QuadGrid):
     that cover [2^LAYER_LO nu, 2^LAYER_HI nu], with LAYER_PANEL_NODES
     Gauss-Legendre nodes each.
     """
-    return _refined_pairs(p, unit_grid, [n])[0]
+    nu, lam, phi, phi1, integrals, refs = _refined_pairs(p, unit_grid, [n])
+    pair = EigenPair(n=n, lam=float(lam[0]), nu=float(nu[0]), phi=phi[:, 0],
+                     phi1=float(phi1[0]), phi_integral=float(integrals[0]))
+    return pair, refs[0]
 
 
 def refined_spectrum(p: ModelParams, head: Spectrum, n_max) -> Spectrum:
@@ -366,17 +354,15 @@ def refined_spectrum(p: ModelParams, head: Spectrum, n_max) -> Spectrum:
 
     The solver starts at DEFAULT_N_MIN, so the head (the Nystrom oracle on
     the unit grid the refined eigenfunctions are sampled on) must supply the
-    indices below it; see `error_analysis.build_spectrum`.  Each refined
-    pair is the one `refined_eigenpair` returns, with the exponential table
-    of the layer integrals built once.  Refined pairs have grid samples and
-    phi(1) only, so the result has no `extend`.
+    indices below it; see `error_analysis.build_spectrum`.  The refined
+    columns are the ones `refined_eigenpair` returns, with the exponential
+    table of the layer integrals built once.  Refined pairs have grid
+    samples and phi(1) only, so the result has no `extend`.
     """
-    pairs = [q for q, _ in _refined_pairs(p, head.grid, range(head.n_max + 1, n_max + 1))]
-    return Spectrum("refined", p,
-                    np.concatenate([head.lam, [q.lam for q in pairs]]),
-                    np.concatenate([np.full(head.n_max, np.nan), [q.nu for q in pairs]]),
-                    head.grid,
-                    np.column_stack([head.phi, *(q.phi for q in pairs)]),
-                    np.concatenate([head.phi1, [q.phi1 for q in pairs]]),
-                    np.concatenate([head.phi_integral, [q.phi_integral for q in pairs]]),
+    nu, lam, phi, phi1, integrals, _ = _refined_pairs(
+        p, head.grid, range(head.n_max + 1, n_max + 1))
+    return Spectrum("refined", p, np.concatenate([head.lam, lam]),
+                    np.concatenate([np.full(head.n_max, np.nan), nu]), head.grid,
+                    np.hstack([head.phi, phi]), np.concatenate([head.phi1, phi1]),
+                    np.concatenate([head.phi_integral, integrals]),
                     diagnostics={"head_from_oracle": head.n_max})

@@ -6,9 +6,11 @@ approximation is judged against.  `ou_closed_form_eigs` provides the exact
 H = 1/2 spectrum: lambda_n = 1/(nu_n^2 + beta^2) with nu/beta = tan(nu) and
 eigenfunctions proportional to sqrt(2) sin(nu_n x).
 
-Sign convention for all spectra: int_0^1 phi_n < 0, ties broken by
-phi_n(1) * (-1)^n < 0, so eigenfunctions from different routes are
-comparable without alignment.
+Sign convention for all spectra: int_0^1 phi_n < 0, ties (|int phi_n| <=
+1e-12) broken by phi_n(1) * (-1)^n < 0, so eigenfunctions from different
+routes are comparable without alignment.  The sampled routes (this oracle
+and `ia_refine`) apply it with `_sign_fix`; the closed forms satisfy it by
+construction.
 """
 
 import math
@@ -87,18 +89,19 @@ class Spectrum:
                           "evaluator; use a grid node or u = 1")
 
 
-def _sign_fix(phi_cols, phi1, integrals):
-    """Flip column signs in place to the phi_integral < 0 convention."""
-    scale = max(float(np.max(np.abs(integrals))), 1.0) if len(integrals) else 1.0
-    for k in range(phi_cols.shape[1]):
-        if abs(integrals[k]) > _INTEGRAL_TIE_TOL * scale:
-            flip = integrals[k] > 0
-        else:  # tie: phi_n(1) * (-1)^n < 0
-            flip = phi1[k] * (-1.0) ** (k + 1) > 0
-        if flip:
-            phi_cols[:, k] *= -1.0
-            phi1[k] *= -1.0
-            integrals[k] *= -1.0
+def _sign_fix(phi_cols, phi1, integrals, ns):
+    """Flip column signs in place to the convention of the module docstring.
+
+    `ns` holds the true indices of the columns.  Columns of unit weighted-L2
+    norm on weights summing to 1 have |int phi| <= 1, so the tie tolerance
+    is absolute.
+    """
+    tie = np.abs(integrals) <= _INTEGRAL_TIE_TOL
+    flip = np.where(tie, phi1 * (-1.0) ** ns > 0, integrals > 0)
+    sign = np.where(flip, -1.0, 1.0)
+    phi_cols *= sign
+    phi1 *= sign
+    integrals *= sign
 
 
 def nystrom_eigs(cov: CovMatrix, grid: QuadGrid, n_max: int) -> Spectrum:
@@ -165,7 +168,7 @@ def nystrom_eigs(cov: CovMatrix, grid: QuadGrid, n_max: int) -> Spectrum:
     k1 = cov_row(1.0, cov.params, grid)
     phi1 = (w * k1) @ phi / lam
     integrals = w @ phi
-    _sign_fix(phi, phi1, integrals)
+    _sign_fix(phi, phi1, integrals, np.arange(1, n_max + 1))
     return Spectrum("oracle", cov.params, lam, None, grid, phi, phi1, integrals,
                     diagnostics, extend=nystrom_extend)
 

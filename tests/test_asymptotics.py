@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_max_ulp
 from scipy import integrate
 
+from fouspec import asymptotics
 from fouspec.asymptotics import (ThetaProfile, b_alpha_closed, b_alpha_numeric,
                                  eta_h, gamma0, h_weight, lambda_from_nu,
                                  nu_first_order, phi_first_order,
@@ -230,6 +231,25 @@ class TestPhiFirstOrder:
     def test_domain(self):
         with pytest.raises(DomainError):
             phi_first_order(1.2, 3, 0.7)
+
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_broadcasts_x_against_n(self, H, chunk, monkeypatch):
+        # an array of x against an array of n equals the one-by-one calls to
+        # 1 ulp (matrix products of different shapes may round differently),
+        # also when the pairs are split into several blocks
+        if chunk is not None:
+            monkeypatch.setattr(asymptotics, "_CHUNK", chunk)
+        x = np.array([[0.05, 0.25, 0.5], [0.75, 0.9, 1.0]])
+        n = np.array([1, 2, 7, 40])
+        vals = phi_first_order(x, n, H)
+        assert vals.shape == (2, 3, 4)
+        one = np.array([[[phi_first_order(float(xi), int(k), H) for k in n]
+                         for xi in row] for row in x])
+        assert_array_max_ulp(vals, one, maxulp=1)
+        assert phi_first_order(x, 7, H).shape == x.shape
+        assert phi_first_order(0.5, n, H).shape == n.shape
+        assert isinstance(phi_first_order(0.5, 7, H), float)
 
 
 class TestPhiIntegralFirstOrder:

@@ -377,3 +377,29 @@ def test_refined_mse_matches_oracle(capsys):
     for ref, ora in zip(rows["refined"], rows["oracle"]):
         assert ref[:2] == ora[:2]  # eps, u
         assert abs(ref[2] - ora[2]) <= 1e-4 * abs(ora[2])
+
+
+@pytest.mark.parametrize("beta", [10.0, -12.0])
+def test_eigs_keeps_the_table_when_one_refined_index_is_refused(beta, capsys):
+    # find_nu(3) refuses at H = 0.9 (the b_alpha_nu denominator check); the
+    # whole table used to be dropped with exit 2
+    from fouspec.ia_refine import find_nu
+    from fouspec.model import ModelParams
+
+    argv = ["eigs", "--H", "0.9", "--beta", str(beta), "--N-unit", "200", "--n-max", "8"]
+    assert cli.main(argv) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    warnings = [line for line in lines if "refused" in line]
+    assert len(warnings) == 1 and warnings[0].startswith("# warning: refined n=3 refused: ")
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    col = {name: k for k, name in enumerate(rows[0])}
+    refined = [col[k] for k in ("lambda_refined", "nu_refined", "rel_err_refined")]
+    p = ModelParams(H=0.9, beta=beta)
+    for row in rows[1:]:
+        n = int(row[0])
+        assert all(cell for k, cell in enumerate(row) if k not in refined)
+        if n <= 3:
+            assert all(row[k] == "" for k in refined)
+        else:
+            assert float(row[col["nu_refined"]]) == find_nu(n, p)[0]
+    assert [int(row[0]) for row in rows[1:]] == list(range(1, 9))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fouspec.asymptotics import phi_first_order_many
+from fouspec.asymptotics import phi_first_order
 from fouspec.error_analysis import (build_spectrum, check_truncation,
                                     convergence_study, largest_excluded_term,
                                     mse_asymptotic, mse_series, mse_wiener_hopf)
@@ -215,10 +215,10 @@ def test_first_order_extends_by_formula():
     g = QuadGrid.gauss_legendre_unit(30)
     spec = build_spectrum(p, "first_order", n_max=25, grid=g)
     n = np.arange(1, 26)
-    assert np.array_equal(spec.phi_values(1.0), phi_first_order_many(1.0, n, p.H))
-    assert np.array_equal(spec.phi_values(0.3), phi_first_order_many(0.3, n, p.H))
+    assert np.array_equal(spec.phi_values(1.0), phi_first_order(1.0, n, p.H))
+    assert np.array_equal(spec.phi_values(0.3), phi_first_order(0.3, n, p.H))
     assert_allclose(spec.phi_values(float(g.nodes[11])),
-                    phi_first_order_many(float(g.nodes[11]), n, p.H), rtol=0, atol=1e-15)
+                    phi_first_order(float(g.nodes[11]), n, p.H), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 4, 7])

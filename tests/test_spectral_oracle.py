@@ -273,3 +273,27 @@ class TestLookupRule:
         assert np.array_equal(bare.phi_values(float(grid.nodes[5])), spec.phi[5])
         with pytest.raises(DomainError, match="no samples"):
             bare.phi_values(0.123)
+
+
+class TestSignFix:
+    @pytest.mark.parametrize("start", [3, 4])
+    def test_tie_is_broken_by_the_true_index(self, start):
+        # a refined block starts above n = 1: the tie rule phi_n(1) (-1)^n < 0
+        # reads each column's index, not its position
+        ns = np.arange(start, start + 4)
+        phi = np.ones((5, 4))
+        phi1 = np.ones(4)
+        integrals = np.zeros(4)
+        spectral_oracle._sign_fix(phi, phi1, integrals, ns)
+        assert np.all(phi1 * (-1.0) ** ns < 0)
+        assert np.array_equal(phi, np.tile(phi1, (5, 1)))
+
+    def test_integral_decides_outside_the_tie(self):
+        ns = np.arange(3, 7)
+        phi = np.ones((5, 4))
+        phi1 = np.ones(4)
+        integrals = np.array([0.5, -0.5, 2e-12, -2e-12])
+        spectral_oracle._sign_fix(phi, phi1, integrals, ns)
+        assert np.array_equal(integrals, [-0.5, -0.5, -2e-12, -2e-12])
+        assert np.array_equal(phi1, [-1.0, 1.0, -1.0, 1.0])
+        assert np.array_equal(phi[0], phi1)
