@@ -271,9 +271,9 @@ def compute_mse(cfg: RunConfig):
         raise UsageError("duplicate eps values")
     method = cfg.spectrum
     n_max = cfg.n_max
-    if method == "oracle" and abs(p.H - 0.5) < 1e-14:
-        # at H = 1/2 the exact closed form IS the brute-force spectrum; it
-        # allows the deep truncations the power-law tail needs
+    if method == "oracle" and abs(p.H - 0.5) < 1e-14 and not cfg.with_wh:
+        # at H = 1/2 the exact closed form IS the brute-force spectrum and allows
+        # the deep truncations the power-law tail needs; it has no grid for --with-wh
         method = "closed_form_ou"
     if not n_max:
         n_eff = (p.mu ** 2 * p.T ** (2 * p.H + 1) / eps[-1]) ** (1.0 / (2 * p.H + 1))

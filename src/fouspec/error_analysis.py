@@ -16,14 +16,19 @@ must agree to rounding.  As eps -> 0,
 independent of beta, T and of the interior position.  `convergence_study`
 sweeps eps and tabulates the ratios to this limit together with tail and
 oscillation diagnostics.
+
+The series mass beyond N = n_max is the integral of the terms over n >= N
+under lambda_n = lambda_N (N/n)^(2H+1), with phi_n^2 at its mean phi_bar^2
+(2H+1 at the endpoint, 1 inside), in closed form with b = 2H/(2H+1):
+    tail = phi_bar^2 N lambda_N / (2H) * 2F1(1, b; b+1; -mu^2 T lambda_N / eps).
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gamma as _gamma_fn
+from scipy.special import hyp2f1
 
 from .exceptions import DomainError, SolverError, TruncationError
 from .model import DEFAULT_GL_ORDER, CovMatrix, ModelParams, QuadGrid, cov_matrix
@@ -54,40 +59,30 @@ def _series_terms(eps, p: ModelParams, lam):
     return eps * lam / (eps + p.mu ** 2 * p.T * lam)
 
 
-def mse_series(u, eps, p: ModelParams, spec: Spectrum, return_tail=False):
+def mse_series(u, eps, p: ModelParams, spec: Spectrum):
     """Eigen-series value of P(u, eps) from the given spectrum.
 
-    The truncation tail beyond the available eigenpairs is estimated from
-    the power-law decay of the trailing eigenvalues and optionally returned.
+    The pairs beyond n_max are left out; `truncation_tail` estimates their mass.
     """
     if not 0.0 < eps < np.inf:
         raise DomainError(f"eps must be finite and positive, got {eps}")
     if spec.n_max == 0:
         raise DomainError("empty spectrum")
     phi2 = np.asarray(spec.phi_values(u)) ** 2
-    val = float(_series_terms(eps, p, spec.lam) @ phi2)
-    if not return_tail:
-        return val
-    return val, truncation_tail(eps, p, spec, endpoint=(u == 1.0))
+    return float(_series_terms(eps, p, spec.lam) @ phi2)
 
 
 def truncation_tail(eps, p: ModelParams, spec: Spectrum, endpoint=False):
-    """Estimated series mass beyond n_max, from the lambda decay law."""
-    N = spec.n_max
-    lam_n = float(spec.lam[-1])
-    if lam_n <= 0:
-        return 0.0
-    decay = 2.0 * p.H + 1.0
-    C = lam_n * N ** decay
-    phi_bar2 = 2.0 * p.H + 1.0 if endpoint else 1.0
-
-    def mapped(y):
-        # x = N/y folds [N, inf) onto (0, 1]
-        lam = C * (N / y) ** -decay
-        return eps * lam * phi_bar2 / (eps + p.mu ** 2 * p.T * lam) * N / y ** 2
-
-    val, _ = integrate.quad(mapped, 0.0, 1.0, limit=200)
-    return float(val)
+    """Series mass beyond n_max (module docstring); `eps` and `endpoint`
+    broadcast against each other, and two scalars give a float."""
+    H = p.H
+    lam_n = max(float(spec.lam[-1]), 0.0)
+    phi_bar2 = np.where(endpoint, 2.0 * H + 1.0, 1.0)
+    b = 2.0 * H / (2.0 * H + 1.0)
+    with np.errstate(over="ignore"):  # y = inf gives a zero tail
+        y = p.mu ** 2 * p.T * lam_n / np.asarray(eps, dtype=float)
+    tail = phi_bar2 * spec.n_max * lam_n / (2.0 * H) * hyp2f1(1.0, b, b + 1.0, -y)
+    return float(tail) if tail.ndim == 0 else tail
 
 
 def largest_excluded_term(eps, p: ModelParams, spec: Spectrum, endpoint=True):
@@ -105,7 +100,8 @@ def check_truncation(eps, p: ModelParams, spec: Spectrum, u=1.0):
     the latter matters for slowly decaying tails (small H), where every
     single excluded term can look negligible while their sum is not.
     """
-    P, tail = mse_series(u, eps, p, spec, return_tail=True)
+    P = mse_series(u, eps, p, spec)
+    tail = truncation_tail(eps, p, spec, endpoint=(u == 1.0))
     with np.errstate(over="ignore"):  # only the messages read it; inf is fine
         n_eff = (p.mu ** 2 * p.T ** (2.0 * p.H + 1.0) / eps) ** (1.0 / (2.0 * p.H + 1.0))
     worst = largest_excluded_term(eps, p, spec, endpoint=(u == 1.0))
@@ -177,16 +173,15 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
     """
     from . import asymptotics, ia_refine
 
-    if method in ("oracle", "refined") and grid is None:
-        grid = QuadGrid.gauss_legendre_unit(grid_size)
-    if method == "oracle":
+    if method in ("oracle", "refined"):
+        if grid is None:
+            grid = QuadGrid.gauss_legendre_unit(grid_size)
         cov = cov_matrix(grid, p, gl_order)
-        # the matrix stays on the spectrum for the Wiener-Hopf route
-        return replace(nystrom_eigs(cov, grid, n_max), cov=cov)
-    if method == "refined":
-        head = nystrom_eigs(cov_matrix(grid, p, gl_order), grid,
-                            min(n_max, ia_refine.DEFAULT_N_MIN - 1))
-        return ia_refine.refined_spectrum(p, head, n_max)
+        # the matrix stays on the spectrum for the Wiener-Hopf route; the
+        # refined route keeps only the head pairs below the solver's start
+        n_head = n_max if method == "oracle" else min(n_max, ia_refine.DEFAULT_N_MIN - 1)
+        head = replace(nystrom_eigs(cov, grid, n_head), cov=cov)
+        return head if method == "oracle" else ia_refine.refined_spectrum(p, head, n_max)
     if method == "closed_form_ou":
         return ou_closed_form_eigs(p.beta_eff, n_max, grid=grid, params=p)
     if method == "first_order":
@@ -221,22 +216,19 @@ def convergence_study(p: ModelParams, eps_grid, u_points, spec: Spectrum,
         raise DomainError("u_points must lie in (0, 1]")
     for u in u_points:
         check_truncation(eps_grid[-1], p, spec, u=float(u))
-    n_eps, n_u = len(eps_grid), len(u_points)
-    P_series = np.empty((n_eps, n_u))
-    tails = np.empty((n_eps, n_u))
-    P_asym = np.empty((n_eps, n_u))
-    I2 = np.empty((n_eps, n_u))
-    phi2 = {k: np.asarray(spec.phi_values(float(u))) ** 2
-            for k, u in enumerate(u_points)}  # hoisted: u-samples shared over eps
-    for i, eps in enumerate(eps_grid):
+    endpoint = u_points == 1.0
+    phi2 = [np.asarray(spec.phi_values(float(u))) ** 2 for u in u_points]
+    P_series, i1 = [], []
+    for eps in eps_grid:
         terms = _series_terms(eps, p, spec.lam)
-        i1 = float(np.sum(terms))
-        for k, u in enumerate(u_points):
-            P_series[i, k] = float(terms @ phi2[k])
-            tails[i, k] = truncation_tail(float(eps), p, spec, endpoint=(u == 1.0))
-            pos = "endpoint" if u == 1.0 else "interior"
-            P_asym[i, k] = mse_asymptotic(pos, float(eps), p)
-            I2[i, k] = P_series[i, k] - i1
+        # one dot product per cell: a matrix product would round differently
+        P_series.append([float(terms @ f) for f in phi2])
+        i1.append(float(np.sum(terms)))
+    P_series = np.array(P_series)
+    I2 = P_series - np.array(i1)[:, None]
+    tails = truncation_tail(eps_grid[:, None], p, spec, endpoint=endpoint)
+    P_asym = np.array([[mse_asymptotic("endpoint" if e else "interior", float(eps), p)
+                        for e in endpoint] for eps in eps_grid])
     P_wh = None
     if with_wiener_hopf:
         if spec.grid is None:

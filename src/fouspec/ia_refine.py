@@ -357,7 +357,8 @@ def refined_spectrum(p: ModelParams, head: Spectrum, n_max) -> Spectrum:
     indices below it; see `error_analysis.build_spectrum`.  The refined
     columns are the ones `refined_eigenpair` returns, with the exponential
     table of the layer integrals built once.  Refined pairs have grid
-    samples and phi(1) only, so the result has no `extend`.
+    samples and phi(1) only, so the result has no `extend`; it keeps the
+    head's matrix `cov` for the Wiener-Hopf route.
     """
     nu, lam, phi, phi1, integrals, _ = _refined_pairs(
         p, head.grid, range(head.n_max + 1, n_max + 1))
@@ -365,4 +366,4 @@ def refined_spectrum(p: ModelParams, head: Spectrum, n_max) -> Spectrum:
                     np.concatenate([np.full(head.n_max, np.nan), nu]), head.grid,
                     np.hstack([head.phi, phi]), np.concatenate([head.phi1, phi1]),
                     np.concatenate([head.phi_integral, integrals]),
-                    diagnostics={"head_from_oracle": head.n_max})
+                    diagnostics={"head_from_oracle": head.n_max}, cov=head.cov)

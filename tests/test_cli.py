@@ -379,6 +379,22 @@ def test_refined_mse_matches_oracle(capsys):
         assert abs(ref[2] - ora[2]) <= 1e-4 * abs(ora[2])
 
 
+def test_h_half_wiener_hopf_keeps_the_oracle(capsys):
+    # the default oracle used to be swapped for the closed form, which has
+    # no grid, and --with-wh then exited 2
+    argv = ["mse", "--H", "0.5", "--with-wh", "--N-unit", "400", "--n-max", "200",
+            "--eps", "1e-1,1e-2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "# spectrum = oracle, n_max = 200" in out
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    col = {name: k for k, name in enumerate(rows[0])}
+    assert len(rows) == 5
+    for row in rows[1:]:
+        ps, wh, tail = (float(row[col[k]]) for k in ("P_series", "P_wiener_hopf", "tail_est"))
+        assert ps <= wh <= ps + tail
+
+
 @pytest.mark.parametrize("beta", [10.0, -12.0])
 def test_eigs_keeps_the_table_when_one_refined_index_is_refused(beta, capsys):
     # find_nu(3) refuses at H = 0.9 (the b_alpha_nu denominator check); the

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from scipy import integrate
+
+from fouspec import error_analysis
 from fouspec.asymptotics import phi_first_order
 from fouspec.error_analysis import (build_spectrum, check_truncation,
                                     convergence_study, largest_excluded_term,
-                                    mse_asymptotic, mse_series, mse_wiener_hopf)
+                                    mse_asymptotic, mse_series, mse_wiener_hopf,
+                                    truncation_tail)
 from fouspec.exceptions import DomainError, TruncationError
 from fouspec.ia_refine import refined_eigenpair
-from fouspec.model import ModelParams, QuadGrid, cov_matrix
+from fouspec.model import DEFAULT_GL_ORDER, ModelParams, QuadGrid, cov_matrix
 from fouspec.spectral_oracle import nystrom_eigs
 
 
@@ -194,10 +198,74 @@ def test_endpoint_matches_kalman_bucy(beta):
     p = ModelParams(H=0.5, beta=beta)
     spec = build_spectrum(p, "closed_form_ou", n_max=100_000)
     for eps in (1e-4, 1e-5):
-        val, tail = mse_series(1.0, eps, p, spec, return_tail=True)
+        val = mse_series(1.0, eps, p, spec)
+        tail = truncation_tail(eps, p, spec, endpoint=True)
         d = math.sqrt(beta ** 2 + 1.0 / eps)
         e = math.exp(-2.0 * d)
         assert_allclose(val + tail, (1.0 - e) / ((d - beta) + (d + beta) * e), rtol=1e-6)
+
+
+def _tail_reference(y, H):
+    """Integral over s in (0, 1] of 1 / (1 + y s^(1/b)), b = 2H/(2H+1).
+
+    With s = (N/x)^(2H) this is the series mass over x >= N under
+    lambda(x) = lambda_N (N/x)^(2H+1), divided by N lambda_N / (2H) (and by
+    phi_bar^2).  mpmath integrates it to 40 digits where it is installed,
+    else adaptive quadrature to 1e-13.
+    """
+    b = 2.0 * H / (2.0 * H + 1.0)
+    pts = [0.0, y ** -b, 1.0] if y > 1.0 else [0.0, 1.0]  # the knee at s = y^-b
+    try:
+        import mpmath
+    except ImportError:
+        return sum(integrate.quad(lambda s: 1.0 / (1.0 + y * s ** (1.0 / b)), lo, hi,
+                                  epsabs=0, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in zip(pts, pts[1:]))
+    with mpmath.workdps(40):
+        inv_b = 1 / (2 * mpmath.mpf(H)) + 1
+        return float(mpmath.quad(lambda s: 1 / (1 + mpmath.mpf(y) * s ** inv_b), pts))
+
+
+@pytest.mark.parametrize("H", [0.3, 0.5, 0.7, 0.9])
+def test_truncation_tail_against_integral(H):
+    # the closed form against an independent integration of the decay law;
+    # adaptive quadrature at the default tolerance was off by 5e-6
+    p = ModelParams(H=H, beta=-1.0, mu=1.5, T=2.0)
+    spec = build_spectrum(p, "first_order", n_max=50)
+    N, lam_n = spec.n_max, float(spec.lam[-1])
+    ys = np.array([1e-8, 1e-3, 1.0, 1e3])
+    eps = p.mu ** 2 * p.T * lam_n / ys
+    for y, e in zip(ys, eps):
+        ref = N * lam_n / (2.0 * H) * _tail_reference(float(y), H)
+        for endpoint, phi_bar2 in ((False, 1.0), (True, 2.0 * H + 1.0)):
+            got = truncation_tail(float(e), p, spec, endpoint=endpoint)
+            assert isinstance(got, float)
+            assert abs(got / (phi_bar2 * ref) - 1.0) <= 1e-13, (y, endpoint)
+    ends = np.array([False, True])
+    table = truncation_tail(eps[:, None], p, spec, endpoint=ends)
+    assert table.shape == (4, 2)
+    assert np.array_equal(table, [[truncation_tail(float(e), p, spec, endpoint=bool(k))
+                                   for k in ends] for e in eps])
+
+
+def test_refined_spectrum_keeps_its_head_matrix(monkeypatch):
+    # the Wiener-Hopf column used to assemble the matrix a second time, at
+    # the default Gauss order instead of the head's
+    p = ModelParams(H=0.7, beta=-1.0)
+    g = QuadGrid.gauss_legendre_unit(60)
+    calls = []
+
+    def counted(grid, params, gl_order=DEFAULT_GL_ORDER):
+        calls.append((grid.size, gl_order))
+        return cov_matrix(grid, params, gl_order)
+
+    monkeypatch.setattr(error_analysis, "cov_matrix", counted)
+    spec = build_spectrum(p, "refined", n_max=20, grid=g, gl_order=8)
+    us = [float(g.nodes[30]), 1.0]
+    rep = convergence_study(p, [1e-1], us, spec, with_wiener_hopf=True)
+    assert calls == [(60, 8)]
+    assert np.array_equal(rep.P_wiener_hopf[0],
+                          mse_wiener_hopf(us, 1e-1, p, g, cov_matrix(g, p, 8)))
 
 
 def test_refined_head_pairs_follow_gl_order():
