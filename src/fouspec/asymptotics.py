@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as _gamma_fn
 
 from ._quad import doubling_nodes, gauss_legendre_01, geometric_edges
@@ -304,6 +303,8 @@ def h_weight(t, profile: ThetaProfile, strategy="split"):
 
 def _h_parts(t, profile):
     """Independent route: -(1/pi) int theta' log|..| = (1/pi) int theta(s) 2t/(t^2-s^2) ds (PV)."""
+    from scipy import integrate  # this cross-check is its only user
+
     th_t = profile.theta(t)
 
     def regular(s):

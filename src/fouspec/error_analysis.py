@@ -59,15 +59,19 @@ def _series_terms(eps, p: ModelParams, lam):
     return eps * lam / (eps + p.mu ** 2 * p.T * lam)
 
 
+def _check_series_args(eps, spec: Spectrum):
+    if not 0.0 < eps < np.inf:
+        raise DomainError(f"eps must be finite and positive, got {eps}")
+    if spec.n_max == 0:
+        raise DomainError("empty spectrum")
+
+
 def mse_series(u, eps, p: ModelParams, spec: Spectrum):
     """Eigen-series value of P(u, eps) from the given spectrum.
 
     The pairs beyond n_max are left out; `truncation_tail` estimates their mass.
     """
-    if not 0.0 < eps < np.inf:
-        raise DomainError(f"eps must be finite and positive, got {eps}")
-    if spec.n_max == 0:
-        raise DomainError("empty spectrum")
+    _check_series_args(eps, spec)
     phi2 = np.asarray(spec.phi_values(u)) ** 2
     return float(_series_terms(eps, p, spec.lam) @ phi2)
 
@@ -93,14 +97,17 @@ def largest_excluded_term(eps, p: ModelParams, spec: Spectrum, endpoint=True):
     return float(_series_terms(eps, p, np.array([lam_next]))[0] * phi_bar2)
 
 
-def check_truncation(eps, p: ModelParams, spec: Spectrum, u=1.0):
+def check_truncation(eps, p: ModelParams, spec: Spectrum, u=1.0, P=None):
     """Raise TruncationError if eps needs more eigenpairs than available.
 
     Guards both the largest excluded term and the estimated excluded mass;
     the latter matters for slowly decaying tails (small H), where every
-    single excluded term can look negligible while their sum is not.
+    single excluded term can look negligible while their sum is not.  `P` is
+    the series value `mse_series(u, eps, p, spec)`, computed here when the
+    caller does not already hold it.
     """
-    P = mse_series(u, eps, p, spec)
+    if P is None:
+        P = mse_series(u, eps, p, spec)
     tail = truncation_tail(eps, p, spec, endpoint=(u == 1.0))
     with np.errstate(over="ignore"):  # only the messages read it; inf is fine
         n_eff = (p.mu ** 2 * p.T ** (2.0 * p.H + 1.0) / eps) ** (1.0 / (2.0 * p.H + 1.0))
@@ -171,20 +178,24 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
     refined        : oracle pairs below the solver's reach, then the
                      integro-algebraic solver (H >= 1/2)
     """
-    from . import asymptotics, ia_refine
-
     if method in ("oracle", "refined"):
         if grid is None:
             grid = QuadGrid.gauss_legendre_unit(grid_size)
         cov = cov_matrix(grid, p, gl_order)
-        # the matrix stays on the spectrum for the Wiener-Hopf route; the
-        # refined route keeps only the head pairs below the solver's start
-        n_head = n_max if method == "oracle" else min(n_max, ia_refine.DEFAULT_N_MIN - 1)
+        # the matrix stays on the spectrum for the Wiener-Hopf route
+        if method == "oracle":
+            return replace(nystrom_eigs(cov, grid, n_max), cov=cov)
+        from . import ia_refine  # loads scipy.optimize, which no other route needs
+
+        # the refined route keeps only the head pairs below the solver's start
+        n_head = min(n_max, ia_refine.DEFAULT_N_MIN - 1)
         head = replace(nystrom_eigs(cov, grid, n_head), cov=cov)
-        return head if method == "oracle" else ia_refine.refined_spectrum(p, head, n_max)
+        return ia_refine.refined_spectrum(p, head, n_max)
     if method == "closed_form_ou":
         return ou_closed_form_eigs(p.beta_eff, n_max, grid=grid, params=p)
     if method == "first_order":
+        from . import asymptotics
+
         n = np.arange(1, n_max + 1)
         nu = asymptotics.nu_first_order(n, p.H)
         lam = asymptotics.lambda_from_nu(nu, p.H, p.beta_eff) * p.T ** (2.0 * p.H)
@@ -214,8 +225,7 @@ def convergence_study(p: ModelParams, eps_grid, u_points, spec: Spectrum,
         raise DomainError("eps_grid must be strictly decreasing")
     if not np.all((u_points > 0) & (u_points <= 1)):
         raise DomainError("u_points must lie in (0, 1]")
-    for u in u_points:
-        check_truncation(eps_grid[-1], p, spec, u=float(u))
+    _check_series_args(eps_grid[-1], spec)
     endpoint = u_points == 1.0
     phi2 = [np.asarray(spec.phi_values(float(u))) ** 2 for u in u_points]
     P_series, i1 = [], []
@@ -225,6 +235,9 @@ def convergence_study(p: ModelParams, eps_grid, u_points, spec: Spectrum,
         P_series.append([float(terms @ f) for f in phi2])
         i1.append(float(np.sum(terms)))
     P_series = np.array(P_series)
+    # the smallest eps row is exactly what mse_series gives at each u
+    for u, P in zip(u_points, P_series[-1]):
+        check_truncation(eps_grid[-1], p, spec, u=float(u), P=float(P))
     I2 = P_series - np.array(i1)[:, None]
     tails = truncation_tail(eps_grid[:, None], p, spec, endpoint=endpoint)
     P_asym = np.array([[mse_asymptotic("endpoint" if e else "interior", float(eps), p)

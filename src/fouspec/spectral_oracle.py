@@ -4,7 +4,9 @@
 solves the symmetrized matrix problem; it is the brute-force oracle every
 approximation is judged against.  `ou_closed_form_eigs` provides the exact
 H = 1/2 spectrum: lambda_n = 1/(nu_n^2 + beta^2) with nu/beta = tan(nu) and
-eigenfunctions proportional to sqrt(2) sin(nu_n x).
+eigenfunctions proportional to sqrt(2) sin(nu_n x).  Its roots come from
+array Newton iterations on the pole-free arctan form of each tan branch;
+only the (at most one) root or head mode near 0 is bisected.
 
 Sign convention for all spectra: int_0^1 phi_n < 0, ties (|int phi_n| <=
 1e-12) broken by phi_n(1) * (-1)^n < 0, so eigenfunctions from different
@@ -203,13 +205,46 @@ def _tan_roots(beta: float, n_max: int) -> np.ndarray:
     """Increasing positive roots of nu/beta = tan(nu).
 
     Branch k >= 1 holds exactly one root, between k pi and the pole at
-    k pi + sign(beta) pi/2, where tan(nu) - nu/beta rises through zero;
-    branch 0 holds one (in (0, pi/2)) only when 0 < beta < 1.
+    k pi + sign(beta) pi/2; there tan(nu) = tan(nu - k pi) makes it the zero
+    of the pole-free F(v) = v - k pi - atan(v/beta), which `_newton_branches`
+    finds.  Branch 0 holds one root (in (0, pi/2)) only when 0 < beta < 1;
+    the arctan form cancels there as beta -> 1, so that single root is
+    bisected on the tan form.
     """
-    kpi = (np.arange(n_max) + (0 if 0.0 < beta < 1.0 else 1)) * np.pi
-    half = math.copysign(0.5 * math.pi, beta)
-    return _bisect(lambda v: np.tan(v) - v / beta,
-                   kpi + min(half, 0.0), kpi + max(half, 0.0))
+    if n_max < 1 or not 0.0 < beta < 1.0:
+        return _newton_branches(beta, np.arange(1.0, n_max + 1))
+    lone = _bisect(lambda v: np.tan(v) - v / beta, np.zeros(1), np.full(1, 0.5 * math.pi))
+    return np.concatenate([lone, _newton_branches(beta, np.arange(1.0, n_max))])
+
+
+# pi = _PI_HI + _PI_LO to 1.3e-24, with 25 significant bits in _PI_HI: k * _PI_HI
+# is exact for k < 2^28, so F below does not inherit the rounding of k pi
+_PI_HI = float.fromhex("0x1.921fb5p+1")
+_PI_LO = float.fromhex("0x1.110b4611a6263p-25")
+
+
+def _newton_branches(beta: float, k: np.ndarray) -> np.ndarray:
+    """Zeros of F(v) = v - k pi - atan(v/beta), one per branch index k >= 1.
+
+    F' = 1 - beta/(beta^2 + v^2) >= 1 - 1/(2 pi) on every branch, and
+    F'' = 2 beta v/(beta^2 + v^2)^2 makes F convex for beta > 0 and concave
+    for beta < 0, so Newton from the pole k pi + sign(beta) pi/2 approaches
+    the root monotonically (from the right for beta > 0, from the left for
+    beta < 0).  An entry stops when its step no longer moves it toward the
+    root, which happens at rounding level; the loop ends when all have
+    stopped, after 4-5 steps for beta in [-12, 300].  v - k _PI_HI is exact
+    (v lies within pi/2 of it), so the roots are correctly rounded to about
+    0.5 ulp.
+    """
+    hi, lo = k * _PI_HI, k * _PI_LO
+    v = k * np.pi + math.copysign(0.5 * math.pi, beta)
+    while True:
+        step = ((v - hi) - lo - np.arctan(v / beta)) / (1.0 - beta / (beta * beta + v * v))
+        moved = v - step
+        toward = moved < v if beta > 0 else moved > v
+        if not toward.any():
+            return v
+        v = np.where(toward, moved, v)
 
 
 def _ou_modes(beta: float, n_max: int) -> np.ndarray:
@@ -296,8 +331,8 @@ def ou_closed_form_eigs(beta: float, n_max: int, grid: QuadGrid = None,
     """Exact H = 1/2 spectrum on the unit interval (drift `beta`).
 
     Oscillatory modes have lambda_n = 1/(nu_n^2 + beta^2) with nu/beta =
-    tan(nu) found by one array bisection over the half-branch brackets of
-    `_tan_roots` (beta = 0: exactly nu_n = (n-1/2) pi) and eigenfunctions
+    tan(nu) found by array Newton steps on the arctan form of each branch
+    (`_tan_roots`; beta = 0: exactly nu_n = (n-1/2) pi) and eigenfunctions
     proportional to sqrt(2) sin(nu_n x); for beta >= 1 the complete spectrum
     additionally starts with one non-oscillatory mode (see `_ou_modes`).
     Eigenfunctions are unit-norm and sign-fixed to int phi < 0.  When
@@ -311,8 +346,9 @@ def ou_closed_form_eigs(beta: float, n_max: int, grid: QuadGrid = None,
         beta = params.beta_eff
     else:
         params = ModelParams(H=0.5, beta=beta)
-    # nu/beta may overflow to inf at subnormal beta, which bisects correctly;
-    # overflow (and inf/inf) in the head mode is refused below
+    # nu/beta may overflow to inf at subnormal beta and beta^2 at huge beta,
+    # which the arctan form takes in stride; overflow (and inf/inf) in the
+    # head mode is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         nu = _ou_modes(beta, n_max)
         # head mode: tanh(kappa) = kappa/beta turns 1/(beta^2 - kappa^2) into

@@ -419,3 +419,29 @@ def test_eigs_keeps_the_table_when_one_refined_index_is_refused(beta, capsys):
         else:
             assert float(row[col["nu_refined"]]) == find_nu(n, p)[0]
     assert [int(row[0]) for row in rows[1:]] == list(range(1, 9))
+
+
+def test_closed_form_and_oracle_routes_load_only_what_they_use():
+    # a fresh interpreter: tests share sys.modules.  The refinement and
+    # first-order modules with scipy.optimize and scipy.integrate cost about
+    # 0.2 s and 20 MB to import
+    code = """
+import contextlib, io, json, sys
+from fouspec import cli
+heavy = ["fouspec.ia_refine", "fouspec.asymptotics", "scipy.optimize", "scipy.integrate"]
+loaded = {}
+for argv in (["mse", "--H", "0.5", "--eps", "1e-3"],
+             ["mse", "--H", "0.7", "--spectrum", "oracle", "--N-unit", "60",
+              "--n-max", "30", "--eps", "1e-1,1e-2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == cli.EXIT_OK
+    loaded[argv[2]] = [m for m in heavy if m in sys.modules]
+import fouspec.asymptotics
+loaded["asymptotics"] = [m for m in heavy[2:] if m in sys.modules]
+print(json.dumps(loaded))
+"""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"0.5": [], "0.7": [], "asymptotics": []}

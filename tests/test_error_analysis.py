@@ -184,6 +184,26 @@ class TestTruncationGuard:
         with pytest.raises(TruncationError, match="excluded series mass"):
             check_truncation(1e-6, p, spec, u=1.0)
 
+    def test_sweep_reuses_its_series(self, monkeypatch):
+        # convergence_study hands its smallest-eps row to check_truncation
+        # instead of summing the series again; the refusal is unchanged
+        p = ModelParams(H=0.5)
+        spec = build_spectrum(p, "closed_form_ou", n_max=300)
+        with pytest.raises(TruncationError) as direct:  # the sweep's first u
+            check_truncation(1e-9, p, spec, u=0.5)
+
+        def no_series(*args, **kwargs):
+            raise AssertionError("mse_series called")
+
+        monkeypatch.setattr(error_analysis, "mse_series", no_series)
+        with pytest.raises(TruncationError) as swept:
+            convergence_study(p, [1e-3, 1e-9], [0.5, 1.0], spec)
+        assert str(swept.value) == str(direct.value)
+        rep = convergence_study(p, [1e-1, 1e-2], [0.5, 1.0], spec)
+        monkeypatch.undo()
+        for k, u in enumerate((0.5, 1.0)):
+            assert rep.P_series[-1, k] == mse_series(u, 1e-2, p, spec)
+
     def test_acceptance_when_sufficient(self, bm_spectrum):
         p, spec = bm_spectrum
         check_truncation(1e-6, p, spec, u=1.0)

@@ -231,6 +231,70 @@ class TestClosedFormOU:
         assert_allclose(g.weights @ phi0, spec.phi_integral[0], rtol=1e-11)
 
 
+# strong reversion, beta < 0, the branch-0 root, the sinh head mode, large beta
+_ROOT_BETAS = [-12.0, -1.1, 0.3, 2.0, 300.0]
+_DEEP = 632_000  # the truncation of `mse --H 0.5 --eps ...,1e-7`
+
+
+def _tan_bisection(beta, n_max):
+    """All roots by 64 array bisection halvings on the tan form, over the
+    half-branch brackets [k pi, k pi + sign(beta) pi/2]."""
+    kpi = (np.arange(n_max) + (0 if 0.0 < beta < 1.0 else 1)) * np.pi
+    half = math.copysign(0.5 * math.pi, beta)
+    return spectral_oracle._bisect(lambda v: np.tan(v) - v / beta,
+                                   kpi + min(half, 0.0), kpi + max(half, 0.0))
+
+
+class TestTanRoots:
+    @pytest.mark.parametrize("beta", _ROOT_BETAS)
+    def test_sampled_branches_against_mpmath(self, beta):
+        # root k >= 1 of v - k pi - atan(v/beta) to 40 digits; branch 0 (beta =
+        # 0.3) on the tan form.  The two-part pi keeps the Newton roots
+        # correctly rounded (0.501 ulp measured); with the rounded k pi they
+        # were 1.34 ulp off, and 64 bisection halvings up to 3 ulp
+        mpmath = pytest.importorskip("mpmath")
+        nu = spectral_oracle._tan_roots(beta, _DEEP)
+        first = 0 if 0.0 < beta < 1.0 else 1
+        idx = sorted(set(range(12)) | set(np.geomspace(12, _DEEP, 24).astype(int) - 1))
+        with mpmath.workdps(40):
+            for i in idx:
+                k = i + first
+                if k == 0:
+                    f = lambda v: mpmath.tan(v) - v / beta
+                else:
+                    f = lambda v, k=k: v - k * mpmath.pi - mpmath.atan(v / beta)
+                root = mpmath.findroot(f, mpmath.mpf(float(nu[i])))
+                ulps = abs(mpmath.mpf(float(nu[i])) - root) / np.spacing(nu[i])
+                assert ulps <= 0.75, (i, float(ulps))
+
+    @pytest.mark.parametrize("beta", _ROOT_BETAS)
+    def test_whole_arrays_match_tan_bisection(self, beta):
+        nu = spectral_oracle._tan_roots(beta, _DEEP)
+        ref = _tan_bisection(beta, _DEEP)
+        assert np.all(np.abs(nu - ref) <= 4.0 * np.spacing(ref))
+
+    @pytest.mark.parametrize("beta", [5e-324, -5e-324, 1e300, -1e300, 354.0])
+    def test_extreme_beta_roots_are_finite_and_increasing(self, beta):
+        # v/beta overflows at subnormal beta and beta^2 at 1e300
+        with np.errstate(over="ignore"):
+            nu = spectral_oracle._tan_roots(beta, 10_000)
+        assert np.all(np.isfinite(nu)) and nu[0] > 0
+        assert np.all(np.diff(nu) > 0)
+
+    @pytest.mark.parametrize("beta", [1 + 1e-9, 1 - 1e-9, 1 - 1e-12])
+    def test_modes_near_zero_stay_bisected(self, beta):
+        # the arctan form cancels as beta -> 1, so the branch-0 root (beta < 1)
+        # and the sinh head mode (beta > 1) keep the bisection's exact bits
+        nu = ou_closed_form_eigs(beta, 5).nu
+        if beta < 1.0:
+            ref = _tan_bisection(beta, 1)
+        else:
+            ref = -spectral_oracle._bisect(lambda k: k / beta - np.tanh(k),
+                                           np.zeros(1), np.full(1, beta))
+        assert nu[0] == ref[0]
+        assert nu[1] == spectral_oracle._newton_branches(beta, np.ones(1))[0]
+
+
 class TestNystromExtend:
     def test_exact_at_grid_nodes(self, oracle_07):
         _, grid, spec = oracle_07
