@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gamma as _gamma_fn
 
-from ._quad import doubling_nodes, gauss_legendre_01, geometric_edges
+from ._quad import doubling_nodes, graded_nodes
 from .exceptions import DomainError
 
 _HEAD = 2.0 ** -26  # lower cutoff of the master semi-axis rule
@@ -246,7 +246,6 @@ def _h_pattern():
     both sides; the skipped slivers are handled analytically by the caller.
     """
     n_inner, n_outer, m = 28, 29, 16  # graded panels, doubling panels, nodes each
-    xg, wg = gauss_legendre_01(m)
     segs = []
     # [head, 1/2]: doubling panels away from 0 (theta' may blow up like v^-alpha)
     nodes, weights, _ = doubling_nodes(_HEAD, 25, m)
@@ -254,12 +253,8 @@ def _h_pattern():
     segs.append((nodes[keep], weights[keep]))
     # [1/2, 1) and (1, 2]: graded toward the singularity, equal slivers left
     delta = 0.5 * 0.5 ** n_inner  # uncovered sliver half-width (relative)
-    for side, length, n in ((-1.0, 0.5, n_inner), (+1.0, 1.0, n_inner + 1)):
-        edges = geometric_edges(length, n, 0.5)
-        for far, near in zip(edges[:-1], edges[1:]):
-            h = far - near
-            s = 1.0 + side * (near + h * xg)
-            segs.append((s, h * wg))
+    segs.append(graded_nodes(0.5, 1.0, 1.0, n_inner, m))
+    segs.append(graded_nodes(1.0, 2.0, 1.0, n_inner + 1, m))
     # [2, 2^n_outer]
     nodes, weights, _ = doubling_nodes(2.0, n_outer, m)
     segs.append((nodes, weights))
@@ -276,10 +271,15 @@ def h_weight(t, profile: ThetaProfile, strategy="split"):
     """Weight h(t) = exp(-(1/pi) int_0^inf theta'(s) log|(t+s)/(t-s)| ds) sin(theta(t)).
 
     strategy "split" (default) uses the cached panel rule, vectorized over t;
-    "parts" integrates by parts into a principal-value form evaluated with
-    adaptive quadrature and exists as an independent cross-check.
+    "parts" (scalar t only) integrates by parts into a principal-value form
+    evaluated with adaptive quadrature and exists as an independent
+    cross-check.  Any other strategy is refused.
     """
+    if strategy not in ("split", "parts"):
+        raise DomainError(f"h_weight strategy must be 'split' or 'parts', got {strategy!r}")
     if strategy == "parts":
+        if np.ndim(t):
+            raise DomainError("h_weight strategy 'parts' takes a scalar t")
         return _h_parts(float(t), profile)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr <= 0):

@@ -185,7 +185,7 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
         # the matrix stays on the spectrum for the Wiener-Hopf route
         if method == "oracle":
             return replace(nystrom_eigs(cov, grid, n_max), cov=cov)
-        from . import ia_refine  # loads scipy.optimize, which no other route needs
+        from . import ia_refine  # the other routes never load the solver
 
         # the refined route keeps only the head pairs below the solver's start
         n_head = min(n_max, ia_refine.DEFAULT_N_MIN - 1)

@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """A numerical stage failed (eigensolve, bracketing, fixed point, quadrature)."""
+    """A numerical stage failed (eigensolve, linear solve, root finding, quadrature)."""
 
     def __init__(self, message, stage=None):
         super().__init__(message)

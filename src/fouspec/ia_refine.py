@@ -8,10 +8,10 @@ integral equations
 
 with the weight h from `asymptotics.h_weight`.  Discretized, each sign is
 one dense linear system (I -+ A) p = t^j with both right-hand sides j = 0, 1,
-solved directly.  The frequency comes from bracketed root finding around
-the first-order guess, and the eigenfunction from evaluating the
-inverse-Laplace representation: a residue oscillation plus a semi-axis layer
-integral.  Eigenvalues follow from
+solved directly.  The frequency comes from secant steps on the pole-free
+arctan form of Im{xi conj(eta)}, started at the first-order guess, and the
+eigenfunction from evaluating the inverse-Laplace representation: a residue
+oscillation plus a semi-axis layer integral.  Eigenvalues follow from
 
     lambda = sin(pi H) Gamma(2H+1) nu^{alpha-1} / (beta^2 + nu^2),
 
@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._quad import doubling_nodes
 from .asymptotics import ThetaProfile, h_weight, lambda_from_nu, nu_first_order
@@ -39,9 +38,10 @@ from .model import ModelParams, QuadGrid
 from .spectral_oracle import EigenPair, Spectrum, _sign_fix
 
 U_MAX = 37.0
-DEFAULT_BRACKET = 0.3
-MAX_BRACKET = math.pi / 2  # half the spacing of consecutive roots
-WIDENINGS = 6              # widest try: 6 * DEFAULT_BRACKET > MAX_BRACKET
+MAX_OFFSET = math.pi / 2  # half the spacing of consecutive roots
+TIE_MARGIN = 0.15         # refuse a guess this close (in g) to a midpoint of roots
+STEP_REL = 1e-13          # secant stops after a step <= STEP_REL * nu
+MAX_STEPS = 10            # at most 5 were needed for H in [1/2, 0.99], beta T in [-12, 6.6]
 DEFAULT_N_MIN = 3
 NU_MIN = 1.0
 RESIDUAL_REL = 1e-10
@@ -172,68 +172,65 @@ def evaluate_abxi(nu, p: ModelParams, solution: _QPSolution = None):
     }
 
 
-def find_nu(n, p: ModelParams, bracket=DEFAULT_BRACKET):
+def find_nu(n, p: ModelParams):
     """Refined frequency: root of Im{xi conj(eta)} near the first-order guess.
 
     The enumeration is already calibrated: initializing at nu_first_order(n)
     reproduces nu_n = (n - 1/2) pi exactly in the degenerate case alpha = 1,
-    beta = 0.  The bracket is guess +- bracket, widened when it shows no
-    sign change (strong drift moves the low roots by more than 0.3).
-    Returns (nu, IARefinement, the root's _QPSolution).
+    beta = 0.  The root is the zero of g(nu) = atan(Im z / Re z), z = xi
+    conj(eta): the argument of z reduced mod pi.  g jumps only where Re z = 0,
+    halfway between roots, and rises with slope about 1 near each root, so
+    the first step is -g(guess) and secant steps follow until a step is at
+    most STEP_REL * nu; no bracket is needed.  Returns the last evaluated
+    point as (nu, IARefinement, the root's _QPSolution).
     """
     _check_params(p)
     if n < DEFAULT_N_MIN:
         raise DomainError(f"refined frequencies start at n = {DEFAULT_N_MIN}")
     guess = nu_first_order(n, p.H)
-    if guess - bracket < NU_MIN:
-        raise DomainError(f"bracket around nu={guess:.3g} dips below nu_min={NU_MIN}")
     semigrid = QuadGrid.semi_axis(U_MAX)
-    cache = {}
 
-    def imxe(nu):
-        if nu not in cache:  # brentq evaluates the bracket ends again
-            sol = solve_p(nu, p, semigrid)
-            cache[nu] = (sol, evaluate_abxi(nu, p, sol))
-        vals = cache[nu][1]
-        return (vals["xi"] * np.conj(vals["eta"])).imag
+    def g(nu):
+        sol = solve_p(nu, p, semigrid)
+        vals = evaluate_abxi(nu, p, sol)
+        z = vals["xi"] * vals["eta"].conjugate()
+        return (math.atan(z.imag / z.real) if z.real else math.copysign(math.pi / 2, z.imag),
+                sol, vals)
 
-    lo, hi = guess - bracket, guess + bracket
-    flo, fhi = imxe(lo), imxe(hi)
-    # no sign change: widen to k * bracket, k = 2 .. WIDENINGS, never past
-    # MAX_BRACKET; the root nearest the guess lies in the first outer piece
-    # that changes sign
-    k = 1
-    while flo * fhi > 0 and k < WIDENINGS and k * bracket < MAX_BRACKET:
-        k += 1
-        half = min(k * bracket, MAX_BRACKET)
-        lo2, hi2 = guess - half, guess + half
-        flo2, fhi2 = imxe(lo2), imxe(hi2)
-        left, right = flo2 * flo <= 0, fhi2 * fhi <= 0
-        if left and right:
-            raise SolverError(f"Im(xi eta*) changes sign on both sides of nu={guess:.6g} "
-                              f"at distance {half:.3g}", stage="find_nu")
-        if left:
-            lo, flo, hi, fhi = lo2, flo2, lo, flo
-        elif right:
-            lo, flo, hi, fhi = hi, fhi, hi2, fhi2
-        else:
-            lo, flo, hi, fhi = lo2, flo2, hi2, fhi2
-    if flo * fhi > 0:
-        raise SolverError(f"no sign change of Im(xi eta*) in [{lo:.6g}, {hi:.6g}] "
-                          f"(f={flo:.3g}, {fhi:.3g})", stage="find_nu")
-    # brentq returns a point it evaluated: an end where f vanishes, or its root
-    root = brentq(imxe, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    sol, vals = cache[root]
-    prod = vals["xi"] * np.conj(vals["eta"])
+    nu, (g_nu, sol, vals) = guess, g(guess)
+    # |g(guess)| near pi/2 puts the guess near the midpoint of two roots, and
+    # either could be found.  With slope 1 the margin refuses a guess whose
+    # distances to the two roots differ by less than 2 * TIE_MARGIN = 0.3
+    if abs(g_nu) > math.pi / 2 - TIE_MARGIN:
+        raise SolverError(f"nu={guess:.6g} is about equally far from two roots of "
+                          f"Im(xi eta*) (g = {g_nu:.3g})", stage="find_nu")
+    slope = 1.0  # of g near a root, for the first step
+    for _ in range(MAX_STEPS):
+        step = -g_nu / slope
+        if abs(step) <= STEP_REL * nu:
+            break
+        nu += step
+        if abs(nu - guess) > MAX_OFFSET:
+            raise SolverError(f"secant iterate {nu:.6g} is more than {MAX_OFFSET:.3g} "
+                              f"from the guess {guess:.6g}", stage="find_nu")
+        g_prev, (g_nu, sol, vals) = g_nu, g(nu)
+        slope = (g_nu - g_prev) / step
+        if not slope > 0.0:  # g rises through its roots; a fall crossed a jump
+            raise SolverError(f"secant slope {slope:.3g} of g at nu={nu:.6g} is not "
+                              "positive", stage="find_nu")
+    else:
+        raise SolverError(f"no root of Im(xi eta*) within {MAX_STEPS} secant steps "
+                          f"from nu={guess:.6g}", stage="find_nu")
+    prod = vals["xi"] * vals["eta"].conjugate()
     residual = abs(prod.imag)
     if residual > RESIDUAL_REL * abs(prod):
         raise SolverError(f"root residual {residual:.2e} exceeds "
                           f"{RESIDUAL_REL:.0e} * |xi eta*| = {RESIDUAL_REL * abs(prod):.2e}",
                           stage="find_nu")
-    ref = IARefinement(n=n, nu=float(root), xi=vals["xi"], eta=vals["eta"],
+    ref = IARefinement(n=n, nu=nu, xi=vals["xi"], eta=vals["eta"],
                        b_alpha_nu=vals["b_alpha_nu"], residual=residual,
                        contraction_norm=sol.contraction_norm)
-    return float(root), ref, sol
+    return nu, ref, sol
 
 
 def _phi_tilde(ref: IARefinement, sol: _QPSolution, p: ModelParams):

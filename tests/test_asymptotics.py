@@ -179,6 +179,14 @@ class TestHWeight:
         with pytest.raises(DomainError):
             h_weight(-1.0, ThetaProfile(0.5))
 
+    def test_refuses_unknown_strategy_and_array_parts(self):
+        # a misspelt strategy would otherwise compare "split" with itself
+        prof = ThetaProfile(0.6, -1.0, 30.0)
+        with pytest.raises(DomainError, match="strategy"):
+            h_weight(0.5, prof, "prts")
+        with pytest.raises(DomainError, match="scalar"):
+            h_weight(np.array([0.5, 1.0]), prof, "parts")
+
 
 class TestRho0:
     def test_alpha_one_zero(self):

@@ -422,26 +422,32 @@ def test_eigs_keeps_the_table_when_one_refined_index_is_refused(beta, capsys):
 
 
 def test_closed_form_and_oracle_routes_load_only_what_they_use():
-    # a fresh interpreter: tests share sys.modules.  The refinement and
-    # first-order modules with scipy.optimize and scipy.integrate cost about
-    # 0.2 s and 20 MB to import
+    # a fresh interpreter: tests share sys.modules.  The closed-form and oracle
+    # routes load neither the refinement nor the first-order module; no route
+    # loads scipy.optimize, and scipy.integrate serves only the h_weight
+    # cross-check
     code = """
 import contextlib, io, json, sys
 from fouspec import cli
 heavy = ["fouspec.ia_refine", "fouspec.asymptotics", "scipy.optimize", "scipy.integrate"]
 loaded = {}
-for argv in (["mse", "--H", "0.5", "--eps", "1e-3"],
-             ["mse", "--H", "0.7", "--spectrum", "oracle", "--N-unit", "60",
-              "--n-max", "30", "--eps", "1e-1,1e-2"]):
+def run(key, argv, watch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == cli.EXIT_OK
-    loaded[argv[2]] = [m for m in heavy if m in sys.modules]
-import fouspec.asymptotics
-loaded["asymptotics"] = [m for m in heavy[2:] if m in sys.modules]
+    loaded[key] = [m for m in watch if m in sys.modules]
+run("0.5", ["mse", "--H", "0.5", "--eps", "1e-3"], heavy)
+run("0.7", ["mse", "--H", "0.7", "--spectrum", "oracle", "--N-unit", "60",
+            "--n-max", "30", "--eps", "1e-1,1e-2"], heavy)
+import fouspec.ia_refine
+loaded["ia_refine"] = [m for m in heavy[2:] if m in sys.modules]
+run("refined", ["mse", "--H", "0.7", "--spectrum", "refined", "--N-unit", "60",
+                "--n-max", "20", "--eps", "1e-1"], heavy[2:3])
+run("eigs", ["eigs", "--N-unit", "60", "--n-max", "6"], heavy[2:3])
 print(json.dumps(loaded))
 """
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"0.5": [], "0.7": [], "asymptotics": []}
+    assert json.loads(proc.stdout) == {"0.5": [], "0.7": [], "ia_refine": [],
+                                       "refined": [], "eigs": []}

@@ -134,14 +134,46 @@ class TestFindNu:
         assert gaps[10] * 10 <= gaps[5] * 5 * 1.5
         assert gaps[20] * 20 <= gaps[5] * 5 * 1.5
 
-    def test_domain_and_bracket_errors(self):
+    def test_domain_and_bracket_errors(self, monkeypatch):
         p = ModelParams(H=0.7, beta=-1.0)
         with pytest.raises(DomainError):
             find_nu(2, p)
         with pytest.raises(DomainError):
             find_nu(5, ModelParams(H=0.3))
-        with pytest.raises(SolverError):
-            find_nu(10, p, bracket=1e-7)  # no sign change that close in
+        monkeypatch.setattr(ia_refine, "MAX_STEPS", 1)
+        with pytest.raises(SolverError, match="secant steps"):
+            find_nu(10, p)  # one step from the guess does not converge
+
+    def test_refuses_iterate_far_from_guess(self, monkeypatch):
+        p = ModelParams(H=0.7, beta=-1.0)
+        offset = abs(find_nu(3, p)[0] - nu_first_order(3, p.H))
+        monkeypatch.setattr(ia_refine, "MAX_OFFSET", offset / 2)
+        with pytest.raises(SolverError, match="from the guess"):
+            find_nu(3, p)
+
+    def test_refuses_guess_between_two_roots(self, monkeypatch):
+        # the roots of the degenerate case are (n - 1/2) pi; n pi is their midpoint
+        p = ModelParams(H=0.5, beta=0.0)
+        monkeypatch.setattr(ia_refine, "nu_first_order", lambda n, H: n * math.pi)
+        with pytest.raises(SolverError, match="equally far"):
+            find_nu(5, p)
+        monkeypatch.setattr(ia_refine, "nu_first_order",
+                            lambda n, H: n * math.pi - 2.0 * ia_refine.TIE_MARGIN)
+        assert_allclose(find_nu(5, p)[0], 4.5 * math.pi, rtol=1e-13)
+
+    def test_solves_per_root(self, monkeypatch):
+        # secant steps from the first-order guess need about 3.5 solves per root
+        p = ModelParams(H=0.7, beta=-1.0)
+        calls = []
+        solve = ia_refine.solve_p
+        monkeypatch.setattr(ia_refine, "solve_p",
+                            lambda *args: calls.append(1) or solve(*args))
+        counts = []
+        for n in range(3, 101):
+            before = len(calls)
+            find_nu(n, p)
+            counts.append(len(calls) - before)
+        assert np.mean(counts) <= 4 and max(counts) <= 6
 
     def test_dominates_first_order(self, oracle_07):
         p, _, spec = oracle_07

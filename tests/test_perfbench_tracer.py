@@ -1,11 +1,18 @@
 """The benchmark's tracer wraps names the package still binds.
 
 `Tracer.wrap` skips a name its module no longer has, so a renamed or moved
-function would silently read as a zero layer metric.
+function would silently read as a zero layer metric.  The spans' counts come
+from the wrapped calls' return values, such as `find_nu`'s IARefinement.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import fouspec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -32,3 +39,21 @@ def test_every_wrapped_name_exists():
     missing = [f"{module.__name__}.{attr}" for module, attr in rec.wrapped
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_traced_refined_run_reads_find_nu(tmp_path):
+    spans, stdout = tmp_path / "spans.jsonl", tmp_path / "stdout.csv"
+    src = str(Path(fouspec.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), str(spans), str(stdout), "0", "mse", "--H", "0.7",
+         "--spectrum", "refined", "--N-unit", "60", "--n-max", "20", "--eps", "1e-1"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    recs = [json.loads(line) for line in spans.read_text().splitlines()]
+    roots = [r for r in recs if r["name"] == "ia_refine.find_nu"]
+    assert roots
+    assert all("residual" in r and "contraction_norm" in r for r in roots)
+    wall = max(r["end"] for r in recs) - min(r["start"] for r in recs)
+    assert _load_tracer().layer_metrics(recs, wall)["ia_refine.evals_per_root"] > 0
