@@ -26,16 +26,6 @@ def jacobi_01(n, c):
     return 0.5 * (x + 1.0), w * 0.5 ** (c + 1.0)
 
 
-def geometric_edges(length, n_panels, ratio):
-    """Panel edges accumulating geometrically toward distance 0.
-
-    Returns the decreasing distances [length, length*ratio, ...,
-    length*ratio^n_panels]; the innermost sliver [0, length*ratio^n_panels]
-    stays uncovered for the caller to treat.
-    """
-    return length * ratio ** np.arange(n_panels + 1)
-
-
 def graded_nodes(a, b, toward, n_panels, m, ratio=0.5, cover_sliver=False):
     """Composite GL nodes/weights on [a,b], panels graded toward `toward` (= a or b).
 
@@ -44,9 +34,9 @@ def graded_nodes(a, b, toward, n_panels, m, ratio=0.5, cover_sliver=False):
     singularity there themselves.  With cover_sliver=True a final GL panel
     closes the gap (enough for kinks where the integrand stays finite).
     """
-    L = b - a
     xg, wg = gauss_legendre_01(m)
-    edges = geometric_edges(L, n_panels, ratio)
+    # distances from `toward`: (b - a) ratio^k for k = 0..n_panels
+    edges = (b - a) * ratio ** np.arange(n_panels + 1)
     if cover_sliver:
         edges = np.concatenate([edges, [0.0]])
     nodes, weights = [], []

@@ -21,7 +21,7 @@ scipy.quad routes are kept as independent cross-check strategies.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn
@@ -102,7 +102,6 @@ class ThetaProfile:
         self.phi_angle = (1.0 - alpha) * math.pi / 2.0
         self._sin_phi = math.sin(self.phi_angle)
         self._cos_phi = math.cos(self.phi_angle)
-        self._cache = {}
         if self.r != 0.0 and alpha > 1.0:
             raise DomainError("finite-nu profiles are defined for alpha <= 1")
 
@@ -163,11 +162,10 @@ class ThetaProfile:
         return Dp
 
     # -- master semi-axis rule shared by the integral transforms ------------
+    @cached_property
     def _master(self):
-        if "master" not in self._cache:
-            nodes, weights, u_end = _master_rule()
-            self._cache["master"] = (nodes, weights, self.theta(nodes), u_end)
-        return self._cache["master"]
+        nodes, weights, u_end = _master_rule()
+        return nodes, weights, self.theta(nodes), u_end
 
     def b_alpha_nu(self):
         """(1/pi) int_0^inf theta(u) du with analytic head correction."""
@@ -177,7 +175,7 @@ class ThetaProfile:
         if dmin <= 0.01:
             raise DomainError("nu too small: theta denominator not bounded away "
                               f"from zero (min {dmin:.3g})")
-        nodes, weights, th, _ = self._master()
+        nodes, weights, th, _ = self._master
         return (float(weights @ th) + self.phi_angle * _HEAD) / math.pi
 
     def x_cauchy(self, z):
@@ -189,7 +187,7 @@ class ThetaProfile:
         negative axis) is evaluated in real arithmetic, which gives the same
         values at a fraction of the cost; the result is complex either way.
         """
-        nodes, weights, th, u_end = self._master()
+        nodes, weights, th, u_end = self._master
         z = np.asarray(z)
         zf = z.reshape(-1).astype(complex if np.iscomplexobj(z) else float)
         if np.any((zf.imag == 0) & (zf.real >= 0)):

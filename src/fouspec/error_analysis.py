@@ -124,19 +124,25 @@ def check_truncation(eps, p: ModelParams, spec: Spectrum, u=1.0, P=None):
             f"n_max={spec.n_max} (~{n_eff:.0f} effective terms)")
 
 
-def mse_wiener_hopf(u, eps, p: ModelParams, grid: QuadGrid, cov: CovMatrix = None):
-    """P(u, eps) from the dense discretized Wiener-Hopf solve.
+def mse_wiener_hopf(u, eps, cov: CovMatrix):
+    """P(u, eps) from the dense Wiener-Hopf solve on the matrix's grid, with
+    mu and T from its params.
 
-    u is one point or a sequence of points, each snapped to the nearest grid
-    node; a sequence shares one Cholesky factorization and returns an array.
-    Algebraically identical to `mse_series` fed the full spectrum of the same
-    matrix.
+    u is one point in [0,1] or a sequence of them, each snapped to the
+    nearest grid node; a sequence shares one Cholesky factorization and
+    returns an array.  Algebraically identical to `mse_series` fed the full
+    spectrum of the same matrix at that node.  So at u = 1 this is the value
+    at the last node, not at the endpoint where `mse_series` reads phi(1):
+    at N = 300 (H = 0.7, beta = -1, eps = 1e-3) that node is 1.6e-5 from 1
+    and the two differ by 2.7e-4 relative.  The off-grid formula of ROADMAP
+    item 3, evaluated at u itself, closes this gap.
     """
     if not 0.0 < eps < np.inf:
         raise DomainError(f"eps must be finite and positive, got {eps}")
-    if cov is None:
-        cov = cov_matrix(grid, p)
     us = np.atleast_1d(np.asarray(u, dtype=float))
+    if not np.all((us >= 0.0) & (us <= 1.0)):
+        raise DomainError(f"u must lie in [0,1], got {u}")
+    p, grid = cov.params, cov.grid
     j = np.argmin(np.abs(grid.nodes[:, None] - us[None, :]), axis=0)
     sw = np.sqrt(grid.weights)
     A = sw[:, None] * cov.values * sw[None, :]
@@ -184,12 +190,12 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
         cov = cov_matrix(grid, p, gl_order)
         # the matrix stays on the spectrum for the Wiener-Hopf route
         if method == "oracle":
-            return replace(nystrom_eigs(cov, grid, n_max), cov=cov)
+            return replace(nystrom_eigs(cov, n_max), cov=cov)
         from . import ia_refine  # the other routes never load the solver
 
         # the refined route keeps only the head pairs below the solver's start
         n_head = min(n_max, ia_refine.DEFAULT_N_MIN - 1)
-        head = replace(nystrom_eigs(cov, grid, n_head), cov=cov)
+        head = replace(nystrom_eigs(cov, n_head), cov=cov)
         return ia_refine.refined_spectrum(p, head, n_max)
     if method == "closed_form_ou":
         return ou_closed_form_eigs(p.beta_eff, n_max, grid=grid, params=p)
@@ -248,7 +254,7 @@ def convergence_study(p: ModelParams, eps_grid, u_points, spec: Spectrum,
             raise DomainError("Wiener-Hopf route needs a spectrum with a grid")
         cov = spec.cov if spec.cov is not None and spec.cov.params == p \
             else cov_matrix(spec.grid, p)
-        P_wh = np.array([mse_wiener_hopf(u_points, float(eps), p, spec.grid, cov)
+        P_wh = np.array([mse_wiener_hopf(u_points, float(eps), cov)
                          for eps in eps_grid])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = P_series / P_asym

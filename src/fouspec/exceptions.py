@@ -2,7 +2,7 @@
 
 
 class DomainError(ValueError):
-    """Parameter or argument outside the mathematical domain of an operation."""
+    """Parameter or argument for which an operation is not defined."""
 
 
 class SolverError(RuntimeError):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import doubling_nodes
+from ._quad import doubling_nodes, gauss_legendre_01
 from .asymptotics import ThetaProfile, h_weight, lambda_from_nu, nu_first_order
 from .exceptions import DomainError, SolverError
 from .model import ModelParams, QuadGrid
@@ -67,19 +67,35 @@ class IARefinement:
     contraction_norm: float  # ||A||; bounds cond_2(I -+ A), see _QPSolution
 
 
+_SIGNS = np.array([1.0, -1.0])  # sign of the auxiliary equations, by stack index
+
+
+@functools.lru_cache(maxsize=1)
+def _auxiliary_rule():
+    """Nodes/weights on (0, U_MAX]: 12 Gauss-Legendre panels of 12 nodes,
+    with edges U_MAX (k/12)^2 refined quadratically toward 0."""
+    edges = U_MAX * np.linspace(0.0, 1.0, 13) ** 2
+    xg, wg = gauss_legendre_01(12)
+    nodes = np.concatenate([a + (b - a) * xg for a, b in zip(edges[:-1], edges[1:])])
+    weights = np.concatenate([(b - a) * wg for a, b in zip(edges[:-1], edges[1:])])
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by all solves
+    return nodes, weights
+
+
 class _QPSolution:
     """Sampled solutions of the auxiliary equations plus their extension.
 
-    `iterations` counts the linear solves (one per sign).
+    `p_tilde[s, j]` holds p_j^{sign} on `nodes`, s = 0 for sign + and 1 for
+    sign -.  `iterations` counts the linear solves (one per sign).
     """
 
-    def __init__(self, nu, profile, grid, kernel_row, p_tilde, iterations):
+    def __init__(self, nu, profile, kernel_row, p_tilde):
         self.nu = nu
         self.profile = profile
-        self.grid = grid
+        self.nodes = _auxiliary_rule()[0]
         self.kernel_row = kernel_row
-        self.p_tilde = p_tilde  # {(j, sign): samples on grid.nodes}
-        self.iterations = iterations
+        self.p_tilde = p_tilde
+        self.iterations = 2
 
     @functools.cached_property
     def contraction_norm(self):
@@ -87,21 +103,19 @@ class _QPSolution:
 
         Where it is below 1 it bounds cond_2(I -+ A) <= (1 + ||A||) / (1 - ||A||).
         """
-        w = self.grid.nodes
+        w = self.nodes
         return float(np.linalg.norm(self.kernel_row[None, :] / (w[:, None] + w[None, :]), 2))
 
-    def extend_many(self, z, j, sign):
-        """p_j^{sign}(z) at the points z (t-scale of the w-substitution w = nu*s)."""
-        z = np.asarray(z)
-        w = self.grid.nodes
-        core = (self.kernel_row * self.p_tilde[(j, sign)])[None, :] \
-            / (w[None, :] + self.nu * z[:, None])
-        return sign * core.sum(axis=1) + z ** j
-
     def ab(self, z):
-        """a_+-(z) = p_0^+ +- p_0^- and b_+-(z) = p_1^+ +- p_1^-, four extensions."""
-        p0p, p0m, p1p, p1m = (self.extend_many(z, j, sign)
-                              for j in (0, 1) for sign in (+1, -1))
+        """a_+-(z) = p_0^+ +- p_0^- and b_+-(z) = p_1^+ +- p_1^-, from the
+        extensions p_j^{sign}(z) at the points z (t-scale of the
+        w-substitution w = nu*s)."""
+        z = np.asarray(z)
+        core = (self.kernel_row * self.p_tilde)[:, :, None, :] \
+            / (self.nodes[None, :] + self.nu * z[:, None])
+        # each (sign, j, z) row sums over the nodes on its own
+        (p0p, p1p), (p0m, p1m) = _SIGNS[:, None, None] * core.sum(axis=-1) \
+            + np.stack([np.ones_like(z), z])
         return p0p + p0m, p0p - p0m, p1p + p1m, p1p - p1m
 
 
@@ -110,38 +124,34 @@ def _check_params(p: ModelParams):
         raise DomainError("the integro-algebraic solver covers H in [1/2, 1)")
 
 
-def solve_p(nu, p: ModelParams, semigrid: QuadGrid = None) -> _QPSolution:
+def solve_p(nu, p: ModelParams) -> _QPSolution:
     """Direct solve of the four auxiliary integral equations at frequency nu.
 
-    One LU solve of (I -+ A) per sign, with the right-hand sides j = 0, 1 as
-    two columns.  Raises SolverError if a system is singular or its solution
-    is not finite.
+    One stacked LU solve of (I - A, I + A), with the right-hand sides
+    j = 0, 1 as two columns of each.  Raises SolverError if a system is
+    singular or its solution is not finite.
     """
     _check_params(p)
     if nu < NU_MIN:
         raise DomainError(f"nu must be >= {NU_MIN}, got {nu}")
-    if semigrid is None:
-        semigrid = QuadGrid.semi_axis(U_MAX)
     alpha = p.alpha
     profile = ThetaProfile(alpha, p.beta_eff, nu)
-    w = semigrid.nodes
+    w, weights = _auxiliary_rule()
     # alpha = 1 makes theta (hence h) vanish identically
     h_vals = np.zeros_like(w) if alpha == 1.0 else h_weight(w / nu, profile)
-    ker = h_vals * np.exp(-w) * semigrid.weights / math.pi
+    ker = h_vals * np.exp(-w) * weights / math.pi
     A = ker[None, :] / (w[:, None] + w[None, :])
     rhs = np.column_stack([np.ones_like(w), w / nu])
-    p_tilde = {}
-    for sign in (+1, -1):
-        try:
-            x = np.linalg.solve(np.eye(len(w)) - sign * A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"I {'-' if sign > 0 else '+'} A is singular at "
-                              f"nu={nu:.4g}: {exc}", stage="solve_p")
-        if not np.all(np.isfinite(x)):
-            raise SolverError(f"auxiliary solution not finite at nu={nu:.4g}",
-                              stage="solve_p")
-        p_tilde[(0, sign)], p_tilde[(1, sign)] = x[:, 0], x[:, 1]
-    return _QPSolution(nu, profile, semigrid, ker, p_tilde, 2)
+    try:
+        x = np.linalg.solve(np.eye(len(w)) - _SIGNS[:, None, None] * A,
+                            np.stack([rhs, rhs]))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"I -+ A is singular at nu={nu:.4g}: {exc}", stage="solve_p")
+    if not np.all(np.isfinite(x)):
+        raise SolverError(f"auxiliary solution not finite at nu={nu:.4g}",
+                          stage="solve_p")
+    # C order, so `ab` sums each row over contiguous nodes
+    return _QPSolution(nu, profile, ker, np.ascontiguousarray(x.transpose(0, 2, 1)))
 
 
 def evaluate_abxi(nu, p: ModelParams, solution: _QPSolution = None):
@@ -188,10 +198,9 @@ def find_nu(n, p: ModelParams):
     if n < DEFAULT_N_MIN:
         raise DomainError(f"refined frequencies start at n = {DEFAULT_N_MIN}")
     guess = nu_first_order(n, p.H)
-    semigrid = QuadGrid.semi_axis(U_MAX)
 
     def g(nu):
-        sol = solve_p(nu, p, semigrid)
+        sol = solve_p(nu, p)
         vals = evaluate_abxi(nu, p, sol)
         z = vals["xi"] * vals["eta"].conjugate()
         return (math.atan(z.imag / z.real) if z.real else math.copysign(math.pi / 2, z.imag),
@@ -292,8 +301,6 @@ def _refined_pairs(p: ModelParams, unit_grid: QuadGrid, ns):
     weighted-L2 norm and sign-fixed by `_sign_fix`; phi(1) comes from its
     closed form -2 (xi/eta)(1 + r^2) under the same scaling.
     """
-    if unit_grid.domain != "unit-interval":
-        raise DomainError("refined_eigenpair requires a unit-interval grid")
     x, w = unit_grid.nodes, unit_grid.weights
     ns = np.asarray(ns, dtype=int)
     terms = [_pair_terms(int(n), p, x) for n in ns]

@@ -88,15 +88,11 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class QuadGrid:
-    """Quadrature nodes/weights on (0,1) or a semi-axis segment.
-
-    Unit-interval grids have strictly increasing interior nodes and weights
-    summing to 1; semi-axis grids cover (0, u_max] with positive weights.
-    """
+    """Quadrature rule on the unit interval: strictly increasing nodes in
+    (0,1) and positive weights summing to 1."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: str = "unit-interval"  # or "semi-axis"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -109,13 +105,10 @@ class QuadGrid:
             raise DomainError("nodes must be strictly increasing")
         if np.any(weights <= 0):
             raise DomainError("weights must be positive")
-        if self.domain == "unit-interval":
-            if nodes[0] <= 0.0 or nodes[-1] >= 1.0:
-                raise DomainError("unit-interval nodes must lie in (0,1)")
-            if abs(weights.sum() - 1.0) > 1e-12:
-                raise DomainError("unit-interval weights must sum to 1")
-        elif self.domain != "semi-axis":
-            raise DomainError(f"unknown domain tag {self.domain!r}")
+        if nodes[0] <= 0.0 or nodes[-1] >= 1.0:
+            raise DomainError("nodes must lie in (0,1)")
+        if abs(weights.sum() - 1.0) > 1e-12:
+            raise DomainError("weights must sum to 1")
 
     @property
     def size(self):
@@ -125,32 +118,24 @@ class QuadGrid:
     def gauss_legendre_unit(cls, n):
         if n < 1:
             raise DomainError(f"grid size must be >= 1, got {n}")
-        x, w = gauss_legendre_01(n)
-        return cls(x, w, "unit-interval")
-
-    @classmethod
-    def semi_axis(cls, u_max=37.0, n_panels=12, panel_order=12):
-        """Composite GL grid on (0, u_max], panels quadratically refined toward 0."""
-        edges = u_max * np.linspace(0.0, 1.0, n_panels + 1) ** 2
-        xg, wg = gauss_legendre_01(panel_order)
-        nodes = np.concatenate([a + (b - a) * xg for a, b in zip(edges[:-1], edges[1:])])
-        weights = np.concatenate([(b - a) * wg for a, b in zip(edges[:-1], edges[1:])])
-        return cls(nodes, weights, "semi-axis")
+        return cls(*gauss_legendre_01(n))
 
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Symmetric kernel matrix K(t_i*T, t_j*T) on a unit-interval grid."""
+    """Symmetric kernel matrix K(t_i*T, t_j*T) on `grid`, for the problem `params`."""
 
     values: np.ndarray
     grid: QuadGrid
-    params: ModelParams = field(repr=False, default=None)
+    params: ModelParams = field(repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] != self.grid.size:
             raise DomainError("covariance matrix must be square and match the grid")
+        if not isinstance(self.params, ModelParams):
+            raise DomainError("covariance matrix needs the ModelParams it was built for")
 
 
 def fbm_cov(s, t, H):
@@ -344,15 +329,13 @@ def fou_cov_singular(s, t, p: ModelParams, n_panels: int = 16, ratio: float = 0.
 
 
 def cov_matrix(grid: QuadGrid, p: ModelParams, gl_order: int = DEFAULT_GL_ORDER) -> CovMatrix:
-    """Assemble K_ij = fou_cov(t_i*T, t_j*T, p) on a unit-interval grid.
+    """Assemble K_ij = fou_cov(t_i*T, t_j*T, p) on the grid nodes t_i.
 
     The pairwise quadratures are rank-`gl_order` products of per-node
     exponential tables, so assembly is a handful of GEMMs per block of
     `_ROW_BLOCK` rows.  Only the upper-triangle blocks are computed; the lower
     triangle is their mirror, so the matrix is exactly symmetric.
     """
-    if grid.domain != "unit-interval":
-        raise DomainError("cov_matrix requires a unit-interval grid")
     return CovMatrix(_kernel(grid.nodes, None, p, gl_order), grid, p)
 
 

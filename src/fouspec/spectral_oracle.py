@@ -106,19 +106,21 @@ def _sign_fix(phi_cols, phi1, integrals, ns):
     integrals *= sign
 
 
-def nystrom_eigs(cov: CovMatrix, grid: QuadGrid, n_max: int) -> Spectrum:
-    """Leading eigenpairs of the discretized covariance operator.
+def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
+    """Leading eigenpairs of the covariance operator discretized by `cov`.
 
-    Solves the symmetric problem W^{1/2} K W^{1/2} v = lambda v and recovers
-    eigenfunction samples as W^{-1/2} v, which already have unit weighted-L2
-    norm; phi_n(1) comes from the Nystrom extension at x = 1.  Raises
-    SolverError when the matrix is not positive semidefinite to PSD_TOL.
+    On the matrix's grid, solves the symmetric problem W^{1/2} K W^{1/2} v =
+    lambda v and recovers eigenfunction samples as W^{-1/2} v, which already
+    have unit weighted-L2 norm; phi_n(1) comes from the Nystrom extension at
+    x = 1, with the matrix's params.  Raises SolverError when the matrix is
+    not positive semidefinite to PSD_TOL.
 
     Keeping at most SUBSET_FRACTION of the pairs, only those are computed,
     and one Cholesky factorization of B + PSD_TOL * trace * I certifies
     min eigenvalue >= -PSD_TOL * trace; `min_eigenvalue` then holds that
     bound.  Otherwise the full solve reports the exact minimum.
     """
+    grid = cov.grid
     N = grid.size
     if not 1 <= n_max <= N:
         raise DomainError(f"n_max must lie in [1, grid size {N}], got {n_max}")
@@ -160,9 +162,6 @@ def nystrom_eigs(cov: CovMatrix, grid: QuadGrid, n_max: int) -> Spectrum:
     if lam[n_max - 1] <= 0:
         raise SolverError("requested eigenvalues are not all positive; "
                           "reduce n_max or refine the grid", stage="nystrom_eigs")
-    if cov.params is None:
-        raise SolverError("covariance matrix lacks params; cannot extend to x=1",
-                          stage="nystrom_eigs")
     phi = V / sw[:, None]
     # renormalize in weighted L2 (paranoia: eigh already gives unit 2-norm)
     norms = np.sqrt(w @ phi ** 2)

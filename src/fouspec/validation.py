@@ -31,8 +31,7 @@ def _oracle(H, beta, N, n_max):
     key = ("oracle", H, beta, N, n_max)
     if key not in _cache:
         p = ModelParams(H=H, beta=beta)
-        g = QuadGrid.gauss_legendre_unit(N)
-        _cache[key] = nystrom_eigs(cov_matrix(g, p), g, n_max)
+        _cache[key] = nystrom_eigs(cov_matrix(QuadGrid.gauss_legendre_unit(N), p), n_max)
     return _cache[key]
 
 
@@ -173,13 +172,13 @@ def check_series_wh_identity(quick=False):
     p = ModelParams(H=0.7, beta=-1.0)
     g = QuadGrid.gauss_legendre_unit(N)
     cov = cov_matrix(g, p)
-    spec = nystrom_eigs(cov, g, N)
+    spec = nystrom_eigs(cov, N)
     us = [float(g.nodes[N // 4]), float(g.nodes[N // 2]), float(g.nodes[-2])]
     worst = 0.0
     for eps in (1e-2, 1e-3, 1e-4):
         for u in us:
             a = mse_series(u, eps, p, spec)
-            b = mse_wiener_hopf(u, eps, p, g, cov)
+            b = mse_wiener_hopf(u, eps, cov)
             worst = max(worst, abs(a - b) / abs(b))
     return {"id": 8, "name": "series_wh_identity", "passed": worst <= 1e-6,
             "details": {"max_rel_diff": worst, "N": N}}
@@ -238,7 +237,7 @@ def check_property_suites(quick=False):
     g = QuadGrid.gauss_legendre_unit(200)
     cov = cov_matrix(g, p)
     sym = float(np.max(np.abs(cov.values - cov.values.T)))
-    spec = nystrom_eigs(cov, g, 30)
+    spec = nystrom_eigs(cov, 30)
     psd_ok = spec.diagnostics["min_eigenvalue"] >= -1e-10 * spec.diagnostics["trace"]
     details["symmetry_max_abs"] = sym
     details["min_eig_over_trace"] = spec.diagnostics["min_eigenvalue"] / spec.diagnostics["trace"]

@@ -10,5 +10,5 @@ def oracle_07():
     """Nystrom reference spectrum for H=0.7, beta=-1 shared across modules."""
     p = ModelParams(H=0.7, beta=-1.0)
     grid = QuadGrid.gauss_legendre_unit(800)
-    spec = nystrom_eigs(cov_matrix(grid, p), grid, 30)
+    spec = nystrom_eigs(cov_matrix(grid, p), 30)
     return p, grid, spec

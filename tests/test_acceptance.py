@@ -11,6 +11,8 @@ import pytest
 
 from fouspec import validation
 
+pytestmark = pytest.mark.slow  # the fixture runs every criterion at full size
+
 CRITERIA = [
     "bm_spectrum",
     "ou_spectrum",

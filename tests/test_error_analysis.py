@@ -29,7 +29,7 @@ def small_oracle():
     p = ModelParams(H=0.6, beta=1.0)
     grid = QuadGrid.gauss_legendre_unit(150)
     cov = cov_matrix(grid, p)
-    spec = nystrom_eigs(cov, grid, 150)
+    spec = nystrom_eigs(cov, 150)
     return p, grid, cov, spec
 
 
@@ -68,20 +68,34 @@ class TestWienerHopf:
             for j in (40, 75, 148):
                 u = float(grid.nodes[j])
                 a = mse_series(u, eps, p, spec)
-                b = mse_wiener_hopf(u, eps, p, grid, cov)
+                b = mse_wiener_hopf(u, eps, cov)
                 assert abs(a - b) / b <= 1e-6
 
     def test_many_points_share_one_factorization(self, small_oracle):
         p, grid, cov, _ = small_oracle
         us = [float(grid.nodes[j]) for j in (40, 75, 148)]
-        many = mse_wiener_hopf(us, 1e-3, p, grid, cov)
-        assert_allclose(many, [mse_wiener_hopf(u, 1e-3, p, grid, cov) for u in us],
+        many = mse_wiener_hopf(us, 1e-3, cov)
+        assert_allclose(many, [mse_wiener_hopf(u, 1e-3, cov) for u in us],
                         rtol=1e-12)
+
+    @pytest.mark.parametrize("u", [math.nan, -3.0, 5.0, -1e-12, 1.0 + 1e-12,
+                                   [0.5, math.nan], [1.0, 2.0]])
+    def test_u_outside_unit_interval_is_refused(self, small_oracle, u):
+        # each of these used to snap to the first or last node without warning
+        _, _, cov, _ = small_oracle
+        with pytest.raises(DomainError, match="u must lie in"):
+            mse_wiener_hopf(u, 1e-3, cov)
+
+    def test_endpoints_are_accepted(self, small_oracle):
+        _, grid, cov, _ = small_oracle
+        P = mse_wiener_hopf([0.0, 1.0], 1e-3, cov)
+        assert np.array_equal(P, mse_wiener_hopf([float(grid.nodes[0]),
+                                                  float(grid.nodes[-1])], 1e-3, cov))
 
     def test_large_eps_limit(self, small_oracle):
         p, grid, cov, _ = small_oracle
         j = 100
-        val = mse_wiener_hopf(float(grid.nodes[j]), 1e9, p, grid, cov)
+        val = mse_wiener_hopf(float(grid.nodes[j]), 1e9, cov)
         assert_allclose(val, cov.values[j, j], rtol=1e-6)
 
     def test_ou_interior_constant(self):
@@ -285,7 +299,7 @@ def test_refined_spectrum_keeps_its_head_matrix(monkeypatch):
     rep = convergence_study(p, [1e-1], us, spec, with_wiener_hopf=True)
     assert calls == [(60, 8)]
     assert np.array_equal(rep.P_wiener_hopf[0],
-                          mse_wiener_hopf(us, 1e-1, p, g, cov_matrix(g, p, 8)))
+                          mse_wiener_hopf(us, 1e-1, cov_matrix(g, p, 8)))
 
 
 def test_refined_head_pairs_follow_gl_order():
@@ -293,9 +307,9 @@ def test_refined_head_pairs_follow_gl_order():
     p = ModelParams(H=0.7, beta=-1.0)
     g = QuadGrid.gauss_legendre_unit(60)
     spec = build_spectrum(p, "refined", n_max=3, grid=g, gl_order=8)
-    head = nystrom_eigs(cov_matrix(g, p, 8), g, 2)
+    head = nystrom_eigs(cov_matrix(g, p, 8), 2)
     assert np.array_equal(spec.lam[:2], head.lam)
-    assert not np.array_equal(head.lam, nystrom_eigs(cov_matrix(g, p), g, 2).lam)
+    assert not np.array_equal(head.lam, nystrom_eigs(cov_matrix(g, p), 2).lam)
 
 
 def test_first_order_extends_by_formula():
@@ -319,7 +333,7 @@ def test_refined_spectrum_is_complete(n_max):
     g = QuadGrid.gauss_legendre_unit(60)
     spec = build_spectrum(p, "refined", n_max=n_max, grid=g)
     n_head = min(n_max, 2)
-    head = nystrom_eigs(cov_matrix(g, p), g, n_head)
+    head = nystrom_eigs(cov_matrix(g, p), n_head)
     assert spec.n_max == n_max and spec.diagnostics["head_from_oracle"] == n_head
     assert np.array_equal(spec.lam[:n_head], head.lam)
     assert np.array_equal(spec.phi[:, :n_head], head.phi)
@@ -339,7 +353,7 @@ def test_eps_must_be_finite_and_positive(eps, bm_spectrum):
     g = QuadGrid.gauss_legendre_unit(10)
     for call in (lambda: mse_series(1.0, eps, p, spec),
                  lambda: mse_asymptotic("endpoint", eps, p),
-                 lambda: mse_wiener_hopf(1.0, eps, p, g),
+                 lambda: mse_wiener_hopf(1.0, eps, cov_matrix(g, p)),
                  lambda: convergence_study(p, [1e-3, eps], [1.0], spec)):
         with pytest.raises(DomainError, match="eps"):
             call()

@@ -17,9 +17,9 @@ class TestDegenerateAlphaOne:
     def test_p_equals_monomials(self):
         p = ModelParams(H=0.5, beta=0.0)
         sol = solve_p(10.0, p)
-        w = sol.grid.nodes
-        assert_allclose(sol.p_tilde[(0, 1)], np.ones_like(w), atol=1e-14)
-        assert_allclose(sol.p_tilde[(1, -1)], w / 10.0, atol=1e-14)
+        w = sol.nodes
+        assert_allclose(sol.p_tilde[0, 0], np.ones_like(w), atol=1e-14)   # p_0^+
+        assert_allclose(sol.p_tilde[1, 1], w / 10.0, atol=1e-14)          # p_1^-
 
     def test_boundary_values(self):
         p = ModelParams(H=0.5, beta=0.0)
@@ -70,22 +70,35 @@ class TestDirectSolve:
         # x = +-A x + rhs with A_ik = ker_k / (w_i + w_k) on the semi-axis grid;
         # (0.99, 0, 1) has ||A||_inf ~ 2, where plain iteration converges slowest
         sol = solve_p(nu, ModelParams(H=H, beta=beta))
-        w = sol.grid.nodes
+        w = sol.nodes
         A = sol.kernel_row[None, :] / (w[:, None] + w[None, :])
-        for (j, sign), x in sol.p_tilde.items():
-            rhs = (w / nu) ** j
-            defect = np.max(np.abs(x - sign * (A @ x) - rhs))
-            assert defect <= 1e-13 * np.max(np.abs(rhs))
+        for sign, xs in zip((1, -1), sol.p_tilde):
+            for j, x in enumerate(xs):
+                rhs = (w / nu) ** j
+                defect = np.max(np.abs(x - sign * (A @ x) - rhs))
+                assert defect <= 1e-13 * np.max(np.abs(rhs))
 
     def test_contraction_norm_is_spectral_norm(self):
         # ||A||_2^2 is the largest eigenvalue of A^T A; the 30-step power
         # iteration this replaced gave 0.45651237920078636 here
         sol = solve_p(20.0, ModelParams(H=0.7, beta=-1.0))
-        w = sol.grid.nodes
+        w = sol.nodes
         A = sol.kernel_row[None, :] / (w[:, None] + w[None, :])
         assert_allclose(sol.contraction_norm ** 2, np.linalg.eigvalsh(A.T @ A)[-1],
                         rtol=1e-12)
         assert_allclose(sol.contraction_norm, 0.45651237920078636, rtol=1e-14)
+
+
+    def test_auxiliary_rule(self):
+        # 12 quadratically graded panels of 12 Gauss nodes on (0, U_MAX],
+        # one read-only pair of arrays shared by every solve
+        nodes, weights = ia_refine._auxiliary_rule()
+        assert nodes.shape == weights.shape == (144,)
+        assert 0.0 < nodes[0] and nodes[-1] <= ia_refine.U_MAX == 37.0
+        assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+        assert_allclose(weights.sum(), ia_refine.U_MAX, rtol=1e-14)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert solve_p(20.0, ModelParams(H=0.7)).nodes is nodes
 
 
 class TestBoundaryAsymptotics:
@@ -225,7 +238,7 @@ class TestRefinedEigenpair:
         assert ref.residual <= 1e-10 * abs(ref.xi * np.conj(ref.eta))
         assert pair.phi_integral < 0
         _, _, sol = find_nu(6, p)
-        assert all(np.all(np.isfinite(v)) for v in sol.p_tilde.values())
+        assert np.all(np.isfinite(sol.p_tilde))
 
     def test_gamma_beta_positive_on_grid(self, oracle_07):
         p, _, _ = oracle_07
@@ -235,12 +248,6 @@ class TestRefinedEigenpair:
         gb = np.abs((u * u - r * r) / (r * r + 1.0)
                     + u ** (p.alpha - 1.0) * np.exp(1j * (1 - p.alpha) * math.pi / 2))
         assert np.all(gb > 0)
-
-    def test_requires_unit_grid(self):
-        p = ModelParams(H=0.7, beta=-1.0)
-        with pytest.raises(DomainError):
-            refined_eigenpair(5, p, QuadGrid.semi_axis())
-
 
 class TestLayerRule:
     # max |phi - phi_wide| on the N = 2000 grid at H = 0.7, beta = -1 of the

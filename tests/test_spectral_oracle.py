@@ -27,7 +27,7 @@ class TestNystrom:
     def test_bm_eigenvalues(self):
         p = ModelParams(H=0.5, beta=0.0)
         g = QuadGrid.gauss_legendre_unit(400)
-        spec = nystrom_eigs(cov_matrix(g, p), g, 10)
+        spec = nystrom_eigs(cov_matrix(g, p), 10)
         exact = ((np.arange(1, 11) - 0.5) * np.pi) ** -2.0
         assert_allclose(spec.lam, exact, rtol=1e-3)
 
@@ -35,7 +35,7 @@ class TestNystrom:
         p = ModelParams(H=0.7, beta=-1.0)
         g = QuadGrid.gauss_legendre_unit(200)
         cov = cov_matrix(g, p)
-        spec = nystrom_eigs(cov, g, 200)
+        spec = nystrom_eigs(cov, 200)
         trace = float(g.weights @ np.diag(cov.values))
         assert_allclose(spec.lam.sum(), trace, rtol=1e-3)
 
@@ -44,7 +44,7 @@ class TestNystrom:
         lam1 = []
         for n in (400, 800):
             g = QuadGrid.gauss_legendre_unit(n)
-            lam1.append(nystrom_eigs(cov_matrix(g, p), g, 1).lam[0])
+            lam1.append(nystrom_eigs(cov_matrix(g, p), 1).lam[0])
         assert abs(lam1[0] / lam1[1] - 1.0) < 1e-4
 
     def test_ordering_and_sign_convention(self, oracle_07):
@@ -71,14 +71,14 @@ class TestNystrom:
         p = ModelParams(H=0.5)
         g = QuadGrid.gauss_legendre_unit(20)
         with pytest.raises(DomainError):
-            nystrom_eigs(cov_matrix(g, p), g, 21)
+            nystrom_eigs(cov_matrix(g, p), 21)
 
     @pytest.mark.parametrize("n_max", [0, -5])
     def test_refuses_fewer_than_one_pair(self, n_max):
         # a negative n_max used to slice off all but |n_max| pairs
         g = QuadGrid.gauss_legendre_unit(20)
         with pytest.raises(DomainError):
-            nystrom_eigs(cov_matrix(g, ModelParams(H=0.5)), g, n_max)
+            nystrom_eigs(cov_matrix(g, ModelParams(H=0.5)), n_max)
 
 
 class TestEigensolveBranches:
@@ -90,9 +90,9 @@ class TestEigensolveBranches:
         p = ModelParams(H=H, beta=beta)
         g = QuadGrid.gauss_legendre_unit(N)
         cov = cov_matrix(g, p)
-        sub = nystrom_eigs(cov, g, n_max)
+        sub = nystrom_eigs(cov, n_max)
         monkeypatch.setattr(spectral_oracle, "SUBSET_FRACTION", 0.0)
-        full = nystrom_eigs(cov, g, n_max)
+        full = nystrom_eigs(cov, n_max)
         assert np.max(np.abs(sub.lam - full.lam)) <= 1e-13 * full.lam[0]
         align = np.sign(np.sum(sub.phi * full.phi, axis=0))
         assert np.max(np.abs(sub.phi * align - full.phi)) <= 1e-12
@@ -111,7 +111,7 @@ class TestEigensolveBranches:
         K = np.eye(20)
         K[7, 7] = -1e-3
         with pytest.raises(SolverError, match="not positive semidefinite"):
-            nystrom_eigs(CovMatrix(K, g, ModelParams(H=0.5)), g, n_max)
+            nystrom_eigs(CovMatrix(K, g, ModelParams(H=0.5)), n_max)
 
 
 class TestClosedFormOU:
@@ -171,7 +171,7 @@ class TestClosedFormOU:
     def test_matches_nystrom(self):
         p = ModelParams(H=0.5, beta=1.0)
         g = QuadGrid.gauss_legendre_unit(600)
-        spec = nystrom_eigs(cov_matrix(g, p), g, 10)
+        spec = nystrom_eigs(cov_matrix(g, p), 10)
         closed = ou_closed_form_eigs(1.0, 10)
         assert_allclose(spec.lam, closed.lam, rtol=1e-3)
 
@@ -305,7 +305,7 @@ class TestNystromExtend:
     def test_bm_endpoint_values(self):
         p = ModelParams(H=0.5, beta=0.0)
         g = QuadGrid.gauss_legendre_unit(400)
-        spec = nystrom_eigs(cov_matrix(g, p), g, 8)
+        spec = nystrom_eigs(cov_matrix(g, p), 8)
         assert_allclose(np.abs(spec.phi1), math.sqrt(2.0), rtol=1e-3)
 
     def test_outside_domain(self, oracle_07):
