@@ -362,7 +362,8 @@ def refined_spectrum(p: ModelParams, head: Spectrum, n_max) -> Spectrum:
     columns are the ones `refined_eigenpair` returns, with the exponential
     table of the layer integrals built once.  Refined pairs have grid
     samples and phi(1) only, so the result has no `extend`; it keeps the
-    head's matrix `cov` for the Wiener-Hopf route.
+    head's matrix `cov` for the Wiener-Hopf route and the head's diagnostics
+    (its eigensolver among them).
     """
     nu, lam, phi, phi1, integrals, _ = _refined_pairs(
         p, head.grid, range(head.n_max + 1, n_max + 1))
@@ -370,4 +371,5 @@ def refined_spectrum(p: ModelParams, head: Spectrum, n_max) -> Spectrum:
                     np.concatenate([np.full(head.n_max, np.nan), nu]), head.grid,
                     np.hstack([head.phi, phi]), np.concatenate([head.phi1, phi1]),
                     np.concatenate([head.phi_integral, integrals]),
-                    diagnostics={"head_from_oracle": head.n_max}, cov=head.cov)
+                    diagnostics={**head.diagnostics, "head_from_oracle": head.n_max},
+                    cov=head.cov)

@@ -28,6 +28,7 @@ from .model import CovMatrix, ModelParams, QuadGrid, cov_row
 _INTEGRAL_TIE_TOL = 1e-12
 PSD_TOL = 1e-10  # refuse a matrix whose min eigenvalue / trace is below -PSD_TOL
 SUBSET_FRACTION = 0.1  # up to this share of the pairs, solve for the kept ones only
+LANCZOS_PAIRS = 2  # the refined head (pairs 1, 2): at most this many go to Lanczos
 
 
 @dataclass(frozen=True)
@@ -115,10 +116,19 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
     x = 1, with the matrix's params.  Raises SolverError when the matrix is
     not positive semidefinite to PSD_TOL.
 
-    Keeping at most SUBSET_FRACTION of the pairs, only those are computed,
-    and one Cholesky factorization of B + PSD_TOL * trace * I certifies
-    min eigenvalue >= -PSD_TOL * trace; `min_eigenvalue` then holds that
-    bound.  Otherwise the full solve reports the exact minimum.
+    Three solvers, by the number of kept pairs:
+      - n_max <= LANCZOS_PAIRS and n_max <= SUBSET_FRACTION * N: ARPACK
+        Lanczos (`eigsh`) from a fixed random start vector; at N = 2000
+        (one thread) 0.13 s with the certificate, against 0.8 s for the
+        subset `eigh` below;
+      - n_max <= SUBSET_FRACTION * N: `eigh` for the kept pairs only
+        (`driver="evr"`);
+      - otherwise the full `eigh`.
+    The first two never see the whole spectrum, so one Cholesky factorization
+    of B + PSD_TOL * trace * I certifies min eigenvalue >= -PSD_TOL * trace
+    and `min_eigenvalue` holds that bound; the full solve reports the exact
+    minimum.  `diagnostics["eigensolver"]` names the solver: "lanczos",
+    "subset" or "full".
     """
     grid = cov.grid
     N = grid.size
@@ -128,15 +138,18 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
     sw = np.sqrt(w)
     B = sw[:, None] * cov.values * sw[None, :]
     trace = float(np.sum(w * np.diag(cov.values)))
-    subset = n_max <= SUBSET_FRACTION * N
+    solver = ("full" if n_max > SUBSET_FRACTION * N
+              else "lanczos" if n_max <= LANCZOS_PAIRS else "subset")
     try:
-        if subset:
+        if solver == "lanczos":
+            lam, V = _lanczos(B, n_max)
+        elif solver == "subset":
             lam, V = eigh(B, subset_by_index=[N - n_max, N - 1], driver="evr")
         else:
             lam, V = eigh(B)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise SolverError(f"dense eigensolver failed: {exc}", stage="nystrom_eigs")
-    if subset:
+    if solver != "full":
         # B + PSD_TOL * trace * I is positive definite iff every eigenvalue
         # of B exceeds -PSD_TOL * trace: the bound stands in for the minimum.
         # B is symmetric, so its transpose is the Fortran-ordered matrix the
@@ -158,12 +171,13 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
             raise SolverError("covariance matrix is not positive semidefinite: min "
                               f"eigenvalue / trace = {defect:.3g}", stage="nystrom_eigs")
     lam, V = lam[::-1][:n_max].copy(), V[:, ::-1][:, :n_max]
-    diagnostics = {"min_eigenvalue": lam_min, "trace": trace, "psd_defect": defect}
+    diagnostics = {"min_eigenvalue": lam_min, "trace": trace, "psd_defect": defect,
+                   "eigensolver": solver}
     if lam[n_max - 1] <= 0:
         raise SolverError("requested eigenvalues are not all positive; "
                           "reduce n_max or refine the grid", stage="nystrom_eigs")
     phi = V / sw[:, None]
-    # renormalize in weighted L2 (paranoia: eigh already gives unit 2-norm)
+    # renormalize in weighted L2 (paranoia: every solver gives unit 2-norm)
     norms = np.sqrt(w @ phi ** 2)
     phi /= norms[None, :]
     k1 = cov_row(1.0, cov.params, grid)
@@ -172,6 +186,22 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
     _sign_fix(phi, phi1, integrals, np.arange(1, n_max + 1))
     return Spectrum("oracle", cov.params, lam, None, grid, phi, phi1, integrals,
                     diagnostics, extend=nystrom_extend)
+
+
+def _lanczos(B, k):
+    """The k largest eigenpairs of the symmetric B, ascending, by ARPACK.
+
+    The start vector is generic and fixed, so runs are reproducible; a
+    structured one such as sqrt(w) is orthogonal to every pair with
+    int phi_n = 0 and would miss it.
+    """
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+
+    v0 = np.random.default_rng(0).standard_normal(B.shape[0])
+    try:
+        return eigsh(B, k=k, which="LA", tol=0, v0=v0)
+    except (ArpackNoConvergence, ArpackError) as exc:
+        raise SolverError(f"Lanczos eigensolver failed: {exc}", stage="nystrom_eigs")
 
 
 def nystrom_extend(spec: Spectrum, x: float) -> np.ndarray:

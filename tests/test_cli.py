@@ -425,11 +425,14 @@ def test_closed_form_and_oracle_routes_load_only_what_they_use():
     # a fresh interpreter: tests share sys.modules.  The closed-form and oracle
     # routes load neither the refinement nor the first-order module; no route
     # loads scipy.optimize, and scipy.integrate serves only the h_weight
-    # cross-check
+    # cross-check.  scipy.sparse.linalg (Lanczos) serves only the refined
+    # head: neither those two routes nor importing the modules of an `mse`
+    # run loads it
     code = """
 import contextlib, io, json, sys
 from fouspec import cli
-heavy = ["fouspec.ia_refine", "fouspec.asymptotics", "scipy.optimize", "scipy.integrate"]
+heavy = ["fouspec.ia_refine", "fouspec.asymptotics", "scipy.optimize", "scipy.integrate",
+         "scipy.sparse.linalg"]
 loaded = {}
 def run(key, argv, watch):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -438,7 +441,7 @@ def run(key, argv, watch):
 run("0.5", ["mse", "--H", "0.5", "--eps", "1e-3"], heavy)
 run("0.7", ["mse", "--H", "0.7", "--spectrum", "oracle", "--N-unit", "60",
             "--n-max", "30", "--eps", "1e-1,1e-2"], heavy)
-import fouspec.ia_refine
+import fouspec.error_analysis, fouspec.ia_refine
 loaded["ia_refine"] = [m for m in heavy[2:] if m in sys.modules]
 run("refined", ["mse", "--H", "0.7", "--spectrum", "refined", "--N-unit", "60",
                 "--n-max", "20", "--eps", "1e-1"], heavy[2:3])
@@ -451,3 +454,13 @@ print(json.dumps(loaded))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"0.5": [], "0.7": [], "ia_refine": [],
                                        "refined": [], "eigs": []}
+
+
+def test_refined_mse_is_deterministic_across_processes():
+    # the Lanczos head starts from a fixed vector, so two fresh interpreters
+    # print the same bytes
+    argv = ["mse", "--H", "0.7", "--spectrum", "refined", "--N-unit", "60",
+            "--n-max", "20", "--eps", "1e-1", "--threads", "1"]
+    first, second = run_cli(argv), run_cli(argv)
+    assert first[0] == 0, first[2]
+    assert first[1] == second[1]

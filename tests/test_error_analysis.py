@@ -335,6 +335,7 @@ def test_refined_spectrum_is_complete(n_max):
     n_head = min(n_max, 2)
     head = nystrom_eigs(cov_matrix(g, p), n_head)
     assert spec.n_max == n_max and spec.diagnostics["head_from_oracle"] == n_head
+    assert spec.diagnostics["eigensolver"] == "lanczos"
     assert np.array_equal(spec.lam[:n_head], head.lam)
     assert np.array_equal(spec.phi[:, :n_head], head.phi)
     assert np.all(np.isnan(spec.nu[:n_head]))

@@ -82,8 +82,64 @@ class TestNystrom:
 
 
 class TestEigensolveBranches:
-    """Up to N/10 kept pairs the solve computes only those and certifies PSD
-    by a Cholesky factorization; above, the full solve reports the minimum."""
+    """Up to N/10 kept pairs the solve computes only those (by Lanczos for at
+    most LANCZOS_PAIRS) and certifies PSD by a Cholesky factorization; above,
+    the full solve reports the minimum."""
+
+    @pytest.mark.parametrize("n_max,solver", [(2, "lanczos"), (3, "subset"),
+                                              (20, "subset"), (21, "full")])
+    def test_branch_boundaries(self, n_max, solver):
+        g = QuadGrid.gauss_legendre_unit(200)
+        spec = nystrom_eigs(cov_matrix(g, ModelParams(H=0.7, beta=-1.0)), n_max)
+        assert spec.diagnostics["eigensolver"] == solver
+
+    @pytest.mark.parametrize("N", [600, 2000])
+    @pytest.mark.parametrize("beta", [-12.0, -1.0, 0.0, 2.0])
+    @pytest.mark.parametrize("H", [0.5, 0.7, 0.9])
+    def test_lanczos_head_matches_full(self, H, beta, N, monkeypatch):
+        eps = 2.0 ** -52
+        g = QuadGrid.gauss_legendre_unit(N)
+        cov = cov_matrix(g, ModelParams(H=H, beta=beta))
+        sw = np.sqrt(g.weights)
+        B = sw[:, None] * cov.values * sw[None, :]
+        heads = {n_max: nystrom_eigs(cov, n_max) for n_max in (1, 2)}
+        again = nystrom_eigs(cov, 2)
+        monkeypatch.setattr(spectral_oracle, "SUBSET_FRACTION", 0.0)
+        full = nystrom_eigs(cov, 3)
+        lam1 = full.lam[0]
+        gaps = -np.diff(full.lam)
+        gap = np.minimum(gaps, np.r_[np.inf, gaps[:-1]])  # gap_n for n = 1, 2
+        for n_max, head in heads.items():
+            assert head.diagnostics["eigensolver"] == "lanczos"
+            assert np.max(np.abs(head.lam - full.lam[:n_max])) <= 1e-13 * lam1
+            v = sw[:, None] * head.phi
+            residual = np.linalg.norm(B @ v - v * head.lam, axis=0)
+            assert np.max(residual) <= 4 * eps * lam1
+            dist = np.sqrt(g.weights @ (head.phi - full.phi[:, :n_max]) ** 2)
+            assert np.all(dist <= 10 * eps * lam1 / gap[:n_max])
+            assert np.max(np.abs(head.phi1 - full.phi1[:n_max])) <= 1e-12
+        for a, b in ((heads[2].lam, again.lam), (heads[2].phi, again.phi),
+                     (heads[2].phi1, again.phi1)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("exc", ["no_convergence", "error"])
+    def test_lanczos_failure_is_refused(self, exc, monkeypatch, capsys):
+        from scipy.sparse import linalg as sparse_linalg
+
+        def fail(*args, **kwargs):
+            if exc == "no_convergence":
+                raise sparse_linalg.ArpackNoConvergence("no convergence", [], [])
+            raise sparse_linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(sparse_linalg, "eigsh", fail)
+        g = QuadGrid.gauss_legendre_unit(200)
+        with pytest.raises(SolverError) as info:
+            nystrom_eigs(cov_matrix(g, ModelParams(H=0.7, beta=-1.0)), 2)
+        assert info.value.stage == "nystrom_eigs"
+        argv = ["mse", "--H", "0.7", "--spectrum", "refined", "--N-unit", "60",
+                "--n-max", "20", "--eps", "1e-1"]
+        assert cli.main(argv) == cli.EXIT_SOLVER
+        assert "Lanczos" in capsys.readouterr().err
 
     @pytest.mark.parametrize("H,beta,N,n_max", [(0.7, -1.0, 1000, 20), (0.3, 1.0, 2000, 30)])
     def test_subset_matches_full(self, H, beta, N, n_max, monkeypatch):
@@ -105,7 +161,7 @@ class TestEigensolveBranches:
         assert full.diagnostics["min_eigenvalue"] >= -PSD_TOL * trace
         assert full.diagnostics["psd_defect"] >= -PSD_TOL
 
-    @pytest.mark.parametrize("n_max", [1, 5])  # 1 <= 20/10 takes the subset branch
+    @pytest.mark.parametrize("n_max", [1, 5])  # 1 <= 20/10 takes the Lanczos branch
     def test_non_psd_matrix_is_refused(self, n_max):
         g = QuadGrid.gauss_legendre_unit(20)
         K = np.eye(20)
