@@ -31,14 +31,12 @@ _EXPORTS = {
     "nystrom_extend": "spectral_oracle",
     "ou_closed_form_eigs": "spectral_oracle",
     "ThetaProfile": "asymptotics",
-    "SpecialConstants": "asymptotics",
     "b_alpha_closed": "asymptotics",
     "b_alpha_numeric": "asymptotics",
     "eta_h": "asymptotics",
     "nu_first_order": "asymptotics",
     "lambda_from_nu": "asymptotics",
     "theta0": "asymptotics",
-    "x_cauchy": "asymptotics",
     "h_weight": "asymptotics",
     "rho0": "asymptotics",
     "phi_first_order": "asymptotics",

@@ -20,7 +20,6 @@ scipy.quad routes are kept as independent cross-check strategies.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -65,17 +64,6 @@ def b_alpha_closed(alpha):
     """Closed form sin(pi/(3-a) * (1-a)/2) / sin(pi/(3-a)), a in (0,2)."""
     return math.sin(math.pi / (3.0 - alpha) * (1.0 - alpha) / 2.0) \
         / math.sin(math.pi / (3.0 - alpha))
-
-
-@dataclass(frozen=True)
-class SpecialConstants:
-    """Bundle of the scalar constants entering the asymptotic formulas."""
-
-    alpha: float
-    b_alpha: float
-    b_alpha_nu: float
-    eta_h: float
-    x0_at_i: complex
 
 
 class ThetaProfile:
@@ -214,20 +202,6 @@ def theta0(u, alpha):
 def b_alpha_numeric(beta, nu, alpha):
     """(1/pi) int_0^inf theta(u; nu) du; converges to b_alpha_closed as nu grows."""
     return ThetaProfile(alpha, beta, nu).b_alpha_nu()
-
-
-def x_cauchy(z, profile: ThetaProfile):
-    return profile.x_cauchy(z)
-
-
-def special_constants(alpha, beta=0.0, nu=math.inf):
-    prof = ThetaProfile(alpha, beta, nu)
-    limit = prof if math.isinf(nu) and beta == 0.0 else ThetaProfile(alpha)
-    return SpecialConstants(alpha=alpha,
-                            b_alpha=b_alpha_closed(alpha),
-                            b_alpha_nu=prof.b_alpha_nu(),
-                            eta_h=eta_h(1.0 - alpha / 2.0),
-                            x0_at_i=limit.x_cauchy(1j))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ reproducible for a fixed count.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -29,6 +30,13 @@ EXIT_TRUNCATION = 4
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
+
+# A run is refused above MEMORY_BUDGET bytes, or the physical memory if less.
+# Peak RSS over the interpreter's (one thread, H = 0.7, two u) is 3-4 doubles
+# per N^2 on the grid routes (N = 1000-3000) and 8-17 per pair on the others
+# (1e6 pairs); the factors round those up.
+MEMORY_BUDGET = 4 * 2 ** 30
+DENSE_DOUBLES, PAIR_DOUBLES = 4, 20
 
 
 @dataclass
@@ -218,7 +226,9 @@ def compute_eigs(cfg: RunConfig):
 
     p = ModelParams(H=cfg.H, beta=cfg.beta, mu=cfg.mu, T=cfg.T)
     n_max = cfg.n_max or 20
-    spec = build_spectrum(p, "oracle", n_max=n_max, grid_size=cfg.N_unit or 1000,
+    grid_size = cfg.N_unit or 1000
+    _check_footprint("oracle", grid_size, n_max)
+    spec = build_spectrum(p, "oracle", n_max=n_max, grid_size=grid_size,
                           gl_order=cfg.gl_order)
     fo = build_spectrum(p, "first_order", n_max=n_max)
     # one ordered column per header entry; the refined ones stay None (and
@@ -254,6 +264,7 @@ def compute_mse(cfg: RunConfig):
     from scipy.special import gamma as gamma_fn
 
     from .error_analysis import build_spectrum, convergence_study
+    from .exceptions import DomainError
     from .model import ModelParams
 
     if not cfg.eps:
@@ -277,6 +288,9 @@ def compute_mse(cfg: RunConfig):
         method = "closed_form_ou"
     if not n_max:
         n_eff = (p.mu ** 2 * p.T ** (2 * p.H + 1) / eps[-1]) ** (1.0 / (2 * p.H + 1))
+        if not n_eff < np.inf:
+            raise DomainError(f"cannot size the spectrum: mu^2 T^(2H+1) / eps overflows "
+                              f"at eps = {eps[-1]:.3g}; set --n-max and --N-unit")
         n_max = max(1500, int(5 * n_eff))
         if method == "closed_form_ou":
             n_max = min(max(n_max, int(200 * n_eff)), 5_000_000)
@@ -284,6 +298,7 @@ def compute_mse(cfg: RunConfig):
     if method in ("oracle", "refined") and n_max > grid_size:
         raise UsageError(f"n_max={n_max} exceeds the grid size {grid_size}; "
                          "raise --N-unit or lower --n-max")
+    _check_footprint(method, grid_size, n_max)
     spec = build_spectrum(p, method, n_max=n_max, grid_size=grid_size,
                           gl_order=cfg.gl_order)
     us = []
@@ -293,7 +308,7 @@ def compute_mse(cfg: RunConfig):
             j = int(np.argmin(np.abs(spec.grid.nodes - u)))
             u = float(spec.grid.nodes[j])  # snap to the grid (echoed in output)
         us.append(u)
-    rep = convergence_study(p, eps, us, spec, with_wiener_hopf=cfg.with_wh)
+    rep = convergence_study(spec, eps, us, with_wiener_hopf=cfg.with_wh)
     H = p.H
     comments = [
         "P_asym = (eps/mu^2)^(2H/(1+2H)) * C^(1/(1+2H)) / sin(pi/(2H+1)) "
@@ -309,6 +324,23 @@ def compute_mse(cfg: RunConfig):
     rows = [[float(e), u, *(float(v[i, k]) for v in cols.values())]
             for i, e in enumerate(eps) for k, u in enumerate(us)]
     return comments, ["eps", "u", *cols], rows
+
+
+def _check_footprint(method, grid_size, n_max):
+    """DomainError, before anything is allocated, when the spectrum route
+    `method` would need more memory than the budget (see MEMORY_BUDGET)."""
+    from .exceptions import DomainError
+
+    dense = method in ("oracle", "refined")
+    need = 8 * (DENSE_DOUBLES * grid_size ** 2 if dense else PAIR_DOUBLES * n_max)
+    budget = MEMORY_BUDGET
+    with contextlib.suppress(AttributeError, ValueError, OSError):  # no sysconf
+        budget = min(budget, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    if need > budget:
+        size = f"N = {grid_size} grid nodes" if dense else f"n_max = {n_max} pairs"
+        raise DomainError(f"the {method} spectrum at {size} needs about {need / 2 ** 30:.3g} "
+                          f"GiB, above the {budget / 2 ** 30:.3g} GiB budget; lower "
+                          "--N-unit or --n-max, or raise the smallest eps")
 
 
 def compute_special(cfg: RunConfig):

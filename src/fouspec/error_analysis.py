@@ -66,19 +66,20 @@ def _check_series_args(eps, spec: Spectrum):
         raise DomainError("empty spectrum")
 
 
-def mse_series(u, eps, p: ModelParams, spec: Spectrum):
-    """Eigen-series value of P(u, eps) from the given spectrum.
+def mse_series(u, eps, spec: Spectrum):
+    """Eigen-series value of P(u, eps) for the problem `spec.params`.
 
     The pairs beyond n_max are left out; `truncation_tail` estimates their mass.
     """
     _check_series_args(eps, spec)
     phi2 = np.asarray(spec.phi_values(u)) ** 2
-    return float(_series_terms(eps, p, spec.lam) @ phi2)
+    return float(_series_terms(eps, spec.params, spec.lam) @ phi2)
 
 
-def truncation_tail(eps, p: ModelParams, spec: Spectrum, endpoint=False):
+def truncation_tail(eps, spec: Spectrum, *, endpoint=False):
     """Series mass beyond n_max (module docstring); `eps` and `endpoint`
     broadcast against each other, and two scalars give a float."""
+    p = spec.params
     H = p.H
     lam_n = max(float(spec.lam[-1]), 0.0)
     phi_bar2 = np.where(endpoint, 2.0 * H + 1.0, 1.0)
@@ -89,39 +90,35 @@ def truncation_tail(eps, p: ModelParams, spec: Spectrum, endpoint=False):
     return float(tail) if tail.ndim == 0 else tail
 
 
-def largest_excluded_term(eps, p: ModelParams, spec: Spectrum, endpoint=True):
-    """Estimate of series term n_max + 1 (the truncation-sufficiency probe)."""
-    N = spec.n_max
-    lam_next = float(spec.lam[-1]) * (N / (N + 1.0)) ** (2.0 * p.H + 1.0)
-    phi_bar2 = 2.0 * p.H + 1.0 if endpoint else 1.0
-    return float(_series_terms(eps, p, np.array([lam_next]))[0] * phi_bar2)
+def check_truncation(eps, spec: Spectrum, *, u=1.0, P=None):
+    """Raise TruncationError if eps needs more eigenpairs than `spec` holds.
 
-
-def check_truncation(eps, p: ModelParams, spec: Spectrum, u=1.0, P=None):
-    """Raise TruncationError if eps needs more eigenpairs than available.
-
-    Guards both the largest excluded term and the estimated excluded mass;
-    the latter matters for slowly decaying tails (small H), where every
-    single excluded term can look negligible while their sum is not.  `P` is
-    the series value `mse_series(u, eps, p, spec)`, computed here when the
-    caller does not already hold it.
+    Guards both the largest excluded term (term n_max + 1, from lambda_{n_max}
+    and the mean phi^2 at u) and the estimated excluded mass; the latter
+    matters for slowly decaying tails (small H), where every single excluded
+    term can look negligible while their sum is not.  `P` is the series value
+    `mse_series(u, eps, spec)`, computed here when the caller does not
+    already hold it.
     """
+    p, N = spec.params, spec.n_max
     if P is None:
-        P = mse_series(u, eps, p, spec)
-    tail = truncation_tail(eps, p, spec, endpoint=(u == 1.0))
+        P = mse_series(u, eps, spec)
+    endpoint = u == 1.0
+    tail = truncation_tail(eps, spec, endpoint=endpoint)
     with np.errstate(over="ignore"):  # only the messages read it; inf is fine
         n_eff = (p.mu ** 2 * p.T ** (2.0 * p.H + 1.0) / eps) ** (1.0 / (2.0 * p.H + 1.0))
-    worst = largest_excluded_term(eps, p, spec, endpoint=(u == 1.0))
+    lam_next = float(spec.lam[-1]) * (N / (N + 1.0)) ** (2.0 * p.H + 1.0)
+    worst = float(_series_terms(eps, p, lam_next) * (2.0 * p.H + 1.0 if endpoint else 1.0))
     if worst > EXCLUDED_TERM_BUDGET * P:
         raise TruncationError(
-            f"eps={eps:g} needs ~{n_eff:.0f} effective terms; largest excluded "
+            f"eps={eps:g} needs ~{n_eff:.3g} effective terms; largest excluded "
             f"term {worst:.2e} exceeds {EXCLUDED_TERM_BUDGET:.0e} * P = "
-            f"{EXCLUDED_TERM_BUDGET * P:.2e} with n_max={spec.n_max}")
+            f"{EXCLUDED_TERM_BUDGET * P:.2e} with n_max={N}")
     if tail > TAIL_BUDGET * P:
         raise TruncationError(
             f"eps={eps:g}: estimated excluded series mass {tail:.2e} exceeds "
             f"{TAIL_BUDGET:.0e} * P = {TAIL_BUDGET * P:.2e} with "
-            f"n_max={spec.n_max} (~{n_eff:.0f} effective terms)")
+            f"n_max={N} (~{n_eff:.3g} effective terms)")
 
 
 def mse_wiener_hopf(u, eps, cov: CovMatrix):
@@ -196,9 +193,9 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
         # the refined route keeps only the head pairs below the solver's start
         n_head = min(n_max, ia_refine.DEFAULT_N_MIN - 1)
         head = replace(nystrom_eigs(cov, n_head), cov=cov)
-        return ia_refine.refined_spectrum(p, head, n_max)
+        return ia_refine.refined_spectrum(head, n_max)
     if method == "closed_form_ou":
-        return ou_closed_form_eigs(p.beta_eff, n_max, grid=grid, params=p)
+        return ou_closed_form_eigs(p, n_max, grid=grid)
     if method == "first_order":
         from . import asymptotics
 
@@ -214,17 +211,20 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
     raise DomainError(f"unknown spectrum method {method!r}")
 
 
-def convergence_study(p: ModelParams, eps_grid, u_points, spec: Spectrum,
+def convergence_study(spec: Spectrum, eps_grid, u_points, *,
                       with_wiener_hopf=False) -> MseReport:
     """Sweep P over decreasing eps and u, with ratios to the asymptote.
 
-    Raises TruncationError when the smallest eps needs more eigenpairs than
-    `spec` holds (see `check_truncation`), and DomainError when a tabulated
-    value is not finite (eps/mu^2 outside the float range).  Also records the oscillation
+    The problem is `spec.params`.  Raises TruncationError when the smallest
+    eps needs more eigenpairs than `spec` holds (see `check_truncation`), and
+    DomainError when a tabulated value is not finite (eps/mu^2 outside the
+    float range) or when `with_wiener_hopf` asks for the dense column of a
+    spectrum without its matrix `spec.cov`.  Also records the oscillation
     diagnostic I2 = P(u) - I1, where I1 is the series with phi^2 replaced by
     its interior mean 1: I2 must stay O(eps), i.e. vanish faster than the
     main term.
     """
+    p = spec.params
     eps_grid = np.asarray(list(eps_grid), dtype=float)
     u_points = np.asarray(list(u_points), dtype=float)
     if len(eps_grid) == 0 or not np.all(np.diff(eps_grid) < 0):
@@ -232,6 +232,9 @@ def convergence_study(p: ModelParams, eps_grid, u_points, spec: Spectrum,
     if not np.all((u_points > 0) & (u_points <= 1)):
         raise DomainError("u_points must lie in (0, 1]")
     _check_series_args(eps_grid[-1], spec)
+    if with_wiener_hopf and spec.cov is None:
+        raise DomainError("the Wiener-Hopf column needs a spectrum that carries "
+                          "its covariance matrix (oracle or refined route)")
     endpoint = u_points == 1.0
     phi2 = [np.asarray(spec.phi_values(float(u))) ** 2 for u in u_points]
     P_series, i1 = [], []
@@ -243,18 +246,14 @@ def convergence_study(p: ModelParams, eps_grid, u_points, spec: Spectrum,
     P_series = np.array(P_series)
     # the smallest eps row is exactly what mse_series gives at each u
     for u, P in zip(u_points, P_series[-1]):
-        check_truncation(eps_grid[-1], p, spec, u=float(u), P=float(P))
+        check_truncation(eps_grid[-1], spec, u=float(u), P=float(P))
     I2 = P_series - np.array(i1)[:, None]
-    tails = truncation_tail(eps_grid[:, None], p, spec, endpoint=endpoint)
+    tails = truncation_tail(eps_grid[:, None], spec, endpoint=endpoint)
     P_asym = np.array([[mse_asymptotic("endpoint" if e else "interior", float(eps), p)
                         for e in endpoint] for eps in eps_grid])
     P_wh = None
     if with_wiener_hopf:
-        if spec.grid is None:
-            raise DomainError("Wiener-Hopf route needs a spectrum with a grid")
-        cov = spec.cov if spec.cov is not None and spec.cov.params == p \
-            else cov_matrix(spec.grid, p)
-        P_wh = np.array([mse_wiener_hopf(u_points, float(eps), cov)
+        P_wh = np.array([mse_wiener_hopf(u_points, float(eps), spec.cov)
                          for eps in eps_grid])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = P_series / P_asym

@@ -154,13 +154,11 @@ def solve_p(nu, p: ModelParams) -> _QPSolution:
     return _QPSolution(nu, profile, ker, np.ascontiguousarray(x.transpose(0, 2, 1)))
 
 
-def evaluate_abxi(nu, p: ModelParams, solution: _QPSolution = None):
-    """Boundary values a_+-, b_+- at +-i, the factor X(i; nu), and xi, eta."""
-    _check_params(p)
-    if solution is None:
-        solution = solve_p(nu, p)
+def evaluate_abxi(solution: _QPSolution):
+    """Boundary values a_+-, b_+- at +-i, the factor X(i; nu), and xi, eta, at
+    the solution's frequency nu and drift ratio r = beta/nu."""
     prof = solution.profile
-    r = p.beta_eff / nu
+    nu, r = solution.nu, prof.r
     ba = prof.b_alpha_nu()
     a_plus_mi, a_minus_mi, b_plus_mi, b_minus_mi = \
         (v[0] for v in solution.ab(np.array([-1j])))
@@ -201,7 +199,7 @@ def find_nu(n, p: ModelParams):
 
     def g(nu):
         sol = solve_p(nu, p)
-        vals = evaluate_abxi(nu, p, sol)
+        vals = evaluate_abxi(sol)
         z = vals["xi"] * vals["eta"].conjugate()
         return (math.atan(z.imag / z.real) if z.real else math.copysign(math.pi / 2, z.imag),
                 sol, vals)
@@ -242,10 +240,10 @@ def find_nu(n, p: ModelParams):
     return nu, ref, sol
 
 
-def _phi_tilde(ref: IARefinement, sol: _QPSolution, p: ModelParams):
-    """Normalized forms (Phi~_0, Phi~_1) as one function of the t-scale argument."""
-    nu = ref.nu
-    r = p.beta_eff / nu
+def _phi_tilde(ref: IARefinement, sol: _QPSolution):
+    """Normalized forms (Phi~_0, Phi~_1) as one function of the t-scale
+    argument, at the root `sol` was solved at."""
+    nu, r = sol.nu, sol.profile.r
     ba = ref.b_alpha_nu
     ratio = (ref.xi * np.conj(ref.eta)).real / abs(ref.eta) ** 2  # xi/eta, real at a root
 
@@ -272,7 +270,7 @@ def _pair_terms(n, p: ModelParams, x):
     e^{-x v}.  Returns (ref, ratio, residue, k_lo, k_hi, w0, w1)."""
     nu, ref, sol = find_nu(n, p)
     r = p.beta_eff / nu
-    phi_tilde, ratio = _phi_tilde(ref, sol, p)
+    phi_tilde, ratio = _phi_tilde(ref, sol)
     p0_inu = phi_tilde(np.array([1j * nu]))[0][0]
     denom = 2.0 / (r * r + 1.0) - p.alpha + 1.0
     res = -2.0 * np.real(np.exp(1j * nu * x) * p0_inu * (1.0 - 1j * r) / denom)
@@ -353,8 +351,9 @@ def refined_eigenpair(n, p: ModelParams, unit_grid: QuadGrid):
     return pair, refs[0]
 
 
-def refined_spectrum(p: ModelParams, head: Spectrum, n_max) -> Spectrum:
-    """The `head` spectrum extended by refined pairs head.n_max + 1 .. n_max.
+def refined_spectrum(head: Spectrum, n_max) -> Spectrum:
+    """The `head` spectrum extended by refined pairs head.n_max + 1 .. n_max
+    of the same problem, `head.params`.
 
     The solver starts at DEFAULT_N_MIN, so the head (the Nystrom oracle on
     the unit grid the refined eigenfunctions are sampled on) must supply the
@@ -366,8 +365,8 @@ def refined_spectrum(p: ModelParams, head: Spectrum, n_max) -> Spectrum:
     (its eigensolver among them).
     """
     nu, lam, phi, phi1, integrals, _ = _refined_pairs(
-        p, head.grid, range(head.n_max + 1, n_max + 1))
-    return Spectrum("refined", p, np.concatenate([head.lam, lam]),
+        head.params, head.grid, range(head.n_max + 1, n_max + 1))
+    return Spectrum("refined", head.params, np.concatenate([head.lam, lam]),
                     np.concatenate([np.full(head.n_max, np.nan), nu]), head.grid,
                     np.hstack([head.phi, phi]), np.concatenate([head.phi1, phi1]),
                     np.concatenate([head.phi_integral, integrals]),

@@ -355,26 +355,23 @@ def _ou_phi_values(nu, u):
                       lambda k: np.sinh(k * u)) / _ou_norms(nu)
 
 
-def ou_closed_form_eigs(beta: float, n_max: int, grid: QuadGrid = None,
-                        params: ModelParams = None) -> Spectrum:
-    """Exact H = 1/2 spectrum on the unit interval (drift `beta`).
+def ou_closed_form_eigs(p: ModelParams, n_max: int, grid: QuadGrid = None) -> Spectrum:
+    """Exact spectrum of the H = 1/2 problem `p`, pairs n = 1 .. n_max.
 
-    Oscillatory modes have lambda_n = 1/(nu_n^2 + beta^2) with nu/beta =
+    With beta = p.beta_eff, the drift of the unit-interval problem,
+    oscillatory modes have lambda_n = 1/(nu_n^2 + beta^2) with nu/beta =
     tan(nu) found by array Newton steps on the arctan form of each branch
     (`_tan_roots`; beta = 0: exactly nu_n = (n-1/2) pi) and eigenfunctions
     proportional to sqrt(2) sin(nu_n x); for beta >= 1 the complete spectrum
     additionally starts with one non-oscillatory mode (see `_ou_modes`).
-    Eigenfunctions are unit-norm and sign-fixed to int phi < 0.  When
-    `params` is given (H must be 1/2), eigenvalues carry the T^{2H} scaling
-    and roots use the drift beta*T.  Raises DomainError when the head mode
-    overflows (beta*T above about 355).
+    Eigenvalues carry the T^{2H} scaling.  Eigenfunctions are unit-norm and
+    sign-fixed to int phi < 0, and sampled on `grid` when one is given.
+    Raises DomainError when p.H is not 1/2 and when the head mode overflows
+    (beta*T above about 355).
     """
-    if params is not None:
-        if abs(params.H - 0.5) > 1e-12:
-            raise DomainError("closed-form OU spectrum requires H = 1/2")
-        beta = params.beta_eff
-    else:
-        params = ModelParams(H=0.5, beta=beta)
+    if abs(p.H - 0.5) > 1e-12:
+        raise DomainError("closed-form OU spectrum requires H = 1/2")
+    beta = p.beta_eff
     # nu/beta may overflow to inf at subnormal beta and beta^2 at huge beta,
     # which the arctan form takes in stride; overflow (and inf/inf) in the
     # head mode is refused below
@@ -400,6 +397,6 @@ def ou_closed_form_eigs(beta: float, n_max: int, grid: QuadGrid = None,
     if not all(np.all(np.isfinite(a)) for a in (lam, norm, phi1, integrals)):
         raise DomainError(f"closed-form OU spectrum overflows at beta*T = {beta:g}")
     phi = None if grid is None else _ou_phi_values(nu, grid.nodes)
-    lam = lam * params.T ** (2.0 * params.H)
-    return Spectrum("closed_form_ou", params, lam, nu, grid, phi, phi1, integrals,
+    lam = lam * p.T ** (2.0 * p.H)
+    return Spectrum("closed_form_ou", p, lam, nu, grid, phi, phi1, integrals,
                     extend=lambda spec, u: _ou_phi_values(spec.nu, u))

@@ -65,7 +65,7 @@ def check_ou_spectrum(quick=False):
     """Criterion 2: Nystrom vs closed-form OU spectrum at H=1/2, beta=1."""
     N = 600 if quick else 1000
     spec = _oracle(0.5, 1.0, N, 10)
-    closed = ou_closed_form_eigs(1.0, 10)
+    closed = ou_closed_form_eigs(ModelParams(H=0.5, beta=1.0), 10)
     rel = float(np.max(np.abs(spec.lam / closed.lam - 1.0)))
     return {"id": 2, "name": "ou_spectrum", "passed": rel < 1e-3,
             "details": {"max_rel_err_n_le_10": rel, "N": N}}
@@ -177,7 +177,7 @@ def check_series_wh_identity(quick=False):
     worst = 0.0
     for eps in (1e-2, 1e-3, 1e-4):
         for u in us:
-            a = mse_series(u, eps, p, spec)
+            a = mse_series(u, eps, spec)
             b = mse_wiener_hopf(u, eps, cov)
             worst = max(worst, abs(a - b) / abs(b))
     return {"id": 8, "name": "series_wh_identity", "passed": worst <= 1e-6,
@@ -192,14 +192,13 @@ def check_error_asymptote(quick=False):
     p5 = ModelParams(H=0.5, beta=0.0)
     n_max = 200_000 if quick else 2_000_000
     spec5 = build_spectrum(p5, "closed_form_ou", n_max=n_max)
-    rep5 = convergence_study(p5, [1e-6], [0.5, 1.0], spec5)
+    rep5 = convergence_study(spec5, [1e-6], [0.5, 1.0])
     dev5 = float(np.max(np.abs(rep5.ratios - 1.0)))
     ok = dev5 <= 0.02
     details["H=0.5"] = {"ratios": rep5.ratios[0].tolist(), "max_dev": dev5}
     if not quick:
-        p7 = ModelParams(H=0.7, beta=-1.0)
         spec7 = _oracle(0.7, -1.0, 6000, 3000)
-        rep7 = convergence_study(p7, [1e-3, 1e-4, 1e-5, 1e-6], [0.5, 1.0], spec7)
+        rep7 = convergence_study(spec7, [1e-3, 1e-4, 1e-5, 1e-6], [0.5, 1.0])
         dev7 = float(np.max(np.abs(rep7.ratios[-1] - 1.0)))
         trends = []
         for k in range(2):
@@ -249,7 +248,7 @@ def check_property_suites(quick=False):
     ok &= ortho <= 1e-8
     # P monotone in eps
     eps_grid = [1e-2, 1e-3, 1e-4]
-    vals = [mse_series(float(g.nodes[100]), e, p, spec) for e in eps_grid]
+    vals = [mse_series(float(g.nodes[100]), e, spec) for e in eps_grid]
     mono = bool(vals[0] >= vals[1] >= vals[2])
     details["P_monotone_in_eps"] = mono
     ok &= mono

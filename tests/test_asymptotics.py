@@ -9,8 +9,7 @@ from fouspec import asymptotics
 from fouspec.asymptotics import (ThetaProfile, b_alpha_closed, b_alpha_numeric,
                                  eta_h, gamma0, h_weight, lambda_from_nu,
                                  nu_first_order, phi_first_order,
-                                 phi_integral_first_order, rho0,
-                                 special_constants, theta0)
+                                 phi_integral_first_order, rho0, theta0)
 from fouspec.exceptions import DomainError
 
 
@@ -145,12 +144,6 @@ class TestXCauchy:
     def test_rejects_cut(self):
         with pytest.raises(DomainError):
             ThetaProfile(0.5).x_cauchy(0.3 + 0j)
-
-    def test_special_constants_bundle(self):
-        sc = special_constants(0.6, beta=1.0, nu=100.0)
-        assert sc.b_alpha == b_alpha_closed(0.6)
-        assert abs(sc.b_alpha_nu - sc.b_alpha) < 1e-3
-        assert sc.eta_h == eta_h(0.7)
 
 
 class TestHWeight:

@@ -362,6 +362,49 @@ def test_noise_ratio_out_of_float_range_is_refused(mu, eps, capsys):
     assert captured.out == "" and "not finite" in captured.err
 
 
+def test_unsizable_mse_is_refused(capsys):
+    # mu^2/eps overflows, so the auto n_max has no size; this used to end in
+    # OverflowError at int(5 * n_eff)
+    argv = ["mse", "--H", "0.7", "--mu", "1000", "--eps", "5e-324",
+            "--spectrum", "first_order"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "cannot size" in err and "--n-max" in err and "--N-unit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mse", "--H", "0.7", "--eps", "1e-3"],
+    ["mse", "--H", "0.7", "--spectrum", "refined", "--n-max", "20", "--eps", "1e-1"],
+    ["mse", "--H", "0.7", "--spectrum", "first_order", "--eps", "1e-3"],
+    ["mse", "--H", "0.5", "--eps", "1e-3"],
+    ["eigs", "--H", "0.7"],
+])
+def test_run_over_the_memory_budget_is_refused(argv, monkeypatch, capsys):
+    # sized against a 64 KiB budget, every route is refused before anything
+    # is assembled or allocated
+    from fouspec import error_analysis
+
+    def never(*args, **kwargs):
+        raise AssertionError("allocated past the budget")
+
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", 2 ** 16)
+    monkeypatch.setattr(error_analysis, "cov_matrix", never)
+    monkeypatch.setattr(error_analysis, "build_spectrum", never)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err and "--N-unit" in captured.err \
+        and "--n-max" in captured.err
+
+
+def test_truncation_refusal_prints_the_term_count_short(capsys):
+    # n_eff = 1e150 used to print as a 151-digit number
+    argv = ["mse", "--H", "0.5", "--eps", "1e-300", "--spectrum", "closed_form_ou",
+            "--n-max", "200"]
+    assert cli.main(argv) == cli.EXIT_TRUNCATION
+    assert "~1e+150 effective terms" in capsys.readouterr().err
+
+
 def test_refined_mse_matches_oracle(capsys):
     # the benchmark's check of the refined route on a smaller grid with the
     # same n_max/N = 1/20: the series agree to 1e-4 relative at every (eps, u).

@@ -9,9 +9,8 @@ from scipy import integrate
 from fouspec import error_analysis
 from fouspec.asymptotics import phi_first_order
 from fouspec.error_analysis import (build_spectrum, check_truncation,
-                                    convergence_study, largest_excluded_term,
-                                    mse_asymptotic, mse_series, mse_wiener_hopf,
-                                    truncation_tail)
+                                    convergence_study, mse_asymptotic, mse_series,
+                                    mse_wiener_hopf, truncation_tail)
 from fouspec.exceptions import DomainError, TruncationError
 from fouspec.ia_refine import refined_eigenpair
 from fouspec.model import DEFAULT_GL_ORDER, ModelParams, QuadGrid, cov_matrix
@@ -39,26 +38,26 @@ class TestSeries:
         j = 75
         u = float(grid.nodes[j])
         prior = float(spec.lam @ spec.phi[j, :] ** 2)  # == K(uT, uT) up to truncation
-        val = mse_series(u, 1e9, p, spec)
+        val = mse_series(u, 1e9, spec)
         assert_allclose(val, prior, rtol=1e-6)
         assert_allclose(prior, cov.values[j, j], rtol=1e-8)
 
     def test_vanishes_monotonically(self, bm_spectrum):
         p, spec = bm_spectrum
-        vals = [mse_series(1.0, eps, p, spec) for eps in (1e-2, 1e-4, 1e-6)]
+        vals = [mse_series(1.0, eps, spec) for eps in (1e-2, 1e-4, 1e-6)]
         assert vals[0] > vals[1] > vals[2] > 0
 
     def test_bm_endpoint_sqrt_law(self, bm_spectrum):
         # P(T, eps) ~ sqrt(eps) for the Brownian case
         p, spec = bm_spectrum
-        assert_allclose(mse_series(1.0, 1e-4, p, spec), 1e-2, rtol=0.05)
+        assert_allclose(mse_series(1.0, 1e-4, spec), 1e-2, rtol=0.05)
 
     def test_errors(self, bm_spectrum):
         p, spec = bm_spectrum
         with pytest.raises(DomainError):
-            mse_series(1.0, 0.0, p, spec)
+            mse_series(1.0, 0.0, spec)
         with pytest.raises(DomainError):
-            mse_series(1.5, 1e-4, p, spec)
+            mse_series(1.5, 1e-4, spec)
 
 
 class TestWienerHopf:
@@ -67,7 +66,7 @@ class TestWienerHopf:
         for eps in (1e-2, 1e-3, 1e-4):
             for j in (40, 75, 148):
                 u = float(grid.nodes[j])
-                a = mse_series(u, eps, p, spec)
+                a = mse_series(u, eps, spec)
                 b = mse_wiener_hopf(u, eps, cov)
                 assert abs(a - b) / b <= 1e-6
 
@@ -102,7 +101,7 @@ class TestWienerHopf:
         # H=1/2, beta=1: interior P/sqrt(eps) -> 1/2
         p = ModelParams(H=0.5, beta=1.0)
         spec = build_spectrum(p, "closed_form_ou", n_max=20_000)
-        val = mse_series(0.5, 1e-6, p, spec)
+        val = mse_series(0.5, 1e-6, spec)
         assert_allclose(val / math.sqrt(1e-6), 0.5, rtol=0.02)
 
 
@@ -137,20 +136,20 @@ class TestAsymptotic:
 class TestConvergenceStudy:
     def test_bm_ratios_near_one(self, bm_spectrum):
         p, spec = bm_spectrum
-        rep = convergence_study(p, [1e-4, 1e-5], [0.5, 1.0], spec)
+        rep = convergence_study(spec, [1e-4, 1e-5], [0.5, 1.0])
         assert np.max(np.abs(rep.ratios - 1.0)) < 0.02
         assert rep.diagnostics["monotone_in_eps"]
         assert np.all(rep.P_series >= 0)
 
     def test_i2_oscillation_small(self, bm_spectrum):
         p, spec = bm_spectrum
-        rep = convergence_study(p, [1e-3, 1e-4, 1e-5], [0.35], spec)
+        rep = convergence_study(spec, [1e-3, 1e-4, 1e-5], [0.35])
         assert np.max(np.abs(rep.diagnostics["I2_over_eps"])) < 1.0
 
     def test_first_order_spectrum_source(self):
         p = ModelParams(H=0.7, beta=-1.0)
         spec = build_spectrum(p, "first_order", n_max=3000)
-        rep = convergence_study(p, [1e-5, 1e-6], [0.5, 1.0], spec)
+        rep = convergence_study(spec, [1e-5, 1e-6], [0.5, 1.0])
         assert np.max(np.abs(rep.ratios[-1] - 1.0)) < 0.05
 
     def test_t_invariance_of_leading_term(self):
@@ -158,30 +157,42 @@ class TestConvergenceStudy:
         for T in (1.0, 2.0):
             p = ModelParams(H=0.5, beta=0.0, T=T)
             spec = build_spectrum(p, "closed_form_ou", n_max=100_000)
-            rep = convergence_study(p, [1e-5], [0.5, 1.0], spec)
+            rep = convergence_study(spec, [1e-5], [0.5, 1.0])
             ratios[T] = rep.ratios[0]
         assert np.max(np.abs(ratios[1.0] / ratios[2.0] - 1.0)) < 0.05
 
     def test_validates_arguments(self, bm_spectrum):
         p, spec = bm_spectrum
         with pytest.raises(DomainError):
-            convergence_study(p, [1e-4, 1e-3], [0.5], spec)  # not decreasing
+            convergence_study(spec, [1e-4, 1e-3], [0.5])  # not decreasing
         with pytest.raises(DomainError):
-            convergence_study(p, [1e-4], [0.0], spec)
+            convergence_study(spec, [1e-4], [0.0])
 
     def test_oracle_spectrum_keeps_its_matrix(self, small_oracle):
         p, grid, cov, spec = small_oracle
         built = build_spectrum(p, "oracle", n_max=spec.n_max, grid=grid)
         assert np.array_equal(built.cov.values, cov.values)
         u = float(grid.nodes[75])
-        rep = convergence_study(p, [1e-3], [u], built, with_wiener_hopf=True)
+        rep = convergence_study(built, [1e-3], [u], with_wiener_hopf=True)
         assert_allclose(rep.P_wiener_hopf, rep.P_series, rtol=1e-6)
 
     def test_wiener_hopf_column(self, small_oracle):
         p, grid, cov, spec = small_oracle
+        built = build_spectrum(p, "oracle", n_max=spec.n_max, grid=grid)
         u = float(grid.nodes[75])
-        rep = convergence_study(p, [1e-3, 1e-4], [u], spec, with_wiener_hopf=True)
+        rep = convergence_study(built, [1e-3, 1e-4], [u], with_wiener_hopf=True)
         assert_allclose(rep.P_wiener_hopf, rep.P_series, rtol=1e-6)
+
+    def test_wiener_hopf_column_needs_the_matrix(self, small_oracle):
+        # the column reads spec.cov only; a spectrum without one is refused
+        # instead of having its matrix assembled again
+        p, grid, cov, spec = small_oracle
+        closed = build_spectrum(ModelParams(H=0.5, beta=1.0), "closed_form_ou",
+                                n_max=20, grid=grid)
+        for bare in (spec, closed):
+            assert bare.cov is None
+            with pytest.raises(DomainError, match="covariance matrix"):
+                convergence_study(bare, [1e-3], [1.0], with_wiener_hopf=True)
 
 
 class TestTruncationGuard:
@@ -189,14 +200,14 @@ class TestTruncationGuard:
         p = ModelParams(H=0.5)
         spec = build_spectrum(p, "closed_form_ou", n_max=300)
         with pytest.raises(TruncationError):
-            check_truncation(1e-9, p, spec, u=1.0)
+            check_truncation(1e-9, spec, u=1.0)
 
     def test_slow_tail_refusal(self):
         # small H: every excluded term looks negligible but their mass is not
         p = ModelParams(H=0.3, beta=-1.0)
         spec = build_spectrum(p, "first_order", n_max=4000)
         with pytest.raises(TruncationError, match="excluded series mass"):
-            check_truncation(1e-6, p, spec, u=1.0)
+            check_truncation(1e-6, spec, u=1.0)
 
     def test_sweep_reuses_its_series(self, monkeypatch):
         # convergence_study hands its smallest-eps row to check_truncation
@@ -204,25 +215,26 @@ class TestTruncationGuard:
         p = ModelParams(H=0.5)
         spec = build_spectrum(p, "closed_form_ou", n_max=300)
         with pytest.raises(TruncationError) as direct:  # the sweep's first u
-            check_truncation(1e-9, p, spec, u=0.5)
+            check_truncation(1e-9, spec, u=0.5)
 
         def no_series(*args, **kwargs):
             raise AssertionError("mse_series called")
 
         monkeypatch.setattr(error_analysis, "mse_series", no_series)
         with pytest.raises(TruncationError) as swept:
-            convergence_study(p, [1e-3, 1e-9], [0.5, 1.0], spec)
+            convergence_study(spec, [1e-3, 1e-9], [0.5, 1.0])
         assert str(swept.value) == str(direct.value)
-        rep = convergence_study(p, [1e-1, 1e-2], [0.5, 1.0], spec)
+        rep = convergence_study(spec, [1e-1, 1e-2], [0.5, 1.0])
         monkeypatch.undo()
         for k, u in enumerate((0.5, 1.0)):
-            assert rep.P_series[-1, k] == mse_series(u, 1e-2, p, spec)
+            assert rep.P_series[-1, k] == mse_series(u, 1e-2, spec)
 
     def test_acceptance_when_sufficient(self, bm_spectrum):
+        # no refusal: the estimated term n_max + 1 is below 1e-3 * P and the
+        # estimated excluded mass below 2e-2 * P
         p, spec = bm_spectrum
-        check_truncation(1e-6, p, spec, u=1.0)
-        worst = largest_excluded_term(1e-6, p, spec)
-        assert worst < 1e-3 * mse_series(1.0, 1e-6, p, spec)
+        check_truncation(1e-6, spec, u=1.0)
+        check_truncation(1e-6, spec, u=1.0, P=mse_series(1.0, 1e-6, spec))
 
 
 @pytest.mark.parametrize("beta", [-1.0, 1e-4, 2.0, 7.5])
@@ -232,8 +244,8 @@ def test_endpoint_matches_kalman_bucy(beta):
     p = ModelParams(H=0.5, beta=beta)
     spec = build_spectrum(p, "closed_form_ou", n_max=100_000)
     for eps in (1e-4, 1e-5):
-        val = mse_series(1.0, eps, p, spec)
-        tail = truncation_tail(eps, p, spec, endpoint=True)
+        val = mse_series(1.0, eps, spec)
+        tail = truncation_tail(eps, spec, endpoint=True)
         d = math.sqrt(beta ** 2 + 1.0 / eps)
         e = math.exp(-2.0 * d)
         assert_allclose(val + tail, (1.0 - e) / ((d - beta) + (d + beta) * e), rtol=1e-6)
@@ -272,13 +284,13 @@ def test_truncation_tail_against_integral(H):
     for y, e in zip(ys, eps):
         ref = N * lam_n / (2.0 * H) * _tail_reference(float(y), H)
         for endpoint, phi_bar2 in ((False, 1.0), (True, 2.0 * H + 1.0)):
-            got = truncation_tail(float(e), p, spec, endpoint=endpoint)
+            got = truncation_tail(float(e), spec, endpoint=endpoint)
             assert isinstance(got, float)
             assert abs(got / (phi_bar2 * ref) - 1.0) <= 1e-13, (y, endpoint)
     ends = np.array([False, True])
-    table = truncation_tail(eps[:, None], p, spec, endpoint=ends)
+    table = truncation_tail(eps[:, None], spec, endpoint=ends)
     assert table.shape == (4, 2)
-    assert np.array_equal(table, [[truncation_tail(float(e), p, spec, endpoint=bool(k))
+    assert np.array_equal(table, [[truncation_tail(float(e), spec, endpoint=bool(k))
                                    for k in ends] for e in eps])
 
 
@@ -296,7 +308,7 @@ def test_refined_spectrum_keeps_its_head_matrix(monkeypatch):
     monkeypatch.setattr(error_analysis, "cov_matrix", counted)
     spec = build_spectrum(p, "refined", n_max=20, grid=g, gl_order=8)
     us = [float(g.nodes[30]), 1.0]
-    rep = convergence_study(p, [1e-1], us, spec, with_wiener_hopf=True)
+    rep = convergence_study(spec, [1e-1], us, with_wiener_hopf=True)
     assert calls == [(60, 8)]
     assert np.array_equal(rep.P_wiener_hopf[0],
                           mse_wiener_hopf(us, 1e-1, cov_matrix(g, p, 8)))
@@ -352,10 +364,10 @@ def test_refined_spectrum_is_complete(n_max):
 def test_eps_must_be_finite_and_positive(eps, bm_spectrum):
     p, spec = bm_spectrum
     g = QuadGrid.gauss_legendre_unit(10)
-    for call in (lambda: mse_series(1.0, eps, p, spec),
+    for call in (lambda: mse_series(1.0, eps, spec),
                  lambda: mse_asymptotic("endpoint", eps, p),
                  lambda: mse_wiener_hopf(1.0, eps, cov_matrix(g, p)),
-                 lambda: convergence_study(p, [1e-3, eps], [1.0], spec)):
+                 lambda: convergence_study(spec, [1e-3, eps], [1.0])):
         with pytest.raises(DomainError, match="eps"):
             call()
 
@@ -363,4 +375,21 @@ def test_eps_must_be_finite_and_positive(eps, bm_spectrum):
 def test_nan_u_is_refused(bm_spectrum):
     p, spec = bm_spectrum
     with pytest.raises(DomainError, match="u_points"):
-        convergence_study(p, [1e-3], [0.5, math.nan], spec)
+        convergence_study(spec, [1e-3], [0.5, math.nan])
+
+
+def test_problem_is_stated_once():
+    # mu, T and H come from the spectrum; the old signatures, which took the
+    # problem a second time and mixed the two silently, are gone
+    p = ModelParams(H=0.5, beta=-1.0)
+    spec = build_spectrum(p, "closed_form_ou", n_max=1000)
+    other = ModelParams(H=0.5, beta=-1.0, T=2.0)
+    with pytest.raises(TypeError):
+        mse_series(1.0, 1e-4, other, spec)
+    with pytest.raises(TypeError):
+        convergence_study(other, [1e-4], [1.0], spec)
+    with pytest.raises(TypeError):
+        check_truncation(1e-4, other, spec)
+    rep = convergence_study(spec, [1e-2], [1.0])
+    assert rep.params is p
+    assert rep.P_series[0, 0] == mse_series(1.0, 1e-2, spec)

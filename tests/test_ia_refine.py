@@ -23,7 +23,7 @@ class TestDegenerateAlphaOne:
 
     def test_boundary_values(self):
         p = ModelParams(H=0.5, beta=0.0)
-        vals = evaluate_abxi(12.0, p)
+        vals = evaluate_abxi(solve_p(12.0, p))
         assert abs(vals["a_plus_mi"] - 2.0) <= 1e-10
         assert abs(vals["a_minus_mi"]) <= 1e-10
         assert abs(vals["b_plus_mi"] - (-2j)) <= 1e-10
@@ -42,7 +42,7 @@ class TestDegenerateAlphaOne:
 
     def test_h_half_nonzero_beta_reproduces_ou(self):
         p = ModelParams(H=0.5, beta=1.0)
-        closed = ou_closed_form_eigs(1.0, 6)
+        closed = ou_closed_form_eigs(p, 6)
         for n in (3, 5):
             nu, _, _ = find_nu(n, p)
             assert_allclose(nu, closed.nu[n - 1], atol=1e-10)
@@ -107,7 +107,7 @@ class TestBoundaryAsymptotics:
         p = ModelParams(H=0.7, beta=0.0)
         da, db = [], []
         for nu in (20.0, 40.0):
-            vals = evaluate_abxi(nu, p)
+            vals = evaluate_abxi(solve_p(nu, p))
             da.append(abs(vals["a_plus_mi"] - 2.0))
             db.append(abs(vals["b_plus_mi"] + 2j))
         assert da[1] < 0.7 * da[0]
@@ -119,7 +119,7 @@ class TestBoundaryAsymptotics:
         target = 4.0 * (3.0 - p.alpha) / 2.0 * math.sqrt(1.0 + b * b)
         dev = []
         for nu in (50.0, 200.0):
-            vals = evaluate_abxi(nu, p)
+            vals = evaluate_abxi(solve_p(nu, p))
             dev.append(abs(abs(vals["xi"] * np.conj(vals["eta"])) / target - 1.0))
         assert dev[1] < dev[0] < 0.01
 
@@ -128,7 +128,7 @@ class TestBoundaryAsymptotics:
         b = b_alpha_closed(p.alpha)
         dev = []
         for nu in (100.0, 200.0):
-            vals = evaluate_abxi(nu, p)
+            vals = evaluate_abxi(solve_p(nu, p))
             prod = vals["xi"] * np.conj(vals["eta"])
             target = nu + (1 - p.alpha) * math.pi / 4.0 - math.pi + cmath.phase(1j + b)
             d = (cmath.phase(prod) - target) % (2.0 * math.pi)

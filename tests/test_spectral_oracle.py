@@ -12,6 +12,11 @@ from fouspec.model import CovMatrix, ModelParams, QuadGrid, cov_matrix, fou_cov
 from fouspec.spectral_oracle import PSD_TOL, nystrom_eigs, nystrom_extend, ou_closed_form_eigs
 
 
+def _ou(beta):
+    """The H = 1/2 problem on the unit interval with drift beta."""
+    return ModelParams(H=0.5, beta=beta)
+
+
 def _bisect(f, lo, hi, steps=200):
     flo = f(lo)
     for _ in range(steps):
@@ -172,12 +177,12 @@ class TestEigensolveBranches:
 
 class TestClosedFormOU:
     def test_bm_case(self):
-        spec = ou_closed_form_eigs(0.0, 5)
+        spec = ou_closed_form_eigs(_ou(0.0), 5)
         assert_allclose(spec.nu[0], math.pi / 2.0, rtol=1e-15)
         assert_allclose(spec.lam[0], 4.0 / math.pi ** 2, rtol=1e-15)
 
     def test_beta_one_root_against_bisection(self):
-        spec = ou_closed_form_eigs(1.0, 3)
+        spec = ou_closed_form_eigs(_ou(1.0), 3)
         # beta = 1: the top mode is the linear one, lambda = 1, phi ~ x
         assert_allclose(spec.lam[0], 1.0, rtol=1e-14)
         assert spec.nu[0] == 0.0
@@ -188,7 +193,7 @@ class TestClosedFormOU:
         assert_allclose(spec.lam[1], 1.0 / (nu1 ** 2 + 1.0), rtol=1e-12)
 
     def test_beta_above_one_hyperbolic_mode(self):
-        spec = ou_closed_form_eigs(2.0, 3)
+        spec = ou_closed_form_eigs(_ou(2.0), 3)
         kappa = -spec.nu[0]
         assert 0.0 < kappa < 2.0
         assert_allclose(math.tanh(kappa), kappa / 2.0, rtol=1e-12)
@@ -196,7 +201,7 @@ class TestClosedFormOU:
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, -1.0, 3.0])
     def test_roots_solve_the_equation(self, beta):
-        spec = ou_closed_form_eigs(beta, 12)
+        spec = ou_closed_form_eigs(_ou(beta), 12)
         osc = spec.nu > 0
         assert_allclose(np.tan(spec.nu[osc]), spec.nu[osc] / beta, rtol=1e-8)
         assert np.all(np.diff(spec.nu[osc]) > 0)
@@ -211,13 +216,13 @@ class TestClosedFormOU:
             lo, hi = max((k - 0.5) * math.pi, 0.0) + 1e-9, (k + 0.5) * math.pi - 1e-9
             if f(lo) * f(hi) < 0:
                 ref.append(_bisect(f, lo, hi))
-        nu = ou_closed_form_eigs(beta, 20).nu
+        nu = ou_closed_form_eigs(_ou(beta), 20).nu
         osc = nu[nu > 0]
         assert_allclose(osc, ref[:len(osc)], rtol=1e-14)
 
     @pytest.mark.parametrize("beta", [-2.0, 0.5, 2.0])
     def test_asymptotic_spacing(self, beta):
-        spec = ou_closed_form_eigs(beta, 60)
+        spec = ou_closed_form_eigs(_ou(beta), 60)
         n = np.arange(1, 61)
         gap = np.abs(spec.nu - (np.pi * n - np.pi / 2.0))
         tail = gap[spec.nu > 0]
@@ -228,11 +233,11 @@ class TestClosedFormOU:
         p = ModelParams(H=0.5, beta=1.0)
         g = QuadGrid.gauss_legendre_unit(600)
         spec = nystrom_eigs(cov_matrix(g, p), 10)
-        closed = ou_closed_form_eigs(1.0, 10)
+        closed = ou_closed_form_eigs(_ou(1.0), 10)
         assert_allclose(spec.lam, closed.lam, rtol=1e-3)
 
     def test_phi_values_and_convention(self):
-        spec = ou_closed_form_eigs(1.0, 4)
+        spec = ou_closed_form_eigs(_ou(1.0), 4)
         assert np.all(spec.phi_integral < 0)
         vals = spec.phi_values(0.5)
         assert_allclose(vals[0], -math.sqrt(3.0) * 0.5, rtol=1e-14)
@@ -245,31 +250,44 @@ class TestClosedFormOU:
     def test_trace_identity_large_beta(self, beta):
         # sum lambda_n = int_0^1 K(t,t) dt; the head eigenvalue carries almost
         # all of it and the truncated tail is below 1e-17 of the trace
-        spec = ou_closed_form_eigs(beta, 2000)
+        spec = ou_closed_form_eigs(_ou(beta), 2000)
         trace = (math.exp(2 * beta) - 1 - 2 * beta) / (4 * beta ** 2)
         assert_allclose(np.sum(spec.lam), trace, rtol=1e-12)
 
     def test_refuses_overflow(self, capsys):
-        spec = ou_closed_form_eigs(300.0, 50)
+        spec = ou_closed_form_eigs(_ou(300.0), 50)
         for a in (spec.lam, spec.phi1, spec.phi_integral):
             assert np.all(np.isfinite(a))
         for beta in (355.4, 400.0):  # at 355.4 only the sinh norm overflows
             with pytest.raises(DomainError):
-                ou_closed_form_eigs(beta, 50)
+                ou_closed_form_eigs(_ou(beta), 50)
         assert cli.main(["mse", "--H", "0.5", "--beta", "400",
                          "--eps", "1e-3"]) == cli.EXIT_USAGE
         assert "overflows" in capsys.readouterr().err
 
+    def test_refuses_h_other_than_half(self):
+        with pytest.raises(DomainError, match="H = 1/2"):
+            ou_closed_form_eigs(ModelParams(H=0.7), 5)
+
+    def test_drift_and_horizon_come_from_the_params(self):
+        # the problem is stated once: beta*T sets the roots, T^{2H} the scale
+        spec = ou_closed_form_eigs(ModelParams(H=0.5, beta=2.5, T=2.0), 5)
+        unit = ou_closed_form_eigs(_ou(5.0), 5)
+        assert np.array_equal(spec.nu, unit.nu)
+        assert np.array_equal(spec.lam, unit.lam * 2.0)
+        with pytest.raises(TypeError):
+            ou_closed_form_eigs(5.0, 3, params=_ou(1.0))
+
     @pytest.mark.parametrize("beta", [1e-12, -1e-12])
     def test_tiny_beta_roots(self, beta):
-        spec = ou_closed_form_eigs(beta, 100)
+        spec = ou_closed_form_eigs(_ou(beta), 100)
         assert_allclose(spec.nu, (np.arange(1, 101) - 0.5) * np.pi, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("beta", [-1.0, 1.0, 2.0])
     def test_closed_forms_match_quadrature(self, beta):
         # beta = 1 and 2 start with the linear and the sinh head mode
         g = QuadGrid.gauss_legendre_unit(2000)
-        spec = ou_closed_form_eigs(beta, 50, grid=g)
+        spec = ou_closed_form_eigs(_ou(beta), 50, grid=g)
         assert_allclose(g.weights @ spec.phi, spec.phi_integral, rtol=1e-10)
         assert_allclose(g.weights @ spec.phi ** 2, 1.0, rtol=0, atol=1e-12)
 
@@ -280,7 +298,7 @@ class TestClosedFormOU:
         # sinh(2k)/(4k) - 1/2 and 1 - cos v cancel (5.6e-7 norm defect at
         # 1 + 1e-10 before the series forms)
         g = QuadGrid.gauss_legendre_unit(400)
-        spec = ou_closed_form_eigs(beta, 3, grid=g)
+        spec = ou_closed_form_eigs(_ou(beta), 3, grid=g)
         assert abs(spec.nu[0]) < 0.05
         phi0 = spec.phi[:, 0]
         assert abs(g.weights @ phi0 ** 2 - 1.0) <= 1e-12
@@ -341,7 +359,7 @@ class TestTanRoots:
     def test_modes_near_zero_stay_bisected(self, beta):
         # the arctan form cancels as beta -> 1, so the branch-0 root (beta < 1)
         # and the sinh head mode (beta > 1) keep the bisection's exact bits
-        nu = ou_closed_form_eigs(beta, 5).nu
+        nu = ou_closed_form_eigs(_ou(beta), 5).nu
         if beta < 1.0:
             ref = _tan_bisection(beta, 1)
         else:
@@ -375,7 +393,7 @@ class TestLookupRule:
 
     def test_grid_samples_equal_the_closed_form(self):
         g = QuadGrid.gauss_legendre_unit(40)
-        spec = ou_closed_form_eigs(0.5, 12, grid=g)
+        spec = ou_closed_form_eigs(_ou(0.5), 12, grid=g)
         for j in (0, 17, 39):
             assert np.array_equal(spec.phi_values(float(g.nodes[j])),
                                   spec.extend(spec, float(g.nodes[j])))
