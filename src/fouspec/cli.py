@@ -49,7 +49,6 @@ class RunConfig:
     mu: float = 1.0
     T: float = 1.0
     N_unit: int = 0      # 0 = auto: 1000 for eigs, max(3000, 2*n_max) for mse
-    gl_order: int = 64
     n_max: int = 0       # 0 = auto: 20 for eigs, >= 1500 for mse
     eps: tuple = (1e-3, 1e-4, 1e-5)
     u: tuple = (0.5, 1.0)
@@ -149,7 +148,6 @@ _FLAGS = {
     "T": dict(type=float, help="horizon [1]"),
     "N-unit": dict(type=int, help="unit-interval grid size [auto: 1000 for eigs, "
                                   ">= 3000 for mse]"),
-    "gl-order": dict(type=int, help="Gauss order per 1-d integral [64]"),
     "n-max": dict(type=int, help="eigenpairs [auto: 20 for eigs, sized to the "
                                  "smallest eps for mse]"),
     "mu": dict(type=float, help="observation gain [1]"),
@@ -162,7 +160,7 @@ _FLAGS = {
     "nu": dict(type=float, help="frequency for the finite-nu profile [50]"),
     "quick": dict(action="store_const", const=True, help="fast subset (no refined solver)"),
 }
-_EIGS_FLAGS = ("format", "H", "beta", "T", "N-unit", "gl-order", "n-max")
+_EIGS_FLAGS = ("format", "H", "beta", "T", "N-unit", "n-max")
 _COMMANDS = {
     "eigs": ("three-way eigenvalue/eigenfunction table", _EIGS_FLAGS),
     "mse": ("estimation-error sweep with asymptote ratios",
@@ -228,8 +226,7 @@ def compute_eigs(cfg: RunConfig):
     n_max = cfg.n_max or 20
     grid_size = cfg.N_unit or 1000
     _check_footprint("oracle", grid_size, n_max)
-    spec = build_spectrum(p, "oracle", n_max=n_max, grid_size=grid_size,
-                          gl_order=cfg.gl_order)
+    spec = build_spectrum(p, "oracle", n_max=n_max, grid_size=grid_size)
     fo = build_spectrum(p, "first_order", n_max=n_max)
     # one ordered column per header entry; the refined ones stay None (and
     # are dropped) below H = 1/2, where the refined solver is out of scope
@@ -299,8 +296,7 @@ def compute_mse(cfg: RunConfig):
         raise UsageError(f"n_max={n_max} exceeds the grid size {grid_size}; "
                          "raise --N-unit or lower --n-max")
     _check_footprint(method, grid_size, n_max)
-    spec = build_spectrum(p, method, n_max=n_max, grid_size=grid_size,
-                          gl_order=cfg.gl_order)
+    spec = build_spectrum(p, method, n_max=n_max, grid_size=grid_size)
     us = []
     for u in cfg.u:
         u = float(u)

@@ -31,7 +31,7 @@ from scipy.special import gamma as _gamma_fn
 from scipy.special import hyp2f1
 
 from .exceptions import DomainError, SolverError, TruncationError
-from .model import DEFAULT_GL_ORDER, CovMatrix, ModelParams, QuadGrid, cov_matrix
+from .model import CovMatrix, ModelParams, QuadGrid, cov_matrix
 from .spectral_oracle import Spectrum, nystrom_eigs, ou_closed_form_eigs
 
 EXCLUDED_TERM_BUDGET = 1e-3  # largest excluded series term, relative to P
@@ -172,7 +172,7 @@ def mse_asymptotic(position, eps, p: ModelParams):
 
 
 def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = None,
-                   grid_size=1000, gl_order=DEFAULT_GL_ORDER) -> Spectrum:
+                   grid_size=1000) -> Spectrum:
     """Construct the requested spectrum source for error sweeps.
 
     oracle         : Nystrom eigensolve on a Gauss-Legendre grid
@@ -184,7 +184,7 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
     if method in ("oracle", "refined"):
         if grid is None:
             grid = QuadGrid.gauss_legendre_unit(grid_size)
-        cov = cov_matrix(grid, p, gl_order)
+        cov = cov_matrix(grid, p)
         # the matrix stays on the spectrum for the Wiener-Hopf route
         if method == "oracle":
             return replace(nystrom_eigs(cov, n_max), cov=cov)

@@ -34,7 +34,9 @@ import numpy as np
 from ._quad import gauss_legendre_01, graded_nodes, jacobi_01
 from .exceptions import DomainError
 
-DEFAULT_GL_ORDER = 64
+# Gauss order of each 1-d integral: within 6e-12 of order 128 for -1 <= beta*T <=
+# 300 (order 32: 4e-4 at 300); at MIN_BETA_T orders 16-64 share one 5e-8 floor.
+GL_ORDER = 64
 
 # Most negative beta*T the expansion is trusted at.  Error against the exact
 # H = 1/2 covariance, max |dK| / sqrt(K(s,s) K(t,t)) on a 200-node grid:
@@ -151,13 +153,13 @@ def fbm_cov(s, t, H):
     return out if out.ndim else float(out)
 
 
-def _node_tables(x, b, c, m):
+def _node_tables(x, b, c):
     """Every factor of the expansion that depends on one time x_i, over all i.
 
     b != 0; Ebv(x) = int_0^x e^{-bv} dv and Em(x) = int_0^x e^{-2bu} du are
     written with expm1, so they stay accurate for tiny |b|.
     """
-    z, w = jacobi_01(m, c)
+    z, w = jacobi_01(GL_ORDER, c)
     A = np.exp(-b * np.outer(x, z))   # e^{-b x_i z_k}
     B = np.exp(+b * np.outer(x, z))   # e^{+b x_i z_k}
     xc1 = x ** (c + 1.0)
@@ -199,7 +201,7 @@ def _pairs(S, T, b, c):
     return t1 + t2 + t3 + t4
 
 
-def _kernel(s, t, p: ModelParams, m):
+def _kernel(s, t, p: ModelParams):
     """K(s_i*T, t_j*T) for unit-interval times s_i <= t_j: the one evaluator.
 
     Works on [0,1] with drift beta*T and rescales by T^{2H}.  With t = None it
@@ -207,8 +209,6 @@ def _kernel(s, t, p: ModelParams, m):
     blocks, `_ROW_BLOCK` rows at a time, are evaluated and then mirrored.
     Refuses beta*T below MIN_BETA_T and any non-finite result.
     """
-    if m < 2:
-        raise DomainError(f"gl_order must be >= 2, got {m}")
     b = p.beta_eff
     if b < MIN_BETA_T:
         raise DomainError(f"beta*T = {b:g} is below {MIN_BETA_T:g}; the covariance "
@@ -221,11 +221,10 @@ def _kernel(s, t, p: ModelParams, m):
         if abs(b) < np.finfo(float).tiny:
             # beta = 0, or subnormal: the beta terms vanish below rounding, and
             # the 1/b factors of the expansion would overflow
-            K = 0.5 * (s[:, None] ** c + t[None, :] ** c
-                       - np.abs(t[None, :] - s[:, None]) ** c)
+            K = fbm_cov(s[:, None], t[None, :], p.H)
         elif symmetric:
             n = len(s)
-            tab = _node_tables(s, b, c, m)
+            tab = _node_tables(s, b, c)
             lower = np.tri(_ROW_BLOCK, k=-1, dtype=bool)
             K = np.empty((n, n))
             for lo in range(0, n, _ROW_BLOCK):
@@ -236,7 +235,7 @@ def _kernel(s, t, p: ModelParams, m):
                 K[hi:, lo:hi] = blk[:, h:].T
                 K[lo:hi, lo:hi] = np.where(lower[:h, :h], blk[:, :h].T, blk[:, :h])
         else:
-            K = _pairs(_node_tables(s, b, c, m), _node_tables(t, b, c, m), b, c)
+            K = _pairs(_node_tables(s, b, c), _node_tables(t, b, c), b, c)
     K[s == 0.0] = 0.0  # X_0 = 0 makes K(0, t) = 0 exactly
     if not np.all(np.isfinite(K)):
         raise DomainError(f"covariance is not finite at beta*T = {b:g}")
@@ -244,19 +243,18 @@ def _kernel(s, t, p: ModelParams, m):
     return K
 
 
-def fou_cov(s, t, p: ModelParams, gl_order: int = DEFAULT_GL_ORDER):
+def fou_cov(s, t, p: ModelParams):
     """Covariance E[X_s X_t] of the fractional OU signal, scalar arguments.
 
     A 1x1 call of the assembler.  Each 1-d integral of the
-    variation-of-constants expansion is evaluated with a `gl_order`-point
-    Gauss rule whose weight absorbs the algebraic v^{2H} factor, so the
-    result is accurate to machine precision for all H in (0,1) and
-    MIN_BETA_T <= beta*T <= 300.
+    variation-of-constants expansion is evaluated with a Gauss rule whose
+    weight absorbs the algebraic v^{2H} factor, so the result is accurate to
+    machine precision for all H in (0,1) and MIN_BETA_T <= beta*T <= 300.
     """
     s, t = sorted((float(s), float(t)))
     if s < 0 or t > p.T:
         raise DomainError("times must lie in [0, T]")
-    return float(_kernel(np.array([s / p.T]), np.array([t / p.T]), p, gl_order)[0, 0])
+    return float(_kernel(np.array([s / p.T]), np.array([t / p.T]), p)[0, 0])
 
 
 def c_alpha(alpha):
@@ -328,18 +326,18 @@ def fou_cov_singular(s, t, p: ModelParams, n_panels: int = 16, ratio: float = 0.
     return ca * np.exp(b * (s + t)) * total
 
 
-def cov_matrix(grid: QuadGrid, p: ModelParams, gl_order: int = DEFAULT_GL_ORDER) -> CovMatrix:
+def cov_matrix(grid: QuadGrid, p: ModelParams) -> CovMatrix:
     """Assemble K_ij = fou_cov(t_i*T, t_j*T, p) on the grid nodes t_i.
 
-    The pairwise quadratures are rank-`gl_order` products of per-node
+    The pairwise quadratures are rank-`GL_ORDER` products of per-node
     exponential tables, so assembly is a handful of GEMMs per block of
     `_ROW_BLOCK` rows.  Only the upper-triangle blocks are computed; the lower
     triangle is their mirror, so the matrix is exactly symmetric.
     """
-    return CovMatrix(_kernel(grid.nodes, None, p, gl_order), grid, p)
+    return CovMatrix(_kernel(grid.nodes, None, p), grid, p)
 
 
-def cov_row(xs, p: ModelParams, grid: QuadGrid, gl_order: int = DEFAULT_GL_ORDER):
+def cov_row(xs, p: ModelParams, grid: QuadGrid):
     """Kernel values fou_cov(xs*T, t_j*T) against all grid nodes (Nystrom rows).
 
     Nodes below xs pair with xs as s, the others as t, so that every
@@ -348,5 +346,4 @@ def cov_row(xs, p: ModelParams, grid: QuadGrid, gl_order: int = DEFAULT_GL_ORDER
     x = grid.nodes
     xs = np.array([float(xs)])
     k = int(np.searchsorted(x, xs[0]))
-    return np.concatenate([_kernel(x[:k], xs, p, gl_order)[:, 0],
-                           _kernel(xs, x[k:], p, gl_order)[0]])
+    return np.concatenate([_kernel(x[:k], xs, p)[:, 0], _kernel(xs, x[k:], p)[0]])

@@ -29,6 +29,8 @@ _INTEGRAL_TIE_TOL = 1e-12
 PSD_TOL = 1e-10  # refuse a matrix whose min eigenvalue / trace is below -PSD_TOL
 SUBSET_FRACTION = 0.1  # up to this share of the pairs, solve for the kept ones only
 LANCZOS_PAIRS = 2  # the refined head (pairs 1, 2): at most this many go to Lanczos
+# lambda_n carries a rounding error of about 0.1 eps lambda_1: refuse ratios below
+ROUNDING_FLOOR = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,8 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
     lambda v and recovers eigenfunction samples as W^{-1/2} v, which already
     have unit weighted-L2 norm; phi_n(1) comes from the Nystrom extension at
     x = 1, with the matrix's params.  Raises SolverError when the matrix is
-    not positive semidefinite to PSD_TOL.
+    not positive semidefinite to PSD_TOL, or when lambda_{n_max} / lambda_1 is
+    not above ROUNDING_FLOOR, where it is rounding noise (strong positive drift).
 
     Three solvers, by the number of kept pairs:
       - n_max <= LANCZOS_PAIRS and n_max <= SUBSET_FRACTION * N: ARPACK
@@ -173,9 +176,10 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
     lam, V = lam[::-1][:n_max].copy(), V[:, ::-1][:, :n_max]
     diagnostics = {"min_eigenvalue": lam_min, "trace": trace, "psd_defect": defect,
                    "eigensolver": solver}
-    if lam[n_max - 1] <= 0:
-        raise SolverError("requested eigenvalues are not all positive; "
-                          "reduce n_max or refine the grid", stage="nystrom_eigs")
+    if not lam[n_max - 1] > ROUNDING_FLOOR * lam[0]:
+        raise SolverError(f"lambda_n / lambda_1 is above the rounding floor {ROUNDING_FLOOR:.2g} "
+                          f"up to n = {np.sum(lam > ROUNDING_FLOOR * lam[0])} only; the rest "
+                          "is rounding noise: lower --n-max or beta*T", stage="nystrom_eigs")
     phi = V / sw[:, None]
     # renormalize in weighted L2 (paranoia: every solver gives unit 2-norm)
     norms = np.sqrt(w @ phi ** 2)

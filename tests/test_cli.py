@@ -149,7 +149,7 @@ def test_validate_quick_subset():
 
 
 COMMAND_FLAGS = {
-    "eigs": {"--format", "--H", "--beta", "--T", "--N-unit", "--gl-order", "--n-max"},
+    "eigs": {"--format", "--H", "--beta", "--T", "--N-unit", "--n-max"},
     "special": {"--format", "--H", "--beta", "--T", "--nu"},
     "validate": {"--quick"},
 }
@@ -173,19 +173,23 @@ def test_each_command_takes_only_its_flags(command, capsys):
     ["validate", "--T", "2"], ["validate", "--N-unit", "100"],
     ["validate", "--gl-order", "8"], ["validate", "--n-max", "3"],
     ["validate", "--format", "json"],
+    ["eigs", "--gl-order", "8"], ["mse", "--gl-order", "8"],
 ])
 def test_deleted_flags_are_usage_errors(argv, capsys):
-    # these flags were accepted and ignored; validate --H 0.3 validated nothing at 0.3
+    # these flags were accepted and ignored (validate --H 0.3 validated nothing
+    # at 0.3), or honoured on some code paths only (--gl-order)
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_config_key(tmp_path):
-    conf = tmp_path / "typo.conf"
-    conf.write_text("n_maxx = 4\n")
-    code, _, err = run_cli(["eigs", "--config", str(conf)])
-    assert code == 2
-    assert "n_maxx" in err
+    # gl_order was a field until the Gauss order became a constant of the model
+    for key in ("n_maxx", "gl_order"):
+        conf = tmp_path / "typo.conf"
+        conf.write_text(f"{key} = 64\n")
+        code, _, err = run_cli(["eigs", "--config", str(conf)])
+        assert code == 2
+        assert f"unknown key {key!r}" in err
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -308,7 +312,6 @@ def test_fuzz_cli(data):
     values = {
         "H": H, "beta": data.draw(st.floats(-3.0, 3.0)), "mu": data.draw(_log10(-1, 1)),
         "T": data.draw(_log10(-1, 0.5)), "N-unit": N_unit,
-        "gl-order": data.draw(st.integers(2, 12)),
         "n-max": data.draw(st.just(n_cap) | st.integers(1, n_cap)),
         "eps": data.draw(st.lists(_log10(0, 6), min_size=1, max_size=2, unique=True)),
         "u": data.draw(st.lists(st.floats(0.01, 1.0) | st.just(1.0), min_size=1,
@@ -420,6 +423,15 @@ def test_refined_mse_matches_oracle(capsys):
     for ref, ora in zip(rows["refined"], rows["oracle"]):
         assert ref[:2] == ora[:2]  # eps, u
         assert abs(ref[2] - ora[2]) <= 1e-4 * abs(ora[2])
+
+
+def test_eigs_below_the_rounding_floor_is_refused(capsys):
+    # lambda_1 = 1.5e14 here; lambda_2..5 used to print 39-75x too large, exit 0
+    argv = ["eigs", "--H", "0.5", "--beta", "20", "--N-unit", "300", "--n-max", "5"]
+    assert cli.main(argv) == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rounding floor" in captured.err and "--n-max" in captured.err
 
 
 def test_h_half_wiener_hopf_keeps_the_oracle(capsys):

@@ -13,7 +13,7 @@ from fouspec.error_analysis import (build_spectrum, check_truncation,
                                     mse_wiener_hopf, truncation_tail)
 from fouspec.exceptions import DomainError, TruncationError
 from fouspec.ia_refine import refined_eigenpair
-from fouspec.model import DEFAULT_GL_ORDER, ModelParams, QuadGrid, cov_matrix
+from fouspec.model import ModelParams, QuadGrid, cov_matrix
 from fouspec.spectral_oracle import nystrom_eigs
 
 
@@ -295,33 +295,30 @@ def test_truncation_tail_against_integral(H):
 
 
 def test_refined_spectrum_keeps_its_head_matrix(monkeypatch):
-    # the Wiener-Hopf column used to assemble the matrix a second time, at
-    # the default Gauss order instead of the head's
+    # the Wiener-Hopf column used to assemble the matrix a second time
     p = ModelParams(H=0.7, beta=-1.0)
     g = QuadGrid.gauss_legendre_unit(60)
     calls = []
 
-    def counted(grid, params, gl_order=DEFAULT_GL_ORDER):
-        calls.append((grid.size, gl_order))
-        return cov_matrix(grid, params, gl_order)
+    def counted(grid, params):
+        calls.append(grid.size)
+        return cov_matrix(grid, params)
 
     monkeypatch.setattr(error_analysis, "cov_matrix", counted)
-    spec = build_spectrum(p, "refined", n_max=20, grid=g, gl_order=8)
+    spec = build_spectrum(p, "refined", n_max=20, grid=g)
     us = [float(g.nodes[30]), 1.0]
     rep = convergence_study(spec, [1e-1], us, with_wiener_hopf=True)
-    assert calls == [(60, 8)]
+    assert calls == [60]
     assert np.array_equal(rep.P_wiener_hopf[0],
-                          mse_wiener_hopf(us, 1e-1, cov_matrix(g, p, 8)))
+                          mse_wiener_hopf(us, 1e-1, cov_matrix(g, p)))
 
 
-def test_refined_head_pairs_follow_gl_order():
-    # the head pairs come from the oracle matrix, assembled at the given order
+def test_refined_head_pairs_are_the_oracle_pairs():
+    # the head pairs come from the oracle matrix of the same grid
     p = ModelParams(H=0.7, beta=-1.0)
     g = QuadGrid.gauss_legendre_unit(60)
-    spec = build_spectrum(p, "refined", n_max=3, grid=g, gl_order=8)
-    head = nystrom_eigs(cov_matrix(g, p, 8), 2)
-    assert np.array_equal(spec.lam[:2], head.lam)
-    assert not np.array_equal(head.lam, nystrom_eigs(cov_matrix(g, p), 2).lam)
+    spec = build_spectrum(p, "refined", n_max=3, grid=g)
+    assert np.array_equal(spec.lam[:2], nystrom_eigs(cov_matrix(g, p), 2).lam)
 
 
 def test_first_order_extends_by_formula():

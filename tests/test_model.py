@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from fouspec import cli
+from fouspec import cli, model
 from fouspec.exceptions import DomainError, SolverError
 from fouspec.model import (MIN_BETA_T, CovMatrix, ModelParams, QuadGrid, c_alpha,
                            cov_matrix, cov_row, fbm_cov, fou_cov, fou_cov_singular)
@@ -140,10 +140,8 @@ class TestFouCov:
         p = ModelParams(H=0.7, beta=-1.0)
         assert fou_cov(0.0, 0.7, p) == 0.0
 
-    def test_rejects_bad_order_and_times(self):
+    def test_rejects_bad_times(self):
         p = ModelParams(H=0.7, beta=-1.0)
-        with pytest.raises(DomainError):
-            fou_cov(0.1, 0.2, p, gl_order=1)
         with pytest.raises(DomainError):
             fou_cov(0.1, 1.2, p)
 
@@ -235,14 +233,15 @@ class TestCovMatrix:
         assert_allclose(K[3, 7], fou_cov(g.nodes[3] * 2.0, g.nodes[7] * 2.0, p),
                         rtol=1e-10)
 
-def test_raw_kernel_branches_order_converged():
+def test_raw_kernel_branches_order_converged(monkeypatch):
     # the Gauss order 64 the assembler uses is already converged, on both
     # sides of s = t/2 (where the former scalar kernel switched branches)
-    for H, b in [(0.3, -1.0), (0.3, 1.5), (0.8, 2.0)]:
-        p = ModelParams(H=H, beta=b)
-        for s in (0.4999, 0.5001):
-            assert_allclose(fou_cov(s, 1.0, p, gl_order=64),
-                            fou_cov(s, 1.0, p, gl_order=96), rtol=1e-12)
+    assert model.GL_ORDER == 64
+    cases = [(s, ModelParams(H=H, beta=b)) for H, b in [(0.3, -1.0), (0.3, 1.5), (0.8, 2.0)]
+             for s in (0.4999, 0.5001)]
+    at_64 = [fou_cov(s, 1.0, p) for s, p in cases]
+    monkeypatch.setattr(model, "GL_ORDER", 96)
+    assert_allclose(at_64, [fou_cov(s, 1.0, p) for s, p in cases], rtol=1e-12)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -235,6 +236,19 @@ class TestClosedFormOU:
         spec = nystrom_eigs(cov_matrix(g, p), 10)
         closed = ou_closed_form_eigs(_ou(1.0), 10)
         assert_allclose(spec.lam, closed.lam, rtol=1e-3)
+
+    @pytest.mark.parametrize("beta", [10.0, 13.0, 15.0, 17.0, 20.0, 25.0])
+    def test_oracle_above_the_rounding_floor(self, beta):
+        # lambda_n / lambda_1 falls like e^{-2 beta}: past ~1/eps the small
+        # eigenvalues are rounding noise, so the oracle returns pairs within
+        # the grid's error or refuses, naming the last index it can return
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(1000), _ou(beta))
+        try:
+            spec = nystrom_eigs(cov, 50)
+        except SolverError as exc:
+            assert beta > 13.0 and exc.stage == "nystrom_eigs"
+            spec = nystrom_eigs(cov, int(re.search(r"up to n = (\d+)", str(exc))[1]))
+        assert_allclose(spec.lam, ou_closed_form_eigs(_ou(beta), spec.n_max).lam, rtol=1e-2)
 
     def test_phi_values_and_convention(self):
         spec = ou_closed_form_eigs(_ou(1.0), 4)
