@@ -37,6 +37,11 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 # (1e6 pairs); the factors round those up.
 MEMORY_BUDGET = 4 * 2 ** 30
 DENSE_DOUBLES, PAIR_DOUBLES = 4, 20
+# The automatic closed-form truncation stops at CLOSED_FORM_PAIRS.  There the
+# excluded series mass is about 0.2 n_eff / n_max of P (H = 1/2), twice the
+# tail budget of 2e-2 once n_eff >= CLOSED_FORM_PAIRS / 5: such runs are
+# refused before the spectrum is built.
+CLOSED_FORM_PAIRS = 5_000_000
 
 
 @dataclass
@@ -261,7 +266,7 @@ def compute_mse(cfg: RunConfig):
     from scipy.special import gamma as gamma_fn
 
     from .error_analysis import build_spectrum, convergence_study
-    from .exceptions import DomainError
+    from .exceptions import DomainError, TruncationError
     from .model import ModelParams
 
     if not cfg.eps:
@@ -290,7 +295,13 @@ def compute_mse(cfg: RunConfig):
                               f"at eps = {eps[-1]:.3g}; set --n-max and --N-unit")
         n_max = max(1500, int(5 * n_eff))
         if method == "closed_form_ou":
-            n_max = min(max(n_max, int(200 * n_eff)), 5_000_000)
+            if n_eff >= CLOSED_FORM_PAIRS / 5:
+                raise TruncationError(
+                    f"eps={eps[-1]:g} needs ~{n_eff:.3g} effective terms, and the closed "
+                    f"form stops at n_max={CLOSED_FORM_PAIRS}: from "
+                    f"{CLOSED_FORM_PAIRS / 5:.3g} effective terms on, its excluded series "
+                    "mass exceeds the tail budget; raise the smallest eps")
+            n_max = min(max(n_max, int(200 * n_eff)), CLOSED_FORM_PAIRS)
     grid_size = cfg.N_unit or max(3000, 2 * n_max)
     if method in ("oracle", "refined") and n_max > grid_size:
         raise UsageError(f"n_max={n_max} exceeds the grid size {grid_size}; "

@@ -132,7 +132,11 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
     at the last node, not at the endpoint where `mse_series` reads phi(1):
     at N = 300 (H = 0.7, beta = -1, eps = 1e-3) that node is 1.6e-5 from 1
     and the two differ by 2.7e-4 relative.  The off-grid formula of ROADMAP
-    item 3, evaluated at u itself, closes this gap.
+    item 1, evaluated at u itself, closes this gap.
+
+    The one N x N array is eps I + mu^2 T W^{1/2} K W^{1/2}, built without
+    temporaries and Cholesky-factored in place, so the peak is about one
+    matrix beyond `cov`.
     """
     if not 0.0 < eps < np.inf:
         raise DomainError(f"eps must be finite and positive, got {eps}")
@@ -142,11 +146,14 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
     p, grid = cov.params, cov.grid
     j = np.argmin(np.abs(grid.nodes[:, None] - us[None, :]), axis=0)
     sw = np.sqrt(grid.weights)
-    A = sw[:, None] * cov.values * sw[None, :]
+    # built transposed in one allocation: K is symmetric, so the Fortran-ordered
+    # A.T holds ((sw_i K_ij) sw_j) mu^2 T and is factored in place
+    A = cov.values * sw[None, :]
+    A *= sw[:, None]
     A *= p.mu ** 2 * p.T
     A[np.diag_indices_from(A)] += eps
     try:
-        ch = cho_factor(A, lower=True, overwrite_a=True)
+        ch = cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Wiener-Hopf system not positive definite: {exc}",
                           stage="mse_wiener_hopf")

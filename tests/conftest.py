@@ -12,3 +12,22 @@ def oracle_07():
     grid = QuadGrid.gauss_legendre_unit(800)
     spec = nystrom_eigs(cov_matrix(grid, p), 30)
     return p, grid, spec
+
+
+@pytest.fixture
+def peak_matrices():
+    """peak_matrices(f, N): the traced peak of f(), above what was allocated
+    before it, in units of one N x N float matrix (8 N^2 bytes)."""
+    import tracemalloc
+
+    def peak(f, N):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            f()
+            return (tracemalloc.get_traced_memory()[1] - base) / (8.0 * N * N)
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fouspec import cli
+from fouspec import cli, error_analysis
+from fouspec.exceptions import TruncationError
+from fouspec.model import ModelParams
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -274,6 +277,56 @@ def test_refined_below_solver_start_is_refused_by_truncation(capsys):
     assert "truncation refusal" in capsys.readouterr().err
 
 
+# (u, beta*T, mu, T) for the closed-form size cap
+_CAP_CASES = list(itertools.product([0.5, 1.0], [-12.0, 0.0, 5.0], [0.5, 2.0], [0.5, 2.0]))
+
+
+def _cap_argv(eps, u, bT, mu, T):
+    return ["mse", "--H", "0.5", "--eps", repr(eps), "--u", repr(u),
+            "--beta", repr(bT / T), "--mu", repr(mu), "--T", repr(T)]
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-13, 1e-12])
+def test_capped_closed_form_is_refused_before_it_is_built(eps, monkeypatch, capsys):
+    # building the capped 5e6-pair spectrum first took 2 s and 409 MB to
+    # reach the same exit 4
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the spectrum was built")
+
+    monkeypatch.setattr(error_analysis, "build_spectrum", unbuilt)
+    refused = 0
+    for u, bT, mu, T in _CAP_CASES:
+        if (mu * mu * T * T / eps) ** 0.5 < cli.CLOSED_FORM_PAIRS / 5:
+            continue  # n_eff below the refusal: the run is built as before
+        assert cli.main(_cap_argv(eps, u, bT, mu, T)) == cli.EXIT_TRUNCATION
+        assert "closed form stops at n_max=5000000" in capsys.readouterr().err
+        refused += 1
+    assert refused >= 12
+
+
+def test_closed_form_refusal_only_where_the_capped_spectrum_fails(monkeypatch, capsys):
+    # just past n_eff = cap / 5 the run is refused early, and the spectrum of
+    # cap pairs that it would have built fails its truncation check as well;
+    # the excluded mass is about 0.2 n_eff / cap of P at every cap, so a
+    # small cap stands in for the 5e6 of the command
+    cap = 20_000
+    monkeypatch.setattr(cli, "CLOSED_FORM_PAIRS", cap)
+    for u, bT, mu, T in _CAP_CASES:
+        eps = mu * mu * T * T / (1.001 * cap / 5) ** 2
+        assert cli.main(_cap_argv(eps, u, bT, mu, T)) == cli.EXIT_TRUNCATION
+        assert "closed form stops at" in capsys.readouterr().err
+        spec = error_analysis.build_spectrum(ModelParams(H=0.5, beta=bT / T, mu=mu, T=T),
+                                             "closed_form_ou", n_max=cap)
+        with pytest.raises(TruncationError):
+            error_analysis.convergence_study(spec, [eps], [u])
+
+
+def test_closed_form_below_the_refusal_still_runs(capsys):
+    # n_eff = 3.2e5: the 5e6 pairs of the cap are enough
+    assert cli.main(["mse", "--H", "0.5", "--eps", "1e-11"]) == cli.EXIT_OK
+    assert "n_max = 5000000" in capsys.readouterr().out
+
+
 def _numbers(text):
     """Numeric cells of a CSV or JSON result table."""
     text = text.lstrip()
@@ -511,11 +564,15 @@ print(json.dumps(loaded))
                                        "refined": [], "eigs": []}
 
 
-def test_refined_mse_is_deterministic_across_processes():
-    # the Lanczos head starts from a fixed vector, so two fresh interpreters
-    # print the same bytes
-    argv = ["mse", "--H", "0.7", "--spectrum", "refined", "--N-unit", "60",
-            "--n-max", "20", "--eps", "1e-1", "--threads", "1"]
+@pytest.mark.parametrize("argv", [
+    # the Lanczos head starts from a fixed vector
+    ["--spectrum", "refined", "--n-max", "20", "--eps", "1e-1"],
+    # the full solve and the Wiener-Hopf column
+    ["--n-max", "30", "--eps", "1e-1,1e-2", "--with-wh"],
+], ids=["refined", "oracle"])
+def test_mse_is_deterministic_across_processes(argv):
+    # two fresh interpreters print the same bytes
+    argv = ["mse", "--H", "0.7", "--N-unit", "60", "--threads", "1", *argv]
     first, second = run_cli(argv), run_cli(argv)
     assert first[0] == 0, first[2]
     assert first[1] == second[1]

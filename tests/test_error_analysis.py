@@ -91,6 +91,19 @@ class TestWienerHopf:
         assert np.array_equal(P, mse_wiener_hopf([float(grid.nodes[0]),
                                                   float(grid.nodes[-1])], 1e-3, cov))
 
+    def test_matrix_is_left_unchanged(self, small_oracle):
+        _, _, cov, _ = small_oracle
+        before = cov.values.copy()
+        mse_wiener_hopf([0.5, 1.0], 1e-3, cov)
+        assert np.array_equal(cov.values, before)
+
+    def test_peak_memory(self, peak_matrices):
+        # one matrix, built without temporaries and factored in place; with
+        # a temporary and the factorization's Fortran-order copy it was 2.13
+        N = 600
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(N), ModelParams(H=0.7, beta=-1.0))
+        assert peak_matrices(lambda: mse_wiener_hopf([0.5, 1.0], 1e-4, cov), N) <= 1.5
+
     def test_large_eps_limit(self, small_oracle):
         p, grid, cov, _ = small_oracle
         j = 100

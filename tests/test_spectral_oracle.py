@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import linalg
 
 from fouspec import cli
 from fouspec import spectral_oracle
@@ -174,6 +175,63 @@ class TestEigensolveBranches:
         K[7, 7] = -1e-3
         with pytest.raises(SolverError, match="not positive semidefinite"):
             nystrom_eigs(CovMatrix(K, g, ModelParams(H=0.5)), n_max)
+
+    @pytest.mark.parametrize("N", [200, 1000])
+    @pytest.mark.parametrize("beta", [-1.0, 2.0])
+    @pytest.mark.parametrize("H", [0.3, 0.7])
+    def test_full_branch_matches_scipy_eigh(self, H, beta, N):
+        # every eigenvalue bit for bit, the kept vectors to rounding
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(N), ModelParams(H=H, beta=beta))
+        sw = np.sqrt(cov.grid.weights)
+        B = sw[:, None] * cov.values * sw[None, :]
+        lam_ref, V_ref = linalg.eigh(B)
+        n_max = N // 2
+        lam, V = spectral_oracle.eigh(np.asfortranarray(B), n_max)
+        assert np.array_equal(lam, lam_ref)
+        assert np.max(np.abs(V - V_ref[:, N - n_max:])) <= 1e-15
+        spec = nystrom_eigs(cov, n_max)
+        assert spec.diagnostics["eigensolver"] == "full"
+        assert spec.diagnostics["min_eigenvalue"] == lam_ref[0]
+        assert np.array_equal(spec.lam, lam_ref[::-1][:n_max])
+
+    def test_one_node_grid(self, capsys):
+        # the reflector block of a 1 x 1 matrix is empty: LAPACK is not called
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(1), ModelParams(H=0.7, beta=-1.0))
+        spec = nystrom_eigs(cov, 1)
+        w = cov.grid.weights[0]
+        assert spec.diagnostics["eigensolver"] == "full"
+        assert spec.lam[0] == spec.diagnostics["min_eigenvalue"]
+        assert_allclose(spec.lam[0], w * cov.values[0, 0], rtol=1e-15)
+        assert_allclose(w * spec.phi[0, 0] ** 2, 1.0, rtol=1e-15)
+        assert cli.main(["eigs", "--N-unit", "1", "--n-max", "1"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.count("\n") >= 2
+
+    @pytest.mark.parametrize("n_max", [2, 3, 21])  # lanczos, subset, full at N = 200
+    def test_matrix_is_left_unchanged(self, n_max):
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(200), ModelParams(H=0.7, beta=-1.0))
+        before = cov.values.copy()
+        nystrom_eigs(cov, n_max)
+        assert np.array_equal(cov.values, before)
+
+    def test_tridiagonal_failure_is_a_solver_error(self, monkeypatch, capsys):
+        def failing(d, e, *args, **kwargs):
+            return 0, np.zeros_like(d), np.zeros((d.size, d.size), order="F"), 2
+
+        monkeypatch.setattr(spectral_oracle.lapack, "dstemr", failing)
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(40), ModelParams(H=0.7, beta=-1.0))
+        with pytest.raises(SolverError, match="info = 2") as exc:
+            nystrom_eigs(cov, 20)
+        assert exc.value.stage == "nystrom_eigs"
+        assert cli.main(["eigs", "--N-unit", "40", "--n-max", "20"]) == cli.EXIT_SOLVER
+        assert "[stage: nystrom_eigs]" in capsys.readouterr().err
+
+    def test_full_solve_peak_memory(self, peak_matrices):
+        # B (reduced in place), the tridiagonal eigenvectors and the kept
+        # block: 2.5 matrices; a solve that also formed the dropped vectors
+        # or copied B into Fortran order took 3.08
+        N = 600
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(N), ModelParams(H=0.7, beta=-1.0))
+        assert peak_matrices(lambda: nystrom_eigs(cov, N // 2), N) <= 2.75
 
 
 class TestClosedFormOU:
