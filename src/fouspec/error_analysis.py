@@ -136,10 +136,14 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
 
     The one N x N array is eps I + mu^2 T W^{1/2} K W^{1/2}, built without
     temporaries and Cholesky-factored in place, so the peak is about one
-    matrix beyond `cov`.
+    matrix beyond `cov`.  The factorization reads one triangle, so a matrix
+    with a non-finite entry is refused by `cov.finite` (one scan per matrix,
+    not one per eps) and the solve skips its own scan of the factor.
     """
     if not 0.0 < eps < np.inf:
         raise DomainError(f"eps must be finite and positive, got {eps}")
+    if not cov.finite:
+        raise DomainError("covariance matrix has non-finite entries")
     us = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.all((us >= 0.0) & (us <= 1.0)):
         raise DomainError(f"u must lie in [0,1], got {u}")
@@ -158,7 +162,7 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
         raise SolverError(f"Wiener-Hopf system not positive definite: {exc}",
                           stage="mse_wiener_hopf")
     rhs = p.mu ** 2 * sw[:, None] * cov.values[:, j]
-    h_cols = cho_solve(ch, rhs) / sw[:, None]
+    h_cols = cho_solve(ch, rhs, check_finite=False) / sw[:, None]
     P = eps / p.mu ** 2 * h_cols[j, np.arange(len(j))]
     return float(P[0]) if np.ndim(u) == 0 else P
 

@@ -28,6 +28,7 @@ so the assembler works on the unit interval with effective drift beta*T.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -138,6 +139,11 @@ class CovMatrix:
             raise DomainError("covariance matrix must be square and match the grid")
         if not isinstance(self.params, ModelParams):
             raise DomainError("covariance matrix needs the ModelParams it was built for")
+
+    @cached_property
+    def finite(self):
+        """Whether every entry is finite: one scan of the matrix, on first use."""
+        return bool(np.isfinite(self.values).all())
 
 
 def fbm_cov(s, t, H):

@@ -17,6 +17,7 @@ construction.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -53,10 +54,12 @@ class Spectrum:
     `lam` holds eigenvalues of the kernel fou_cov(uT, vT) viewed on
     L^2([0,1], du), i.e. T^{2H} times the unit-interval eigenvalues of the
     drift-beta*T kernel.  `phi` columns are eigenfunction samples on
-    `grid.nodes` with unit weighted-L2 norm.  `extend(spectrum, u)` gives
-    phi_n(u) for all n at any u in [0,1]; the route that builds the spectrum
-    sets it, or leaves it None when it has no off-grid evaluator.  `method`
-    only labels the route.
+    `grid.nodes` with unit weighted-L2 norm: the route's `samples`, or, for
+    the oracle, W^{-1/2} V from its `vectors` V, which are kept factored
+    (see `Eigenvectors`) and formed into `phi` only on its first read, then
+    cached.  `extend(spectrum, u)` gives phi_n(u) for all n at any u in [0,1];
+    the route that builds the spectrum sets it, or leaves it None when it has
+    no off-grid evaluator.  `method` only labels the route.
     """
 
     method: str
@@ -64,35 +67,97 @@ class Spectrum:
     lam: np.ndarray
     nu: np.ndarray = None
     grid: QuadGrid = None
-    phi: np.ndarray = field(default=None, repr=False)
+    samples: np.ndarray = field(default=None, repr=False)
     phi1: np.ndarray = None
     phi_integral: np.ndarray = None
     diagnostics: dict = field(default_factory=dict, repr=False)
     cov: CovMatrix = field(default=None, repr=False)  # oracle matrix, if kept
     extend: Callable = field(default=None, repr=False)
+    vectors: "Eigenvectors" = field(default=None, repr=False)  # oracle only
 
     @property
     def n_max(self):
         return len(self.lam)
 
+    @cached_property
+    def phi(self):
+        """Samples on `grid.nodes`, one column per pair; formed once for the oracle."""
+        if self.vectors is None:
+            return self.samples
+        return np.asarray(self.vectors) / np.sqrt(self.grid.weights)[:, None]
+
     def phi_values(self, u):
         """Eigenfunction values phi_n(u) for one point u in [0,1], all n.
 
-        The stored sample at a grid node, else phi1 at u = 1, else `extend`.
+        The sample at a grid node, else phi1 at u = 1, else `extend`.  The
+        oracle reads a node's sample through its factored vectors, never
+        through a formed `phi`, so the values do not depend on whether `phi`
+        was read before.
         """
         if not 0.0 <= u <= 1.0:
             raise DomainError(f"u must lie in [0,1], got {u}")
-        if self.grid is not None and self.phi is not None:
+        if self.grid is not None and (self.samples is not None or self.vectors is not None):
             j = np.searchsorted(self.grid.nodes, u)
             for k in (j - 1, j):
                 if 0 <= k < self.grid.size and abs(self.grid.nodes[k] - u) < 1e-12:
-                    return self.phi[k, :].copy()
+                    if self.vectors is None:
+                        return self.samples[k, :].copy()
+                    e = np.zeros(self.grid.size)
+                    e[k] = 1.0
+                    return self.vectors.project(e)[0] / math.sqrt(self.grid.weights[k])
         if u == 1.0 and self.phi1 is not None:
             return self.phi1.copy()
         if self.extend is not None:
             return self.extend(self, u)
         raise DomainError(f"spectrum has no samples at u={u} and no off-grid "
                           "evaluator; use a grid node or u = 1")
+
+
+class Eigenvectors:
+    """Unit eigenvectors V = Q Z of a symmetric N x N matrix, as columns,
+    kept in factored form.
+
+    Q = 1 (+) Q1 is the orthogonal factor of `dsytrd`'s reduction to
+    tridiagonal form and Z holds the kept eigenvectors of the tridiagonal
+    matrix.  Q1's Householder reflectors are copied out of `dsytrd`'s
+    output in column panels (a, refl, tau): refl is the QR-form block of
+    reflectors a .. a + width - 1, which acts on rows 1 + a: of V.  Without
+    panels, Z is V.
+
+    `project` reads V through the reflectors at O(N^2) per vector;
+    `np.asarray` forms V, at the cost of the back-transformation (1.0 s for
+    1500 columns at N = 3000, one thread).
+    """
+
+    def __init__(self, Z, panels=()):
+        self.Z = Z
+        self.panels = panels
+
+    def project(self, Y):
+        """Y V for a vector or a (k, N) array Y: V^T y for each row y, as rows."""
+        G = np.array(Y, dtype=float, ndmin=2, order="F")
+        for a, refl, tau in self.panels:  # y^T Q = y^T Q_1 Q_2 ...
+            G[:, 1 + a:] = _reflect(refl, tau, G[:, 1 + a:], "N")
+        return G @ self.Z
+
+    def __array__(self, dtype=None, copy=None):
+        Vt = np.array(self.Z.T, order="F")  # V^T = Z^T ... Q_2^T Q_1^T
+        for a, refl, tau in reversed(self.panels):
+            Vt[:, 1 + a:] = _reflect(refl, tau, Vt[:, 1 + a:], "T")
+        return Vt.T if dtype is None else Vt.T.astype(dtype)
+
+
+def _reflect(refl, tau, C, trans):
+    """C Q or C Q^T for the reflector panel `refl` (QR form), in place if C is
+    Fortran-contiguous."""
+    # lwork: dormqr's optimum for blocks of up to 64 reflectors, which is
+    # faster than one reflector at a time even for one row (20 ms against
+    # 35 ms at N = 3000, one thread)
+    C, _, info = lapack.dormqr("R", trans, refl, tau, C, lwork=64 * C.shape[0] + 65 * 64,
+                               overwrite_c=1)
+    if info != 0:  # pragma: no cover - argument errors only
+        raise np.linalg.LinAlgError(f"back-transformation failed (info = {info})")
+    return C
 
 
 def _sign_fix(phi_cols, phi1, integrals, ns):
@@ -114,21 +179,30 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
     """Leading eigenpairs of the covariance operator discretized by `cov`.
 
     On the matrix's grid, solves the symmetric problem W^{1/2} K W^{1/2} v =
-    lambda v and recovers eigenfunction samples as W^{-1/2} v, which already
-    have unit weighted-L2 norm; phi_n(1) comes from the Nystrom extension at
-    x = 1, with the matrix's params.  Raises SolverError when the matrix is
-    not positive semidefinite to PSD_TOL, or when lambda_{n_max} / lambda_1 is
-    not above ROUNDING_FLOOR, where it is rounding noise (strong positive drift).
+    lambda v; the eigenfunction samples are W^{-1/2} v, which have unit
+    weighted-L2 norm.  The spectrum keeps the unit vectors v_n as
+    `Eigenvectors` and reads every value through them: phi_n(1) and the
+    integrals as projections of W^{1/2} k_1 and W^{1/2} 1, a node's sample as
+    the projection of e_k, and `nystrom_extend` off the grid, with the
+    matrix's params.  `Spectrum.phi` forms the samples on its first read.
+    Raises SolverError when the matrix is not positive semidefinite to
+    PSD_TOL, or when lambda_{n_max} / lambda_1 is not above ROUNDING_FLOOR,
+    where it is rounding noise (strong positive drift).
 
-    Three solvers, by the number of kept pairs:
+    Three solvers, by the number of kept pairs; all three give dense vectors
+    except the last, which keeps them factored:
       - n_max <= LANCZOS_PAIRS and n_max <= SUBSET_FRACTION * N: ARPACK
         Lanczos (`eigsh`) from a fixed random start vector; at N = 2000
         (one thread) 0.13 s with the certificate, against 0.8 s for the
         subset `eigh` below;
       - n_max <= SUBSET_FRACTION * N: LAPACK `evr` for the kept pairs only;
-      - otherwise every eigenvalue, but only the kept eigenvectors (`eigh`);
-        at N = 3000 keeping 1500 (one thread) about 5.0 s, against 6.1-7.1 s
-        for `scipy.linalg.eigh`, with a peak of 2.6 matrices beyond `cov`.
+      - otherwise every eigenvalue, and the kept eigenvectors in factored
+        form (`eigh`); at N = 3000 keeping 1500 (one thread) 4.7-5.2 s,
+        against 5.9-6.0 s with the kept block back-transformed and 6.1-7.1 s
+        for `scipy.linalg.eigh`.  The peak is 2.1 matrices beyond `cov` (2.6
+        with the kept block formed) and the spectrum keeps 1.07 (the
+        reflector panels and the kept block).  Each projection costs about
+        20 ms.
     The first two never see the whole spectrum, so one Cholesky factorization
     of B + PSD_TOL * trace * I certifies min eigenvalue >= -PSD_TOL * trace
     and `min_eigenvalue` holds that bound; the full solve reports the exact
@@ -144,15 +218,14 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
     trace = float(np.sum(w * np.diag(cov.values)))
     solver = ("full" if n_max > SUBSET_FRACTION * N
               else "lanczos" if n_max <= LANCZOS_PAIRS else "subset")
-    # one allocation; the full solve reduces B in place, which LAPACK needs
-    # in Fortran order
-    B = np.multiply(sw[:, None], cov.values, order="F" if solver == "full" else "C")
-    B *= sw
     try:
-        if solver == "lanczos":
-            lam, V = _lanczos(B, n_max)
+        if solver == "full":
+            # reduced in place, which LAPACK needs in Fortran order; no name
+            # here holds B, so `eigh` frees it once it has its reflectors
+            lam, V = eigh(_weighted(cov, sw, "F"), n_max)
         else:
-            lam, V = eigh(B, n_max, subset=solver == "subset")
+            B = _weighted(cov, sw, "C")
+            lam, V = _lanczos(B, n_max) if solver == "lanczos" else eigh(B, n_max, subset=True)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"dense eigensolver failed: {exc}", stage="nystrom_eigs")
     if solver != "full":
@@ -174,68 +247,78 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
         if defect < -PSD_TOL:
             raise SolverError("covariance matrix is not positive semidefinite: min "
                               f"eigenvalue / trace = {defect:.3g}", stage="nystrom_eigs")
-    lam, V = lam[::-1][:n_max].copy(), V[:, ::-1][:, :n_max]
+    lam = lam[::-1][:n_max].copy()
     diagnostics = {"min_eigenvalue": lam_min, "trace": trace, "psd_defect": defect,
                    "eigensolver": solver}
     if not lam[n_max - 1] > ROUNDING_FLOOR * lam[0]:
         raise SolverError(f"lambda_n / lambda_1 is above the rounding floor {ROUNDING_FLOOR:.2g} "
                           f"up to n = {np.sum(lam > ROUNDING_FLOOR * lam[0])} only; the rest "
                           "is rounding noise: lower --n-max or beta*T", stage="nystrom_eigs")
-    phi = V / sw[:, None]
-    # renormalize in weighted L2 (paranoia: every solver gives unit 2-norm)
-    norms = np.sqrt(w @ phi ** 2)
-    phi /= norms[None, :]
-    k1 = cov_row(1.0, cov.params, grid)
-    phi1 = (w * k1) @ phi / lam
-    integrals = w @ phi
-    _sign_fix(phi, phi1, integrals, np.arange(1, n_max + 1))
-    return Spectrum("oracle", cov.params, lam, None, grid, phi, phi1, integrals,
-                    diagnostics, extend=nystrom_extend)
+    # decreasing order, renormalized (paranoia: every solver gives unit 2-norm)
+    # by Z's column norms, which are V's since Q is orthogonal; phi = W^{-1/2} V
+    # then has unit weighted-L2 norm
+    Z = V.Z[:, ::-1]
+    Z = np.multiply(Z, 1.0 / np.sqrt(np.einsum("ij,ij->j", Z, Z)), order="F")
+    V = Eigenvectors(Z, V.panels)
+    phi1 = _nystrom_values(V, grid, cov.params, lam, 1.0)
+    integrals = V.project(sw)[0]  # sum_j w_j phi_n(y_j) = (W^{1/2} 1)^T v_n
+    _sign_fix(Z, phi1, integrals, np.arange(1, n_max + 1))  # flips V's columns
+    return Spectrum("oracle", cov.params, lam, None, grid, None, phi1, integrals,
+                    diagnostics, extend=nystrom_extend, vectors=V)
+
+
+def _weighted(cov, sw, order):
+    """B = W^{1/2} K W^{1/2} in one allocation."""
+    B = np.multiply(sw[:, None], cov.values, order=order)
+    B *= sw
+    return B
+
+
+PANELS = 8  # the reflectors kept in this many column panels: 0.56 N^2 floats
 
 
 def eigh(B, n_max, *, subset=False):
     """Eigenvalues of the symmetric B, ascending, and unit eigenvectors of the
-    n_max largest, as columns in the same order.
+    n_max largest, as `Eigenvectors` whose columns are in the same order.
 
     With `subset`, LAPACK's `evr` computes the kept pairs only, so only n_max
-    eigenvalues come back.  Otherwise all N eigenvalues come back, but only
-    the kept vectors are formed: `dsytrd` reduces B (Fortran order; it is
-    overwritten) to tridiagonal form, `dstemr` (MRRR) solves that for every
-    pair, and `dormqr` applies the reflectors to the kept columns alone.
-    This is the route scipy's `eigh` takes through `dsyevr`, with the same
-    block size for the reduction, so the eigenvalues are bit for bit the
-    ones `linalg.eigh(B)` gives and the vectors agree to a few ulp; it skips
-    the back-transformation of the N - n_max vectors that are dropped.
-    (`dsyevr` rescales a B whose largest entry lies outside about
-    [1e-146, 8e76], T^{2H} that far from 1; this route does not, and there
-    the two agree to rounding, not bit for bit.)
+    eigenvalues come back, and the vectors are dense.  Otherwise all N
+    eigenvalues come back and the kept vectors stay factored: `dsytrd`
+    reduces B (Fortran order; it is overwritten) to tridiagonal form, its
+    reflectors are copied into PANELS column panels, B is released, and
+    `dstemr` (MRRR) solves the tridiagonal problem for every pair; Z keeps
+    the n_max largest.  No back-transformation runs here: a read of V
+    applies the reflectors to the vectors it projects, and `np.asarray`
+    applies them to Z.  `dsytrd` and `dstemr` are the steps of scipy's
+    `eigh` through `dsyevr`, with the same block size for the reduction, so
+    the eigenvalues are bit for bit the ones `linalg.eigh(B)` gives and the
+    formed vectors agree to a few ulp.  (`dsyevr` rescales a B whose largest
+    entry lies outside about [1e-146, 8e76], T^{2H} that far from 1; this
+    route does not, and there the two agree to rounding, not bit for bit.)
+    When the caller holds no other reference to B, the peak is 2.1 matrices:
+    B with its panels (0.56), then the panels, Z and the kept block.
     Raises LinAlgError when a LAPACK step reports failure.
     """
     N = B.shape[0]
     if subset:
-        return linalg.eigh(B, subset_by_index=[N - n_max, N - 1], driver="evr")
+        lam, V = linalg.eigh(B, subset_by_index=[N - n_max, N - 1], driver="evr")
+        return lam, Eigenvectors(V)
     if N == 1:  # no reflectors: the 1 x 1 matrix is its own eigenvalue
-        return B.diagonal().copy(), np.ones((1, 1))
+        return B.diagonal().copy(), Eigenvectors(np.ones((1, 1)))
     lwork = int(lapack.dsyevr_lwork(N)[0]) - 5 * N  # dsyevr's share for dsytrd
     c, d, e, tau, info = lapack.dsytrd(B, lower=1, lwork=lwork, overwrite_a=1)
-    if info == 0:
-        _, lam, Z, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 0, 0)
+    if info != 0:  # pragma: no cover - argument errors only
+        raise np.linalg.LinAlgError(f"tridiagonal reduction failed (info = {info})")
+    # Q = 1 (+) Q1: reflector j is column j of c, with its implied unit in row
+    # j + 1, so reflectors a:b form the QR-form block c[1 + a:, a:b]
+    edges = sorted({(N - 1) * i // PANELS for i in range(PANELS + 1)})
+    panels = tuple((a, np.array(c[1 + a:, a:b], order="F"), tau[a:b])
+                   for a, b in zip(edges, edges[1:]))
+    del B, c  # c is B, reduced in place
+    _, lam, Z, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 0, 0)
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (info = {info})")
-    # Q = I (+) Q1, with the reflectors of Q1 stored from row 1 of c: the
-    # block c[1:, :-1] read in place as an (N, N-1) array whose leading
-    # dimension is N (its last row is never read), so nothing is copied
-    refl = c.reshape(-1, order="F")[1:1 + N * (N - 1)].reshape(N, N - 1, order="F")
-    top, kept = Z[0, N - n_max:].copy(), np.asfortranarray(Z[1:, N - n_max:])
-    del Z  # at most c, Z and the kept block are alive at once
-    # lwork: dormqr's optimum for blocks of up to 64 reflectors
-    kept, _, info = lapack.dormqr("L", "N", refl, tau, kept, lwork=64 * n_max + 65 * 64,
-                                  overwrite_c=1)
-    if info != 0:  # pragma: no cover - argument errors only
-        raise np.linalg.LinAlgError(f"back-transformation failed (info = {info})")
-    V = np.empty((N, n_max), order="F")
-    V[0], V[1:] = top, kept
-    return lam, V
+    return lam, Eigenvectors(np.asfortranarray(Z[:, N - n_max:]), panels)
 
 
 def _lanczos(B, k):
@@ -249,19 +332,25 @@ def _lanczos(B, k):
 
     v0 = np.random.default_rng(0).standard_normal(B.shape[0])
     try:
-        return eigsh(B, k=k, which="LA", tol=0, v0=v0)
+        lam, V = eigsh(B, k=k, which="LA", tol=0, v0=v0)
     except (ArpackNoConvergence, ArpackError) as exc:
         raise SolverError(f"Lanczos eigensolver failed: {exc}", stage="nystrom_eigs")
+    return lam, Eigenvectors(V)
 
 
 def nystrom_extend(spec: Spectrum, x: float) -> np.ndarray:
-    """Nystrom interpolation phi_n(x) = (1/lambda_n) * sum_j w_j K(x,y_j) phi_n(y_j)."""
+    """Nystrom interpolation phi_n(x) = (1/lambda_n) * sum_j w_j K(x,y_j) phi_n(y_j)
+    of an oracle spectrum, read through its factored vectors."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0,1], got {x}")
-    if spec.grid is None or spec.phi is None:
-        raise SolverError("spectrum carries no grid samples", stage="nystrom_extend")
-    kx = cov_row(x, spec.params, spec.grid)
-    return (spec.grid.weights * kx) @ spec.phi / spec.lam
+    if spec.grid is None or spec.vectors is None:
+        raise SolverError("spectrum carries no oracle eigenvectors", stage="nystrom_extend")
+    return _nystrom_values(spec.vectors, spec.grid, spec.params, spec.lam, x)
+
+
+def _nystrom_values(V, grid, params, lam, x):
+    # sum_j w_j K(x, y_j) phi_n(y_j) = (W^{1/2} k_x)^T v_n
+    return V.project(np.sqrt(grid.weights) * cov_row(x, params, grid))[0] / lam
 
 
 _HALVINGS = 64  # a pi/2-wide bracket shrinks to 8.5e-20: below one ulp of roots > 4e-4

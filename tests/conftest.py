@@ -14,20 +14,31 @@ def oracle_07():
     return p, grid, spec
 
 
+def _traced_matrices(f, N):
+    """(peak, kept, f()): the traced peak of f() and the memory still held
+    after it, above what was allocated before it, in units of one N x N
+    float matrix (8 N^2 bytes)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = f()
+        kept, peak = tracemalloc.get_traced_memory()
+        return (peak - base) / (8.0 * N * N), (kept - base) / (8.0 * N * N), out
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture
 def peak_matrices():
     """peak_matrices(f, N): the traced peak of f(), above what was allocated
     before it, in units of one N x N float matrix (8 N^2 bytes)."""
-    import tracemalloc
+    return lambda f, N: _traced_matrices(f, N)[0]
 
-    def peak(f, N):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            f()
-            return (tracemalloc.get_traced_memory()[1] - base) / (8.0 * N * N)
-        finally:
-            tracemalloc.stop()
 
-    return peak
+@pytest.fixture
+def traced_matrices():
+    """traced_matrices(f, N): (peak, kept, f()) as `_traced_matrices` gives them."""
+    return _traced_matrices

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from fouspec.asymptotics import phi_first_order
 from fouspec.error_analysis import (build_spectrum, check_truncation,
                                     convergence_study, mse_asymptotic, mse_series,
                                     mse_wiener_hopf, truncation_tail)
-from fouspec.exceptions import DomainError, TruncationError
+from fouspec.exceptions import DomainError, SolverError, TruncationError
 from fouspec.ia_refine import refined_eigenpair
-from fouspec.model import ModelParams, QuadGrid, cov_matrix
+from fouspec.model import CovMatrix, ModelParams, QuadGrid, cov_matrix
 from fouspec.spectral_oracle import nystrom_eigs
 
 
@@ -403,3 +404,22 @@ def test_problem_is_stated_once():
     rep = convergence_study(spec, [1e-2], [1.0])
     assert rep.params is p
     assert rep.P_series[0, 0] == mse_series(1.0, 1e-2, spec)
+
+
+@pytest.mark.parametrize("entry", [(7, 7), (45, 4), (4, 45)], ids=["diagonal", "lower", "upper"])
+def test_non_finite_matrix_is_refused(entry):
+    # the Cholesky factorization reads one triangle and the solve no longer
+    # scans the factor: a NaN anywhere must still end in a typed refusal
+    p = ModelParams(H=0.7, beta=-1.0)
+    cov = cov_matrix(QuadGrid.gauss_legendre_unit(60), p)
+    spec = replace(nystrom_eigs(cov, 30), cov=cov)
+    eps, us = [1e-1, 3e-2], [0.5, 1.0]
+    assert np.all(np.isfinite(convergence_study(spec, eps, us, with_wiener_hopf=True).P_wiener_hopf))
+    K = cov.values.copy()
+    K[entry] = np.nan
+    bad = CovMatrix(K, cov.grid, p)
+    for u in (float(cov.grid.nodes[4]), float(cov.grid.nodes[45]), us):
+        with pytest.raises((SolverError, DomainError)):
+            mse_wiener_hopf(u, 1e-2, bad)
+    with pytest.raises((SolverError, DomainError)):
+        convergence_study(replace(spec, cov=bad), eps, us, with_wiener_hopf=True)

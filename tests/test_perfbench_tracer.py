@@ -75,3 +75,13 @@ def test_traced_oracle_run_reads_every_layer(tmp_path):
     metrics = _load_tracer().layer_metrics(recs, wall)
     assert metrics["model.assemble.calls"] == 1
     assert metrics["error_analysis.wiener_hopf.factorizations"] == 2
+
+
+def test_traced_full_branch_reports_every_eigenvalue(tmp_path):
+    # the full branch computes all N eigenvalues and keeps n_max of them
+    recs = _traced_run(tmp_path, "mse", "--H", "0.7", "--N-unit", "60", "--n-max", "30",
+                       "--eps", "1e-1", "--u", "1.0")
+    solves = [r for r in recs if r["name"] == "spectral_oracle.eigensolve"]
+    assert [r["computed"] for r in solves] == [60]
+    wall = max(r["end"] for r in recs) - min(r["start"] for r in recs)
+    assert _load_tracer().layer_metrics(recs, wall)["spectral_oracle.eigensolve.kept_frac"] == 0.5

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import linalg
 
 from fouspec import cli
-from fouspec import spectral_oracle
+from fouspec import error_analysis, spectral_oracle
 from fouspec.exceptions import DomainError, SolverError
 from fouspec.model import CovMatrix, ModelParams, QuadGrid, cov_matrix, fou_cov
 from fouspec.spectral_oracle import PSD_TOL, nystrom_eigs, nystrom_extend, ou_closed_form_eigs
@@ -507,3 +507,88 @@ class TestSignFix:
         assert np.array_equal(integrals, [-0.5, -0.5, -2e-12, -2e-12])
         assert np.array_equal(phi1, [-1.0, 1.0, -1.0, 1.0])
         assert np.array_equal(phi[0], phi1)
+
+
+class TestFactoredVectors:
+    """The full branch keeps V = Q Z factored; reads project through the reflectors."""
+
+    N, N_MAX = 1000, 500
+
+    @pytest.fixture(scope="class", params=[(0.3, -1.0), (0.3, 2.0), (0.7, -1.0), (0.7, 2.0)],
+                    ids=lambda hb: f"H={hb[0]},beta={hb[1]}")
+    def pair(self, request):
+        """The oracle spectrum and a reference from scipy's dense eigenvectors:
+        lam, phi = W^{-1/2} V on the nodes, and phi(x) by Nystrom extension."""
+        H, beta = request.param
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(self.N), ModelParams(H=H, beta=beta))
+        g = cov.grid
+        sw = np.sqrt(g.weights)
+        lam, V = linalg.eigh(sw[:, None] * cov.values * sw[None, :])
+        lam, phi = lam[::-1][:self.N_MAX], V[:, ::-1][:, :self.N_MAX] / sw[:, None]
+
+        def values(x):
+            return (g.weights * spectral_oracle.cov_row(x, cov.params, g)) @ phi / lam
+
+        spec = nystrom_eigs(cov, self.N_MAX)
+        assert spec.diagnostics["eigensolver"] == "full"
+        return spec, lam, phi, values
+
+    def test_series_matches_dense_reference(self, pair):
+        spec, lam, phi, values = pair
+        node = float(spec.grid.nodes[self.N // 3])
+        p = spec.params
+        for u, phi_u in ((0.37, values(0.37)), (node, phi[self.N // 3]), (1.0, values(1.0))):
+            for eps in (1e-3, 1e-5):
+                want = float(eps * lam / (eps + p.mu ** 2 * p.T * lam) @ phi_u ** 2)
+                assert abs(error_analysis.mse_series(u, eps, spec) / want - 1.0) <= 5e-12
+
+    def test_formed_phi_matches_dense_reference(self, pair):
+        spec, _, phi, _ = pair
+        align = np.sign(np.sum(spec.phi * phi, axis=0))
+        assert np.max(np.abs(spec.phi - phi * align)) <= 1e-12
+
+    def test_reads_do_not_depend_on_the_formed_phi(self):
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(200), ModelParams(H=0.7, beta=-1.0))
+        spec = nystrom_eigs(cov, 100)
+        us = (float(cov.grid.nodes[57]), 0.123, 1.0)
+        before = [spec.phi_values(u) for u in us]
+        assert "phi" not in vars(spec)  # nothing formed the dense block yet
+        phi = spec.phi
+        assert spec.phi is phi  # formed once, then cached
+        for u, vals in zip(us, before):
+            assert np.array_equal(spec.phi_values(u), vals)
+        assert_allclose(before[0], phi[57], rtol=0, atol=1e-13)
+
+    def test_mse_never_forms_the_dense_block(self, monkeypatch, capsys):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("dense eigenvectors formed")
+
+        monkeypatch.setattr(spectral_oracle.Eigenvectors, "__array__", refuse)
+        # 30 of 60 pairs take the full branch (eps = 1e-3 would need more pairs)
+        code = cli.main(["mse", "--H", "0.7", "--N-unit", "60", "--n-max", "30",
+                         "--eps", "1e-1,1e-2", "--u", "0.5,1.0", "--with-wh"])
+        assert code == cli.EXIT_OK, capsys.readouterr().err
+        assert capsys.readouterr().out.count("\n") > 4
+
+    def test_panels_hold_every_reflector_once(self):
+        B = np.diag(np.arange(1.0, 41.0)) + 0.1
+        _, V = spectral_oracle.eigh(np.asfortranarray(B), 20)
+        starts = [a for a, _, _ in V.panels]
+        assert len(starts) == spectral_oracle.PANELS and starts[0] == 0
+        # the panels hold the N - 1 reflectors once each
+        assert sum(refl.shape[1] for _, refl, _ in V.panels) == 39
+        dense = np.asarray(V)
+        assert_allclose(dense.T @ dense, np.eye(20), rtol=0, atol=1e-14)
+        assert_allclose(V.project(B), B @ dense, rtol=0, atol=1e-12)
+
+    def test_peak_and_kept_memory(self, traced_matrices):
+        # B (1, released in `eigh` after its reflectors are copied), the
+        # reflector panels (0.56), the tridiagonal eigenvectors (1) and the
+        # kept block (0.5) make a peak of about 2.1; the spectrum keeps the
+        # panels and the kept block, not B.  The dense route peaked at 2.58
+        # and kept 0.50 (phi).
+        N = 600
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(N), ModelParams(H=0.7, beta=-1.0))
+        peak, kept, _ = traced_matrices(lambda: nystrom_eigs(cov, N // 2), N)
+        assert peak <= 2.25
+        assert kept <= 1.15
