@@ -57,7 +57,8 @@ class Spectrum:
     `grid.nodes` with unit weighted-L2 norm: the route's `samples`, or, for
     the oracle, W^{-1/2} V from its `vectors` V, which are kept factored
     (see `Eigenvectors`) and formed into `phi` only on its first read, then
-    cached.  `extend(spectrum, u)` gives phi_n(u) for all n at any u in [0,1];
+    cached (1.0 s and 0.5 matrices more at N = 3000 with 1500 pairs).  The
+    factored oracle spectrum holds 1.07 matrices there.  `extend(spectrum, u)` gives phi_n(u) for all n at any u in [0,1];
     the route that builds the spectrum sets it, or leaves it None when it has
     no off-grid evaluator.  `method` only labels the route.
     """
@@ -295,8 +296,10 @@ def eigh(B, n_max, *, subset=False):
     formed vectors agree to a few ulp.  (`dsyevr` rescales a B whose largest
     entry lies outside about [1e-146, 8e76], T^{2H} that far from 1; this
     route does not, and there the two agree to rounding, not bit for bit.)
-    When the caller holds no other reference to B, the peak is 2.1 matrices:
-    B with its panels (0.56), then the panels, Z and the kept block.
+    At N = 3000 keeping 1500 (one thread), `dsytrd` takes 3.4 s and
+    `dstemr` 1.0 s.  When the caller holds no other reference to B, the peak
+    is 2.1 matrices: B with its panels (0.56), then the panels, Z and the
+    kept block.
     Raises LinAlgError when a LAPACK step reports failure.
     """
     N = B.shape[0]
