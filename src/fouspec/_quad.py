@@ -1,14 +1,19 @@
-"""Shared quadrature rules: Gauss-Legendre / Gauss-Jacobi on [0,1] and panel builders."""
+"""Shared quadrature rules: Gauss-Legendre / Gauss-Jacobi on [0,1] and panel builders.
+
+The node generators come from `scipy.special`, imported on the first rule
+built, so a route that builds none (the H = 1/2 closed form) never loads it.
+"""
 
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 
 @lru_cache(maxsize=128)
 def gauss_legendre_01(n):
     """Nodes/weights for int_0^1 f(x) dx, weights summing to 1."""
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
@@ -22,6 +27,8 @@ def jacobi_01(n, c):
     Exact for f polynomial of degree <= 2n-1; the z^c factor must NOT be
     included in the evaluated f.
     """
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(n, 0.0, float(c))
     return 0.5 * (x + 1.0), w * 0.5 ** (c + 1.0)
 

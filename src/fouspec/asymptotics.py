@@ -23,10 +23,10 @@ import math
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 from ._quad import doubling_nodes, graded_nodes
 from .exceptions import DomainError
+from .model import spectral_constant
 
 _HEAD = 2.0 ** -26  # lower cutoff of the master semi-axis rule
 
@@ -55,8 +55,7 @@ def nu_first_order(n, H):
 def lambda_from_nu(nu, H, beta):
     """Eigenvalue sin(pi H) Gamma(2H+1) nu^{1-2H} / (nu^2 + beta^2)."""
     nu = np.asarray(nu, dtype=float)
-    out = np.sin(np.pi * H) * _gamma_fn(2.0 * H + 1.0) * nu ** (1.0 - 2.0 * H) \
-        / (nu ** 2 + beta ** 2)
+    out = spectral_constant(H) * nu ** (1.0 - 2.0 * H) / (nu ** 2 + beta ** 2)
     return out if out.ndim else float(out)
 
 

@@ -263,11 +263,10 @@ def compute_eigs(cfg: RunConfig):
 
 def compute_mse(cfg: RunConfig):
     import numpy as np
-    from scipy.special import gamma as gamma_fn
 
     from .error_analysis import build_spectrum, convergence_study
     from .exceptions import DomainError, TruncationError
-    from .model import ModelParams
+    from .model import ModelParams, spectral_constant
 
     if not cfg.eps:
         raise UsageError("mse requires a nonempty --eps list")
@@ -321,7 +320,7 @@ def compute_mse(cfg: RunConfig):
         "P_asym = (eps/mu^2)^(2H/(1+2H)) * C^(1/(1+2H)) / sin(pi/(2H+1)) "
         "* (1/(2H+1) interior, 1 endpoint)",
         f"exponent 2H/(1+2H) = {_fmt(2 * H / (1 + 2 * H))}",
-        f"C = sin(pi H)*Gamma(2H+1) = {_fmt(float(np.sin(np.pi * H) * gamma_fn(2 * H + 1)))}",
+        f"C = sin(pi H)*Gamma(2H+1) = {_fmt(spectral_constant(H))}",
         f"spectrum = {spec.method}, n_max = {spec.n_max}",
     ]
     cols = {"P_series": rep.P_series, "P_wiener_hopf": rep.P_wiener_hopf,

@@ -20,18 +20,18 @@ oscillation diagnostics.
 The series mass beyond N = n_max is the integral of the terms over n >= N
 under lambda_n = lambda_N (N/n)^(2H+1), with phi_n^2 at its mean phi_bar^2
 (2H+1 at the endpoint, 1 inside), in closed form with b = 2H/(2H+1):
-    tail = phi_bar^2 N lambda_N / (2H) * 2F1(1, b; b+1; -mu^2 T lambda_N / eps).
+    tail = phi_bar^2 N lambda_N / (2H) * 2F1(1, b; b+1; -mu^2 T lambda_N / eps),
+with the 2F1 from `hyp2f1_tail`.  In this module only the Wiener-Hopf solve
+calls scipy (`scipy.linalg`), which it imports when it runs.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import gamma as _gamma_fn
-from scipy.special import hyp2f1
 
 from .exceptions import DomainError, SolverError, TruncationError
-from .model import CovMatrix, ModelParams, QuadGrid, cov_matrix
+from .model import CovMatrix, ModelParams, QuadGrid, cov_matrix, spectral_constant
 from .spectral_oracle import Spectrum, nystrom_eigs, ou_closed_form_eigs
 
 EXCLUDED_TERM_BUDGET = 1e-3  # largest excluded series term, relative to P
@@ -76,6 +76,43 @@ def mse_series(u, eps, spec: Spectrum):
     return float(_series_terms(eps, spec.params, spec.lam) @ phi2)
 
 
+_SERIES_REL = 1e-17  # a series stops at the first term below this share of its sum
+
+
+def _series(term, ratio):
+    """term_0 + term_1 + ... with term_k = term_(k-1) * ratio(k), elementwise,
+    until every term falls below _SERIES_REL of its running sum."""
+    total = term.copy()
+    k = 0
+    while np.any(np.abs(term) > _SERIES_REL * np.abs(total)):
+        k += 1
+        term = term * ratio(k)
+        total += term
+    return total
+
+
+def hyp2f1_tail(b, y):
+    """2F1(1, b; b+1; -y) = b int_0^1 t^(b-1) / (1 + y t) dt for 0 < b < 1 and
+    an array y in [0, inf]; y = inf gives 0.
+
+    y <= 2: the Pfaff form (1+y)^-1 sum_k k!/(b+1)_k z^k with z = y/(1+y) <= 2/3,
+    whose terms are all positive.  y > 2: the integral over [0, inf) less the
+    one over [1, inf), b pi/sin(pi b) y^-b - b sum_k (-1)^k y^(-1-k)/(k+1-b),
+    whose term ratio is at most 1/2.  Each series takes at most about 95
+    terms; the values agree with `scipy.special.hyp2f1` to within 3e-15
+    relative.
+    """
+    y = np.asarray(y, dtype=float)
+    out = np.full(y.shape, np.nan)
+    near, far = y <= 2.0, y > 2.0
+    z = y[near] / (1.0 + y[near])
+    out[near] = _series(np.ones_like(z), lambda k: k / (b + k) * z) / (1.0 + y[near])
+    r = 1.0 / y[far]
+    total = _series(r / (1.0 - b), lambda k: -r * (k - b) / (k + 1.0 - b))
+    out[far] = b * (math.pi / math.sin(math.pi * b) * y[far] ** -b - total)
+    return out
+
+
 def truncation_tail(eps, spec: Spectrum, *, endpoint=False):
     """Series mass beyond n_max (module docstring); `eps` and `endpoint`
     broadcast against each other, and two scalars give a float."""
@@ -86,7 +123,7 @@ def truncation_tail(eps, spec: Spectrum, *, endpoint=False):
     b = 2.0 * H / (2.0 * H + 1.0)
     with np.errstate(over="ignore"):  # y = inf gives a zero tail
         y = p.mu ** 2 * p.T * lam_n / np.asarray(eps, dtype=float)
-    tail = phi_bar2 * spec.n_max * lam_n / (2.0 * H) * hyp2f1(1.0, b, b + 1.0, -y)
+    tail = phi_bar2 * spec.n_max * lam_n / (2.0 * H) * hyp2f1_tail(b, y)
     return float(tail) if tail.ndim == 0 else tail
 
 
@@ -121,6 +158,15 @@ def check_truncation(eps, spec: Spectrum, *, u=1.0, P=None):
             f"n_max={N} (~{n_eff:.3g} effective terms)")
 
 
+def cho_factor(a, **kwargs):
+    """`scipy.linalg.cho_factor`, imported on the first call: the Wiener-Hopf
+    solve is the only user, and the other routes never load `scipy.linalg`
+    for it."""
+    from scipy.linalg import cho_factor as factor
+
+    return factor(a, **kwargs)
+
+
 def mse_wiener_hopf(u, eps, cov: CovMatrix):
     """P(u, eps) from the dense Wiener-Hopf solve on the matrix's grid, with
     mu and T from its params.
@@ -140,6 +186,8 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
     with a non-finite entry is refused by `cov.finite` (one scan per matrix,
     not one per eps) and the solve skips its own scan of the factor.
     """
+    from scipy.linalg import cho_solve
+
     if not 0.0 < eps < np.inf:
         raise DomainError(f"eps must be finite and positive, got {eps}")
     if not cov.finite:
@@ -172,9 +220,8 @@ def mse_asymptotic(position, eps, p: ModelParams):
     if not 0.0 < eps < np.inf:
         raise DomainError(f"eps must be finite and positive, got {eps}")
     H = p.H
-    C = np.sin(np.pi * H) * _gamma_fn(2.0 * H + 1.0)
     base = (eps / p.mu ** 2) ** (2.0 * H / (1.0 + 2.0 * H)) \
-        * C ** (1.0 / (1.0 + 2.0 * H)) / np.sin(np.pi / (2.0 * H + 1.0))
+        * spectral_constant(H) ** (1.0 / (1.0 + 2.0 * H)) / np.sin(np.pi / (2.0 * H + 1.0))
     if position == "endpoint":
         return float(base)
     if position == "interior":

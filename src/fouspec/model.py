@@ -27,6 +27,7 @@ All kernels satisfy the rescaling law K_beta(sT, tT) = T^{2H} K_{beta*T}(s, t),
 so the assembler works on the unit interval with effective drift beta*T.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -261,6 +262,12 @@ def fou_cov(s, t, p: ModelParams):
     if s < 0 or t > p.T:
         raise DomainError("times must lie in [0, T]")
     return float(_kernel(np.array([s / p.T]), np.array([t / p.T]), p)[0, 0])
+
+
+def spectral_constant(H):
+    """C(H) = sin(pi H) Gamma(2H+1), the constant of the fBm spectral density
+    that scales the eigenvalue law and the small-noise asymptote."""
+    return math.sin(math.pi * H) * math.gamma(2.0 * H + 1.0)
 
 
 def c_alpha(alpha):

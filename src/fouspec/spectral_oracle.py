@@ -13,6 +13,10 @@ Sign convention for all spectra: int_0^1 phi_n < 0, ties (|int phi_n| <=
 routes are comparable without alignment.  The sampled routes (this oracle
 and `ia_refine`) apply it with `_sign_fix`; the closed forms satisfy it by
 construction.
+
+The closed form needs no scipy; the oracle's solvers import the
+`scipy.linalg` and `scipy.sparse.linalg` pieces they call where they call
+them.
 """
 
 import math
@@ -21,8 +25,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import linalg
-from scipy.linalg import lapack
 
 from .exceptions import DomainError, SolverError
 from .model import CovMatrix, ModelParams, QuadGrid, cov_row
@@ -151,6 +153,8 @@ class Eigenvectors:
 def _reflect(refl, tau, C, trans):
     """C Q or C Q^T for the reflector panel `refl` (QR form), in place if C is
     Fortran-contiguous."""
+    from scipy.linalg import lapack
+
     # lwork: dormqr's optimum for blocks of up to 64 reflectors, which is
     # faster than one reflector at a time even for one row (20 ms against
     # 35 ms at N = 3000, one thread)
@@ -208,12 +212,18 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
     of B + PSD_TOL * trace * I certifies min eigenvalue >= -PSD_TOL * trace
     and `min_eigenvalue` holds that bound; the full solve reports the exact
     minimum.  `diagnostics["eigensolver"]` names the solver: "lanczos",
-    "subset" or "full".
+    "subset" or "full".  A matrix with a non-finite entry is refused with
+    DomainError through `cov.finite` before any solver runs: the full
+    reduction reads one triangle only and would miss a NaN in the other.
     """
+    from scipy.linalg import cho_factor
+
     grid = cov.grid
     N = grid.size
     if not 1 <= n_max <= N:
         raise DomainError(f"n_max must lie in [1, grid size {N}], got {n_max}")
+    if not cov.finite:
+        raise DomainError("covariance matrix has non-finite entries")
     w = grid.weights
     sw = np.sqrt(w)
     trace = float(np.sum(w * np.diag(cov.values)))
@@ -236,7 +246,7 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
         # factorization overwrites in place.
         B[np.diag_indices(N)] += PSD_TOL * trace
         try:
-            linalg.cho_factor(B.T, overwrite_a=True, check_finite=False)
+            cho_factor(B.T, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
             raise SolverError("covariance matrix is not positive semidefinite: "
                               f"B + {PSD_TOL:g} * trace * I has no Cholesky factor",
@@ -302,6 +312,9 @@ def eigh(B, n_max, *, subset=False):
     kept block.
     Raises LinAlgError when a LAPACK step reports failure.
     """
+    from scipy import linalg
+    from scipy.linalg import lapack
+
     N = B.shape[0]
     if subset:
         lam, V = linalg.eigh(B, subset_by_index=[N - n_max, N - 1], driver="evr")

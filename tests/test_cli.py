@@ -535,18 +535,21 @@ def test_closed_form_and_oracle_routes_load_only_what_they_use():
     # loads scipy.optimize, and scipy.integrate serves only the h_weight
     # cross-check.  scipy.sparse.linalg (Lanczos) serves only the refined
     # head: neither those two routes nor importing the modules of an `mse`
-    # run loads it
+    # run loads it.  The H = 1/2 closed form loads no scipy module at all, and
+    # the error layer imports scipy.linalg only for the Wiener-Hopf solve
     code = """
 import contextlib, io, json, sys
+import fouspec.error_analysis
+loaded = {"error_analysis": [m for m in sys.modules if m.startswith("scipy.linalg")]}
 from fouspec import cli
 heavy = ["fouspec.ia_refine", "fouspec.asymptotics", "scipy.optimize", "scipy.integrate",
          "scipy.sparse.linalg"]
-loaded = {}
 def run(key, argv, watch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == cli.EXIT_OK
     loaded[key] = [m for m in watch if m in sys.modules]
 run("0.5", ["mse", "--H", "0.5", "--eps", "1e-3"], heavy)
+loaded["0.5 scipy"] = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 run("0.7", ["mse", "--H", "0.7", "--spectrum", "oracle", "--N-unit", "60",
             "--n-max", "30", "--eps", "1e-1,1e-2"], heavy)
 import fouspec.error_analysis, fouspec.ia_refine
@@ -560,8 +563,9 @@ print(json.dumps(loaded))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"0.5": [], "0.7": [], "ia_refine": [],
-                                       "refined": [], "eigs": []}
+    assert json.loads(proc.stdout) == {"error_analysis": [], "0.5": [], "0.5 scipy": [],
+                                       "0.7": [], "ia_refine": [], "refined": [],
+                                       "eigs": []}
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from scipy import integrate
@@ -11,7 +13,7 @@ from fouspec import error_analysis
 from fouspec.asymptotics import phi_first_order
 from fouspec.error_analysis import (build_spectrum, check_truncation,
                                     convergence_study, mse_asymptotic, mse_series,
-                                    mse_wiener_hopf, truncation_tail)
+                                    hyp2f1_tail, mse_wiener_hopf, truncation_tail)
 from fouspec.exceptions import DomainError, SolverError, TruncationError
 from fouspec.ia_refine import refined_eigenpair
 from fouspec.model import CovMatrix, ModelParams, QuadGrid, cov_matrix
@@ -306,6 +308,39 @@ def test_truncation_tail_against_integral(H):
     assert table.shape == (4, 2)
     assert np.array_equal(table, [[truncation_tail(float(e), spec, endpoint=bool(k))
                                    for k in ends] for e in eps])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(H=st.floats(0.01, 0.99),
+       log_y=st.lists(st.floats(-12.0, 300.0), min_size=1, max_size=20))
+def test_hyp2f1_tail_matches_scipy(H, log_y):
+    from scipy.special import hyp2f1
+
+    b = 2.0 * H / (2.0 * H + 1.0)
+    y = 10.0 ** np.array(log_y)
+    want = hyp2f1(1.0, b, b + 1.0, -y)
+    assert np.max(np.abs(hyp2f1_tail(b, y) / want - 1.0)) <= 1e-14
+
+
+def test_hyp2f1_tail_anchors():
+    # b = 1/2: 2F1(1, 1/2; 3/2; -y) = atan(sqrt y)/sqrt y, on both branches
+    y = np.array([1e-10, 0.3, 1.0, 2.0, 2.5, 1e2, 1e10, 1e250])
+    assert_allclose(hyp2f1_tail(0.5, y), np.arctan(np.sqrt(y)) / np.sqrt(y), rtol=1e-15)
+    assert np.array_equal(hyp2f1_tail(0.3, np.array([0.0, np.inf])), [1.0, 0.0])
+    # a 0-d y gives a 0-d array
+    assert hyp2f1_tail(0.3, 0.0).shape == ()
+
+
+@pytest.mark.parametrize("H", [0.01, 0.5, 0.99])
+def test_hyp2f1_tail_is_continuous_at_the_branch_switch(H):
+    from scipy.special import hyp2f1
+
+    b = 2.0 * H / (2.0 * H + 1.0)
+    y = np.array([np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)])
+    got = hyp2f1_tail(b, y)
+    assert_allclose(got, hyp2f1(1.0, b, b + 1.0, -y), rtol=1e-14)
+    # the two branches meet with a step of rounding size only
+    assert abs(got[2] / got[1] - 1.0) <= 1e-14
 
 
 def test_refined_spectrum_keeps_its_head_matrix(monkeypatch):

@@ -10,7 +10,8 @@ from scipy.integrate import quad
 from fouspec import cli, model
 from fouspec.exceptions import DomainError, SolverError
 from fouspec.model import (MIN_BETA_T, CovMatrix, ModelParams, QuadGrid, c_alpha,
-                           cov_matrix, cov_row, fbm_cov, fou_cov, fou_cov_singular)
+                           cov_matrix, cov_row, fbm_cov, fou_cov, fou_cov_singular,
+                           spectral_constant)
 from fouspec.spectral_oracle import nystrom_eigs
 
 
@@ -144,6 +145,16 @@ class TestFouCov:
         p = ModelParams(H=0.7, beta=-1.0)
         with pytest.raises(DomainError):
             fou_cov(0.1, 1.2, p)
+
+
+def test_spectral_constant():
+    from scipy.special import gamma
+
+    # C(1/2) = sin(pi/2) Gamma(2) = 1 exactly
+    assert spectral_constant(0.5) == 1.0
+    for H in (0.01, 0.3, 0.7, 0.99):
+        assert_allclose(spectral_constant(H), math.sin(math.pi * H) * gamma(2 * H + 1),
+                        rtol=2e-15)
 
 
 class TestFouCovSingular:

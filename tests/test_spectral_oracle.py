@@ -176,6 +176,17 @@ class TestEigensolveBranches:
         with pytest.raises(SolverError, match="not positive semidefinite"):
             nystrom_eigs(CovMatrix(K, g, ModelParams(H=0.5)), n_max)
 
+    @pytest.mark.parametrize("n_max", [2, 10, 100])  # lanczos, subset, full at N = 200
+    def test_non_finite_matrix_is_refused(self, n_max, capfd):
+        # one NaN in the upper triangle, which the full reduction (lower) never
+        # reads: refused before any solver runs, and LAPACK prints nothing
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(200), ModelParams(H=0.7, beta=-1.0))
+        values = cov.values.copy()
+        values[3, 150] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            nystrom_eigs(CovMatrix(values, cov.grid, cov.params), n_max)
+        assert capfd.readouterr().err == ""
+
     @pytest.mark.parametrize("N", [200, 1000])
     @pytest.mark.parametrize("beta", [-1.0, 2.0])
     @pytest.mark.parametrize("H", [0.3, 0.7])
@@ -214,10 +225,13 @@ class TestEigensolveBranches:
         assert np.array_equal(cov.values, before)
 
     def test_tridiagonal_failure_is_a_solver_error(self, monkeypatch, capsys):
+        from scipy.linalg import lapack
+
         def failing(d, e, *args, **kwargs):
             return 0, np.zeros_like(d), np.zeros((d.size, d.size), order="F"), 2
 
-        monkeypatch.setattr(spectral_oracle.lapack, "dstemr", failing)
+        # `eigh` imports lapack where it calls it, so the module's binding is patched
+        monkeypatch.setattr(lapack, "dstemr", failing)
         cov = cov_matrix(QuadGrid.gauss_legendre_unit(40), ModelParams(H=0.7, beta=-1.0))
         with pytest.raises(SolverError, match="info = 2") as exc:
             nystrom_eigs(cov, 20)
