@@ -32,7 +32,7 @@ import numpy as np
 
 from .exceptions import DomainError, SolverError, TruncationError
 from .model import CovMatrix, ModelParams, QuadGrid, cov_matrix, spectral_constant
-from .spectral_oracle import Spectrum, nystrom_eigs, ou_closed_form_eigs
+from .spectral_oracle import Spectrum, _weighted, nystrom_eigs, ou_closed_form_eigs
 
 EXCLUDED_TERM_BUDGET = 1e-3  # largest excluded series term, relative to P
 TAIL_BUDGET = 2e-2           # estimated excluded series mass, relative to P
@@ -198,14 +198,12 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
     p, grid = cov.params, cov.grid
     j = np.argmin(np.abs(grid.nodes[:, None] - us[None, :]), axis=0)
     sw = np.sqrt(grid.weights)
-    # built transposed in one allocation: K is symmetric, so the Fortran-ordered
-    # A.T holds ((sw_i K_ij) sw_j) mu^2 T and is factored in place
-    A = cov.values * sw[None, :]
-    A *= sw[:, None]
+    # the oracle's Fortran-ordered W^{1/2} K W^{1/2}, scaled and factored in place
+    A = _weighted(cov, sw)
     A *= p.mu ** 2 * p.T
     A[np.diag_indices_from(A)] += eps
     try:
-        ch = cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
+        ch = cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Wiener-Hopf system not positive definite: {exc}",
                           stage="mse_wiener_hopf")

@@ -15,9 +15,12 @@ w^{2H} endpoint weight integrate to machine precision, so the kernel needs
 no 2-d quadrature at all.
 
 One assembler, `_kernel`, evaluates the expansion for a block of pairs
-s_i <= t_j: per-node exponential tables turn every pairwise quadrature
-into a GEMM.  `cov_matrix` (upper-triangle blocks, mirrored), `cov_row`
-(one Nystrom row) and `fou_cov` (one pair) are thin calls into it.  It
+s_i <= t_j through one evaluator, `_pairs`: a rank-5 product of per-node
+factors, minus |t-s|^{2H}/2, plus two lag terms whose integrals over
+[0, t-s] are rank-GL_ORDER products of per-node exponential tables.  An
+entry costs one power and about 15 elementwise passes.  `cov_matrix`
+(upper-triangle blocks in place, mirrored), `cov_row` (one Nystrom row)
+and `fou_cov` (one pair) are thin calls into it.  It
 refuses beta*T below `MIN_BETA_T`, where e^{+|beta|t} terms cancel off the
 diagonal, and any non-finite result.  `fou_cov_singular` keeps an
 independent slow-but-honest evaluation of the H > 1/2 singular-kernel
@@ -42,9 +45,11 @@ GL_ORDER = 64
 
 # Most negative beta*T the expansion is trusted at.  Error against the exact
 # H = 1/2 covariance, max |dK| / sqrt(K(s,s) K(t,t)) on a 200-node grid:
-# 1.4e-9 at beta*T = -12, 3.3e-8 at -15, 4.2e-6 at -20, 9.4e-2 at -30.
-# Positive beta*T stays <= 1e-13 from +5 to +300; from about +350 the
-# exponentials overflow, which the non-finite check refuses.
+# 2.5e-9 at beta*T = -12, 3.1e-8 at -15, 6.7e-6 at -20, 0.15 at -30.
+# Positive beta*T stays <= 1.1e-13 from +5 to +300.  The rank-5 products
+# overflow only with the covariance itself: at H = 1/2, K(1, 1) is exact to
+# rounding up to +357 and not finite from +358, which the non-finite check
+# refuses.
 MIN_BETA_T = -12.0
 
 _ROW_BLOCK = 128  # rows per block of cov_matrix: bounds the pairwise temporaries
@@ -163,49 +168,66 @@ def fbm_cov(s, t, H):
 def _node_tables(x, b, c):
     """Every factor of the expansion that depends on one time x_i, over all i.
 
-    b != 0; Ebv(x) = int_0^x e^{-bv} dv and Em(x) = int_0^x e^{-2bu} du are
-    written with expm1, so they stay accurate for tiny |b|.
+    b != 0.  "s" and "t" hold the factors of the rank-5 separable part on
+    each side of a pair s <= t, "m" and "p" the exponential tables whose
+    products give the two lag terms.  Every decaying exponential is
+    multiplied onto its growing partner.  e^{bx} int_0^x e^{-bv} dv and
+    Em(x) = int_0^x e^{-2bu} du are written with expm1, so they stay
+    accurate for tiny |b|.
     """
     z, w = jacobi_01(GL_ORDER, c)
     A = np.exp(-b * np.outer(x, z))   # e^{-b x_i z_k}
     B = np.exp(+b * np.outer(x, z))   # e^{+b x_i z_k}
-    xc1 = x ** (c + 1.0)
+    xc = x ** c
+    xc1 = xc * x
+    ebx, embx = np.exp(b * x), np.exp(-b * x)
+    fm = xc1 * (A @ w)                # F-(x_i) = int_0^x e^{-bv} v^c dv
+    fp = xc1 * (B @ w)                # F+(x_i) = int_0^x e^{+bv} v^c dv
     # D_A(s) = int_0^s w^c e^{-bw} Em(s-w) dw, single-variable
     em_s = -np.expm1(-2.0 * b * np.outer(x, 1.0 - z)) / (2.0 * b)
-    return {"x": x, "xc": x ** c, "ebx": np.exp(b * x), "embx": np.exp(-b * x),
-            "em2bx": np.exp(-2.0 * b * x), "ebv": -np.expm1(-b * x) / b,
-            "emv": -np.expm1(-2.0 * b * x) / (2.0 * b),
-            "fm": xc1 * (A @ w),      # F-(x_i) = int_0^x e^{-bv} v^c dv
-            "fp": xc1 * (B @ w),      # F+(x_i) = int_0^x e^{+bv} v^c dv
-            "d_a": xc1 * ((A * em_s) @ w),
-            "A": A, "B": B, "Aw": A * w, "Bw": B * w}
+    d_a = xc1 * ((A * em_s) @ w)
+    # K = S_s . T_t - (t-s)^c / 2 - (b/4) e^{-bs} e^{bt} F-(t-s)
+    #     - (b/4) e^{bs} e^{-bt} (F+(t) - F+(t-s))
+    s_fac = np.column_stack([0.5 * xc + 0.5 * b * ebx * fm, 0.5 * ebx,
+                             0.5 * b * xc + 0.5 * b * b * ebx * fm, 0.25 * b * ebx,
+                             -0.5 * b * embx * fp - 0.5 * b * b * ebx * d_a])
+    t_fac = np.column_stack([np.ones_like(x), xc, np.expm1(b * x) / b, ebx * fm, ebx])
+    # F-+(t - s) = (t - s)^{c+1} sum_k w_k e^{-+b (t - s) z_k}: the lag tables
+    # reuse the entries of A and B, so that F+(t) - F+(t - s) cancels their
+    # rounding, and carry the growing and decaying factors of each term
+    return {"x": x, "s": s_fac, "t": t_fac, "q": 0.25 * b * ebx, "fp": embx * fp,
+            "m_s": (-0.25 * b * embx)[:, None] * (B * w), "m_t": ebx[:, None] * A,
+            "p_s": A * w, "p_t": embx[:, None] * B}
 
 
 def _rows(tab, lo, hi):
     return {k: v[lo:hi] for k, v in tab.items()}
 
 
-def _pairs(S, T, b, c):
-    """K(s_i, t_j) on [0,1] from the tables of s and of t; valid where s_i <= t_j."""
-    s, t = S["x"][:, None], T["x"][None, :]
-    sc, ebs, embs, ebvs, emvs, fms, fps = (S[k][:, None] for k in
-                                           ("xc", "ebx", "embx", "ebv", "emv", "fm", "fp"))
-    tc, ebt, embt, em2bt, ebvt, fmt, fpt = (T[k][None, :] for k in
-                                            ("xc", "ebx", "embx", "em2bx", "ebv", "fm", "fp"))
-    delta = t - s
-    # F+-(t - s) via exponential table factorization:
-    # sum_k w_k e^{-+b (t - s) z_k} is a rank-m product of the two tables
-    dpow = np.where(delta > 0, np.abs(delta) ** (c + 1.0), 0.0)
-    fm_d = dpow * (S["Bw"] @ T["A"].T)
-    fp_d = dpow * (S["Aw"] @ T["B"].T)
-    t1 = 0.5 * (sc + tc - np.abs(delta) ** c)
-    t2 = b * ebt * (0.5 * sc * ebvt + 0.5 * fmt - 0.5 * embs * (fps + fm_d))
-    t3 = b * ebs * (0.5 * tc * ebvs + 0.5 * fms - 0.5 * embt * (fpt - fp_d))
-    # cross term of the double integral, split at the diagonal
-    p2 = (fmt - fm_d) / (2.0 * b) - em2bt / (2.0 * b) * (fpt - fp_d)
-    d_cross = S["d_a"][:, None] + emvs * fm_d + p2
-    t4 = b * b * np.exp(b * (s + t)) * (0.5 * fms * ebvt + 0.5 * ebvs * fmt - 0.5 * d_cross)
-    return t1 + t2 + t3 + t4
+def _pairs(S, T, b, c, out=None, diagonal=0):
+    """K(s_i, t_j) on [0,1] from the tables of s and of t; valid where s_i <= t_j.
+
+    Writes into `out` when given.  The first `diagonal` columns pair the rows
+    with themselves: their entries below the diagonal (s_i > t_j) are left
+    undefined for the caller to mirror.  One power and about 15 elementwise
+    passes per entry; F-+(t - s) are rank-GL_ORDER products of the tables.
+    """
+    K = np.matmul(S["s"], T["t"].T, out=out)
+    d = T["x"][None, :] - S["x"][:, None]
+    np.maximum(d[:, :diagonal], 0.0, out=d[:, :diagonal])
+    dc = d ** c
+    d *= dc                           # (t - s)^{c+1}
+    dc *= 0.5
+    K -= dc
+    lag = S["m_s"] @ T["m_t"].T       # -(b/4) e^{b(t-s)} F-(t-s) / (t - s)^{c+1}
+    lag *= d
+    K += lag
+    lag = np.matmul(S["p_s"], T["p_t"].T, out=lag)
+    lag *= d                          # e^{-bt} F+(t - s)
+    lag -= T["fp"][None, :]
+    lag *= S["q"][:, None]
+    K += lag
+    return K
 
 
 def _kernel(s, t, p: ModelParams):
@@ -213,8 +235,8 @@ def _kernel(s, t, p: ModelParams):
 
     Works on [0,1] with drift beta*T and rescales by T^{2H}.  With t = None it
     returns the symmetric matrix K(s_i*T, s_j*T): only the upper-triangle
-    blocks, `_ROW_BLOCK` rows at a time, are evaluated and then mirrored.
-    Refuses beta*T below MIN_BETA_T and any non-finite result.
+    blocks, `_ROW_BLOCK` rows at a time, are evaluated in place and then
+    mirrored.  Refuses beta*T below MIN_BETA_T and any non-finite result.
     """
     b = p.beta_eff
     if b < MIN_BETA_T:
@@ -237,10 +259,9 @@ def _kernel(s, t, p: ModelParams):
             for lo in range(0, n, _ROW_BLOCK):
                 hi = min(lo + _ROW_BLOCK, n)
                 h = hi - lo
-                blk = _pairs(_rows(tab, lo, hi), _rows(tab, lo, n), b, c)
-                K[lo:hi, hi:] = blk[:, h:]
-                K[hi:, lo:hi] = blk[:, h:].T
-                K[lo:hi, lo:hi] = np.where(lower[:h, :h], blk[:, :h].T, blk[:, :h])
+                _pairs(_rows(tab, lo, hi), _rows(tab, lo, n), b, c, K[lo:hi, lo:], h)
+                K[hi:, lo:hi] = K[lo:hi, hi:].T
+                np.copyto(K[lo:hi, lo:hi], K[lo:hi, lo:hi].T, where=lower[:h, :h])
         else:
             K = _pairs(_node_tables(s, b, c), _node_tables(t, b, c), b, c)
     K[s == 0.0] = 0.0  # X_0 = 0 makes K(0, t) = 0 exactly

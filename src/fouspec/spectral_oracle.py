@@ -231,22 +231,24 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
               else "lanczos" if n_max <= LANCZOS_PAIRS else "subset")
     try:
         if solver == "full":
-            # reduced in place, which LAPACK needs in Fortran order; no name
-            # here holds B, so `eigh` frees it once it has its reflectors
-            lam, V = eigh(_weighted(cov, sw, "F"), n_max)
+            # reduced in place; no name here holds B, so `eigh` frees it once
+            # it has its reflectors
+            lam, V = eigh(_weighted(cov, sw), n_max)
         else:
-            B = _weighted(cov, sw, "C")
-            lam, V = _lanczos(B, n_max) if solver == "lanczos" else eigh(B, n_max, subset=True)
+            # ARPACK's products read B' = B.T, the C-ordered array, row by
+            # row: on the Fortran view the Lanczos residuals came out about
+            # 1.4 times larger
+            B = _weighted(cov, sw)
+            lam, V = _lanczos(B.T, n_max) if solver == "lanczos" else eigh(B, n_max, subset=True)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"dense eigensolver failed: {exc}", stage="nystrom_eigs")
     if solver != "full":
         # B + PSD_TOL * trace * I is positive definite iff every eigenvalue
         # of B exceeds -PSD_TOL * trace: the bound stands in for the minimum.
-        # B is symmetric, so its transpose is the Fortran-ordered matrix the
-        # factorization overwrites in place.
+        # B is Fortran-ordered, so the factorization overwrites it in place.
         B[np.diag_indices(N)] += PSD_TOL * trace
         try:
-            cho_factor(B.T, overwrite_a=True, check_finite=False)
+            cho_factor(B, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
             raise SolverError("covariance matrix is not positive semidefinite: "
                               f"B + {PSD_TOL:g} * trace * I has no Cholesky factor",
@@ -278,11 +280,18 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
                     diagnostics, extend=nystrom_extend, vectors=V)
 
 
-def _weighted(cov, sw, order):
-    """B = W^{1/2} K W^{1/2} in one allocation."""
-    B = np.multiply(sw[:, None], cov.values, order=order)
-    B *= sw
-    return B
+def _weighted(cov, sw):
+    """B = W^{1/2} K W^{1/2} in one allocation, as a Fortran-ordered view.
+
+    Built as the C-ordered B' = (K_ij sw_j) sw_i in two contiguous passes
+    (0.05 s at N = 3000, against 0.155 s for a strided Fortran-order
+    build).  K is exactly symmetric, so B'.T is (sw_i K_ij) sw_j bit for
+    bit: the matrix the reduction and the Cholesky factorizations (here and
+    in the Wiener-Hopf solve) overwrite in place.
+    """
+    B = cov.values * sw
+    B *= sw[:, None]
+    return B.T
 
 
 PANELS = 8  # the reflectors kept in this many column panels: 0.56 N^2 floats

@@ -536,14 +536,16 @@ def test_closed_form_and_oracle_routes_load_only_what_they_use():
     # cross-check.  scipy.sparse.linalg (Lanczos) serves only the refined
     # head: neither those two routes nor importing the modules of an `mse`
     # run loads it.  The H = 1/2 closed form loads no scipy module at all, and
-    # the error layer imports scipy.linalg only for the Wiener-Hopf solve
+    # the error layer imports scipy.linalg only for the Wiener-Hopf solve.
+    # The Gauss rules are built in the package: no mse or eigs route loads
+    # scipy.special
     code = """
 import contextlib, io, json, sys
 import fouspec.error_analysis
 loaded = {"error_analysis": [m for m in sys.modules if m.startswith("scipy.linalg")]}
 from fouspec import cli
-heavy = ["fouspec.ia_refine", "fouspec.asymptotics", "scipy.optimize", "scipy.integrate",
-         "scipy.sparse.linalg"]
+heavy = ["fouspec.ia_refine", "fouspec.asymptotics", "scipy.optimize", "scipy.special",
+         "scipy.integrate", "scipy.sparse.linalg"]
 def run(key, argv, watch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == cli.EXIT_OK
@@ -551,12 +553,14 @@ def run(key, argv, watch):
 run("0.5", ["mse", "--H", "0.5", "--eps", "1e-3"], heavy)
 loaded["0.5 scipy"] = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 run("0.7", ["mse", "--H", "0.7", "--spectrum", "oracle", "--N-unit", "60",
-            "--n-max", "30", "--eps", "1e-1,1e-2"], heavy)
+            "--n-max", "30", "--eps", "1e-1,1e-2", "--with-wh"], heavy)
 import fouspec.error_analysis, fouspec.ia_refine
 loaded["ia_refine"] = [m for m in heavy[2:] if m in sys.modules]
 run("refined", ["mse", "--H", "0.7", "--spectrum", "refined", "--N-unit", "60",
-                "--n-max", "20", "--eps", "1e-1"], heavy[2:3])
-run("eigs", ["eigs", "--N-unit", "60", "--n-max", "6"], heavy[2:3])
+                "--n-max", "20", "--eps", "1e-1"], heavy[2:4])
+run("first_order", ["mse", "--H", "0.7", "--spectrum", "first_order", "--N-unit", "60",
+                    "--n-max", "20", "--eps", "1e-1"], heavy[2:4])
+run("eigs", ["eigs", "--N-unit", "60", "--n-max", "6"], heavy[2:4])
 print(json.dumps(loaded))
 """
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -565,7 +569,7 @@ print(json.dumps(loaded))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"error_analysis": [], "0.5": [], "0.5 scipy": [],
                                        "0.7": [], "ia_refine": [], "refined": [],
-                                       "eigs": []}
+                                       "first_order": [], "eigs": []}
 
 
 @pytest.mark.parametrize("argv", [

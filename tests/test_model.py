@@ -273,6 +273,34 @@ def test_cov_row_matches_matrix_row(H, beta):
     assert np.all(cov_row(0.0, p, g) == 0.0)
 
 
+@pytest.mark.parametrize("beta,bound", [(-12.0, 3.94e-9), (-5.0, 5.29e-12), (-1.0, 2.06e-12),
+                                        (2.0, 2.71e-12), (50.0, 1.99e-13), (300.0, 6.59e-13)])
+def test_assembler_accuracy_at_h_half(beta, bound):
+    # max |dK| / sqrt(K(s,s) K(t,t)) against the exact H = 1/2 covariance,
+    # within 1.25 times the error of the former assembler.  The error grows
+    # as e^{|beta|} toward MIN_BETA_T, where terms of size e^{-beta t}
+    # cancel; it peaks at the smallest node s against t near 1
+    g = QuadGrid.gauss_legendre_unit(400)
+    K = cov_matrix(g, ModelParams(H=0.5, beta=beta)).values
+    s, t = np.minimum.outer(g.nodes, g.nodes), np.maximum.outer(g.nodes, g.nodes)
+    exact = np.exp(beta * (s + t)) * -np.expm1(-2.0 * beta * s) / (2.0 * beta)
+    scale = np.sqrt(np.diag(exact))
+    assert np.max(np.abs(K - exact) / np.outer(scale, scale)) <= 1.25 * bound
+
+
+@pytest.mark.parametrize("H,beta,bound", [(0.7, -12.0, 9.3e-11), (0.7, -1.0, 5.3e-12),
+                                          (0.9, -12.0, 1.9e-11)])
+def test_assembler_accuracy_against_singular_kernel(H, beta, bound):
+    # relative error on test_matches_scalar_kernel's pairs (without its
+    # s << t pair), within 1.25 times the error of the former assembler
+    g = QuadGrid.gauss_legendre_unit(25)
+    p = ModelParams(H=H, beta=beta)
+    K = cov_matrix(g, p).values
+    for i, j in [(i, j) for i in (4, 12, 20) for j in (i, 24)]:
+        ref = fou_cov_singular(g.nodes[i], g.nodes[j], p)
+        assert abs(K[i, j] / ref - 1.0) <= 1.25 * bound
+
+
 class TestRefusals:
     def test_beta_t_below_bound(self):
         g = QuadGrid.gauss_legendre_unit(20)
@@ -285,9 +313,12 @@ class TestRefusals:
         assert np.all(np.isfinite(cov_matrix(g, ModelParams(H=0.7, beta=MIN_BETA_T)).values))
 
     def test_overflow(self):
-        assert math.isfinite(fou_cov(1.0, 1.0, ModelParams(H=0.5, beta=340.0)))
+        # K(1, 1) = (e^{2 beta} - 1) / (2 beta) at H = 1/2 stays exact to
+        # rounding until the covariance itself overflows, from beta = 358
+        assert_allclose(fou_cov(1.0, 1.0, ModelParams(H=0.5, beta=350.0)),
+                        math.expm1(700.0) / 700.0, rtol=2e-15)
         with pytest.raises(DomainError):
-            fou_cov(1.0, 1.0, ModelParams(H=0.5, beta=350.0))
+            fou_cov(1.0, 1.0, ModelParams(H=0.5, beta=360.0))
 
     def test_cli_exit_code(self, capsys):
         assert cli.main(["eigs", "--H", "0.7", "--beta", "-30"]) == cli.EXIT_USAGE
