@@ -176,6 +176,32 @@ _COMMANDS = {
 }
 
 
+_NUMBER_FLAGS = frozenset("--" + f for f, kw in _FLAGS.items()
+                          if kw.get("type") in (float, float_list))
+
+
+def _is_numbers(text):
+    try:
+        float_list(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_numbers(argv):
+    """argv with each float or float-list flag joined to a following
+    negative number as `--flag=value`: argparse takes a token such as
+    "-1e-3" for an option, since only plain negative decimals look like
+    numbers to it."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _NUMBER_FLAGS and arg.startswith("-") and _is_numbers(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="fouspec",
@@ -311,7 +337,7 @@ def compute_mse(cfg: RunConfig):
     for u in cfg.u:
         u = float(u)
         if spec.grid is not None and u != 1.0:
-            j = int(np.argmin(np.abs(spec.grid.nodes - u)))
+            j = int(spec.grid.nearest(u))
             u = float(spec.grid.nodes[j])  # snap to the grid (echoed in output)
         us.append(u)
     rep = convergence_study(spec, eps, us, with_wiener_hopf=cfg.with_wh)
@@ -410,7 +436,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
-        cfg = _merge_config(parser.parse_args(argv), parser)
+        cfg = _merge_config(parser.parse_args(_attach_numbers(argv)), parser)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if cfg.threads:

@@ -172,9 +172,10 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
     mu and T from its params.
 
     u is one point in [0,1] or a sequence of them, each snapped to the
-    nearest grid node; a sequence shares one Cholesky factorization and
-    returns an array.  Algebraically identical to `mse_series` fed the full
-    spectrum of the same matrix at that node.  So at u = 1 this is the value
+    nearest grid node (`QuadGrid.nearest`: the lower one on a tie); a
+    sequence shares one Cholesky factorization and returns an array.
+    Algebraically identical to `mse_series` fed the full spectrum of the
+    same matrix at that node.  So at u = 1 this is the value
     at the last node, not at the endpoint where `mse_series` reads phi(1):
     at N = 300 (H = 0.7, beta = -1, eps = 1e-3) that node is 1.6e-5 from 1
     and the two differ by 2.7e-4 relative.  The off-grid formula of ROADMAP
@@ -196,7 +197,7 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
     if not np.all((us >= 0.0) & (us <= 1.0)):
         raise DomainError(f"u must lie in [0,1], got {u}")
     p, grid = cov.params, cov.grid
-    j = np.argmin(np.abs(grid.nodes[:, None] - us[None, :]), axis=0)
+    j = grid.nearest(us)
     sw = np.sqrt(grid.weights)
     # the oracle's Fortran-ordered W^{1/2} K W^{1/2}, scaled and factored in place
     A = _weighted(cov, sw)
@@ -294,11 +295,13 @@ def convergence_study(spec: Spectrum, eps_grid, u_points, *,
     endpoint = u_points == 1.0
     phi2 = [np.asarray(spec.phi_values(float(u))) ** 2 for u in u_points]
     P_series, i1 = [], []
-    for eps in eps_grid:
+    # Python floats, so that eps + array reuses the array's temporary
+    for eps in eps_grid.tolist():
         terms = _series_terms(eps, p, spec.lam)
         # one dot product per cell: a matrix product would round differently
         P_series.append([float(terms @ f) for f in phi2])
         i1.append(float(np.sum(terms)))
+        del terms  # freed before the next eps's terms are formed
     P_series = np.array(P_series)
     # the smallest eps row is exactly what mse_series gives at each u
     for u, P in zip(u_points, P_series[-1]):

@@ -95,6 +95,10 @@ class ModelParams:
         return self.beta * self.T
 
 
+# node distances closer than this (a few ulp on [0,1]) are a tie in `QuadGrid.nearest`
+_SNAP_TIE = 4 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class QuadGrid:
     """Quadrature rule on the unit interval: strictly increasing nodes in
@@ -122,6 +126,19 @@ class QuadGrid:
     @property
     def size(self):
         return len(self.nodes)
+
+    def nearest(self, u):
+        """Index of the node nearest to u, one per entry of an array u.
+
+        A u midway between two nodes, such as u = 1/2 on a grid of even
+        size, goes to the lower one: distances that agree to within
+        _SNAP_TIE are a tie, so the rounding of the nodes does not decide.
+        """
+        u = np.asarray(u, dtype=float)
+        if self.size == 1:
+            return np.zeros(u.shape, dtype=np.intp)
+        j = np.clip(np.searchsorted(self.nodes, u), 1, self.size - 1)
+        return np.where(self.nodes[j] - u < (u - self.nodes[j - 1]) - _SNAP_TIE, j, j - 1)
 
     @classmethod
     def gauss_legendre_unit(cls, n):

@@ -414,6 +414,7 @@ def _tan_roots(beta: float, n_max: int) -> np.ndarray:
 # is exact for k < 2^28, so F below does not inherit the rounding of k pi
 _PI_HI = float.fromhex("0x1.921fb5p+1")
 _PI_LO = float.fromhex("0x1.110b4611a6263p-25")
+_FEW_MOVING = 0.125  # below this share of moving entries, Newton steps go by index
 
 
 def _newton_branches(beta: float, k: np.ndarray) -> np.ndarray:
@@ -424,20 +425,45 @@ def _newton_branches(beta: float, k: np.ndarray) -> np.ndarray:
     for beta < 0, so Newton from the pole k pi + sign(beta) pi/2 approaches
     the root monotonically (from the right for beta > 0, from the left for
     beta < 0).  An entry stops when its step no longer moves it toward the
-    root, which happens at rounding level; the loop ends when all have
-    stopped, after 4-5 steps for beta in [-12, 300].  v - k _PI_HI is exact
-    (v lies within pi/2 of it), so the roots are correctly rounded to about
-    0.5 ulp.
+    root, which happens at rounding level.  A stopped entry would take the
+    same step again, so only the entries still moving are stepped: the whole
+    array in place while most of them move, then by index (at 632,455 roots
+    and beta = -1: two passes over all, then 163, 5 and 1 entries).  Every
+    entry has stopped after 4-5 steps for beta in [-12, 300].  v - k _PI_HI
+    is exact (v lies within pi/2 of it), so the roots are correctly rounded
+    to about 0.5 ulp.
     """
-    hi, lo = k * _PI_HI, k * _PI_LO
     v = k * np.pi + math.copysign(0.5 * math.pi, beta)
+    live = None  # indices of the entries still moving; None while most of them do
     while True:
-        step = ((v - hi) - lo - np.arctan(v / beta)) / (1.0 - beta / (beta * beta + v * v))
-        moved = v - step
-        toward = moved < v if beta > 0 else moved > v
-        if not toward.any():
+        w, kw = (v, k) if live is None else (v[live], k[live])
+        moved = _newton_moved(beta, w, kw)
+        toward = moved < w if beta > 0 else moved > w
+        if live is None and np.count_nonzero(toward) > _FEW_MOVING * len(v):
+            np.copyto(v, moved, where=toward)
+            continue
+        i = np.flatnonzero(toward)
+        if not len(i):
             return v
-        v = np.where(toward, moved, v)
+        live = i if live is None else live[i]
+        v[live] = moved[i]
+
+
+def _newton_moved(beta, v, k):
+    """v - F(v)/F'(v) = v - ((v - k _PI_HI) - k _PI_LO - atan(v/beta))
+    / (1 - beta/(beta^2 + v^2)), evaluated in that order in two buffers."""
+    f = np.multiply(k, _PI_HI)
+    np.subtract(v, f, out=f)
+    g = np.multiply(k, _PI_LO)
+    f -= g
+    np.divide(v, beta, out=g)
+    f -= np.arctan(g, out=g)
+    np.multiply(v, v, out=g)
+    g += beta * beta
+    np.divide(beta, g, out=g)
+    np.subtract(1.0, g, out=g)
+    f /= g
+    return np.subtract(v, f, out=f)
 
 
 def _ou_modes(beta: float, n_max: int) -> np.ndarray:
@@ -460,9 +486,14 @@ def _ou_modes(beta: float, n_max: int) -> np.ndarray:
 
 def _ou_forms(nu, osc, lin, hyp):
     """One value per encoded mode: osc(v) where nu = v > 0, `lin` where nu = 0
-    and hyp(k) where nu = -k < 0.  The last axis runs over the modes; `lin`
-    and `hyp` are evaluated on the (at most one) non-oscillatory mode only.
+    and hyp(k) where nu = -k < 0.  The last axis runs over the modes.
+
+    Only the head mode, which `_ou_modes` puts first, can be non-oscillatory.
+    So when nu[0] > 0 this is osc(nu) itself, in one pass; otherwise `lin` or
+    `hyp` is evaluated on that one mode and osc on the rest.
     """
+    if not len(nu) or nu[0] > 0:
+        return osc(nu)
     out = osc(np.where(nu > 0, nu, 1.0))
     out[..., nu == 0] = lin
     out[..., nu < 0] = hyp(-nu[nu < 0])
@@ -473,15 +504,15 @@ _SMALL_MODE = 0.5  # frequencies v, k below this take the cancellation-free form
 
 
 def _small_or(x, small, large):
-    """small(x) where x < _SMALL_MODE, else large(x).
+    """small(x) where x < _SMALL_MODE, else large(x), for increasing x.
 
     Only the branch-0 root or the head mode can be that small (beta near 1),
-    so `small` runs on at most one entry and every other value is exactly
-    what `large` gives.
+    and it comes first, so `small` runs on x[0] at most and every other
+    value is exactly what `large` gives.
     """
     out = large(x)
-    mask = x < _SMALL_MODE
-    out[mask] = small(x[mask])
+    if len(x) and x[0] < _SMALL_MODE:
+        out[:1] = small(x[:1])
     return out
 
 
@@ -511,12 +542,12 @@ def _ou_norms(nu):
                                     lambda k: np.sinh(2.0 * k) / (4.0 * k) - 0.5)))
 
 
-def _ou_phi_values(nu, u):
-    """Unit-norm eigenfunction values, one row per point of u (a row for scalar u)."""
-    nu = np.asarray(nu, dtype=float)
+def _ou_phi_values(nu, norm, u):
+    """Unit-norm eigenfunction values, one row per point of u (a row for
+    scalar u); `norm` holds the `_ou_norms` of the modes `nu`."""
     u = np.asarray(u, dtype=float)[..., None]
     return -_ou_forms(nu, lambda v: np.sin(v * u), u,
-                      lambda k: np.sinh(k * u)) / _ou_norms(nu)
+                      lambda k: np.sinh(k * u)) / norm
 
 
 def ou_closed_form_eigs(p: ModelParams, n_max: int, grid: QuadGrid = None) -> Spectrum:
@@ -530,6 +561,9 @@ def ou_closed_form_eigs(p: ModelParams, n_max: int, grid: QuadGrid = None) -> Sp
     additionally starts with one non-oscillatory mode (see `_ou_modes`).
     Eigenvalues carry the T^{2H} scaling.  Eigenfunctions are unit-norm and
     sign-fixed to int phi < 0, and sampled on `grid` when one is given.
+    Each quantity is one pass over the modes (`_ou_forms`), and the norms
+    are computed once: the grid samples and `extend` reuse them, so the
+    spectrum holds them next to nu, lam, phi1 and the integrals.
     Raises DomainError when p.H is not 1/2 and when the head mode overflows
     (beta*T above about 355).
     """
@@ -560,7 +594,7 @@ def ou_closed_form_eigs(p: ModelParams, n_max: int, grid: QuadGrid = None) -> Sp
                                 lambda k: (np.cosh(k) - 1.0) / k)) / norm
     if not all(np.all(np.isfinite(a)) for a in (lam, norm, phi1, integrals)):
         raise DomainError(f"closed-form OU spectrum overflows at beta*T = {beta:g}")
-    phi = None if grid is None else _ou_phi_values(nu, grid.nodes)
-    lam = lam * p.T ** (2.0 * p.H)
+    phi = None if grid is None else _ou_phi_values(nu, norm, grid.nodes)
+    lam *= p.T ** (2.0 * p.H)
     return Spectrum("closed_form_ou", p, lam, nu, grid, phi, phi1, integrals,
-                    extend=lambda spec, u: _ou_phi_values(spec.nu, u))
+                    extend=lambda spec, u: _ou_phi_values(nu, norm, u))

@@ -577,10 +577,57 @@ print(json.dumps(loaded))
     ["--spectrum", "refined", "--n-max", "20", "--eps", "1e-1"],
     # the full solve and the Wiener-Hopf column
     ["--n-max", "30", "--eps", "1e-1,1e-2", "--with-wh"],
-], ids=["refined", "oracle"])
+    # the closed form's Newton steps and norms (200,000 pairs)
+    ["--H", "0.5", "--beta", "-0.8", "--eps", "1e-3,1e-6"],
+], ids=["refined", "oracle", "closed"])
 def test_mse_is_deterministic_across_processes(argv):
     # two fresh interpreters print the same bytes
     argv = ["mse", "--H", "0.7", "--N-unit", "60", "--threads", "1", *argv]
     first, second = run_cli(argv), run_cli(argv)
     assert first[0] == 0, first[2]
     assert first[1] == second[1]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("mse", ["--H", "0.5", "--eps", "1e-3"]),
+    ("eigs", ["--H", "0.5", "--n-max", "3"]),
+])
+@pytest.mark.parametrize("beta", ["-1e-3", "-5e-05", "-1E+0"])
+def test_negative_exponent_values_are_values(command, flags, beta, capsys):
+    # argparse reads "-1e-3" as an option unless it is attached to its flag
+    assert cli.main([command, "--beta", beta, *flags]) == cli.EXIT_OK
+    split = capsys.readouterr().out
+    assert cli.main([command, f"--beta={beta}", *flags]) == cli.EXIT_OK
+    assert capsys.readouterr().out == split
+    assert f"# beta={float(beta)!r}" in split
+
+
+@pytest.mark.parametrize("flag, message", [("--eps", "eps must be finite and positive"),
+                                           ("--u", "u must lie in")])
+def test_negative_list_values_reach_the_range_check(flag, message, capsys):
+    argv = ["mse", "--H", "0.5", "--eps", "1e-3", flag, "-1e-3,1e-4"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_mse_snaps_half_to_the_lower_central_node(monkeypatch):
+    # compute_mse snaps u with `QuadGrid.nearest`, as mse_wiener_hopf does
+    from types import SimpleNamespace
+
+    from fouspec.model import QuadGrid
+
+    class Snapped(Exception):
+        pass
+
+    def study(spec, eps, us, **kwargs):
+        raise Snapped(us)
+
+    for N in range(2, 401, 2):
+        grid = QuadGrid.gauss_legendre_unit(N)
+        monkeypatch.setattr(error_analysis, "build_spectrum",
+                            lambda *args, grid=grid, **kwargs: SimpleNamespace(grid=grid))
+        monkeypatch.setattr(error_analysis, "convergence_study", study)
+        cfg = cli.RunConfig(command="mse", H=0.7, N_unit=N, n_max=1, u=(0.5, 1.0))
+        with pytest.raises(Snapped) as snapped:
+            cli.compute_mse(cfg)
+        assert snapped.value.args[0] == [float(grid.nodes[N // 2 - 1]), 1.0], N

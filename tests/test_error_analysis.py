@@ -107,6 +107,16 @@ class TestWienerHopf:
         cov = cov_matrix(QuadGrid.gauss_legendre_unit(N), ModelParams(H=0.7, beta=-1.0))
         assert peak_matrices(lambda: mse_wiener_hopf([0.5, 1.0], 1e-4, cov), N) <= 1.5
 
+    def test_half_snaps_to_the_lower_central_node(self):
+        # u = 1/2 is midway between the central nodes of an even grid; the
+        # rounding of the nodes used to decide which one (up at N = 60, 1000)
+        p = ModelParams(H=0.7, beta=-1.0)
+        for N in range(2, 401, 2):
+            grid = QuadGrid.gauss_legendre_unit(N)
+            below, above = (float(x) for x in grid.nodes[N // 2 - 1:N // 2 + 1])
+            P = mse_wiener_hopf([0.5, below, above], 1e-3, cov_matrix(grid, p))
+            assert P[0] == P[1] != P[2], N
+
     def test_large_eps_limit(self, small_oracle):
         p, grid, cov, _ = small_oracle
         j = 100
@@ -209,6 +219,25 @@ class TestConvergenceStudy:
             assert bare.cov is None
             with pytest.raises(DomainError, match="covariance matrix"):
                 convergence_study(bare, [1e-3], [1.0], with_wiener_hopf=True)
+
+
+def test_closed_form_peak_memory(traced_matrices):
+    # in doubles per pair, at the truncation of `mse --H 0.5 --eps ...,1e-7`:
+    # the spectrum keeps nu, lam, phi1, the integrals and the norms that its
+    # off-grid values share.  Measured: 6.0 to build (9.13 when the Newton
+    # steps and the norms made their own temporaries), and 9.0 for the sweep
+    # with the spectrum it reads (10.0 when each eps held the last eps's terms).
+    n = 632_455
+    pair = math.sqrt(n)  # a "matrix" of sqrt(n) x sqrt(n) doubles is one double per pair
+    p = ModelParams(H=0.5, beta=-1.0)
+    peak, kept, spec = traced_matrices(
+        lambda: build_spectrum(p, "closed_form_ou", n_max=n), pair)
+    assert peak <= 9.2
+    assert kept <= 5.1
+    peak, _, _ = traced_matrices(
+        lambda: convergence_study(build_spectrum(p, "closed_form_ou", n_max=n),
+                                  [1e-4, 1e-5, 1e-6, 1e-7], [0.5, 1.0]), pair)
+    assert peak <= 10.1
 
 
 class TestTruncationGuard:

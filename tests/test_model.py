@@ -81,6 +81,20 @@ def test_quad_grid_invariants():
             QuadGrid.gauss_legendre_unit(n)
 
 
+def test_nearest_node():
+    g = QuadGrid.gauss_legendre_unit(9)
+    assert np.array_equal(g.nearest(g.nodes), np.arange(9))
+    u = np.random.default_rng(3).uniform(0.0, 1.0, 200)
+    assert np.array_equal(g.nearest(u), np.argmin(np.abs(g.nodes[:, None] - u), axis=0))
+    assert int(g.nearest(0.0)) == 0 and int(g.nearest(1.0)) == 8
+    assert np.array_equal(QuadGrid.gauss_legendre_unit(1).nearest([0.1, 0.9]), [0, 0])
+    # a tie goes to the lower node, whatever the rounding of the distances
+    for N in range(2, 401, 2):
+        assert int(QuadGrid.gauss_legendre_unit(N).nearest(0.5)) == N // 2 - 1, N
+    two = QuadGrid([0.25, 0.75], [0.5, 0.5])
+    assert np.array_equal(two.nearest([0.5, np.nextafter(0.5, 1.0), 0.5 + 1e-12]), [0, 0, 1])
+
+
 class TestFbmCov:
     def test_variance_case(self):
         for t, H in [(0.8, 0.3), (1.5, 0.75)]:

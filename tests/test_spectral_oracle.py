@@ -455,6 +455,98 @@ class TestTanRoots:
         assert nu[1] == spectral_oracle._newton_branches(beta, np.ones(1))[0]
 
 
+def _full_array_newton(beta, k):
+    """The reference Newton loop: every entry is stepped, stopped or not,
+    until none moves; `_newton_branches` steps only the moving ones."""
+    hi, lo = k * spectral_oracle._PI_HI, k * spectral_oracle._PI_LO
+    v = k * np.pi + math.copysign(0.5 * math.pi, beta)
+    while True:
+        step = ((v - hi) - lo - np.arctan(v / beta)) / (1.0 - beta / (beta * beta + v * v))
+        moved = v - step
+        toward = moved < v if beta > 0 else moved > v
+        if not toward.any():
+            return v
+        v = np.where(toward, moved, v)
+
+
+def _masked_ou_forms(nu, osc, lin, hyp):
+    """The reference `_ou_forms`: masks over every mode, whatever nu[0]."""
+    out = osc(np.where(nu > 0, nu, 1.0))
+    out[..., nu == 0] = lin
+    out[..., nu < 0] = hyp(-nu[nu < 0])
+    return out
+
+
+def _masked_small_or(x, small, large):
+    """The reference `_small_or`: a mask over every entry."""
+    out = large(x)
+    mask = x < spectral_oracle._SMALL_MODE
+    out[mask] = small(x[mask])
+    return out
+
+
+_IDENTITY_BETAS = [-12.0, -1.5, -0.5, -1e-300, 0.0, 1e-300, 0.3, 0.999, 1.0, 1.001,
+                   2.5, 40.0, 300.0]
+
+
+class TestOneStepPerMovingRoot:
+    """The closed form's roots and values are bit-identical to those of the
+    reference loops above, which step and mask every entry."""
+
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 1000, 200_000])
+    @pytest.mark.parametrize("beta", _IDENTITY_BETAS)
+    def test_roots_match_the_full_array_loop(self, beta, n_max, monkeypatch):
+        # beta = 0 reaches `_tan_roots` only here: v/beta divides by zero
+        with np.errstate(divide="ignore", over="ignore"):
+            roots = spectral_oracle._tan_roots(beta, n_max)
+            nu = ou_closed_form_eigs(_ou(beta), n_max).nu
+            monkeypatch.setattr(spectral_oracle, "_newton_branches", _full_array_newton)
+            ref_roots = spectral_oracle._tan_roots(beta, n_max)
+            ref_nu = ou_closed_form_eigs(_ou(beta), n_max).nu
+        assert np.array_equal(roots, ref_roots)
+        assert np.array_equal(nu, ref_nu)
+
+    @pytest.mark.parametrize("beta", [-12.0, -1.0, 2.5, 300.0])
+    def test_shuffled_branches_keep_their_roots(self, beta):
+        # the slow roots are the low branches, so in order they would be the
+        # leading entries; shuffled, every index step is checked
+        k = np.random.default_rng(7).permutation(np.arange(1.0, 200_001.0))
+        assert np.array_equal(spectral_oracle._newton_branches(beta, k),
+                              _full_array_newton(beta, k))
+
+    @pytest.mark.parametrize("beta", [-1.5, 0.3, 0.999, 1.0, 1.001, 40.0])
+    def test_values_match_the_masked_forms(self, beta, monkeypatch):
+        spec = ou_closed_form_eigs(_ou(beta), 1000)
+        for name, ref in (("_newton_branches", _full_array_newton),
+                          ("_ou_forms", _masked_ou_forms),
+                          ("_small_or", _masked_small_or)):
+            monkeypatch.setattr(spectral_oracle, name, ref)
+        ref = ou_closed_form_eigs(_ou(beta), 1000)
+        for name in ("nu", "lam", "phi1", "phi_integral"):
+            assert np.array_equal(getattr(spec, name), getattr(ref, name)), name
+        # the reference reads phi(0.5) with the masked forms and fresh norms
+        ref_half = -_masked_ou_forms(ref.nu, lambda v: np.sin(0.5 * v), 0.5,
+                                     lambda k: np.sinh(0.5 * k)) \
+            / spectral_oracle._ou_norms(ref.nu)
+        assert np.array_equal(spec.phi_values(0.5), ref_half)
+        assert np.array_equal(ref.phi_values(0.5), ref_half)
+
+    def test_few_moving_roots_are_stepped_by_index(self, monkeypatch):
+        # two steps over all 632,455 roots, then only the few still moving
+        sizes = []
+        step = spectral_oracle._newton_moved
+
+        def counted(beta, v, k):
+            sizes.append(len(v))
+            return step(beta, v, k)
+
+        monkeypatch.setattr(spectral_oracle, "_newton_moved", counted)
+        n = 632_455
+        spectral_oracle._newton_branches(-0.8, np.arange(1.0, n + 1))
+        assert sizes[:2] == [n, n]
+        assert sum(sizes[2:]) <= 1000
+
+
 class TestNystromExtend:
     def test_exact_at_grid_nodes(self, oracle_07):
         _, grid, spec = oracle_07
