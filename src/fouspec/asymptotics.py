@@ -118,35 +118,22 @@ class ThetaProfile:
 
     def dtheta(self, u):
         """Analytic derivative; never finite differences (log-kernel integrals
-        amplify noise)."""
-        u = np.asarray(u, dtype=float)
-        if np.any(u <= 0):
-            raise DomainError("dtheta requires u > 0")
-        out = self._dtheta(u, u ** -self.alpha / (1.0 + self.r ** 2))
-        return out if np.ndim(out) else float(out)
-
-    def _dtheta(self, u, u_ac):
-        """dtheta at u > 0 given u_ac = u^{-alpha} / (1 + r^2), from
+        amplify noise).  With u_ac = u^{-alpha} / (1 + r^2),
 
             D  = (u^2 - r^2) u u_ac + cos phi,
             D' = ((3 - alpha) u^2 - (1 - alpha) r^2) u_ac,
 
-        with the temporaries updated in place."""
+        and theta' = -sin phi D' / (D^2 + sin^2 phi)."""
+        u = np.asarray(u, dtype=float)
+        if np.any(u <= 0):
+            raise DomainError("dtheta requires u > 0")
         a, r2 = self.alpha, self.r * self.r
+        u_ac = u ** -a / (1.0 + self.r ** 2)
         uu = u * u
-        D = uu - r2
-        D *= u
-        D *= u_ac
-        D += self._cos_phi
-        Dp = uu
-        Dp *= 3.0 - a
-        Dp -= (1.0 - a) * r2
-        Dp *= u_ac
-        D *= D
-        D += self._sin_phi ** 2
-        Dp /= D
-        Dp *= -self._sin_phi
-        return Dp
+        D = (uu - r2) * u * u_ac + self._cos_phi
+        Dp = ((3.0 - a) * uu - (1.0 - a) * r2) * u_ac
+        out = Dp / (D * D + self._sin_phi ** 2) * -self._sin_phi
+        return out if out.ndim else float(out)
 
     # -- master semi-axis rule shared by the integral transforms ------------
     @cached_property
@@ -168,11 +155,14 @@ class ThetaProfile:
     def x_cauchy(self, z):
         """Sectionally holomorphic factor X(z) = exp((1/pi) int theta(t)/(t-z) dt).
 
-        z (scalar or array) must avoid the cut [0, inf).  Near the cut the
-        pole is subtracted and integrated in closed form, so the two boundary
-        limits reproduce the jump X+ = e^{2 i theta} X-.  A real z (the
-        negative axis) is evaluated in real arithmetic, which gives the same
-        values at a fraction of the cost; the result is complex either way.
+        z (scalar or array) must avoid the cut [0, inf).  A point whose real
+        part lies off [2 _HEAD, u_end] (every real z, which is the negative
+        axis, and z = i) takes one Cauchy matrix-vector product: 1/(t - z)
+        formed in place, against weights * theta.  Near the cut the pole is
+        subtracted and integrated in closed form, so the two boundary limits
+        reproduce the jump X+ = e^{2 i theta} X-.  A mixed array is split
+        into the two sets.  A real z is evaluated in real arithmetic; the
+        result is complex either way.
         """
         nodes, weights, th, u_end = self._master
         z = np.asarray(z)
@@ -183,8 +173,16 @@ class ThetaProfile:
         re = zf.real
         near = (re > 2.0 * _HEAD) & (re < u_end)
         th_r = np.where(near, self.theta(np.where(near, re, 1.0)), 0.0)
-        core = ((weights[None, :] * (th[None, :] - th_r[:, None]))
-                / (nodes[None, :] - zf[:, None])).sum(axis=1)
+        core = np.empty_like(zf)
+        far = ~near
+        if far.any():
+            inv = np.subtract.outer(nodes, zf if far.all() else zf[far])
+            np.reciprocal(inv, out=inv)
+            core[far] = (weights * th) @ inv
+        if near.any():
+            zn, tn = zf[near], th_r[near]
+            core[near] = ((weights[None, :] * (th[None, :] - tn[:, None]))
+                          / (nodes[None, :] - zn[:, None])).sum(axis=1)
         # exact integrals of the subtracted constant and of the head plateau
         la0, lz, lu = np.log(_HEAD - zf), np.log(-zf), np.log(u_end - zf)
         analytic = th_r * (lu - la0) + self.phi_angle * (la0 - lz)
@@ -235,7 +233,9 @@ def _h_pattern():
     return s, w * kern, delta
 
 
-_H_BLOCK = 8192  # elements of one dtheta block in h_weight
+_H_BLOCK = 65536  # elements of one row block of h_weight's (t, s) table, one
+                  # 512 KB buffer reused in place: 36 rows of the 1776-node
+                  # pattern, the fastest of 4-144 rows at one BLAS thread
 
 
 def h_weight(t, profile: ThetaProfile, strategy="split"):
@@ -245,6 +245,20 @@ def h_weight(t, profile: ThetaProfile, strategy="split"):
     "parts" (scalar t only) integrates by parts into a principal-value form
     evaluated with adaptive quadrature and exists as an independent
     cross-check.  Any other strategy is refused.
+
+    On the pattern's relative nodes s, with weights w (log kernel
+    included), u = t s and u^{-alpha} / (1 + r^2) = t_a s_a
+    (t_a = t^{-alpha} / (1 + r^2), s_a = s^{-alpha}), theta' separates:
+
+        D = (t^3 t_a)(s^3 s_a) - r^2 (t t_a)(s s_a) + cos phi,
+        E = D^2 + sin^2 phi,
+        sum_s theta'(t s) w = -sin phi [(3 - alpha) t^2 t_a sum_s g1 / E
+                                       - (1 - alpha) r^2 t_a sum_s g2 / E],
+
+    with g1 = w s^2 s_a and g2 = w s_a.  A row block of D is one rank-3
+    matrix product, (t^3 t_a, -r^2 t t_a, cos phi) against (s^3 s_a, s s_a, 1);
+    squaring, adding sin^2 phi and the reciprocal run in place, and one
+    more product against the columns (g1, g2) gives both sums.
     """
     if strategy not in ("split", "parts"):
         raise DomainError(f"h_weight strategy must be 'split' or 'parts', got {strategy!r}")
@@ -256,16 +270,28 @@ def h_weight(t, profile: ThetaProfile, strategy="split"):
     if np.any(t_arr <= 0):
         raise DomainError("h_weight requires t > 0")
     s, w_log, delta = _h_pattern()
-    # row blocks of about _H_BLOCK pattern nodes keep the temporaries in
-    # cache; (t s)^{-alpha} = t^{-alpha} s^{-alpha} needs no power per node
-    rows = max(1, _H_BLOCK // len(s))
-    t_a = t_arr ** -profile.alpha / (1.0 + profile.r ** 2)
-    s_a = s ** -profile.alpha
-    expo = np.empty(len(t_arr))
+    a, r2 = profile.alpha, profile.r ** 2
+    t_a = t_arr ** -a / (1.0 + r2)
+    s_a = s ** -a
+    ss = s * s
+    s_terms = np.stack([ss * s * s_a, s * s_a, np.ones_like(s)])
+    t_terms = np.column_stack([t_arr ** 3 * t_a, -r2 * t_arr * t_a,
+                               np.full_like(t_arr, profile._cos_phi)])
+    g = np.column_stack([w_log * ss * s_a, w_log * s_a])
+    rows = max(1, min(len(t_arr), _H_BLOCK // len(s)))
+    buf = np.empty((rows, len(s)))
+    sums = np.empty((len(t_arr), 2))
     for lo in range(0, len(t_arr), rows):
         blk = slice(lo, lo + rows)
-        expo[blk] = profile._dtheta(t_arr[blk, None] * s, t_a[blk, None] * s_a) @ w_log
-    expo *= t_arr
+        D = buf[:min(rows, len(t_arr) - lo)]
+        np.matmul(t_terms[blk], s_terms, out=D)
+        D *= D
+        D += profile._sin_phi ** 2
+        np.reciprocal(D, out=D)
+        np.matmul(D, g, out=sums[blk])
+    expo = (3.0 - a) * t_arr * t_arr * sums[:, 0]
+    expo -= (1.0 - a) * r2 * sums[:, 1]
+    expo *= -profile._sin_phi * t_a * t_arr
     # slivers [1-delta, 1] and [1, 1+delta]:  theta'(t) * t * delta * (log(2/delta)+1) each
     expo += 2.0 * profile.dtheta(t_arr) * t_arr * delta * (math.log(2.0 / delta) + 1.0)
     out = np.exp(-expo / math.pi) * np.sin(profile.theta(t_arr))

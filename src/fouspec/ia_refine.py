@@ -9,9 +9,10 @@ integral equations
 with the weight h from `asymptotics.h_weight`.  Discretized, each sign is
 one dense linear system (I -+ A) p = t^j with both right-hand sides j = 0, 1,
 solved directly.  The frequency comes from secant steps on the pole-free
-arctan form of Im{xi conj(eta)}, started at the first-order guess, and the
-eigenfunction from evaluating the inverse-Laplace representation: a residue
-oscillation plus a semi-axis layer integral.  Eigenvalues follow from
+arctan form of Im{xi conj(eta)}, started at the first-order guess plus a
+drift term, and the eigenfunction from evaluating the inverse-Laplace
+representation: a residue oscillation plus a semi-axis layer integral.
+Eigenvalues follow from
 
     lambda = sin(pi H) Gamma(2H+1) nu^{alpha-1} / (beta^2 + nu^2),
 
@@ -82,6 +83,16 @@ def _auxiliary_rule():
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=1)
+def _cauchy_inverse():
+    """Read-only table 1/(w_i + w_k) over the auxiliary nodes: A is this
+    table with column k scaled by the kernel weight ker_k."""
+    w = _auxiliary_rule()[0]
+    table = 1.0 / np.add.outer(w, w)
+    table.flags.writeable = False
+    return table
+
+
 class _QPSolution:
     """Sampled solutions of the auxiliary equations plus their extension.
 
@@ -99,22 +110,24 @@ class _QPSolution:
 
     @functools.cached_property
     def contraction_norm(self):
-        """Spectral norm ||A|| of the discretized operator, on first read.
+        """Spectral norm ||A|| of the discretized operator, on first read:
+        the square root of the largest eigenvalue of A^T A.
 
         Where it is below 1 it bounds cond_2(I -+ A) <= (1 + ||A||) / (1 - ||A||).
         """
-        w = self.nodes
-        return float(np.linalg.norm(self.kernel_row[None, :] / (w[:, None] + w[None, :]), 2))
+        A = _cauchy_inverse() * self.kernel_row
+        return float(math.sqrt(np.linalg.eigvalsh(A.T @ A)[-1]))
 
     def ab(self, z):
         """a_+-(z) = p_0^+ +- p_0^- and b_+-(z) = p_1^+ +- p_1^-, from the
         extensions p_j^{sign}(z) at the points z (t-scale of the
-        w-substitution w = nu*s)."""
+        w-substitution w = nu*s): one reciprocal (node, z) matrix against
+        the four rows kernel_row * p_j^{sign}."""
         z = np.asarray(z)
-        core = (self.kernel_row * self.p_tilde)[:, :, None, :] \
-            / (self.nodes[None, :] + self.nu * z[:, None])
-        # each (sign, j, z) row sums over the nodes on its own
-        (p0p, p1p), (p0m, p1m) = _SIGNS[:, None, None] * core.sum(axis=-1) \
+        inv = np.add.outer(self.nodes, self.nu * z)
+        np.reciprocal(inv, out=inv)
+        core = ((self.kernel_row * self.p_tilde).reshape(4, -1) @ inv).reshape(2, 2, -1)
+        (p0p, p1p), (p0m, p1m) = _SIGNS[:, None, None] * core \
             + np.stack([np.ones_like(z), z])
         return p0p + p0m, p0p - p0m, p1p + p1m, p1p - p1m
 
@@ -140,17 +153,21 @@ def solve_p(nu, p: ModelParams) -> _QPSolution:
     # alpha = 1 makes theta (hence h) vanish identically
     h_vals = np.zeros_like(w) if alpha == 1.0 else h_weight(w / nu, profile)
     ker = h_vals * np.exp(-w) * weights / math.pi
-    A = ker[None, :] / (w[:, None] + w[None, :])
+    # the stack (I - A, I + A), built in place from A = table * ker
+    m = len(w)
+    systems = np.empty((2, m, m))
+    np.multiply(_cauchy_inverse(), ker, out=systems[1])
+    np.negative(systems[1], out=systems[0])
+    systems.reshape(2, m * m)[:, ::m + 1] += 1.0
     rhs = np.column_stack([np.ones_like(w), w / nu])
     try:
-        x = np.linalg.solve(np.eye(len(w)) - _SIGNS[:, None, None] * A,
-                            np.stack([rhs, rhs]))
+        x = np.linalg.solve(systems, np.stack([rhs, rhs]))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"I -+ A is singular at nu={nu:.4g}: {exc}", stage="solve_p")
     if not np.all(np.isfinite(x)):
         raise SolverError(f"auxiliary solution not finite at nu={nu:.4g}",
                           stage="solve_p")
-    # C order, so `ab` sums each row over contiguous nodes
+    # C order, so `ab` takes the four rows without a copy
     return _QPSolution(nu, profile, ker, np.ascontiguousarray(x.transpose(0, 2, 1)))
 
 
@@ -180,22 +197,33 @@ def evaluate_abxi(solution: _QPSolution):
     }
 
 
+def _first_guess(n, p: ModelParams):
+    """Start of the secant steps: nu_first_order(n, H) plus the drift term
+    atan(-beta/nu) evaluated there.  The H = 1/2 roots solve
+    nu = (n - 1/2) pi + atan(-beta/nu), so there the guess is off by
+    O(n^-3); at alpha = 1, beta = 0 it is exactly (n - 1/2) pi."""
+    nu0 = nu_first_order(n, p.H)
+    return nu0 + math.atan(-p.beta_eff / nu0)
+
+
 def find_nu(n, p: ModelParams):
     """Refined frequency: root of Im{xi conj(eta)} near the first-order guess.
 
-    The enumeration is already calibrated: initializing at nu_first_order(n)
-    reproduces nu_n = (n - 1/2) pi exactly in the degenerate case alpha = 1,
-    beta = 0.  The root is the zero of g(nu) = atan(Im z / Re z), z = xi
+    The enumeration is already calibrated: the guess is nu_first_order(n)
+    plus the drift term atan(-beta/nu) (`_first_guess`), which reproduces
+    nu_n = (n - 1/2) pi exactly in the degenerate case alpha = 1, beta = 0.
+    The root is the zero of g(nu) = atan(Im z / Re z), z = xi
     conj(eta): the argument of z reduced mod pi.  g jumps only where Re z = 0,
     halfway between roots, and rises with slope about 1 near each root, so
     the first step is -g(guess) and secant steps follow until a step is at
-    most STEP_REL * nu; no bracket is needed.  Returns the last evaluated
+    most STEP_REL * nu at a point whose residual |Im z| is at most
+    RESIDUAL_REL |z|; no bracket is needed.  Returns the last evaluated
     point as (nu, IARefinement, the root's _QPSolution).
     """
     _check_params(p)
     if n < DEFAULT_N_MIN:
         raise DomainError(f"refined frequencies start at n = {DEFAULT_N_MIN}")
-    guess = nu_first_order(n, p.H)
+    guess = _first_guess(n, p)
 
     def g(nu):
         sol = solve_p(nu, p)
@@ -214,7 +242,11 @@ def find_nu(n, p: ModelParams):
     slope = 1.0  # of g near a root, for the first step
     for _ in range(MAX_STEPS):
         step = -g_nu / slope
-        if abs(step) <= STEP_REL * nu:
+        prod = vals["xi"] * vals["eta"].conjugate()
+        # a step below STEP_REL * nu ends the search only at a point that
+        # passes the residual gate: above nu = RESIDUAL_REL / STEP_REL = 1000
+        # such a step can leave |Im z| / |z| = |sin g| above RESIDUAL_REL
+        if abs(step) <= STEP_REL * nu and abs(prod.imag) <= RESIDUAL_REL * abs(prod):
             break
         nu += step
         if abs(nu - guess) > MAX_OFFSET:
@@ -226,16 +258,11 @@ def find_nu(n, p: ModelParams):
             raise SolverError(f"secant slope {slope:.3g} of g at nu={nu:.6g} is not "
                               "positive", stage="find_nu")
     else:
-        raise SolverError(f"no root of Im(xi eta*) within {MAX_STEPS} secant steps "
-                          f"from nu={guess:.6g}", stage="find_nu")
-    prod = vals["xi"] * vals["eta"].conjugate()
-    residual = abs(prod.imag)
-    if residual > RESIDUAL_REL * abs(prod):
-        raise SolverError(f"root residual {residual:.2e} exceeds "
-                          f"{RESIDUAL_REL:.0e} * |xi eta*| = {RESIDUAL_REL * abs(prod):.2e}",
-                          stage="find_nu")
+        raise SolverError(f"no root of Im(xi eta*) with residual at most {RESIDUAL_REL:.0e} "
+                          f"* |xi eta*| within {MAX_STEPS} secant steps from "
+                          f"nu={guess:.6g}", stage="find_nu")
     ref = IARefinement(n=n, nu=nu, xi=vals["xi"], eta=vals["eta"],
-                       b_alpha_nu=vals["b_alpha_nu"], residual=residual,
+                       b_alpha_nu=vals["b_alpha_nu"], residual=abs(prod.imag),
                        contraction_norm=sol.contraction_norm)
     return nu, ref, sol
 

@@ -13,6 +13,44 @@ from fouspec.asymptotics import (ThetaProfile, b_alpha_closed, b_alpha_numeric,
 from fouspec.exceptions import DomainError
 
 
+def _x_cauchy_subtracted(prof, z):
+    """X(z) with the pole subtracted on every row: the form x_cauchy used
+    for all z before off-cut rows became one Cauchy matrix-vector product."""
+    nodes, weights, th, u_end = prof._master
+    zf = np.asarray(z).reshape(-1).astype(complex)
+    near = (zf.real > 2.0 * asymptotics._HEAD) & (zf.real < u_end)
+    th_r = np.where(near, prof.theta(np.where(near, zf.real, 1.0)), 0.0)
+    core = ((weights[None, :] * (th[None, :] - th_r[:, None]))
+            / (nodes[None, :] - zf[:, None])).sum(axis=1)
+    la0, lz, lu = (np.log(asymptotics._HEAD - zf), np.log(-zf), np.log(u_end - zf))
+    analytic = th_r * (lu - la0) + prof.phi_angle * (la0 - lz)
+    return np.exp((core + analytic) / math.pi)
+
+
+def _dtheta_per_element(prof, u, u_ac):
+    """theta'(u) given u_ac = u^{-alpha} / (1 + r^2), one element at a time."""
+    a, r2 = prof.alpha, prof.r * prof.r
+    D = (u * u - r2) * u * u_ac + prof._cos_phi
+    Dp = ((3.0 - a) * u * u - (1.0 - a) * r2) * u_ac
+    return Dp / (D * D + prof._sin_phi ** 2) * -prof._sin_phi
+
+
+def _h_weight_per_element(t, prof):
+    """h(t) with theta'(t s) evaluated element by element in 8192-element
+    blocks: the form h_weight used before its separable product."""
+    s, w_log, delta = asymptotics._h_pattern()
+    rows = max(1, 8192 // len(s))
+    t_a = t ** -prof.alpha / (1.0 + prof.r ** 2)
+    s_a = s ** -prof.alpha
+    expo = np.empty(len(t))
+    for lo in range(0, len(t), rows):
+        blk = slice(lo, lo + rows)
+        expo[blk] = _dtheta_per_element(prof, t[blk, None] * s, t_a[blk, None] * s_a) @ w_log
+    expo *= t
+    expo += 2.0 * prof.dtheta(t) * t * delta * (math.log(2.0 / delta) + 1.0)
+    return np.exp(-expo / math.pi) * np.sin(prof.theta(t))
+
+
 class TestScalars:
     def test_b_alpha_closed(self):
         assert b_alpha_closed(1.0) == 0.0
@@ -145,6 +183,23 @@ class TestXCauchy:
         with pytest.raises(DomainError):
             ThetaProfile(0.5).x_cauchy(0.3 + 0j)
 
+    @pytest.mark.parametrize("alpha,beta,nu", [(0.6, -1.0, 300.0), (0.2, 3.0, 40.0),
+                                               (0.5, 0.0, math.inf)])
+    def test_cauchy_product_matches_subtracted_form(self, alpha, beta, nu):
+        # off-cut rows (the negative axis, z = i) are one matrix-vector
+        # product against weights * theta; near-cut rows keep the subtraction
+        prof = ThetaProfile(alpha, beta, nu)
+        neg = -np.logspace(-6, 4, 60)
+        assert_allclose(prof.x_cauchy(neg), _x_cauchy_subtracted(prof, neg),
+                        rtol=1e-14, atol=0)
+        assert_allclose(prof.x_cauchy(1j), _x_cauchy_subtracted(prof, 1j)[0],
+                        rtol=1e-14, atol=0)
+        mixed = np.array([1j, 0.3 + 1e-6j, -2.0 + 0j, 2.0 - 1e-3j, -1e-9 + 0.5j,
+                          1e20 + 1j, 0.5 + 0.5j])
+        vals = prof.x_cauchy(mixed)
+        assert_allclose(vals, _x_cauchy_subtracted(prof, mixed), rtol=1e-14, atol=0)
+        assert_allclose(vals, [prof.x_cauchy(z) for z in mixed], rtol=1e-15, atol=0)
+
 
 class TestHWeight:
     def test_alpha_one_zero(self):
@@ -162,11 +217,29 @@ class TestHWeight:
         (0.5, 0.0, math.inf, 0.3),
         (0.6, -1.0, 30.0, 0.5),
         (0.8, 1.0, 50.0, 2.0),
+        # the auxiliary scale of the refinement, t = w/nu
+        (0.6, -1.0, 8.0, 3.0 / 8.0),
+        (0.6, -1.0, 300.0, 3.0 / 300.0),
     ])
     def test_dual_quadrature_strategies(self, alpha, beta, nu, t):
         prof = ThetaProfile(alpha, beta, nu)
         assert_allclose(h_weight(t, prof, "split"), h_weight(t, prof, "parts"),
                         atol=1e-6)
+
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    @pytest.mark.parametrize("beta", [-12.0, -1.0, 2.0])
+    def test_separable_form_matches_per_element_form(self, H, beta, monkeypatch):
+        # on the auxiliary nodes w at t = w/nu, as the refinement calls it;
+        # a block of 5 rows gives the same values as one of 36
+        from fouspec.ia_refine import _auxiliary_rule
+        w = _auxiliary_rule()[0]
+        for nu in (8.0, 50.0, 300.0, 3000.0):
+            prof = ThetaProfile(2.0 - 2.0 * H, beta, nu)
+            ref = _h_weight_per_element(w / nu, prof)
+            assert_allclose(h_weight(w / nu, prof), ref, rtol=1e-14, atol=0)
+            with monkeypatch.context() as m:
+                m.setattr(asymptotics, "_H_BLOCK", 5 * len(asymptotics._h_pattern()[0]))
+                assert_allclose(h_weight(w / nu, prof), ref, rtol=1e-14, atol=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -529,6 +529,39 @@ def test_eigs_keeps_the_table_when_one_refined_index_is_refused(beta, capsys):
     assert [int(row[0]) for row in rows[1:]] == list(range(1, 9))
 
 
+def test_importing_the_mse_modules_builds_no_table():
+    # a fresh interpreter: importing the modules an `mse` run starts from
+    # (what the benchmark's set-up time measures) loads fouspec and numpy
+    # only, and fills no cached rule or table: they are built on first use
+    code = """
+import functools, json, sys
+before = set(sys.modules)
+import fouspec.cli, fouspec.error_analysis, fouspec.ia_refine
+new = set(sys.modules) - before
+cached = {f"{m}.{k}": f.cache_info().currsize
+          for m, mod in sys.modules.items() if m.startswith("fouspec")
+          for k, f in vars(mod).items() if hasattr(f, "cache_info")}
+print(json.dumps({
+    "packages": sorted({m.split(".")[0] for m in new} - set(sys.stdlib_module_names)),
+    "fouspec": sorted(m for m in new if m.startswith("fouspec")),
+    "cached": cached}))
+"""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["packages"] == ["fouspec", "numpy"]
+    assert out["fouspec"] == ["fouspec", "fouspec._quad", "fouspec.asymptotics",
+                              "fouspec.cli", "fouspec.error_analysis",
+                              "fouspec.exceptions", "fouspec.ia_refine",
+                              "fouspec.model", "fouspec.spectral_oracle"]
+    for name in ("fouspec.ia_refine._cauchy_inverse", "fouspec.ia_refine._auxiliary_rule",
+                 "fouspec.asymptotics._h_pattern"):
+        assert name in out["cached"]
+    assert set(out["cached"].values()) == {0}, out["cached"]
+
+
 def test_closed_form_and_oracle_routes_load_only_what_they_use():
     # a fresh interpreter: tests share sys.modules.  The closed-form and oracle
     # routes load neither the refinement nor the first-order module; no route

@@ -13,6 +13,17 @@ from fouspec.model import ModelParams, QuadGrid
 from fouspec.spectral_oracle import ou_closed_form_eigs
 
 
+def _ab_summed(sol, z):
+    """a_+-, b_+- from the (sign, j, z, node) quotient summed over the nodes:
+    the form _QPSolution.ab used before its matrix product."""
+    z = np.asarray(z)
+    core = (sol.kernel_row * sol.p_tilde)[:, :, None, :] \
+        / (sol.nodes[None, :] + sol.nu * z[:, None])
+    (p0p, p1p), (p0m, p1m) = ia_refine._SIGNS[:, None, None] * core.sum(axis=-1) \
+        + np.stack([np.ones_like(z), z])
+    return p0p + p0m, p0p - p0m, p1p + p1m, p1p - p1m
+
+
 class TestDegenerateAlphaOne:
     def test_p_equals_monomials(self):
         p = ModelParams(H=0.5, beta=0.0)
@@ -89,6 +100,15 @@ class TestDirectSolve:
         assert_allclose(sol.contraction_norm, 0.45651237920078636, rtol=1e-14)
 
 
+    @pytest.mark.parametrize("H,beta,nu", [(0.7, -1.0, 20.0), (0.9, 3.0, 150.0)])
+    def test_ab_matches_summed_form(self, H, beta, nu):
+        # on the negative axis (the layer integral), at -i (the boundary
+        # values) and at -i nu (the residue term)
+        sol = solve_p(nu, ModelParams(H=H, beta=beta))
+        for z in (-np.logspace(-4, 3, 50) / nu, np.array([-1j]), np.array([-1j * nu])):
+            for got, want in zip(sol.ab(z), _ab_summed(sol, z)):
+                assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+
     def test_auxiliary_rule(self):
         # 12 quadratically graded panels of 12 Gauss nodes on (0, U_MAX],
         # one read-only pair of arrays shared by every solve
@@ -159,7 +179,7 @@ class TestFindNu:
 
     def test_refuses_iterate_far_from_guess(self, monkeypatch):
         p = ModelParams(H=0.7, beta=-1.0)
-        offset = abs(find_nu(3, p)[0] - nu_first_order(3, p.H))
+        offset = abs(find_nu(3, p)[0] - ia_refine._first_guess(3, p))
         monkeypatch.setattr(ia_refine, "MAX_OFFSET", offset / 2)
         with pytest.raises(SolverError, match="from the guess"):
             find_nu(3, p)
@@ -175,7 +195,7 @@ class TestFindNu:
         assert_allclose(find_nu(5, p)[0], 4.5 * math.pi, rtol=1e-13)
 
     def test_solves_per_root(self, monkeypatch):
-        # secant steps from the first-order guess need about 3.5 solves per root
+        # secant steps from the drift-aware guess need about 3.2 solves per root
         p = ModelParams(H=0.7, beta=-1.0)
         calls = []
         solve = ia_refine.solve_p
@@ -186,7 +206,56 @@ class TestFindNu:
             before = len(calls)
             find_nu(n, p)
             counts.append(len(calls) - before)
-        assert np.mean(counts) <= 4 and max(counts) <= 6
+        assert np.mean(counts) <= 3.3 and max(counts) <= 6
+
+    def test_small_step_stops_only_at_the_residual_gate(self):
+        # above nu = RESIDUAL_REL / STEP_REL = 1000 a step below STEP_REL * nu
+        # can leave the residual above its gate: one step from the guess of
+        # n = 720 lands 2.3e-10 from the root, and the search must go on
+        p = ModelParams(H=0.7, beta=-1.0)
+        nu, ref, _ = find_nu(720, p)
+        assert ref.residual <= ia_refine.RESIDUAL_REL * abs(ref.xi * np.conj(ref.eta))
+        assert_allclose(nu, 2260.3239941468664, rtol=1e-13)
+
+    def test_guess_without_drift_is_first_order(self):
+        p = ModelParams(H=0.5, beta=0.0)
+        for n in (3, 10, 1000):
+            assert ia_refine._first_guess(n, p) == (n - 0.5) * math.pi
+        p = ModelParams(H=0.7, beta=0.0)
+        assert ia_refine._first_guess(7, p) == nu_first_order(7, 0.7)
+
+    # indices refused (DomainError: theta's denominator dips through zero at
+    # the guess) from either guess
+    REFUSED = {(0.9, -12.0, 3), (0.99, -12.0, 3), (0.99, -12.0, 4), (0.99, -12.0, 5),
+               (0.99, -12.0, 10), (0.99, -6.0, 3), (0.99, -6.0, 4), (0.99, -6.0, 5),
+               (0.99, 3.0, 3), (0.99, 6.6, 3), (0.99, 6.6, 4), (0.99, 6.6, 5)}
+
+    @pytest.mark.parametrize("H", [0.5, 0.7, 0.9, 0.99])
+    def test_drift_guess_finds_the_same_roots(self, H, monkeypatch):
+        # the drift term only moves the start of the secant steps: every root
+        # and every refusal is the one the first-order guess alone gives
+        def roots():
+            out = {}
+            for beta in (-12.0, -6.0, -1.0, 1.0, 3.0, 6.6):
+                p = ModelParams(H=H, beta=beta)
+                for n in (3, 4, 5, 10, 50):
+                    try:
+                        out[beta, n] = find_nu(n, p)[0]
+                    except (DomainError, SolverError) as exc:
+                        out[beta, n] = type(exc).__name__
+            return out
+
+        drift = roots()
+        monkeypatch.setattr(ia_refine, "_first_guess",
+                            lambda n, p: nu_first_order(n, p.H))
+        plain = roots()
+        refused = {k for k, v in plain.items() if isinstance(v, str)}
+        assert refused == {(b, n) for h, b, n in self.REFUSED if h == H}
+        for key, nu in plain.items():
+            if key in refused:
+                assert drift[key] == nu
+            else:
+                assert_allclose(drift[key], nu, rtol=1e-12)
 
     def test_dominates_first_order(self, oracle_07):
         p, _, spec = oracle_07
