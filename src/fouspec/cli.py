@@ -46,7 +46,7 @@ CLOSED_FORM_PAIRS = 5_000_000
 
 @dataclass
 class RunConfig:
-    """Flat, file-round-trippable run description; flags override file values."""
+    """Flat run description, readable from a config file; flags override file values."""
 
     command: str = ""
     H: float = 0.7
@@ -101,19 +101,6 @@ def parse_config_text(text):
             raise ValueError(f"config line {lineno}: {key} must be one of "
                              f"{', '.join(choices)}, got {val!r}")
     return out
-
-
-def config_text(cfg: RunConfig):
-    """Serialize a config so that parse_config_text round-trips it."""
-    lines = []
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, (tuple, list)):
-            v = ",".join(_fmt(x) for x in v)
-        elif isinstance(v, float):
-            v = _fmt(v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
 
 
 def _fmt(x):

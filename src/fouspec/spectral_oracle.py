@@ -2,11 +2,13 @@
 
 `nystrom_eigs` discretizes K*phi = lambda*phi with the grid quadrature and
 solves the symmetrized matrix problem; it is the brute-force oracle every
-approximation is judged against.  `ou_closed_form_eigs` provides the exact
-H = 1/2 spectrum: lambda_n = 1/(nu_n^2 + beta^2) with nu/beta = tan(nu) and
-eigenfunctions proportional to sqrt(2) sin(nu_n x).  Its roots come from
-array Newton iterations on the pole-free arctan form of each tan branch;
-only the (at most one) root or head mode near 0 is bisected.
+approximation is judged against.  Every solve goes through `eigh`: ARPACK
+Lanczos for at most N/20 kept pairs, the factored full reduction above.
+`ou_closed_form_eigs` provides the exact H = 1/2 spectrum: lambda_n =
+1/(nu_n^2 + beta^2) with nu/beta = tan(nu) and eigenfunctions proportional
+to sqrt(2) sin(nu_n x).  Its roots come from array Newton iterations on
+the pole-free arctan form of each tan branch; only the (at most one) root
+or head mode near 0 is bisected.
 
 Sign convention for all spectra: int_0^1 phi_n < 0, ties (|int phi_n| <=
 1e-12) broken by phi_n(1) * (-1)^n < 0, so eigenfunctions from different
@@ -31,8 +33,7 @@ from .model import CovMatrix, ModelParams, QuadGrid, cov_row
 
 _INTEGRAL_TIE_TOL = 1e-12
 PSD_TOL = 1e-10  # refuse a matrix whose min eigenvalue / trace is below -PSD_TOL
-SUBSET_FRACTION = 0.1  # up to this share of the pairs, solve for the kept ones only
-LANCZOS_PAIRS = 2  # the refined head (pairs 1, 2): at most this many go to Lanczos
+LANCZOS_FRACTION = 0.05  # up to this share of the pairs, Lanczos solves for the kept ones
 # lambda_n carries a rounding error of about 0.1 eps lambda_1: refuse ratios below
 ROUNDING_FLOOR = 100 * np.finfo(float).eps
 
@@ -194,27 +195,25 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
     PSD_TOL, or when lambda_{n_max} / lambda_1 is not above ROUNDING_FLOOR,
     where it is rounding noise (strong positive drift).
 
-    Three solvers, by the number of kept pairs; all three give dense vectors
-    except the last, which keeps them factored:
-      - n_max <= LANCZOS_PAIRS and n_max <= SUBSET_FRACTION * N: ARPACK
-        Lanczos (`eigsh`) from a fixed random start vector; at N = 2000
-        (one thread) 0.13 s with the certificate, against 0.8 s for the
-        subset `eigh` below;
-      - n_max <= SUBSET_FRACTION * N: LAPACK `evr` for the kept pairs only;
+    Two solvers, chosen here by the share of the pairs kept (see `eigh`):
+      - n_max <= LANCZOS_FRACTION * N: ARPACK Lanczos for the kept pairs
+        only, with dense vectors; at N = 2000 (one thread) 0.13 s for the
+        refined head's 2 pairs and 0.25-0.29 s for 40, against 0.96-1.21 s
+        for the full solve;
       - otherwise every eigenvalue, and the kept eigenvectors in factored
-        form (`eigh`); at N = 3000 keeping 1500 (one thread) 4.7-5.2 s,
-        against 5.9-6.0 s with the kept block back-transformed and 6.1-7.1 s
-        for `scipy.linalg.eigh`.  The peak is 2.1 matrices beyond `cov` (2.6
+        form; at N = 3000 keeping 1500 (one thread) 4.7-5.2 s, against
+        5.9-6.0 s with the kept block back-transformed and 6.1-7.1 s for
+        `scipy.linalg.eigh`.  The peak is 2.1 matrices beyond `cov` (2.6
         with the kept block formed) and the spectrum keeps 1.07 (the
         reflector panels and the kept block).  Each projection costs about
         20 ms.
-    The first two never see the whole spectrum, so one Cholesky factorization
-    of B + PSD_TOL * trace * I certifies min eigenvalue >= -PSD_TOL * trace
-    and `min_eigenvalue` holds that bound; the full solve reports the exact
-    minimum.  `diagnostics["eigensolver"]` names the solver: "lanczos",
-    "subset" or "full".  A matrix with a non-finite entry is refused with
-    DomainError through `cov.finite` before any solver runs: the full
-    reduction reads one triangle only and would miss a NaN in the other.
+    Lanczos never sees the whole spectrum, so one Cholesky factorization of
+    B + PSD_TOL * trace * I certifies min eigenvalue >= -PSD_TOL * trace and
+    `min_eigenvalue` holds that bound; the full solve reports the exact
+    minimum.  `diagnostics["eigensolver"]` names the solver: "lanczos" or
+    "full".  A matrix with a non-finite entry is refused with DomainError
+    through `cov.finite` before any solver runs: the full reduction reads one
+    triangle only and would miss a NaN in the other.
     """
     from scipy.linalg import cho_factor
 
@@ -227,22 +226,18 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
     w = grid.weights
     sw = np.sqrt(w)
     trace = float(np.sum(w * np.diag(cov.values)))
-    solver = ("full" if n_max > SUBSET_FRACTION * N
-              else "lanczos" if n_max <= LANCZOS_PAIRS else "subset")
+    lanczos = n_max <= LANCZOS_FRACTION * N
     try:
-        if solver == "full":
+        if lanczos:
+            B = _weighted(cov, sw)  # kept for the certificate below
+            lam, V = eigh(B, n_max, lanczos=True)
+        else:
             # reduced in place; no name here holds B, so `eigh` frees it once
             # it has its reflectors
             lam, V = eigh(_weighted(cov, sw), n_max)
-        else:
-            # ARPACK's products read B' = B.T, the C-ordered array, row by
-            # row: on the Fortran view the Lanczos residuals came out about
-            # 1.4 times larger
-            B = _weighted(cov, sw)
-            lam, V = _lanczos(B.T, n_max) if solver == "lanczos" else eigh(B, n_max, subset=True)
     except np.linalg.LinAlgError as exc:
-        raise SolverError(f"dense eigensolver failed: {exc}", stage="nystrom_eigs")
-    if solver != "full":
+        raise SolverError(f"eigensolver failed: {exc}", stage="nystrom_eigs")
+    if lanczos:
         # B + PSD_TOL * trace * I is positive definite iff every eigenvalue
         # of B exceeds -PSD_TOL * trace: the bound stands in for the minimum.
         # B is Fortran-ordered, so the factorization overwrites it in place.
@@ -262,7 +257,7 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
                               f"eigenvalue / trace = {defect:.3g}", stage="nystrom_eigs")
     lam = lam[::-1][:n_max].copy()
     diagnostics = {"min_eigenvalue": lam_min, "trace": trace, "psd_defect": defect,
-                   "eigensolver": solver}
+                   "eigensolver": "lanczos" if lanczos else "full"}
     if not lam[n_max - 1] > ROUNDING_FLOOR * lam[0]:
         raise SolverError(f"lambda_n / lambda_1 is above the rounding floor {ROUNDING_FLOOR:.2g} "
                           f"up to n = {np.sum(lam > ROUNDING_FLOOR * lam[0])} only; the rest "
@@ -297,17 +292,23 @@ def _weighted(cov, sw):
 PANELS = 8  # the reflectors kept in this many column panels: 0.56 N^2 floats
 
 
-def eigh(B, n_max, *, subset=False):
+def eigh(B, n_max, *, lanczos=False):
     """Eigenvalues of the symmetric B, ascending, and unit eigenvectors of the
     n_max largest, as `Eigenvectors` whose columns are in the same order.
 
-    With `subset`, LAPACK's `evr` computes the kept pairs only, so only n_max
-    eigenvalues come back, and the vectors are dense.  Otherwise all N
-    eigenvalues come back and the kept vectors stay factored: `dsytrd`
-    reduces B (Fortran order; it is overwritten) to tridiagonal form, its
-    reflectors are copied into PANELS column panels, B is released, and
-    `dstemr` (MRRR) solves the tridiagonal problem for every pair; Z keeps
-    the n_max largest.  No back-transformation runs here: a read of V
+    With `lanczos`, ARPACK's Lanczos (`eigsh`) computes the kept pairs only,
+    so only n_max eigenvalues come back, and the vectors are dense.  Its
+    products read B.T, the C-ordered array when B is the Fortran view that
+    `_weighted` gives, row by row: on the Fortran view the residuals came out
+    about 1.4 times larger.  The start vector is generic and fixed, so runs
+    are reproducible; a structured one such as sqrt(w) is orthogonal to every
+    pair with int phi_n = 0 and would miss it.
+
+    Otherwise all N eigenvalues come back and the kept vectors stay factored:
+    `dsytrd` reduces B (Fortran order; it is overwritten) to tridiagonal
+    form, its reflectors are copied into PANELS column panels, B is released,
+    and `dstemr` (MRRR) solves the tridiagonal problem for every pair; Z
+    keeps the n_max largest.  No back-transformation runs here: a read of V
     applies the reflectors to the vectors it projects, and `np.asarray`
     applies them to Z.  `dsytrd` and `dstemr` are the steps of scipy's
     `eigh` through `dsyevr`, with the same block size for the reduction, so
@@ -319,15 +320,20 @@ def eigh(B, n_max, *, subset=False):
     `dstemr` 1.0 s.  When the caller holds no other reference to B, the peak
     is 2.1 matrices: B with its panels (0.56), then the panels, Z and the
     kept block.
-    Raises LinAlgError when a LAPACK step reports failure.
+    Raises LinAlgError when an ARPACK or LAPACK step reports failure.
     """
-    from scipy import linalg
+    N = B.shape[0]
+    if lanczos:
+        from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+
+        v0 = np.random.default_rng(0).standard_normal(N)
+        try:
+            lam, V = eigsh(B.T, k=n_max, which="LA", tol=0, v0=v0)
+        except (ArpackNoConvergence, ArpackError) as exc:
+            raise np.linalg.LinAlgError(f"Lanczos (ARPACK): {exc}")
+        return lam, Eigenvectors(V)
     from scipy.linalg import lapack
 
-    N = B.shape[0]
-    if subset:
-        lam, V = linalg.eigh(B, subset_by_index=[N - n_max, N - 1], driver="evr")
-        return lam, Eigenvectors(V)
     if N == 1:  # no reflectors: the 1 x 1 matrix is its own eigenvalue
         return B.diagonal().copy(), Eigenvectors(np.ones((1, 1)))
     lwork = int(lapack.dsyevr_lwork(N)[0]) - 5 * N  # dsyevr's share for dsytrd
@@ -344,23 +350,6 @@ def eigh(B, n_max, *, subset=False):
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (info = {info})")
     return lam, Eigenvectors(np.asfortranarray(Z[:, N - n_max:]), panels)
-
-
-def _lanczos(B, k):
-    """The k largest eigenpairs of the symmetric B, ascending, by ARPACK.
-
-    The start vector is generic and fixed, so runs are reproducible; a
-    structured one such as sqrt(w) is orthogonal to every pair with
-    int phi_n = 0 and would miss it.
-    """
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
-
-    v0 = np.random.default_rng(0).standard_normal(B.shape[0])
-    try:
-        lam, V = eigsh(B, k=k, which="LA", tol=0, v0=v0)
-    except (ArpackNoConvergence, ArpackError) as exc:
-        raise SolverError(f"Lanczos eigensolver failed: {exc}", stage="nystrom_eigs")
-    return lam, Eigenvectors(V)
 
 
 def nystrom_extend(spec: Spectrum, x: float) -> np.ndarray:

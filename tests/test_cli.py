@@ -27,15 +27,16 @@ def run_cli(args, env=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_config_round_trip():
-    cfg = cli.RunConfig(command="mse", H=0.65, beta=-1.5, eps=(1e-3, 2.5e-5),
-                        u=(0.25, 1.0), n_max=77, spectrum="first_order")
-    text = cli.config_text(cfg)
-    parsed = cli.parse_config_text(text)
-    for key, val in parsed.items():
-        if key == "command":
-            continue
-        assert getattr(cfg, key) == val, key
+def test_config_text_is_parsed_by_field_type():
+    text = """# one field of each type
+H = 0.65
+n_max = 77   # an int
+eps = 1e-3, 2.5e-5
+spectrum = first_order
+with_wh = yes
+"""
+    assert cli.parse_config_text(text) == {"H": 0.65, "n_max": 77, "eps": (1e-3, 2.5e-5),
+                                           "spectrum": "first_order", "with_wh": True}
 
 
 def test_flags_override_config(tmp_path):
@@ -566,9 +567,11 @@ def test_closed_form_and_oracle_routes_load_only_what_they_use():
     # a fresh interpreter: tests share sys.modules.  The closed-form and oracle
     # routes load neither the refinement nor the first-order module; no route
     # loads scipy.optimize, and scipy.integrate serves only the h_weight
-    # cross-check.  scipy.sparse.linalg (Lanczos) serves only the refined
-    # head: neither those two routes nor importing the modules of an `mse`
-    # run loads it.  The H = 1/2 closed form loads no scipy module at all, and
+    # cross-check.  scipy.sparse.linalg (Lanczos) serves only the oracle
+    # solves that keep at most N/20 pairs, the refined head among them: the
+    # oracle run here keeps 30 of 60 and takes the full reduction, and
+    # neither those two routes nor importing the modules of an `mse` run
+    # loads it.  The H = 1/2 closed form loads no scipy module at all, and
     # the error layer imports scipy.linalg only for the Wiener-Hopf solve.
     # The Gauss rules are built in the package: no mse or eigs route loads
     # scipy.special
@@ -616,6 +619,14 @@ print(json.dumps(loaded))
 def test_mse_is_deterministic_across_processes(argv):
     # two fresh interpreters print the same bytes
     argv = ["mse", "--H", "0.7", "--N-unit", "60", "--threads", "1", *argv]
+    first, second = run_cli(argv), run_cli(argv)
+    assert first[0] == 0, first[2]
+    assert first[1] == second[1]
+
+
+def test_eigs_lanczos_is_deterministic_across_processes():
+    # 20 of 400 pairs go to Lanczos, from its fixed start vector
+    argv = ["eigs", "--N-unit", "400", "--n-max", "20", "--threads", "1"]
     first, second = run_cli(argv), run_cli(argv)
     assert first[0] == 0, first[2]
     assert first[1] == second[1]

@@ -59,8 +59,14 @@ def test_traced_refined_run_reads_find_nu(tmp_path):
     roots = [r for r in recs if r["name"] == "ia_refine.find_nu"]
     assert roots
     assert all("residual" in r and "contraction_norm" in r for r in roots)
+    # the Lanczos head is solved through `eigh`, the name the tracer times
+    solves = [r for r in recs if r["name"] == "spectral_oracle.eigensolve"]
+    heads = [r for r in recs if r["name"] == "spectral_oracle.nystrom"]
+    assert [r["computed"] for r in solves] == [r["kept"] for r in heads] == [2]
     wall = max(r["end"] for r in recs) - min(r["start"] for r in recs)
-    assert _load_tracer().layer_metrics(recs, wall)["ia_refine.evals_per_root"] > 0
+    metrics = _load_tracer().layer_metrics(recs, wall)
+    assert metrics["ia_refine.evals_per_root"] > 0
+    assert metrics["spectral_oracle.eigensolve.kept_frac"] == 1
 
 
 def test_traced_oracle_run_reads_every_layer(tmp_path):
