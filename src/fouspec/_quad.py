@@ -1,4 +1,4 @@
-"""Shared quadrature rules: Gauss-Legendre / Gauss-Jacobi on [0,1] and panel builders.
+"""Shared quadrature rules: Gauss-Legendre / Gauss-Jacobi on [0,1] and the panel builder.
 
 Both Gauss rules are built here with numpy alone, so no route loads
 `scipy.special`.  Each node is found by Newton's method on the three-term
@@ -10,8 +10,13 @@ Olver's uniform asymptotic formula, which is within 2e-15 of the zeros at
 n = 3000, so one recurrence sweep over half the nodes finishes it (0.03 s
 at n = 3000, one thread); the Jacobi rule starts from the eigenvalues of
 its Jacobi matrix (Golub-Welsch, n <= 64).  Weights come from the angle
-form 1 / ((1 - x^2) p'(x)^2).  The cached arrays are read-only: every
-caller shares them.
+form 1 / ((1 - x^2) p'(x)^2).
+
+`gl_panels` is the one composite builder: the Gauss-Legendre rule on a list
+of panels, in the order given, as one array operation.  `graded_nodes` and
+`doubling_nodes` only choose its panel edges.  Every cached rule of the
+package, here and in the modules that build on these, is made read-only by
+`frozen`: every caller shares it.
 """
 
 import math
@@ -88,9 +93,11 @@ def _newton(n, a, b, y):
     return y, sin2 * (1.0 - dlogw * step) / g ** 2
 
 
-def _frozen(*arrays):
+def frozen(*arrays):
+    """The arrays, made read-only in place: every cached rule goes through
+    here, since its arrays are shared by every caller of the cache."""
     for arr in arrays:
-        arr.flags.writeable = False  # cached and shared by every caller
+        arr.flags.writeable = False
     return arrays
 
 
@@ -113,7 +120,7 @@ def gauss_legendre_01(n):
     half = 0.5 * y  # distance of node k from 1, and of its mirror from 0
     z = np.concatenate([half, 1.0 - half[::-1][mid:]])
     w = np.concatenate([w, w[::-1][mid:]])
-    return _frozen(z, w)
+    return frozen(z, w)
 
 
 @lru_cache(maxsize=256)
@@ -139,7 +146,17 @@ def jacobi_01(n, c):
     # the family constant of the lower end: 1 / binom(n + c, n)^2
     w_lo *= math.prod(j / (j + c) for j in range(1, n + 1)) ** 2
     z = np.concatenate([0.5 * y_lo, 1.0 - 0.5 * y_hi])  # increasing, as z0
-    return _frozen(z, np.concatenate([w_lo, w_hi]))
+    return frozen(z, np.concatenate([w_lo, w_hi]))
+
+
+def gl_panels(lo, hi, m):
+    """Composite m-node Gauss-Legendre rule on the panels [lo_k, hi_k], in the
+    order given: nodes lo_k + (hi_k - lo_k) x_j, weights (hi_k - lo_k) w_j,
+    panel by panel.  Every composite rule of the package is built here."""
+    xg, wg = gauss_legendre_01(m)
+    lo = np.asarray(lo, dtype=float)[:, None]
+    h = np.asarray(hi, dtype=float)[:, None] - lo
+    return (lo + h * xg).ravel(), (h * wg).ravel()
 
 
 def graded_nodes(a, b, toward, n_panels, m, ratio=0.5, cover_sliver=False):
@@ -149,22 +166,14 @@ def graded_nodes(a, b, toward, n_panels, m, ratio=0.5, cover_sliver=False):
     `toward` is NOT covered, for callers that treat a genuine algebraic
     singularity there themselves.  With cover_sliver=True a final GL panel
     closes the gap (enough for kinks where the integrand stays finite).
+    The panels run from the far end toward `toward`.
     """
-    xg, wg = gauss_legendre_01(m)
     # distances from `toward`: (b - a) ratio^k for k = 0..n_panels
     edges = (b - a) * ratio ** np.arange(n_panels + 1)
     if cover_sliver:
         edges = np.concatenate([edges, [0.0]])
-    nodes, weights = [], []
-    for far, near in zip(edges[:-1], edges[1:]):
-        h = far - near
-        dist = near + h * xg
-        if toward == a:
-            nodes.append(a + dist)
-        else:
-            nodes.append(b - dist)
-        weights.append(h * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+    dist, weights = gl_panels(edges[1:], edges[:-1], m)
+    return (a + dist if toward == a else b - dist), weights
 
 
 def doubling_nodes(a, n_panels, m):
@@ -172,14 +181,7 @@ def doubling_nodes(a, n_panels, m):
 
     Covers a semi-infinite range with geometrically growing panels; the caller
     adds an analytic tail correction beyond the last edge when needed.
+    Returns (nodes, weights, a 2^n_panels).
     """
-    xg, wg = gauss_legendre_01(m)
-    lo = a
-    h = a
-    nodes, weights = [], []
-    for _ in range(n_panels):
-        nodes.append(lo + h * xg)
-        weights.append(h * wg)
-        lo += h
-        h *= 2.0
-    return np.concatenate(nodes), np.concatenate(weights), lo
+    lo = a * 2.0 ** np.arange(n_panels)
+    return (*gl_panels(lo, 2.0 * lo, m), a * 2.0 ** n_panels)

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._quad import doubling_nodes, graded_nodes
+from ._quad import doubling_nodes, frozen, graded_nodes
 from .exceptions import DomainError
 from .model import spectral_constant
 
@@ -35,8 +35,7 @@ _HEAD = 2.0 ** -26  # lower cutoff of the master semi-axis rule
 def _master_rule():
     """The semi-axis rule [_HEAD, _HEAD * 2^52] every ThetaProfile integrates on."""
     nodes, weights, u_end = doubling_nodes(_HEAD, 52, 16)
-    nodes.flags.writeable = weights.flags.writeable = False  # shared by all profiles
-    return nodes, weights, u_end
+    return (*frozen(nodes, weights), u_end)
 
 
 def eta_h(H):
@@ -215,22 +214,17 @@ def _h_pattern():
     both sides; the skipped slivers are handled analytically by the caller.
     """
     n_inner, n_outer, m = 28, 29, 16  # graded panels, doubling panels, nodes each
-    segs = []
-    # [head, 1/2]: doubling panels away from 0 (theta' may blow up like v^-alpha)
-    nodes, weights, _ = doubling_nodes(_HEAD, 25, m)
-    keep = nodes <= 0.5
-    segs.append((nodes[keep], weights[keep]))
-    # [1/2, 1) and (1, 2]: graded toward the singularity, equal slivers left
     delta = 0.5 * 0.5 ** n_inner  # uncovered sliver half-width (relative)
-    segs.append(graded_nodes(0.5, 1.0, 1.0, n_inner, m))
-    segs.append(graded_nodes(1.0, 2.0, 1.0, n_inner + 1, m))
-    # [2, 2^n_outer]
-    nodes, weights, _ = doubling_nodes(2.0, n_outer, m)
-    segs.append((nodes, weights))
-    s = np.concatenate([a for a, _ in segs])
-    w = np.concatenate([b for _, b in segs])
+    s, w = (np.concatenate(part) for part in zip(
+        # [head, 1/2]: 25 doubling panels away from 0 (theta' may blow up like v^-alpha)
+        doubling_nodes(_HEAD, 25, m)[:2],
+        # [1/2, 1) and (1, 2]: graded toward the singularity, equal slivers left
+        graded_nodes(0.5, 1.0, 1.0, n_inner, m),
+        graded_nodes(1.0, 2.0, 1.0, n_inner + 1, m),
+        # [2, 2^n_outer]
+        doubling_nodes(2.0, n_outer, m)[:2]))
     kern = np.log(np.abs((1.0 + s) / (1.0 - s)))
-    return s, w * kern, delta
+    return (*frozen(s, w * kern), delta)
 
 
 _H_BLOCK = 65536  # elements of one row block of h_weight's (t, s) table, one
@@ -349,7 +343,7 @@ def _layer_rule(alpha):
     sq = math.sqrt(3.0 - alpha)
     f0 = sq / math.pi * rho * (nodes - b) / math.sqrt(1.0 + b * b)
     f1 = sq / math.pi * rho
-    return nodes, weights, f0, f1
+    return frozen(nodes, weights, f0, f1)
 
 
 _CHUNK = 4096  # (x, n) pairs per block of layer exponentials: bounds the temporaries

@@ -277,7 +277,7 @@ def compute_eigs(cfg: RunConfig):
 def compute_mse(cfg: RunConfig):
     import numpy as np
 
-    from .error_analysis import build_spectrum, convergence_study
+    from .error_analysis import build_spectrum, convergence_study, effective_terms
     from .exceptions import DomainError, TruncationError
     from .model import ModelParams, spectral_constant
 
@@ -301,7 +301,7 @@ def compute_mse(cfg: RunConfig):
         # the deep truncations the power-law tail needs; it has no grid for --with-wh
         method = "closed_form_ou"
     if not n_max:
-        n_eff = (p.mu ** 2 * p.T ** (2 * p.H + 1) / eps[-1]) ** (1.0 / (2 * p.H + 1))
+        n_eff = effective_terms(eps[-1], p)
         if not n_eff < np.inf:
             raise DomainError(f"cannot size the spectrum: mu^2 T^(2H+1) / eps overflows "
                               f"at eps = {eps[-1]:.3g}; set --n-max and --N-unit")

@@ -127,6 +127,14 @@ def truncation_tail(eps, spec: Spectrum, *, endpoint=False):
     return float(tail) if tail.ndim == 0 else tail
 
 
+def effective_terms(eps, p: ModelParams):
+    """n_eff = (mu^2 T^(2H+1) / eps)^(1/(2H+1)): up to the constant of
+    lambda_n, the index where mu^2 T lambda_n falls to eps, which sets how
+    many terms the series needs.  Of eps's float type; inf on overflow."""
+    with np.errstate(over="ignore"):
+        return (p.mu ** 2 * p.T ** (2.0 * p.H + 1.0) / eps) ** (1.0 / (2.0 * p.H + 1.0))
+
+
 def check_truncation(eps, spec: Spectrum, *, u=1.0, P=None):
     """Raise TruncationError if eps needs more eigenpairs than `spec` holds.
 
@@ -142,8 +150,7 @@ def check_truncation(eps, spec: Spectrum, *, u=1.0, P=None):
         P = mse_series(u, eps, spec)
     endpoint = u == 1.0
     tail = truncation_tail(eps, spec, endpoint=endpoint)
-    with np.errstate(over="ignore"):  # only the messages read it; inf is fine
-        n_eff = (p.mu ** 2 * p.T ** (2.0 * p.H + 1.0) / eps) ** (1.0 / (2.0 * p.H + 1.0))
+    n_eff = effective_terms(eps, p)  # only the messages read it; inf is fine
     lam_next = float(spec.lam[-1]) * (N / (N + 1.0)) ** (2.0 * p.H + 1.0)
     worst = float(_series_terms(eps, p, lam_next) * (2.0 * p.H + 1.0 if endpoint else 1.0))
     if worst > EXCLUDED_TERM_BUDGET * P:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import doubling_nodes, gauss_legendre_01
+from ._quad import doubling_nodes, frozen, gl_panels
 from .asymptotics import ThetaProfile, h_weight, lambda_from_nu, nu_first_order
 from .exceptions import DomainError, SolverError
 from .model import ModelParams, QuadGrid
@@ -76,11 +76,7 @@ def _auxiliary_rule():
     """Nodes/weights on (0, U_MAX]: 12 Gauss-Legendre panels of 12 nodes,
     with edges U_MAX (k/12)^2 refined quadratically toward 0."""
     edges = U_MAX * np.linspace(0.0, 1.0, 13) ** 2
-    xg, wg = gauss_legendre_01(12)
-    nodes = np.concatenate([a + (b - a) * xg for a, b in zip(edges[:-1], edges[1:])])
-    weights = np.concatenate([(b - a) * wg for a, b in zip(edges[:-1], edges[1:])])
-    nodes.flags.writeable = weights.flags.writeable = False  # shared by all solves
-    return nodes, weights
+    return frozen(*gl_panels(edges[:-1], edges[1:], 12))
 
 
 @functools.lru_cache(maxsize=1)
@@ -88,9 +84,7 @@ def _cauchy_inverse():
     """Read-only table 1/(w_i + w_k) over the auxiliary nodes: A is this
     table with column k scaled by the kernel weight ker_k."""
     w = _auxiliary_rule()[0]
-    table = 1.0 / np.add.outer(w, w)
-    table.flags.writeable = False
-    return table
+    return frozen(1.0 / np.add.outer(w, w))[0]
 
 
 class _QPSolution:

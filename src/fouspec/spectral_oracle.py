@@ -101,14 +101,13 @@ class Spectrum:
         if not 0.0 <= u <= 1.0:
             raise DomainError(f"u must lie in [0,1], got {u}")
         if self.grid is not None and (self.samples is not None or self.vectors is not None):
-            j = np.searchsorted(self.grid.nodes, u)
-            for k in (j - 1, j):
-                if 0 <= k < self.grid.size and abs(self.grid.nodes[k] - u) < 1e-12:
-                    if self.vectors is None:
-                        return self.samples[k, :].copy()
-                    e = np.zeros(self.grid.size)
-                    e[k] = 1.0
-                    return self.vectors.project(e)[0] / math.sqrt(self.grid.weights[k])
+            k = int(self.grid.nearest(u))
+            if abs(self.grid.nodes[k] - u) < 1e-12:
+                if self.vectors is None:
+                    return self.samples[k, :].copy()
+                e = np.zeros(self.grid.size)
+                e[k] = 1.0
+                return self.vectors.project(e)[0] / math.sqrt(self.grid.weights[k])
         if u == 1.0 and self.phi1 is not None:
             return self.phi1.copy()
         if self.extend is not None:

@@ -1,8 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 
 from fouspec.model import ModelParams, QuadGrid, cov_matrix
 from fouspec.spectral_oracle import nystrom_eigs
+
+
+def pytest_report_header(config):
+    # a few rounding bounds depend on the BLAS call shapes, which change with
+    # the thread count; the benchmark runs at one thread
+    return ", ".join(f"{var}={os.environ.get(var, 'unset')}"
+                     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
 
 
 @pytest.fixture(scope="session")

@@ -665,8 +665,14 @@ class TestFactoredVectors:
         p = spec.params
         for u, phi_u in ((0.37, values(0.37)), (node, phi[self.N // 3]), (1.0, values(1.0))):
             for eps in (1e-3, 1e-5):
-                want = float(eps * lam / (eps + p.mu ** 2 * p.T * lam) @ phi_u ** 2)
-                assert abs(error_analysis.mse_series(u, eps, spec) / want - 1.0) <= 5e-12
+                t = eps * lam / (eps + p.mu ** 2 * p.T * lam)
+                want = float(t @ phi_u ** 2)
+                # phi_n(u) is read through a projection divided by lambda_n, so
+                # it carries a rounding of about eps_mach lambda_1 / lambda_n,
+                # and its size in P depends on the BLAS call shapes (threads)
+                s = np.finfo(float).eps * lam[0] * np.sum(np.abs(phi_u) * t / lam) / want
+                bound = max(5e-12, s / 10)
+                assert abs(error_analysis.mse_series(u, eps, spec) / want - 1.0) <= bound
 
     def test_formed_phi_matches_dense_reference(self, pair):
         spec, _, phi, _ = pair
