@@ -15,8 +15,9 @@ Hoelder weight h(t) = exp(-(1/pi) int theta' log|(t+s)/(t-s)|) sin(theta),
 and rho0(u) = sin(theta0) X0(-u) / gamma0.
 
 All semi-infinite integrals run on cached geometric panel rules with
-analytic head/tail corrections, so every evaluator is vectorized; scalar
-scipy.quad routes are kept as independent cross-check strategies.
+analytic head/tail corrections, so every evaluator is vectorized; the
+scalar scipy.quad route `h_weight_parts` is kept as an independent
+cross-check of `h_weight`.
 """
 
 import math
@@ -232,13 +233,11 @@ _H_BLOCK = 65536  # elements of one row block of h_weight's (t, s) table, one
                   # pattern, the fastest of 4-144 rows at one BLAS thread
 
 
-def h_weight(t, profile: ThetaProfile, strategy="split"):
+def h_weight(t, profile: ThetaProfile):
     """Weight h(t) = exp(-(1/pi) int_0^inf theta'(s) log|(t+s)/(t-s)| ds) sin(theta(t)).
 
-    strategy "split" (default) uses the cached panel rule, vectorized over t;
-    "parts" (scalar t only) integrates by parts into a principal-value form
-    evaluated with adaptive quadrature and exists as an independent
-    cross-check.  Any other strategy is refused.
+    Vectorized over t on the cached panel rule; `h_weight_parts` is the
+    independent cross-check.
 
     On the pattern's relative nodes s, with weights w (log kernel
     included), u = t s and u^{-alpha} / (1 + r^2) = t_a s_a
@@ -254,12 +253,6 @@ def h_weight(t, profile: ThetaProfile, strategy="split"):
     squaring, adding sin^2 phi and the reciprocal run in place, and one
     more product against the columns (g1, g2) gives both sums.
     """
-    if strategy not in ("split", "parts"):
-        raise DomainError(f"h_weight strategy must be 'split' or 'parts', got {strategy!r}")
-    if strategy == "parts":
-        if np.ndim(t):
-            raise DomainError("h_weight strategy 'parts' takes a scalar t")
-        return _h_parts(float(t), profile)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr <= 0):
         raise DomainError("h_weight requires t > 0")
@@ -292,10 +285,15 @@ def h_weight(t, profile: ThetaProfile, strategy="split"):
     return out if np.ndim(t) else float(out[0])
 
 
-def _h_parts(t, profile):
-    """Independent route: -(1/pi) int theta' log|..| = (1/pi) int theta(s) 2t/(t^2-s^2) ds (PV)."""
+def h_weight_parts(t, profile: ThetaProfile):
+    """h(t) at one scalar t > 0 by an independent route, the cross-check of
+    `h_weight`: integrated by parts, -(1/pi) int theta' log|..| =
+    (1/pi) PV int theta(s) 2t/(t^2-s^2) ds, by adaptive quadrature."""
     from scipy import integrate  # this cross-check is its only user
 
+    if np.ndim(t):
+        raise DomainError("h_weight_parts takes a scalar t")
+    t = float(t)
     th_t = profile.theta(t)
 
     def regular(s):

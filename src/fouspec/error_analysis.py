@@ -32,7 +32,7 @@ import numpy as np
 
 from .exceptions import DomainError, SolverError, TruncationError
 from .model import CovMatrix, ModelParams, QuadGrid, cov_matrix, spectral_constant
-from .spectral_oracle import Spectrum, _weighted, nystrom_eigs, ou_closed_form_eigs
+from .spectral_oracle import Spectrum, nystrom_eigs, ou_closed_form_eigs
 
 EXCLUDED_TERM_BUDGET = 1e-3  # largest excluded series term, relative to P
 TAIL_BUDGET = 2e-2           # estimated excluded series mass, relative to P
@@ -188,26 +188,22 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
     and the two differ by 2.7e-4 relative.  The off-grid formula of ROADMAP
     item 1, evaluated at u itself, closes this gap.
 
-    The one N x N array is eps I + mu^2 T W^{1/2} K W^{1/2}, built without
-    temporaries and Cholesky-factored in place, so the peak is about one
-    matrix beyond `cov`.  The factorization reads one triangle, so a matrix
-    with a non-finite entry is refused by `cov.finite` (one scan per matrix,
-    not one per eps) and the solve skips its own scan of the factor.
+    The one N x N array is eps I + mu^2 T B, from B = `cov.weighted()`
+    scaled and Cholesky-factored in place, so the peak is about one matrix
+    beyond `cov`.  A `CovMatrix` is finite by construction, so the solve
+    skips its own scan of the factor.
     """
     from scipy.linalg import cho_solve
 
     if not 0.0 < eps < np.inf:
         raise DomainError(f"eps must be finite and positive, got {eps}")
-    if not cov.finite:
-        raise DomainError("covariance matrix has non-finite entries")
     us = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.all((us >= 0.0) & (us <= 1.0)):
         raise DomainError(f"u must lie in [0,1], got {u}")
     p, grid = cov.params, cov.grid
     j = grid.nearest(us)
     sw = np.sqrt(grid.weights)
-    # the oracle's Fortran-ordered W^{1/2} K W^{1/2}, scaled and factored in place
-    A = _weighted(cov, sw)
+    A = cov.weighted()
     A *= p.mu ** 2 * p.T
     A[np.diag_indices_from(A)] += eps
     try:
@@ -243,17 +239,20 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
     closed_form_ou : exact H = 1/2 spectrum (requires H = 1/2)
     first_order    : two-term frequencies and the eigenvalue formula
     refined        : oracle pairs below the solver's reach, then the
-                     integro-algebraic solver (H >= 1/2)
+                     integro-algebraic solver (H >= 1/2; a smaller H is
+                     refused before the matrix is assembled)
     """
     if method in ("oracle", "refined"):
+        if method == "refined":
+            from . import ia_refine  # the other routes never load the solver
+
+            ia_refine.check_scope(p)  # before the head's matrix is assembled
         if grid is None:
             grid = QuadGrid.gauss_legendre_unit(grid_size)
         cov = cov_matrix(grid, p)
         # the matrix stays on the spectrum for the Wiener-Hopf route
         if method == "oracle":
             return replace(nystrom_eigs(cov, n_max), cov=cov)
-        from . import ia_refine  # the other routes never load the solver
-
         # the refined route keeps only the head pairs below the solver's start
         n_head = min(n_max, ia_refine.DEFAULT_N_MIN - 1)
         head = replace(nystrom_eigs(cov, n_head), cov=cov)

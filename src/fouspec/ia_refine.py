@@ -28,7 +28,7 @@ are h(w) e^{-w} independent of the eventual evaluation points.
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,10 +53,10 @@ LAYER_ROWS = 512              # grid rows per block of the layer exponential tab
 
 @dataclass(frozen=True)
 class IARefinement:
-    """Root of one refined frequency and its health numbers.
+    """Root of one refined frequency, its health numbers and the auxiliary
+    solution `solution` (a `_QPSolution`) solved at it.
 
-    The auxiliary solutions stay on `find_nu`'s `_QPSolution`, and the
-    boundary values in `evaluate_abxi`'s dict.
+    The boundary values stay in `evaluate_abxi`'s dict.
     """
 
     n: int
@@ -65,7 +65,13 @@ class IARefinement:
     eta: complex
     b_alpha_nu: float
     residual: float
-    contraction_norm: float  # ||A||; bounds cond_2(I -+ A), see _QPSolution
+    solution: "_QPSolution" = field(repr=False, compare=False)
+
+    @property
+    def contraction_norm(self):
+        """||A|| at the root, computed by the solution on first read; it
+        bounds cond_2(I -+ A), see _QPSolution."""
+        return self.solution.contraction_norm
 
 
 _SIGNS = np.array([1.0, -1.0])  # sign of the auxiliary equations, by stack index
@@ -126,7 +132,8 @@ class _QPSolution:
         return p0p + p0m, p0p - p0m, p1p + p1m, p1p - p1m
 
 
-def _check_params(p: ModelParams):
+def check_scope(p: ModelParams):
+    """Refuse (DomainError) a problem outside the solver's scope, H < 1/2."""
     if p.H < 0.5:
         raise DomainError("the integro-algebraic solver covers H in [1/2, 1)")
 
@@ -138,7 +145,7 @@ def solve_p(nu, p: ModelParams) -> _QPSolution:
     j = 0, 1 as two columns of each.  Raises SolverError if a system is
     singular or its solution is not finite.
     """
-    _check_params(p)
+    check_scope(p)
     if nu < NU_MIN:
         raise DomainError(f"nu must be >= {NU_MIN}, got {nu}")
     alpha = p.alpha
@@ -212,9 +219,10 @@ def find_nu(n, p: ModelParams):
     the first step is -g(guess) and secant steps follow until a step is at
     most STEP_REL * nu at a point whose residual |Im z| is at most
     RESIDUAL_REL |z|; no bracket is needed.  Returns the last evaluated
-    point as (nu, IARefinement, the root's _QPSolution).
+    point as (nu, IARefinement, the IARefinement's `solution`); the
+    contraction norm is left to the first read of `contraction_norm`.
     """
-    _check_params(p)
+    check_scope(p)
     if n < DEFAULT_N_MIN:
         raise DomainError(f"refined frequencies start at n = {DEFAULT_N_MIN}")
     guess = _first_guess(n, p)
@@ -256,14 +264,14 @@ def find_nu(n, p: ModelParams):
                           f"* |xi eta*| within {MAX_STEPS} secant steps from "
                           f"nu={guess:.6g}", stage="find_nu")
     ref = IARefinement(n=n, nu=nu, xi=vals["xi"], eta=vals["eta"],
-                       b_alpha_nu=vals["b_alpha_nu"], residual=abs(prod.imag),
-                       contraction_norm=sol.contraction_norm)
+                       b_alpha_nu=vals["b_alpha_nu"], residual=abs(prod.imag), solution=sol)
     return nu, ref, sol
 
 
-def _phi_tilde(ref: IARefinement, sol: _QPSolution):
+def _phi_tilde(ref: IARefinement):
     """Normalized forms (Phi~_0, Phi~_1) as one function of the t-scale
-    argument, at the root `sol` was solved at."""
+    argument, at the root `ref` and from its solution."""
+    sol = ref.solution
     nu, r = sol.nu, sol.profile.r
     ba = ref.b_alpha_nu
     ratio = (ref.xi * np.conj(ref.eta)).real / abs(ref.eta) ** 2  # xi/eta, real at a root
@@ -291,7 +299,7 @@ def _pair_terms(n, p: ModelParams, x):
     e^{-x v}.  Returns (ref, ratio, residue, k_lo, k_hi, w0, w1)."""
     nu, ref, sol = find_nu(n, p)
     r = p.beta_eff / nu
-    phi_tilde, ratio = _phi_tilde(ref, sol)
+    phi_tilde, ratio = _phi_tilde(ref)
     p0_inu = phi_tilde(np.array([1j * nu]))[0][0]
     denom = 2.0 / (r * r + 1.0) - p.alpha + 1.0
     res = -2.0 * np.real(np.exp(1j * nu * x) * p0_inu * (1.0 - 1j * r) / denom)

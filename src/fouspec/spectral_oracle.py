@@ -190,73 +190,23 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
     integrals as projections of W^{1/2} k_1 and W^{1/2} 1, a node's sample as
     the projection of e_k, and `nystrom_extend` off the grid, with the
     matrix's params.  `Spectrum.phi` forms the samples on its first read.
-    Raises SolverError when the matrix is not positive semidefinite to
-    PSD_TOL, or when lambda_{n_max} / lambda_1 is not above ROUNDING_FLOOR,
+
+    One call to `eigh` picks the solver, solves and proves the matrix
+    positive semidefinite to PSD_TOL; its evidence (solver, minimum
+    eigenvalue or certified bound, trace, PSD defect) is the spectrum's
+    `diagnostics`.  Raises SolverError when `eigh` fails or refuses the
+    matrix, and when lambda_{n_max} / lambda_1 is not above ROUNDING_FLOOR,
     where it is rounding noise (strong positive drift).
-
-    Two solvers, chosen here by the share of the pairs kept (see `eigh`):
-      - n_max <= LANCZOS_FRACTION * N: ARPACK Lanczos for the kept pairs
-        only, with dense vectors; at N = 2000 (one thread) 0.13 s for the
-        refined head's 2 pairs and 0.25-0.29 s for 40, against 0.96-1.21 s
-        for the full solve;
-      - otherwise every eigenvalue, and the kept eigenvectors in factored
-        form; at N = 3000 keeping 1500 (one thread) 4.7-5.2 s, against
-        5.9-6.0 s with the kept block back-transformed and 6.1-7.1 s for
-        `scipy.linalg.eigh`.  The peak is 2.1 matrices beyond `cov` (2.6
-        with the kept block formed) and the spectrum keeps 1.07 (the
-        reflector panels and the kept block).  Each projection costs about
-        20 ms.
-    Lanczos never sees the whole spectrum, so one Cholesky factorization of
-    B + PSD_TOL * trace * I certifies min eigenvalue >= -PSD_TOL * trace and
-    `min_eigenvalue` holds that bound; the full solve reports the exact
-    minimum.  `diagnostics["eigensolver"]` names the solver: "lanczos" or
-    "full".  A matrix with a non-finite entry is refused with DomainError
-    through `cov.finite` before any solver runs: the full reduction reads one
-    triangle only and would miss a NaN in the other.
     """
-    from scipy.linalg import cho_factor
-
     grid = cov.grid
     N = grid.size
     if not 1 <= n_max <= N:
         raise DomainError(f"n_max must lie in [1, grid size {N}], got {n_max}")
-    if not cov.finite:
-        raise DomainError("covariance matrix has non-finite entries")
-    w = grid.weights
-    sw = np.sqrt(w)
-    trace = float(np.sum(w * np.diag(cov.values)))
-    lanczos = n_max <= LANCZOS_FRACTION * N
     try:
-        if lanczos:
-            B = _weighted(cov, sw)  # kept for the certificate below
-            lam, V = eigh(B, n_max, lanczos=True)
-        else:
-            # reduced in place; no name here holds B, so `eigh` frees it once
-            # it has its reflectors
-            lam, V = eigh(_weighted(cov, sw), n_max)
+        lam, V, diagnostics = eigh(cov, n_max)
     except np.linalg.LinAlgError as exc:
-        raise SolverError(f"eigensolver failed: {exc}", stage="nystrom_eigs")
-    if lanczos:
-        # B + PSD_TOL * trace * I is positive definite iff every eigenvalue
-        # of B exceeds -PSD_TOL * trace: the bound stands in for the minimum.
-        # B is Fortran-ordered, so the factorization overwrites it in place.
-        B[np.diag_indices(N)] += PSD_TOL * trace
-        try:
-            cho_factor(B, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            raise SolverError("covariance matrix is not positive semidefinite: "
-                              f"B + {PSD_TOL:g} * trace * I has no Cholesky factor",
-                              stage="nystrom_eigs")
-        lam_min, defect = -PSD_TOL * trace, -PSD_TOL
-    else:
-        lam_min = float(lam[0])
-        defect = float(min(lam_min, 0.0) / max(trace, 1e-300))
-        if defect < -PSD_TOL:
-            raise SolverError("covariance matrix is not positive semidefinite: min "
-                              f"eigenvalue / trace = {defect:.3g}", stage="nystrom_eigs")
+        raise SolverError(str(exc), stage="nystrom_eigs")
     lam = lam[::-1][:n_max].copy()
-    diagnostics = {"min_eigenvalue": lam_min, "trace": trace, "psd_defect": defect,
-                   "eigensolver": "lanczos" if lanczos else "full"}
     if not lam[n_max - 1] > ROUNDING_FLOOR * lam[0]:
         raise SolverError(f"lambda_n / lambda_1 is above the rounding floor {ROUNDING_FLOOR:.2g} "
                           f"up to n = {np.sum(lam > ROUNDING_FLOOR * lam[0])} only; the rest "
@@ -268,87 +218,104 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
     Z = np.multiply(Z, 1.0 / np.sqrt(np.einsum("ij,ij->j", Z, Z)), order="F")
     V = Eigenvectors(Z, V.panels)
     phi1 = _nystrom_values(V, grid, cov.params, lam, 1.0)
-    integrals = V.project(sw)[0]  # sum_j w_j phi_n(y_j) = (W^{1/2} 1)^T v_n
+    integrals = V.project(np.sqrt(grid.weights))[0]  # sum_j w_j phi_n(y_j) = (W^{1/2} 1)^T v_n
     _sign_fix(Z, phi1, integrals, np.arange(1, n_max + 1))  # flips V's columns
     return Spectrum("oracle", cov.params, lam, None, grid, None, phi1, integrals,
                     diagnostics, extend=nystrom_extend, vectors=V)
 
 
-def _weighted(cov, sw):
-    """B = W^{1/2} K W^{1/2} in one allocation, as a Fortran-ordered view.
-
-    Built as the C-ordered B' = (K_ij sw_j) sw_i in two contiguous passes
-    (0.05 s at N = 3000, against 0.155 s for a strided Fortran-order
-    build).  K is exactly symmetric, so B'.T is (sw_i K_ij) sw_j bit for
-    bit: the matrix the reduction and the Cholesky factorizations (here and
-    in the Wiener-Hopf solve) overwrite in place.
-    """
-    B = cov.values * sw
-    B *= sw[:, None]
-    return B.T
-
-
 PANELS = 8  # the reflectors kept in this many column panels: 0.56 N^2 floats
 
 
-def eigh(B, n_max, *, lanczos=False):
-    """Eigenvalues of the symmetric B, ascending, and unit eigenvectors of the
-    n_max largest, as `Eigenvectors` whose columns are in the same order.
+def eigh(cov: CovMatrix, n_max):
+    """Eigenvalues of B = W^{1/2} K W^{1/2} (`cov.weighted()`), ascending,
+    unit eigenvectors of the n_max largest as `Eigenvectors` whose columns
+    are in the same order, and the evidence that B is positive semidefinite.
 
-    With `lanczos`, ARPACK's Lanczos (`eigsh`) computes the kept pairs only,
-    so only n_max eigenvalues come back, and the vectors are dense.  Its
-    products read B.T, the C-ordered array when B is the Fortran view that
-    `_weighted` gives, row by row: on the Fortran view the residuals came out
-    about 1.4 times larger.  The start vector is generic and fixed, so runs
-    are reproducible; a structured one such as sqrt(w) is orthogonal to every
-    pair with int phi_n = 0 and would miss it.
-
-    Otherwise all N eigenvalues come back and the kept vectors stay factored:
-    `dsytrd` reduces B (Fortran order; it is overwritten) to tridiagonal
-    form, its reflectors are copied into PANELS column panels, B is released,
-    and `dstemr` (MRRR) solves the tridiagonal problem for every pair; Z
-    keeps the n_max largest.  No back-transformation runs here: a read of V
-    applies the reflectors to the vectors it projects, and `np.asarray`
-    applies them to Z.  `dsytrd` and `dstemr` are the steps of scipy's
-    `eigh` through `dsyevr`, with the same block size for the reduction, so
-    the eigenvalues are bit for bit the ones `linalg.eigh(B)` gives and the
-    formed vectors agree to a few ulp.  (`dsyevr` rescales a B whose largest
-    entry lies outside about [1e-146, 8e76], T^{2H} that far from 1; this
-    route does not, and there the two agree to rounding, not bit for bit.)
-    At N = 3000 keeping 1500 (one thread), `dsytrd` takes 3.4 s and
-    `dstemr` 1.0 s.  When the caller holds no other reference to B, the peak
-    is 2.1 matrices: B with its panels (0.56), then the panels, Z and the
-    kept block.
-    Raises LinAlgError when an ARPACK or LAPACK step reports failure.
+    The solver is chosen here by the share of the pairs kept:
+      - n_max <= LANCZOS_FRACTION * N, "lanczos": ARPACK's Lanczos (`eigsh`)
+        computes the kept pairs only, so only n_max eigenvalues come back,
+        and the vectors are dense; at N = 2000 (one thread) 0.13 s for the
+        refined head's 2 pairs and 0.25-0.29 s for 40.  Its products read
+        B.T, the C-ordered array, row by row: on the Fortran view the
+        residuals came out about 1.4 times larger.  The start vector is
+        generic and fixed, so runs are reproducible; a structured one such
+        as sqrt(w) is orthogonal to every pair with int phi_n = 0 and would
+        miss it.  Lanczos never sees the whole spectrum, so one Cholesky
+        factorization of B + PSD_TOL * trace * I, in place, certifies that
+        every eigenvalue exceeds -PSD_TOL * trace: that bound stands in for
+        the minimum.
+      - otherwise, "full": all N eigenvalues come back and the kept vectors
+        stay factored.  `dsytrd` reduces B in place to tridiagonal form,
+        its reflectors are copied into PANELS column panels, B is released,
+        and `dstemr` (MRRR) solves the tridiagonal problem for every pair;
+        Z keeps the n_max largest.  No back-transformation runs here: a
+        read of V applies the reflectors to the vectors it projects, and
+        `np.asarray` applies them to Z.  `dsytrd` and `dstemr` are the
+        steps of scipy's `eigh` through `dsyevr`, with the same block size
+        for the reduction, so the eigenvalues are bit for bit the ones
+        `linalg.eigh(B)` gives and the formed vectors agree to a few ulp.
+        (`dsyevr` rescales a B whose largest entry lies outside about
+        [1e-146, 8e76], T^{2H} that far from 1; this route does not, and
+        there the two agree to rounding, not bit for bit.)  At N = 3000
+        keeping 1500 (one thread) the solve takes 4.7-5.2 s (`dsytrd` 3.4
+        s, `dstemr` 1.0 s), against 6.1-7.1 s for `scipy.linalg.eigh`.  The
+        peak is 2.1 matrices beyond `cov`: B with its panels (0.56), then
+        the panels, Z and the kept block.  The smallest computed eigenvalue
+        is the minimum.
+    Returns (lam, V, psd), with psd = {"min_eigenvalue", "trace",
+    "psd_defect", "eigensolver"}: the minimum (or the certified bound), the
+    trace sum_i w_i K_ii, min(min_eigenvalue, 0) / trace (-PSD_TOL when
+    certified) and the solver's name.  Raises LinAlgError when an ARPACK or
+    LAPACK step reports failure and when B is not positive semidefinite to
+    PSD_TOL.
     """
-    N = B.shape[0]
-    if lanczos:
+    N = cov.grid.size
+    trace = float(np.sum(cov.grid.weights * np.diag(cov.values)))
+    B = cov.weighted()
+    if n_max <= LANCZOS_FRACTION * N:
+        from scipy.linalg import cho_factor
         from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
         v0 = np.random.default_rng(0).standard_normal(N)
         try:
             lam, V = eigsh(B.T, k=n_max, which="LA", tol=0, v0=v0)
         except (ArpackNoConvergence, ArpackError) as exc:
-            raise np.linalg.LinAlgError(f"Lanczos (ARPACK): {exc}")
-        return lam, Eigenvectors(V)
+            raise np.linalg.LinAlgError(f"Lanczos eigensolver (ARPACK) failed: {exc}")
+        B[np.diag_indices(N)] += PSD_TOL * trace
+        try:
+            cho_factor(B, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError("covariance matrix is not positive semidefinite: "
+                                        f"B + {PSD_TOL:g} * trace * I has no Cholesky factor")
+        return lam, Eigenvectors(V), {"min_eigenvalue": -PSD_TOL * trace, "trace": trace,
+                                      "psd_defect": -PSD_TOL, "eigensolver": "lanczos"}
     from scipy.linalg import lapack
 
     if N == 1:  # no reflectors: the 1 x 1 matrix is its own eigenvalue
-        return B.diagonal().copy(), Eigenvectors(np.ones((1, 1)))
-    lwork = int(lapack.dsyevr_lwork(N)[0]) - 5 * N  # dsyevr's share for dsytrd
-    c, d, e, tau, info = lapack.dsytrd(B, lower=1, lwork=lwork, overwrite_a=1)
-    if info != 0:  # pragma: no cover - argument errors only
-        raise np.linalg.LinAlgError(f"tridiagonal reduction failed (info = {info})")
-    # Q = 1 (+) Q1: reflector j is column j of c, with its implied unit in row
-    # j + 1, so reflectors a:b form the QR-form block c[1 + a:, a:b]
-    edges = sorted({(N - 1) * i // PANELS for i in range(PANELS + 1)})
-    panels = tuple((a, np.array(c[1 + a:, a:b], order="F"), tau[a:b])
-                   for a, b in zip(edges, edges[1:]))
-    del B, c  # c is B, reduced in place
-    _, lam, Z, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 0, 0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (info = {info})")
-    return lam, Eigenvectors(np.asfortranarray(Z[:, N - n_max:]), panels)
+        lam, V = B.diagonal().copy(), Eigenvectors(np.ones((1, 1)))
+    else:
+        lwork = int(lapack.dsyevr_lwork(N)[0]) - 5 * N  # dsyevr's share for dsytrd
+        c, d, e, tau, info = lapack.dsytrd(B, lower=1, lwork=lwork, overwrite_a=1)
+        if info != 0:  # pragma: no cover - argument errors only
+            raise np.linalg.LinAlgError(f"tridiagonal reduction failed (info = {info})")
+        # Q = 1 (+) Q1: reflector j is column j of c, with its implied unit in
+        # row j + 1, so reflectors a:b form the QR-form block c[1 + a:, a:b]
+        edges = sorted({(N - 1) * i // PANELS for i in range(PANELS + 1)})
+        panels = tuple((a, np.array(c[1 + a:, a:b], order="F"), tau[a:b])
+                       for a, b in zip(edges, edges[1:]))
+        del B, c  # c is B, reduced in place
+        _, lam, Z, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 0, 0)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (info = {info})")
+        V = Eigenvectors(np.asfortranarray(Z[:, N - n_max:]), panels)
+    lam_min = float(lam[0])
+    defect = float(min(lam_min, 0.0) / max(trace, 1e-300))
+    if defect < -PSD_TOL:
+        raise np.linalg.LinAlgError("covariance matrix is not positive semidefinite: min "
+                                    f"eigenvalue / trace = {defect:.3g}")
+    return lam, V, {"min_eigenvalue": lam_min, "trace": trace, "psd_defect": defect,
+                    "eigensolver": "full"}
 
 
 def nystrom_extend(spec: Spectrum, x: float) -> np.ndarray:

@@ -7,8 +7,8 @@ from scipy import integrate
 
 from fouspec import asymptotics
 from fouspec.asymptotics import (ThetaProfile, b_alpha_closed, b_alpha_numeric,
-                                 eta_h, gamma0, h_weight, lambda_from_nu,
-                                 nu_first_order, phi_first_order,
+                                 eta_h, gamma0, h_weight, h_weight_parts,
+                                 lambda_from_nu, nu_first_order, phi_first_order,
                                  phi_integral_first_order, rho0, theta0)
 from fouspec.exceptions import DomainError
 
@@ -223,8 +223,7 @@ class TestHWeight:
     ])
     def test_dual_quadrature_strategies(self, alpha, beta, nu, t):
         prof = ThetaProfile(alpha, beta, nu)
-        assert_allclose(h_weight(t, prof, "split"), h_weight(t, prof, "parts"),
-                        atol=1e-6)
+        assert_allclose(h_weight(t, prof), h_weight_parts(t, prof), atol=1e-6)
 
     @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
     @pytest.mark.parametrize("beta", [-12.0, -1.0, 2.0])
@@ -245,13 +244,10 @@ class TestHWeight:
         with pytest.raises(DomainError):
             h_weight(-1.0, ThetaProfile(0.5))
 
-    def test_refuses_unknown_strategy_and_array_parts(self):
-        # a misspelt strategy would otherwise compare "split" with itself
+    def test_parts_refuses_array_t(self):
         prof = ThetaProfile(0.6, -1.0, 30.0)
-        with pytest.raises(DomainError, match="strategy"):
-            h_weight(0.5, prof, "prts")
         with pytest.raises(DomainError, match="scalar"):
-            h_weight(np.array([0.5, 1.0]), prof, "parts")
+            h_weight_parts(np.array([0.5, 1.0]), prof)
 
 
 class TestRho0:

@@ -14,7 +14,7 @@ from fouspec.asymptotics import phi_first_order
 from fouspec.error_analysis import (build_spectrum, check_truncation,
                                     convergence_study, mse_asymptotic, mse_series,
                                     hyp2f1_tail, mse_wiener_hopf, truncation_tail)
-from fouspec.exceptions import DomainError, SolverError, TruncationError
+from fouspec.exceptions import DomainError, TruncationError
 from fouspec.ia_refine import refined_eigenpair
 from fouspec.model import CovMatrix, ModelParams, QuadGrid, cov_matrix
 from fouspec.spectral_oracle import nystrom_eigs
@@ -391,6 +391,18 @@ def test_refined_spectrum_keeps_its_head_matrix(monkeypatch):
                           mse_wiener_hopf(us, 1e-1, cov_matrix(g, p)))
 
 
+@pytest.mark.parametrize("n_max", [2, 20])
+def test_refined_route_refuses_small_h_before_any_work(n_max, monkeypatch):
+    # below H = 1/2 the refined solver is out of scope: refused before the
+    # head's matrix is assembled, also when every pair would be a head pair
+    def never(*args, **kwargs):
+        raise AssertionError("assembled a matrix the refined route cannot use")
+
+    monkeypatch.setattr(error_analysis, "cov_matrix", never)
+    with pytest.raises(DomainError, match="integro-algebraic solver covers H"):
+        build_spectrum(ModelParams(H=0.3, beta=-1.0), "refined", n_max=n_max, grid_size=60)
+
+
 def test_refined_head_pairs_are_the_oracle_pairs():
     # the head pairs come from the oracle matrix of the same grid
     p = ModelParams(H=0.7, beta=-1.0)
@@ -472,8 +484,9 @@ def test_problem_is_stated_once():
 
 @pytest.mark.parametrize("entry", [(7, 7), (45, 4), (4, 45)], ids=["diagonal", "lower", "upper"])
 def test_non_finite_matrix_is_refused(entry):
-    # the Cholesky factorization reads one triangle and the solve no longer
-    # scans the factor: a NaN anywhere must still end in a typed refusal
+    # the Cholesky factorization reads one triangle and the solve does not
+    # scan the factor: a NaN anywhere is refused where the matrix is built,
+    # so no solve is ever handed one
     p = ModelParams(H=0.7, beta=-1.0)
     cov = cov_matrix(QuadGrid.gauss_legendre_unit(60), p)
     spec = replace(nystrom_eigs(cov, 30), cov=cov)
@@ -481,9 +494,5 @@ def test_non_finite_matrix_is_refused(entry):
     assert np.all(np.isfinite(convergence_study(spec, eps, us, with_wiener_hopf=True).P_wiener_hopf))
     K = cov.values.copy()
     K[entry] = np.nan
-    bad = CovMatrix(K, cov.grid, p)
-    for u in (float(cov.grid.nodes[4]), float(cov.grid.nodes[45]), us):
-        with pytest.raises((SolverError, DomainError)):
-            mse_wiener_hopf(u, 1e-2, bad)
-    with pytest.raises((SolverError, DomainError)):
-        convergence_study(replace(spec, cov=bad), eps, us, with_wiener_hopf=True)
+    with pytest.raises(DomainError, match="non-finite"):
+        CovMatrix(K, cov.grid, p)

@@ -9,8 +9,8 @@ from fouspec.asymptotics import b_alpha_closed, lambda_from_nu, nu_first_order, 
 from fouspec.exceptions import DomainError, SolverError
 from fouspec import ia_refine
 from fouspec.ia_refine import evaluate_abxi, find_nu, refined_eigenpair, solve_p
-from fouspec.model import ModelParams, QuadGrid
-from fouspec.spectral_oracle import ou_closed_form_eigs
+from fouspec.model import ModelParams, QuadGrid, cov_matrix
+from fouspec.spectral_oracle import nystrom_eigs, ou_closed_form_eigs
 
 
 def _ab_summed(sol, z):
@@ -99,6 +99,27 @@ class TestDirectSolve:
                         rtol=1e-12)
         assert_allclose(sol.contraction_norm, 0.45651237920078636, rtol=1e-14)
 
+    def test_contraction_norm_is_computed_only_when_read(self, monkeypatch):
+        # find_nu and refined_spectrum leave ||A|| to the first read of
+        # IARefinement.contraction_norm, which takes it from the root's solution
+        p = ModelParams(H=0.7, beta=-1.0)
+        roots = [find_nu(5, p)]
+
+        def recorded(n, params):
+            roots.append(find_nu(n, params))
+            return roots[-1]
+
+        monkeypatch.setattr(ia_refine, "find_nu", recorded)
+        head = nystrom_eigs(cov_matrix(QuadGrid.gauss_legendre_unit(60), p), 2)
+        ia_refine.refined_spectrum(head, 6)
+        assert [ref.n for _, ref, _ in roots] == [5, 3, 4, 5, 6]
+        assert all(ref.solution is sol for _, ref, sol in roots)
+        assert not any("contraction_norm" in vars(sol) for _, _, sol in roots)
+        for _, ref, sol in roots:
+            w = sol.nodes
+            A = sol.kernel_row[None, :] / (w[:, None] + w[None, :])
+            assert_allclose(ref.contraction_norm, math.sqrt(np.linalg.eigvalsh(A.T @ A)[-1]),
+                            rtol=1e-12)
 
     @pytest.mark.parametrize("H,beta,nu", [(0.7, -1.0, 20.0), (0.9, 3.0, 150.0)])
     def test_ab_matches_summed_form(self, H, beta, nu):

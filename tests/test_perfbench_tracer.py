@@ -7,6 +7,7 @@ from the wrapped calls' return values, such as `find_nu`'s IARefinement.
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -91,3 +92,55 @@ def test_traced_full_branch_reports_every_eigenvalue(tmp_path):
     assert [r["computed"] for r in solves] == [60]
     wall = max(r["end"] for r in recs) - min(r["start"] for r in recs)
     assert _load_tracer().layer_metrics(recs, wall)["spectral_oracle.eigensolve.kept_frac"] == 0.5
+
+
+class _CountsRecorder:
+    def __init__(self):
+        self.counts = {}
+
+    def wrap(self, module, attr, name, counts=None):
+        if counts is not None:
+            self.counts[f"{module.__name__}.{attr}"] = counts
+
+
+def _sample_returns():
+    """One real return value of each call whose span reads counts, at small
+    sizes, by the name the tracer wraps; `eigh` once per solver."""
+    from fouspec import error_analysis, ia_refine, spectral_oracle
+    from fouspec.model import ModelParams, QuadGrid
+
+    p = ModelParams(H=0.7, beta=-1.0)
+    grid = QuadGrid.gauss_legendre_unit(40)
+    cov = error_analysis.cov_matrix(grid, p)
+    return {
+        "fouspec.error_analysis.cov_matrix": [cov],
+        "fouspec.spectral_oracle.cov_row": [spectral_oracle.cov_row(1.0, p, grid)],
+        "fouspec.spectral_oracle.eigh": [spectral_oracle.eigh(cov, 2),
+                                         spectral_oracle.eigh(cov, 20)],
+        "fouspec.error_analysis.nystrom_eigs": [error_analysis.nystrom_eigs(cov, 2)],
+        "fouspec.error_analysis.ou_closed_form_eigs": [
+            error_analysis.ou_closed_form_eigs(ModelParams(H=0.5, beta=-1.0), 10)],
+        "fouspec.ia_refine.find_nu": [ia_refine.find_nu(3, p)],
+        "fouspec.ia_refine.solve_p": [ia_refine.solve_p(10.0, p)],
+    }
+
+
+def test_every_count_reads_its_call_in_process():
+    # each counts function the tracer registers, applied to what the call it
+    # wraps returns: a changed return shape fails here, naming the call
+    rec = _CountsRecorder()
+    _load_tracer().instrument(rec)
+    samples = _sample_returns()
+    assert sorted(rec.counts) == sorted(samples)
+    bad = []
+    for name, counts in rec.counts.items():
+        for out in samples[name]:
+            try:
+                values = counts(out)
+                ok = bool(values) and all(
+                    isinstance(v, (int, float)) and math.isfinite(v) for v in values.values())
+            except Exception as exc:  # the failure is reported by name below
+                values, ok = repr(exc), False
+            if not ok:
+                bad.append(f"{name}: {values}")
+    assert bad == []
