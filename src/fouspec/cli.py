@@ -3,8 +3,8 @@
 Output is CSV with '#'-prefixed header comments (default) or JSON with a
 top-level {config, results, notes} object.  All numbers are printed with 17
 significant digits and no timestamps, so identical configs give
-byte-identical files.  Exit codes: 0 ok, 1 validation failure, 2 usage,
-3 solver failure, 4 truncation refusal.
+byte-identical files.  Exit codes: 0 ok, 1 validation failure, 2 usage
+or invalid parameters, 3 solver failure, 4 truncation refusal.
 
 Each command takes only the flags it reads; a config file may set any
 RunConfig field, and flags override it.  The thread count resolves as
@@ -16,7 +16,6 @@ reproducible for a fixed count.
 """
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -31,12 +30,6 @@ EXIT_TRUNCATION = 4
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
 
-# A run is refused above MEMORY_BUDGET bytes, or the physical memory if less.
-# Peak RSS over the interpreter's (one thread, H = 0.7, two u) is 3-4 doubles
-# per N^2 on the grid routes (N = 1000-3000) and 8-17 per pair on the others
-# (1e6 pairs); the factors round those up.
-MEMORY_BUDGET = 4 * 2 ** 30
-DENSE_DOUBLES, PAIR_DOUBLES = 4, 20
 # The automatic closed-form truncation stops at CLOSED_FORM_PAIRS.  There the
 # excluded series mass is about 0.2 n_eff / n_max of P (H = 1/2), twice the
 # tail budget of 2e-2 once n_eff >= CLOSED_FORM_PAIRS / 5: such runs are
@@ -237,14 +230,12 @@ def compute_eigs(cfg: RunConfig):
     from .asymptotics import lambda_from_nu
     from .error_analysis import build_spectrum
     from .exceptions import DomainError, SolverError
-    from .ia_refine import DEFAULT_N_MIN, find_nu
+    from .ia_refine import DEFAULT_N_MIN, check_scope, find_nu
     from .model import ModelParams
 
     p = ModelParams(H=cfg.H, beta=cfg.beta, mu=cfg.mu, T=cfg.T)
     n_max = cfg.n_max or 20
-    grid_size = cfg.N_unit or 1000
-    _check_footprint("oracle", grid_size, n_max)
-    spec = build_spectrum(p, "oracle", n_max=n_max, grid_size=grid_size)
+    spec = build_spectrum(p, "oracle", n_max=n_max, grid_size=cfg.N_unit or 1000)
     fo = build_spectrum(p, "first_order", n_max=n_max)
     # one ordered column per header entry; the refined ones stay None (and
     # are dropped) below H = 1/2, where the refined solver is out of scope
@@ -255,7 +246,12 @@ def compute_eigs(cfg: RunConfig):
             "rel_err_first_order": np.abs(fo.lam / spec.lam - 1.0),
             "rel_err_refined": None}
     comments = []
-    if p.H >= 0.5:
+    try:
+        check_scope(p)
+    except DomainError:
+        comments.append("warning: H < 1/2, refined solver out of scope; "
+                        "refined columns omitted")
+    else:
         # a refused index keeps its refined cells empty (NaN until printed)
         nu_rf = np.full(n_max, np.nan)
         for n in range(DEFAULT_N_MIN, n_max + 1):
@@ -266,9 +262,6 @@ def compute_eigs(cfg: RunConfig):
         cols["nu_refined"] = nu_rf
         cols["lambda_refined"] = lambda_from_nu(nu_rf, p.H, p.beta_eff) * p.T ** (2 * p.H)
         cols["rel_err_refined"] = np.abs(cols["lambda_refined"] / spec.lam - 1.0)
-    else:
-        comments.append("warning: H < 1/2, refined solver out of scope; "
-                        "refined columns omitted")
     cols = {k: [None if v != v else v for v in np.asarray(c).tolist()]
             for k, c in cols.items() if c is not None}
     return comments, list(cols), [list(row) for row in zip(*cols.values())]
@@ -282,18 +275,18 @@ def compute_mse(cfg: RunConfig):
     from .model import ModelParams, spectral_constant
 
     if not cfg.eps:
-        raise UsageError("mse requires a nonempty --eps list")
+        raise DomainError("mse requires a nonempty --eps list")
     if not cfg.u:
-        raise UsageError("mse requires a nonempty --u list")
+        raise DomainError("mse requires a nonempty --u list")
     # before the auto n_max divides by eps and u is snapped into the grid
     if not all(0.0 < e < np.inf for e in cfg.eps):
-        raise UsageError(f"eps must be finite and positive, got {cfg.eps}")
+        raise DomainError(f"eps must be finite and positive, got {cfg.eps}")
     if not all(0.0 < u <= 1.0 for u in cfg.u):
-        raise UsageError(f"u must lie in (0, 1], got {cfg.u}")
+        raise DomainError(f"u must lie in (0, 1], got {cfg.u}")
     p = ModelParams(H=cfg.H, beta=cfg.beta, mu=cfg.mu, T=cfg.T)
     eps = sorted((float(e) for e in cfg.eps), reverse=True)
     if len(set(eps)) != len(eps):
-        raise UsageError("duplicate eps values")
+        raise DomainError("duplicate eps values")
     method = cfg.spectrum
     n_max = cfg.n_max
     if method == "oracle" and abs(p.H - 0.5) < 1e-14 and not cfg.with_wh:
@@ -314,12 +307,8 @@ def compute_mse(cfg: RunConfig):
                     f"{CLOSED_FORM_PAIRS / 5:.3g} effective terms on, its excluded series "
                     "mass exceeds the tail budget; raise the smallest eps")
             n_max = min(max(n_max, int(200 * n_eff)), CLOSED_FORM_PAIRS)
-    grid_size = cfg.N_unit or max(3000, 2 * n_max)
-    if method in ("oracle", "refined") and n_max > grid_size:
-        raise UsageError(f"n_max={n_max} exceeds the grid size {grid_size}; "
-                         "raise --N-unit or lower --n-max")
-    _check_footprint(method, grid_size, n_max)
-    spec = build_spectrum(p, method, n_max=n_max, grid_size=grid_size)
+    spec = build_spectrum(p, method, n_max=n_max,
+                          grid_size=cfg.N_unit or max(3000, 2 * n_max))
     us = []
     for u in cfg.u:
         u = float(u)
@@ -343,23 +332,6 @@ def compute_mse(cfg: RunConfig):
     rows = [[float(e), u, *(float(v[i, k]) for v in cols.values())]
             for i, e in enumerate(eps) for k, u in enumerate(us)]
     return comments, ["eps", "u", *cols], rows
-
-
-def _check_footprint(method, grid_size, n_max):
-    """DomainError, before anything is allocated, when the spectrum route
-    `method` would need more memory than the budget (see MEMORY_BUDGET)."""
-    from .exceptions import DomainError
-
-    dense = method in ("oracle", "refined")
-    need = 8 * (DENSE_DOUBLES * grid_size ** 2 if dense else PAIR_DOUBLES * n_max)
-    budget = MEMORY_BUDGET
-    with contextlib.suppress(AttributeError, ValueError, OSError):  # no sysconf
-        budget = min(budget, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    if need > budget:
-        size = f"N = {grid_size} grid nodes" if dense else f"n_max = {n_max} pairs"
-        raise DomainError(f"the {method} spectrum at {size} needs about {need / 2 ** 30:.3g} "
-                          f"GiB, above the {budget / 2 ** 30:.3g} GiB budget; lower "
-                          "--N-unit or --n-max, or raise the smallest eps")
 
 
 def compute_special(cfg: RunConfig):
@@ -397,10 +369,6 @@ def compute_special(cfg: RunConfig):
     return comments, header, np.column_stack(cols).tolist()
 
 
-class UsageError(Exception):
-    pass
-
-
 def _write(cfg: RunConfig, text):
     if cfg.out in ("-", "", None):
         sys.stdout.write(text)
@@ -435,9 +403,6 @@ def main(argv=None):
             return _run_validate(cfg)
         _write(cfg, render(cfg))
         return EXIT_OK
-    except UsageError as exc:
-        sys.stderr.write(f"fouspec: usage error: {exc}\n")
-        return EXIT_USAGE
     except DomainError as exc:
         sys.stderr.write(f"fouspec: invalid parameters: {exc}\n")
         return EXIT_USAGE

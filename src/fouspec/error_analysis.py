@@ -25,7 +25,9 @@ with the 2F1 from `hyp2f1_tail`.  In this module only the Wiener-Hopf solve
 calls scipy (`scipy.linalg`), which it imports when it runs.
 """
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,6 +38,13 @@ from .spectral_oracle import Spectrum, nystrom_eigs, ou_closed_form_eigs
 
 EXCLUDED_TERM_BUDGET = 1e-3  # largest excluded series term, relative to P
 TAIL_BUDGET = 2e-2           # estimated excluded series mass, relative to P
+
+# A spectrum request is refused above MEMORY_BUDGET bytes, or the physical
+# memory if less.  Peak RSS over the interpreter's (one thread, H = 0.7, two u)
+# is 3-4 doubles per N^2 on the dense routes (N = 1000-3000) and 8-17 per pair
+# on the others (1e6 pairs); the factors round those up.
+MEMORY_BUDGET = 4 * 2 ** 30
+DENSE_DOUBLES, PAIR_DOUBLES = 4, 20
 
 
 @dataclass(frozen=True)
@@ -239,14 +248,33 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
     closed_form_ou : exact H = 1/2 spectrum (requires H = 1/2)
     first_order    : two-term frequencies and the eigenvalue formula
     refined        : oracle pairs below the solver's reach, then the
-                     integro-algebraic solver (H >= 1/2; a smaller H is
-                     refused before the matrix is assembled)
+                     integro-algebraic solver (H >= 1/2)
+
+    The dense routes (oracle, refined) assemble an N x N kernel matrix on
+    `grid`, else on the Gauss-Legendre grid of `grid_size` nodes.  Before
+    any grid or array is built, DomainError refuses a dense request with
+    n_max above N, a request whose arrays would exceed MEMORY_BUDGET, and
+    the refined route at H < 1/2.
     """
-    if method in ("oracle", "refined"):
+    dense = method in ("oracle", "refined")
+    N = grid_size if grid is None else grid.size
+    if dense and n_max > N:
+        raise DomainError(f"n_max={n_max} exceeds the grid size {N}; "
+                          "raise --N-unit or lower --n-max")
+    need = 8 * (DENSE_DOUBLES * N ** 2 if dense else PAIR_DOUBLES * n_max)
+    budget = MEMORY_BUDGET
+    with contextlib.suppress(AttributeError, ValueError, OSError):  # no sysconf
+        budget = min(budget, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    if need > budget:
+        size = f"N = {N} grid nodes" if dense else f"n_max = {n_max} pairs"
+        raise DomainError(f"the {method} spectrum at {size} needs about {need / 2 ** 30:.3g} "
+                          f"GiB, above the {budget / 2 ** 30:.3g} GiB budget; lower "
+                          "--N-unit or --n-max, or raise the smallest eps")
+    if dense:
         if method == "refined":
             from . import ia_refine  # the other routes never load the solver
 
-            ia_refine.check_scope(p)  # before the head's matrix is assembled
+            ia_refine.check_scope(p)
         if grid is None:
             grid = QuadGrid.gauss_legendre_unit(grid_size)
         cov = cov_matrix(grid, p)

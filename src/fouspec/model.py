@@ -22,7 +22,8 @@ entry costs one power and about 15 elementwise passes.  `cov_matrix`
 (upper-triangle blocks in place, mirrored), `cov_row` (one Nystrom row)
 and `fou_cov` (one pair) are thin calls into it.  It
 refuses beta*T below `MIN_BETA_T`, where e^{+|beta|t} terms cancel off the
-diagonal, and any non-finite result.  `fou_cov_singular` keeps an
+diagonal, and every result is scanned once for non-finite entries after the
+rescaling by T^{2H} (a matrix by `CovMatrix`).  `fou_cov_singular` keeps an
 independent slow-but-honest evaluation of the H > 1/2 singular-kernel
 double integral for cross-checking.
 
@@ -167,7 +168,8 @@ class CovMatrix:
         if not isinstance(self.params, ModelParams):
             raise DomainError("covariance matrix needs the ModelParams it was built for")
         if not np.isfinite(v).all():
-            raise DomainError("covariance matrix has non-finite entries")
+            raise DomainError("covariance matrix has non-finite entries "
+                              f"(beta*T = {self.params.beta_eff:g})")
 
     def weighted(self):
         """B = W^{1/2} K W^{1/2} in one new allocation, as a Fortran-ordered view.
@@ -268,7 +270,8 @@ def _kernel(s, t, p: ModelParams):
     Works on [0,1] with drift beta*T and rescales by T^{2H}.  With t = None it
     returns the symmetric matrix K(s_i*T, s_j*T): only the upper-triangle
     blocks, `_ROW_BLOCK` rows at a time, are evaluated in place and then
-    mirrored.  Refuses beta*T below MIN_BETA_T and any non-finite result.
+    mirrored.  Refuses beta*T below MIN_BETA_T and, after the rescaling, any
+    non-finite pair or row; a symmetric matrix is left to `CovMatrix`'s scan.
     """
     b = p.beta_eff
     if b < MIN_BETA_T:
@@ -296,10 +299,11 @@ def _kernel(s, t, p: ModelParams):
                 np.copyto(K[lo:hi, lo:hi], K[lo:hi, lo:hi].T, where=lower[:h, :h])
         else:
             K = _pairs(_node_tables(s, b, c), _node_tables(t, b, c), b, c)
-    K[s == 0.0] = 0.0  # X_0 = 0 makes K(0, t) = 0 exactly
-    if not np.all(np.isfinite(K)):
+        K[s == 0.0] = 0.0  # X_0 = 0 makes K(0, t) = 0 exactly
+        K *= p.T ** c
+    # the CovMatrix that wraps a symmetric matrix scans it
+    if not symmetric and not np.isfinite(K).all():
         raise DomainError(f"covariance is not finite at beta*T = {b:g}")
-    K *= p.T ** c
     return K
 
 

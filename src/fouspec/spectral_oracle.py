@@ -61,9 +61,10 @@ class Spectrum:
     the oracle, W^{-1/2} V from its `vectors` V, which are kept factored
     (see `Eigenvectors`) and formed into `phi` only on its first read, then
     cached (1.0 s and 0.5 matrices more at N = 3000 with 1500 pairs).  The
-    factored oracle spectrum holds 1.07 matrices there.  `extend(spectrum, u)` gives phi_n(u) for all n at any u in [0,1];
-    the route that builds the spectrum sets it, or leaves it None when it has
-    no off-grid evaluator.  `method` only labels the route.
+    factored oracle spectrum holds 1.07 matrices there.  `extend(spectrum,
+    u)` gives phi_n(u) for all n at any u in [0,1]; the route that builds
+    the spectrum sets it, or leaves it None when it has no off-grid
+    evaluator.  `method` only labels the route.
     """
 
     method: str

@@ -51,3 +51,20 @@ def peak_matrices():
 def traced_matrices():
     """traced_matrices(f, N): (peak, kept, f()) as `_traced_matrices` gives them."""
     return _traced_matrices
+
+
+@pytest.fixture
+def tiny_memory_budget(monkeypatch):
+    """A 64 KiB spectrum budget, with every allocator behind `build_spectrum`
+    (the grid, the kernel matrix and the closed-form and first-order arrays)
+    patched to fail: a request must be refused before any of them runs."""
+    from fouspec import asymptotics, error_analysis
+
+    def never(*args, **kwargs):
+        raise AssertionError("allocated before the request was refused")
+
+    monkeypatch.setattr(error_analysis, "MEMORY_BUDGET", 2 ** 16)
+    for name in ("cov_matrix", "ou_closed_form_eigs"):
+        monkeypatch.setattr(error_analysis, name, never)
+    monkeypatch.setattr(asymptotics, "nu_first_order", never)
+    monkeypatch.setattr(QuadGrid, "gauss_legendre_unit", never)

@@ -403,6 +403,28 @@ def test_refined_route_refuses_small_h_before_any_work(n_max, monkeypatch):
         build_spectrum(ModelParams(H=0.3, beta=-1.0), "refined", n_max=n_max, grid_size=60)
 
 
+@pytest.mark.parametrize("method", ["oracle", "refined"])
+def test_dense_route_refuses_more_pairs_than_nodes(method, monkeypatch):
+    # the refined route used to return phi_n(1) values up to 2.05x off here
+    def never(*args, **kwargs):
+        raise AssertionError("assembled a matrix for a refused request")
+
+    monkeypatch.setattr(error_analysis, "cov_matrix", never)
+    with pytest.raises(DomainError, match="n_max=40 exceeds the grid size 20"):
+        build_spectrum(ModelParams(H=0.7, beta=-1.0), method, n_max=40, grid_size=20)
+
+
+@pytest.mark.parametrize("method,size", [("oracle", "N = 1000 grid nodes"),
+                                         ("refined", "N = 1000 grid nodes"),
+                                         ("closed_form_ou", "n_max = 500 pairs"),
+                                         ("first_order", "n_max = 500 pairs")])
+def test_request_over_the_memory_budget_is_refused_before_any_array(method, size,
+                                                                   tiny_memory_budget):
+    H = 0.5 if method == "closed_form_ou" else 0.7
+    with pytest.raises(DomainError, match=f"the {method} spectrum at {size} needs .* budget"):
+        build_spectrum(ModelParams(H=H, beta=-1.0), method, n_max=500, grid_size=1000)
+
+
 def test_refined_head_pairs_are_the_oracle_pairs():
     # the head pairs come from the oracle matrix of the same grid
     p = ModelParams(H=0.7, beta=-1.0)

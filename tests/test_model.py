@@ -334,6 +334,21 @@ class TestRefusals:
         with pytest.raises(DomainError):
             fou_cov(1.0, 1.0, ModelParams(H=0.5, beta=360.0))
 
+    @pytest.mark.parametrize("beta,finite", [(3e-28, False), (2.5e-28, True)])
+    def test_overflow_in_the_horizon_scaling(self, beta, finite):
+        # beta*T = 300 and 250 sit inside the trusted range; at 300 the unit
+        # covariance is finite and only T^{2H} = 1e54 takes it past the float
+        # range, which used to return inf with a RuntimeWarning
+        p = ModelParams(H=0.9, beta=beta, T=1e30)
+        g = QuadGrid.gauss_legendre_unit(100)
+        if finite:
+            assert_allclose(fou_cov(1e30, 1e30, p), 5.68e266, rtol=1e-3)
+            assert np.all(np.isfinite(cov_row(1.0, p, g)))
+            return
+        for call in (lambda: fou_cov(1e30, 1e30, p), lambda: cov_row(1.0, p, g)):
+            with pytest.raises(DomainError, match="not finite at beta\\*T = 300"):
+                call()
+
     def test_cli_exit_code(self, capsys):
         assert cli.main(["eigs", "--H", "0.7", "--beta", "-30"]) == cli.EXIT_USAGE
         assert "beta*T" in capsys.readouterr().err
