@@ -48,6 +48,7 @@ _EXPORTS = {
     "refined_eigenpair": "ia_refine",
     "refined_spectrum": "ia_refine",
     "MseReport": "error_analysis",
+    "WienerHopfTable": "error_analysis",
     "mse_series": "error_analysis",
     "mse_wiener_hopf": "error_analysis",
     "mse_asymptotic": "error_analysis",

@@ -308,7 +308,8 @@ def compute_mse(cfg: RunConfig):
                     "mass exceeds the tail budget; raise the smallest eps")
             n_max = min(max(n_max, int(200 * n_eff)), CLOSED_FORM_PAIRS)
     spec = build_spectrum(p, method, n_max=n_max,
-                          grid_size=cfg.N_unit or max(3000, 2 * n_max))
+                          grid_size=cfg.N_unit or max(3000, 2 * n_max),
+                          wiener_hopf=(eps, cfg.u) if cfg.with_wh else None)
     us = []
     for u in cfg.u:
         u = float(u)
@@ -316,7 +317,7 @@ def compute_mse(cfg: RunConfig):
             j = int(spec.grid.nearest(u))
             u = float(spec.grid.nodes[j])  # snap to the grid (echoed in output)
         us.append(u)
-    rep = convergence_study(spec, eps, us, with_wiener_hopf=cfg.with_wh)
+    rep = convergence_study(spec, eps, us)
     H = p.H
     comments = [
         "P_asym = (eps/mu^2)^(2H/(1+2H)) * C^(1/(1+2H)) / sin(pi/(2H+1)) "

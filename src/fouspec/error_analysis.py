@@ -41,10 +41,13 @@ TAIL_BUDGET = 2e-2           # estimated excluded series mass, relative to P
 
 # A spectrum request is refused above MEMORY_BUDGET bytes, or the physical
 # memory if less.  Peak RSS over the interpreter's (one thread, H = 0.7, two u)
-# is 3-4 doubles per N^2 on the dense routes (N = 1000-3000) and 8-17 per pair
-# on the others (1e6 pairs); the factors round those up.
+# is 2.1-2.9 doubles per N^2 on the dense routes (N = 1000-3000, with and
+# without the Wiener-Hopf column) and 8-17 per pair on the others (1e6
+# pairs).  Samples on a grid add a traced 2.0 doubles each on the closed form
+# and, on the first-order route, 4.0 each plus its 63 MB of block temporaries
+# (6.0 per sample at 4e6 samples).  The factors round those up.
 MEMORY_BUDGET = 4 * 2 ** 30
-DENSE_DOUBLES, PAIR_DOUBLES = 4, 20
+DENSE_DOUBLES, PAIR_DOUBLES, SAMPLE_DOUBLES = 3, 20, 6
 
 
 @dataclass(frozen=True)
@@ -226,6 +229,40 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
     return float(P[0]) if np.ndim(u) == 0 else P
 
 
+@dataclass(frozen=True)
+class WienerHopfTable:
+    """Dense Wiener-Hopf values P(u, eps) read off one kernel matrix.
+
+    Row i is `mse_wiener_hopf(u_points, eps[i], cov)`; column k belongs to
+    the grid node `nodes[k]` that u_points[k] snaps to (`QuadGrid.nearest`).
+    `build_spectrum` reads the table before the eigensolve reduces the
+    matrix in place, so a spectrum carries these cells and not the matrix.
+    """
+
+    eps: np.ndarray
+    nodes: np.ndarray
+    P: np.ndarray
+
+    @classmethod
+    def read(cls, cov: CovMatrix, eps_grid, u_points):
+        """One `mse_wiener_hopf` solve per eps, every u in it."""
+        eps = [float(e) for e in eps_grid]
+        us = np.atleast_1d(np.asarray(u_points, dtype=float))
+        P = np.array([mse_wiener_hopf(us, e, cov) for e in eps])
+        return cls(np.array(eps), cov.grid.nearest(us), P)
+
+    def cells(self, grid: QuadGrid, eps_grid, u_points):
+        """P at every (eps, u) pair, u snapped on `grid`, the grid the table
+        was read on; DomainError for a cell that was not read."""
+        rows = [np.flatnonzero(self.eps == e) for e in eps_grid]
+        cols = [np.flatnonzero(self.nodes == j) for j in grid.nearest(u_points)]
+        if not all(len(k) for k in rows + cols):
+            raise DomainError("the Wiener-Hopf column was read at eps = "
+                              f"{self.eps.tolist()} on grid nodes {self.nodes.tolist()}; pass "
+                              "every requested eps and u to build_spectrum(wiener_hopf=...)")
+        return self.P[np.ix_([k[0] for k in rows], [k[0] for k in cols])]
+
+
 def mse_asymptotic(position, eps, p: ModelParams):
     """Leading small-noise term; `position` is "interior" or "endpoint"."""
     if not 0.0 < eps < np.inf:
@@ -241,7 +278,7 @@ def mse_asymptotic(position, eps, p: ModelParams):
 
 
 def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = None,
-                   grid_size=1000) -> Spectrum:
+                   grid_size=1000, *, wiener_hopf=None) -> Spectrum:
     """Construct the requested spectrum source for error sweeps.
 
     oracle         : Nystrom eigensolve on a Gauss-Legendre grid
@@ -251,22 +288,38 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
                      integro-algebraic solver (H >= 1/2)
 
     The dense routes (oracle, refined) assemble an N x N kernel matrix on
-    `grid`, else on the Gauss-Legendre grid of `grid_size` nodes.  Before
-    any grid or array is built, DomainError refuses a dense request with
-    n_max above N, a request whose arrays would exceed MEMORY_BUDGET, and
-    the refined route at H < 1/2.
+    `grid`, else on the Gauss-Legendre grid of `grid_size` nodes; the
+    others sample their n_max eigenfunctions on `grid` when one is given.
+    Before any grid or array is built, DomainError refuses a dense request
+    with n_max above N, a request whose arrays would exceed MEMORY_BUDGET,
+    and the refined route at H < 1/2.
+
+    `wiener_hopf` = (eps_grid, u_points) asks a dense route for the dense
+    Wiener-Hopf column: `WienerHopfTable.read` solves it on the assembled
+    matrix before the eigensolve reduces that matrix in place, and the
+    spectrum keeps the table as `wiener_hopf`.  The other routes have no
+    matrix and refuse it (DomainError).
     """
     dense = method in ("oracle", "refined")
     N = grid_size if grid is None else grid.size
+    if wiener_hopf is not None and not dense:
+        raise DomainError("the Wiener-Hopf column needs a kernel matrix: only the oracle "
+                          f"and refined routes assemble one, not {method!r}")
     if dense and n_max > N:
         raise DomainError(f"n_max={n_max} exceeds the grid size {N}; "
                           "raise --N-unit or lower --n-max")
-    need = 8 * (DENSE_DOUBLES * N ** 2 if dense else PAIR_DOUBLES * n_max)
+    if dense:
+        need, size = DENSE_DOUBLES * N ** 2, f"N = {N} grid nodes"
+    elif grid is None:
+        need, size = PAIR_DOUBLES * n_max, f"n_max = {n_max} pairs"
+    else:  # the route also samples every pair on the grid
+        need = (PAIR_DOUBLES + SAMPLE_DOUBLES * N) * n_max
+        size = f"n_max = {n_max} pairs sampled on N = {N} grid nodes"
+    need *= 8
     budget = MEMORY_BUDGET
     with contextlib.suppress(AttributeError, ValueError, OSError):  # no sysconf
         budget = min(budget, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     if need > budget:
-        size = f"N = {N} grid nodes" if dense else f"n_max = {n_max} pairs"
         raise DomainError(f"the {method} spectrum at {size} needs about {need / 2 ** 30:.3g} "
                           f"GiB, above the {budget / 2 ** 30:.3g} GiB budget; lower "
                           "--N-unit or --n-max, or raise the smallest eps")
@@ -277,14 +330,14 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
             ia_refine.check_scope(p)
         if grid is None:
             grid = QuadGrid.gauss_legendre_unit(grid_size)
+        # one matrix at a time: K is read for the Wiener-Hopf cells, then the
+        # eigensolve weights and reduces it in place and frees it
         cov = cov_matrix(grid, p)
-        # the matrix stays on the spectrum for the Wiener-Hopf route
-        if method == "oracle":
-            return replace(nystrom_eigs(cov, n_max), cov=cov)
+        table = None if wiener_hopf is None else WienerHopfTable.read(cov, *wiener_hopf)
         # the refined route keeps only the head pairs below the solver's start
-        n_head = min(n_max, ia_refine.DEFAULT_N_MIN - 1)
-        head = replace(nystrom_eigs(cov, n_head), cov=cov)
-        return ia_refine.refined_spectrum(head, n_max)
+        n_head = n_max if method == "oracle" else min(n_max, ia_refine.DEFAULT_N_MIN - 1)
+        head = replace(nystrom_eigs(cov, n_head, overwrite=True), wiener_hopf=table)
+        return head if method == "oracle" else ia_refine.refined_spectrum(head, n_max)
     if method == "closed_form_ou":
         return ou_closed_form_eigs(p, n_max, grid=grid)
     if method == "first_order":
@@ -302,18 +355,18 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
     raise DomainError(f"unknown spectrum method {method!r}")
 
 
-def convergence_study(spec: Spectrum, eps_grid, u_points, *,
-                      with_wiener_hopf=False) -> MseReport:
+def convergence_study(spec: Spectrum, eps_grid, u_points) -> MseReport:
     """Sweep P over decreasing eps and u, with ratios to the asymptote.
 
-    The problem is `spec.params`.  Raises TruncationError when the smallest
-    eps needs more eigenpairs than `spec` holds (see `check_truncation`), and
-    DomainError when a tabulated value is not finite (eps/mu^2 outside the
-    float range) or when `with_wiener_hopf` asks for the dense column of a
-    spectrum without its matrix `spec.cov`.  Also records the oscillation
-    diagnostic I2 = P(u) - I1, where I1 is the series with phi^2 replaced by
-    its interior mean 1: I2 must stay O(eps), i.e. vanish faster than the
-    main term.
+    The problem is `spec.params`.  A spectrum that carries a Wiener-Hopf
+    table (`build_spectrum(..., wiener_hopf=...)`) also reports its cells as
+    `P_wiener_hopf`.  Raises TruncationError when the smallest eps needs more
+    eigenpairs than `spec` holds (see `check_truncation`), and DomainError
+    when a tabulated value is not finite (eps/mu^2 outside the float range)
+    or when the table lacks a requested (eps, u) cell.  Also records the
+    oscillation diagnostic I2 = P(u) - I1, where I1 is the series with phi^2
+    replaced by its interior mean 1: I2 must stay O(eps), i.e. vanish faster
+    than the main term.
     """
     p = spec.params
     eps_grid = np.asarray(list(eps_grid), dtype=float)
@@ -323,9 +376,9 @@ def convergence_study(spec: Spectrum, eps_grid, u_points, *,
     if not np.all((u_points > 0) & (u_points <= 1)):
         raise DomainError("u_points must lie in (0, 1]")
     _check_series_args(eps_grid[-1], spec)
-    if with_wiener_hopf and spec.cov is None:
-        raise DomainError("the Wiener-Hopf column needs a spectrum that carries "
-                          "its covariance matrix (oracle or refined route)")
+    P_wh = None
+    if spec.wiener_hopf is not None:
+        P_wh = spec.wiener_hopf.cells(spec.grid, eps_grid, u_points)
     endpoint = u_points == 1.0
     phi2 = [np.asarray(spec.phi_values(float(u))) ** 2 for u in u_points]
     P_series, i1 = [], []
@@ -344,10 +397,6 @@ def convergence_study(spec: Spectrum, eps_grid, u_points, *,
     tails = truncation_tail(eps_grid[:, None], spec, endpoint=endpoint)
     P_asym = np.array([[mse_asymptotic("endpoint" if e else "interior", float(eps), p)
                         for e in endpoint] for eps in eps_grid])
-    P_wh = None
-    if with_wiener_hopf:
-        P_wh = np.array([mse_wiener_hopf(u_points, float(eps), spec.cov)
-                         for eps in eps_grid])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = P_series / P_asym
     cells = {"P_series": P_series, "P_asymptotic": P_asym, "ratio": ratios,

@@ -390,8 +390,8 @@ def refined_spectrum(head: Spectrum, n_max) -> Spectrum:
     columns are the ones `refined_eigenpair` returns, with the exponential
     table of the layer integrals built once.  Refined pairs have grid
     samples and phi(1) only, so the result has no `extend`; it keeps the
-    head's matrix `cov` for the Wiener-Hopf route and the head's diagnostics
-    (its eigensolver among them).
+    head's Wiener-Hopf table and the head's diagnostics (its eigensolver
+    among them).
     """
     nu, lam, phi, phi1, integrals, _ = _refined_pairs(
         head.params, head.grid, range(head.n_max + 1, n_max + 1))
@@ -400,4 +400,4 @@ def refined_spectrum(head: Spectrum, n_max) -> Spectrum:
                     np.hstack([head.phi, phi]), np.concatenate([head.phi1, phi1]),
                     np.concatenate([head.phi_integral, integrals]),
                     diagnostics={**head.diagnostics, "head_from_oracle": head.n_max},
-                    cov=head.cov)
+                    wiener_hopf=head.wiener_hopf)

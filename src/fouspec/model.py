@@ -154,15 +154,20 @@ class CovMatrix:
     Every entry is finite: a matrix with a non-finite entry is refused
     (DomainError) when it is built, by one scan.  The solvers read one
     triangle of `weighted()` only, so they could not see such an entry.
+
+    `values` is K until a solve that owns the matrix takes its buffer
+    (`weighted(take_for=...)`); from then on reading `values` raises
+    DomainError naming that solve.
     """
 
-    values: np.ndarray
+    _values: np.ndarray = field(repr=False)
     grid: QuadGrid
     params: ModelParams = field(repr=False)
+    _taken_by: str = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
+        v = np.asarray(self._values, dtype=float)
+        object.__setattr__(self, "_values", v)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] != self.grid.size:
             raise DomainError("covariance matrix must be square and match the grid")
         if not isinstance(self.params, ModelParams):
@@ -171,17 +176,36 @@ class CovMatrix:
             raise DomainError("covariance matrix has non-finite entries "
                               f"(beta*T = {self.params.beta_eff:g})")
 
-    def weighted(self):
-        """B = W^{1/2} K W^{1/2} in one new allocation, as a Fortran-ordered view.
+    @property
+    def values(self):
+        if self._taken_by is not None:
+            raise DomainError(f"the covariance matrix was reduced in place by "
+                              f"{self._taken_by} and no longer holds K; assemble it "
+                              "again, or solve without overwrite")
+        return self._values
+
+    def weighted(self, *, take_for=None):
+        """B = W^{1/2} K W^{1/2} as a Fortran-ordered view.
 
         Built as the C-ordered B' = (K_ij sw_j) sw_i, sw = sqrt(w), in two
         contiguous passes (0.05 s at N = 3000, against 0.155 s for a strided
         Fortran-order build).  K is exactly symmetric, so B'.T is
         (sw_i K_ij) sw_j bit for bit: the matrix the eigensolvers and the
         Wiener-Hopf solve overwrite in place.
+
+        By default B is one new allocation.  `take_for` names a solve that
+        owns the matrix: B is then built in K's own buffer (if writeable),
+        by the same two multiplies and so to the same bits, and the matrix
+        gives that buffer up, so the solve can free it.
         """
         sw = np.sqrt(self.grid.weights)
-        B = self.values * sw
+        K = self.values
+        if take_for is None:
+            B = K * sw
+        else:
+            B = np.multiply(K, sw, out=K if K.flags.writeable else None)
+            object.__setattr__(self, "_values", None)
+            object.__setattr__(self, "_taken_by", take_for)
         B *= sw[:, None]
         return B.T
 

@@ -64,7 +64,10 @@ class Spectrum:
     factored oracle spectrum holds 1.07 matrices there.  `extend(spectrum,
     u)` gives phi_n(u) for all n at any u in [0,1]; the route that builds
     the spectrum sets it, or leaves it None when it has no off-grid
-    evaluator.  `method` only labels the route.
+    evaluator.  `method` only labels the route.  No spectrum keeps its
+    kernel matrix: the dense routes of `build_spectrum` read the requested
+    Wiener-Hopf values off it before the eigensolve reduces it in place, and
+    keep them as `wiener_hopf` (`error_analysis.WienerHopfTable`).
     """
 
     method: str
@@ -76,7 +79,7 @@ class Spectrum:
     phi1: np.ndarray = None
     phi_integral: np.ndarray = None
     diagnostics: dict = field(default_factory=dict, repr=False)
-    cov: CovMatrix = field(default=None, repr=False)  # oracle matrix, if kept
+    wiener_hopf: "WienerHopfTable" = field(default=None, repr=False)  # dense route only
     extend: Callable = field(default=None, repr=False)
     vectors: "Eigenvectors" = field(default=None, repr=False)  # oracle only
 
@@ -181,7 +184,7 @@ def _sign_fix(phi_cols, phi1, integrals, ns):
     integrals *= sign
 
 
-def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
+def nystrom_eigs(cov: CovMatrix, n_max: int, *, overwrite=False) -> Spectrum:
     """Leading eigenpairs of the covariance operator discretized by `cov`.
 
     On the matrix's grid, solves the symmetric problem W^{1/2} K W^{1/2} v =
@@ -198,13 +201,16 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
     `diagnostics`.  Raises SolverError when `eigh` fails or refuses the
     matrix, and when lambda_{n_max} / lambda_1 is not above ROUNDING_FLOOR,
     where it is rounding noise (strong positive drift).
+
+    `overwrite` is passed on to `eigh`: with True the solve reduces `cov`'s
+    own buffer and takes it, so `cov` is spent (see `CovMatrix.values`).
     """
     grid = cov.grid
     N = grid.size
     if not 1 <= n_max <= N:
         raise DomainError(f"n_max must lie in [1, grid size {N}], got {n_max}")
     try:
-        lam, V, diagnostics = eigh(cov, n_max)
+        lam, V, diagnostics = eigh(cov, n_max, overwrite=overwrite)
     except np.linalg.LinAlgError as exc:
         raise SolverError(str(exc), stage="nystrom_eigs")
     lam = lam[::-1][:n_max].copy()
@@ -228,10 +234,15 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
 PANELS = 8  # the reflectors kept in this many column panels: 0.56 N^2 floats
 
 
-def eigh(cov: CovMatrix, n_max):
+def eigh(cov: CovMatrix, n_max, *, overwrite=False):
     """Eigenvalues of B = W^{1/2} K W^{1/2} (`cov.weighted()`), ascending,
     unit eigenvectors of the n_max largest as `Eigenvectors` whose columns
     are in the same order, and the evidence that B is positive semidefinite.
+
+    B is a new matrix by default.  With `overwrite` (scipy's `overwrite_a`)
+    the trace is read first and B is then built in `cov`'s own buffer,
+    which `cov` gives up (`CovMatrix.weighted`), so K is freed when B is:
+    a later read of `cov.values` raises DomainError.  The bits are the same.
 
     The solver is chosen here by the share of the pairs kept:
       - n_max <= LANCZOS_FRACTION * N, "lanczos": ARPACK's Lanczos (`eigsh`)
@@ -259,11 +270,13 @@ def eigh(cov: CovMatrix, n_max):
         (`dsyevr` rescales a B whose largest entry lies outside about
         [1e-146, 8e76], T^{2H} that far from 1; this route does not, and
         there the two agree to rounding, not bit for bit.)  At N = 3000
-        keeping 1500 (one thread) the solve takes 4.7-5.2 s (`dsytrd` 3.4
-        s, `dstemr` 1.0 s), against 6.1-7.1 s for `scipy.linalg.eigh`.  The
-        peak is 2.1 matrices beyond `cov`: B with its panels (0.56), then
-        the panels, Z and the kept block.  The smallest computed eigenvalue
-        is the minimum.
+        keeping 1500 (one thread) the solve takes 2.8-2.9 s (`dsytrd`
+        2.0-2.2 s, `dstemr` 0.7-0.8 s), against 4.3-4.7 s for
+        `scipy.linalg.eigh`.  The peak is 2.1 matrices beyond `cov`: B with
+        its panels (0.56), then the panels, Z and the kept block.  With
+        `overwrite` B is K, released with the reduction, so the peak is the
+        same 2.1 matrices counting K itself.  The smallest computed
+        eigenvalue is the minimum.
     Returns (lam, V, psd), with psd = {"min_eigenvalue", "trace",
     "psd_defect", "eigensolver"}: the minimum (or the certified bound), the
     trace sum_i w_i K_ii, min(min_eigenvalue, 0) / trace (-PSD_TOL when
@@ -273,7 +286,7 @@ def eigh(cov: CovMatrix, n_max):
     """
     N = cov.grid.size
     trace = float(np.sum(cov.grid.weights * np.diag(cov.values)))
-    B = cov.weighted()
+    B = cov.weighted(take_for="eigh(overwrite=True)" if overwrite else None)
     if n_max <= LANCZOS_FRACTION * N:
         from scipy.linalg import cho_factor
         from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh

@@ -194,31 +194,77 @@ class TestConvergenceStudy:
         with pytest.raises(DomainError):
             convergence_study(spec, [1e-4], [0.0])
 
-    def test_oracle_spectrum_keeps_its_matrix(self, small_oracle):
+    def test_oracle_spectrum_keeps_its_wiener_hopf_cells(self, small_oracle):
+        # the cells are read off the matrix before the eigensolve reduces it;
+        # the spectrum keeps them, not the matrix
         p, grid, cov, spec = small_oracle
-        built = build_spectrum(p, "oracle", n_max=spec.n_max, grid=grid)
-        assert np.array_equal(built.cov.values, cov.values)
-        u = float(grid.nodes[75])
-        rep = convergence_study(built, [1e-3], [u], with_wiener_hopf=True)
-        assert_allclose(rep.P_wiener_hopf, rep.P_series, rtol=1e-6)
+        us = [float(grid.nodes[75]), 1.0]
+        built = build_spectrum(p, "oracle", n_max=spec.n_max, grid=grid,
+                               wiener_hopf=([1e-3, 1e-4], us))
+        assert not hasattr(built, "cov")
+        assert np.array_equal(built.lam, spec.lam)
+        table = built.wiener_hopf
+        assert table.eps.tolist() == [1e-3, 1e-4]
+        assert table.nodes.tolist() == [75, 149]
+        rep = convergence_study(built, [1e-3, 1e-4], us)
+        assert np.array_equal(rep.P_wiener_hopf, table.P)
 
     def test_wiener_hopf_column(self, small_oracle):
         p, grid, cov, spec = small_oracle
-        built = build_spectrum(p, "oracle", n_max=spec.n_max, grid=grid)
         u = float(grid.nodes[75])
-        rep = convergence_study(built, [1e-3, 1e-4], [u], with_wiener_hopf=True)
+        built = build_spectrum(p, "oracle", n_max=spec.n_max, grid=grid,
+                               wiener_hopf=([1e-3, 1e-4], [u]))
+        rep = convergence_study(built, [1e-3, 1e-4], [u])
         assert_allclose(rep.P_wiener_hopf, rep.P_series, rtol=1e-6)
 
+    def test_column_equals_a_standalone_solve(self):
+        # bit for bit what mse_wiener_hopf gives on a fresh matrix, each u
+        # snapped as that solve snaps it
+        p = ModelParams(H=0.7, beta=-1.0)
+        grid = QuadGrid.gauss_legendre_unit(120)
+        eps, us = [1e-1, 1e-2, 1e-3], [0.5, 0.3, 1.0]
+        built = build_spectrum(p, "oracle", n_max=120, grid=grid, wiener_hopf=(eps, us))
+        snapped = [float(grid.nodes[grid.nearest(u)]) for u in us[:2]] + [1.0]
+        rep = convergence_study(built, eps, snapped)
+        fresh = np.array([mse_wiener_hopf(us, e, cov_matrix(grid, p)) for e in eps])
+        assert np.array_equal(rep.P_wiener_hopf, fresh)
+
     def test_wiener_hopf_column_needs_the_matrix(self, small_oracle):
-        # the column reads spec.cov only; a spectrum without one is refused
-        # instead of having its matrix assembled again
+        # only the dense routes assemble a matrix to read the column off,
+        # and a study reads only the cells its spectrum read
         p, grid, cov, spec = small_oracle
+        u = float(grid.nodes[75])
+        for method, q in (("closed_form_ou", ModelParams(H=0.5, beta=1.0)),
+                          ("first_order", p)):
+            with pytest.raises(DomainError, match="kernel matrix"):
+                build_spectrum(q, method, n_max=20, grid=grid, wiener_hopf=([1e-3], [u]))
         closed = build_spectrum(ModelParams(H=0.5, beta=1.0), "closed_form_ou",
-                                n_max=20, grid=grid)
+                                n_max=2000, grid=grid)
         for bare in (spec, closed):
-            assert bare.cov is None
-            with pytest.raises(DomainError, match="covariance matrix"):
-                convergence_study(bare, [1e-3], [1.0], with_wiener_hopf=True)
+            assert bare.wiener_hopf is None
+            assert convergence_study(bare, [1e-1], [1.0]).P_wiener_hopf is None
+        built = build_spectrum(p, "oracle", n_max=spec.n_max, grid=grid,
+                               wiener_hopf=([1e-3], [u]))
+        for eps, us in (([1e-3, 1e-4], [u]), ([1e-3], [u, 1.0])):
+            with pytest.raises(DomainError, match="Wiener-Hopf column was read"):
+                convergence_study(built, eps, us)
+
+    def test_peak_memory_with_the_column(self, traced_matrices):
+        # K, then K and one Wiener-Hopf factor, then the eigensolve reducing
+        # K in place: 2.12 matrices; the parent kept K next to the
+        # eigensolve's copy and each factor, 3.11
+        N = 600
+        p = ModelParams(H=0.7, beta=-1.0)
+        eps, us = [1e-3, 1e-4], [0.5, 1.0]
+
+        def run():
+            spec = build_spectrum(p, "oracle", n_max=N // 2, grid_size=N,
+                                  wiener_hopf=(eps, us))
+            return convergence_study(spec, eps, us)
+
+        peak, _, rep = traced_matrices(run, N)
+        assert peak <= 2.3
+        assert rep.P_wiener_hopf.shape == (2, 2)
 
 
 def test_closed_form_peak_memory(traced_matrices):
@@ -372,8 +418,8 @@ def test_hyp2f1_tail_is_continuous_at_the_branch_switch(H):
     assert abs(got[2] / got[1] - 1.0) <= 1e-14
 
 
-def test_refined_spectrum_keeps_its_head_matrix(monkeypatch):
-    # the Wiener-Hopf column used to assemble the matrix a second time
+def test_refined_spectrum_keeps_its_head_cells(monkeypatch):
+    # the Wiener-Hopf column is read off the head's matrix: one assembly
     p = ModelParams(H=0.7, beta=-1.0)
     g = QuadGrid.gauss_legendre_unit(60)
     calls = []
@@ -383,9 +429,9 @@ def test_refined_spectrum_keeps_its_head_matrix(monkeypatch):
         return cov_matrix(grid, params)
 
     monkeypatch.setattr(error_analysis, "cov_matrix", counted)
-    spec = build_spectrum(p, "refined", n_max=20, grid=g)
     us = [float(g.nodes[30]), 1.0]
-    rep = convergence_study(spec, [1e-1], us, with_wiener_hopf=True)
+    spec = build_spectrum(p, "refined", n_max=20, grid=g, wiener_hopf=([1e-1], us))
+    rep = convergence_study(spec, [1e-1], us)
     assert calls == [60]
     assert np.array_equal(rep.P_wiener_hopf[0],
                           mse_wiener_hopf(us, 1e-1, cov_matrix(g, p)))
@@ -423,6 +469,28 @@ def test_request_over_the_memory_budget_is_refused_before_any_array(method, size
     H = 0.5 if method == "closed_form_ou" else 0.7
     with pytest.raises(DomainError, match=f"the {method} spectrum at {size} needs .* budget"):
         build_spectrum(ModelParams(H=H, beta=-1.0), method, n_max=500, grid_size=1000)
+
+
+@pytest.mark.parametrize("method,H", [("first_order", 0.7), ("closed_form_ou", 0.5)])
+def test_grid_samples_count_against_the_memory_budget(method, H, monkeypatch):
+    # 20,000 pairs are 3.2 MB, but sampled on 1000 nodes they are 2e7 samples:
+    # the first-order route grew past 690 MB where the gate charged the pairs only
+    from fouspec import asymptotics
+
+    grid = QuadGrid.gauss_legendre_unit(1000)
+
+    def never(*args, **kwargs):
+        raise AssertionError("allocated before the request was refused")
+
+    monkeypatch.setattr(error_analysis, "MEMORY_BUDGET", 64 * 2 ** 20)
+    monkeypatch.setattr(error_analysis, "ou_closed_form_eigs", never)
+    monkeypatch.setattr(asymptotics, "nu_first_order", never)
+    p = ModelParams(H=H, beta=-1.0)
+    with pytest.raises(DomainError, match="n_max = 20000 pairs sampled on N = 1000 "
+                                          "grid nodes needs .* budget"):
+        build_spectrum(p, method, n_max=20_000, grid=grid)
+    with pytest.raises(AssertionError, match="allocated"):  # the pairs alone fit
+        build_spectrum(p, method, n_max=20_000)
 
 
 def test_refined_head_pairs_are_the_oracle_pairs():
@@ -511,9 +579,10 @@ def test_non_finite_matrix_is_refused(entry):
     # so no solve is ever handed one
     p = ModelParams(H=0.7, beta=-1.0)
     cov = cov_matrix(QuadGrid.gauss_legendre_unit(60), p)
-    spec = replace(nystrom_eigs(cov, 30), cov=cov)
     eps, us = [1e-1, 3e-2], [0.5, 1.0]
-    assert np.all(np.isfinite(convergence_study(spec, eps, us, with_wiener_hopf=True).P_wiener_hopf))
+    table = error_analysis.WienerHopfTable.read(cov, eps, us)
+    spec = replace(nystrom_eigs(cov, 30), wiener_hopf=table)
+    assert np.all(np.isfinite(convergence_study(spec, eps, us).P_wiener_hopf))
     K = cov.values.copy()
     K[entry] = np.nan
     with pytest.raises(DomainError, match="non-finite"):

@@ -267,6 +267,48 @@ class TestEigensolveBranches:
         cov = cov_matrix(QuadGrid.gauss_legendre_unit(N), ModelParams(H=0.7, beta=-1.0))
         assert peak_matrices(lambda: nystrom_eigs(cov, N // 2), N) <= 2.75
 
+    def test_in_place_solve_peak_memory(self, traced_matrices):
+        # K (a copy made in the trace) is weighted and reduced in place and
+        # freed once the reflectors are copied out: 2.11 matrices counting K
+        # itself; the default solve keeps K next to its weighted copy, 3.11
+        N = 600
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(N), ModelParams(H=0.7, beta=-1.0))
+        peak, kept, _ = traced_matrices(lambda: nystrom_eigs(
+            CovMatrix(cov.values.copy(), cov.grid, cov.params), N // 2, overwrite=True), N)
+        assert peak <= 2.3
+        assert kept <= 1.1  # the panels and Z
+
+    @pytest.mark.parametrize("n_max", [2, 21])  # lanczos, full at N = 200
+    def test_in_place_solve_matches_the_default(self, n_max):
+        # the same two multiplies in K's own buffer: the same bits
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(200), ModelParams(H=0.7, beta=-1.0))
+        taken = CovMatrix(cov.values.copy(), cov.grid, cov.params)
+        lam, V, psd = spectral_oracle.eigh(cov, n_max, overwrite=False)
+        lam2, V2, psd2 = spectral_oracle.eigh(taken, n_max, overwrite=True)
+        assert np.array_equal(lam, lam2) and psd == psd2
+        assert np.array_equal(V.Z, V2.Z)
+        for (a, refl, tau), (a2, refl2, tau2) in zip(V.panels, V2.panels, strict=True):
+            assert a == a2 and np.array_equal(refl, refl2) and np.array_equal(tau, tau2)
+
+    @pytest.mark.parametrize("n_max", [2, 21])  # lanczos, full at N = 200
+    def test_overwrite_false_leaves_the_matrix(self, n_max):
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(200), ModelParams(H=0.7, beta=-1.0))
+        before = cov.values.copy()
+        nystrom_eigs(cov, n_max, overwrite=False)
+        assert np.array_equal(cov.values, before)
+
+    @pytest.mark.parametrize("n_max", [2, 21])  # lanczos, full at N = 200
+    def test_taken_matrix_is_refused(self, n_max):
+        # a spent matrix names the solve that took it, wherever it is read
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(200), ModelParams(H=0.7, beta=-1.0))
+        spec = nystrom_eigs(cov, n_max, overwrite=True)
+        assert spec.n_max == n_max
+        for read in (lambda: cov.values, lambda: cov.weighted(),
+                     lambda: error_analysis.mse_wiener_hopf(0.5, 1e-3, cov),
+                     lambda: nystrom_eigs(cov, n_max)):
+            with pytest.raises(DomainError, match=r"reduced in place by eigh\(overwrite=True\)"):
+                read()
+
 
 class TestClosedFormOU:
     def test_bm_case(self):
