@@ -27,7 +27,7 @@ import numpy as np
 
 from ._quad import doubling_nodes, frozen, graded_nodes
 from .exceptions import DomainError
-from .model import spectral_constant
+from .model import is_half, spectral_constant
 
 _HEAD = 2.0 ** -26  # lower cutoff of the master semi-axis rule
 
@@ -372,15 +372,16 @@ def phi_first_order(x, n, H):
     ns = np.tile(n.reshape(-1), x.size)
     nu = nu_first_order(ns, H)
     out = -math.sqrt(2.0) * np.sin(nu * xs + math.pi * eta_h(H))
-    if abs(H - 0.5) >= 1e-14:  # layers vanish identically at H = 1/2
+    if not is_half(H):  # layers vanish identically at H = 1/2
         u, w, f0, f1 = _layer_rule(2.0 - 2.0 * H)
+        buf = np.empty((min(_CHUNK, len(ns)), len(u)))  # one block of exponentials
         for lo in range(0, len(ns), _CHUNK):
             b = slice(lo, lo + _CHUNK)
-            nu_u = np.outer(nu[b], u)
-            with np.errstate(under="ignore"):
-                lay0 = np.exp(-xs[b, None] * nu_u) @ (w * f0)
-                lay1 = np.exp(-(1.0 - xs[b])[:, None] * nu_u) @ (w * f1)
-            out[b] = out[b] - lay0 + (-1.0) ** ns[b] * lay1
+            for sign, depth, f in ((-1.0, xs[b], f0), ((-1.0) ** ns[b], 1.0 - xs[b], f1)):
+                e = np.outer(nu[b], u, out=buf[:len(depth)])
+                e *= -depth[:, None]
+                with np.errstate(under="ignore"):
+                    out[b] += sign * (np.exp(e, out=e) @ (w * f))
     out = out.reshape(x.shape + n.shape)
     return float(out) if out.ndim == 0 else out
 

@@ -270,17 +270,17 @@ def compute_eigs(cfg: RunConfig):
 def compute_mse(cfg: RunConfig):
     import numpy as np
 
-    from .error_analysis import build_spectrum, convergence_study, effective_terms
+    from .error_analysis import build_spectrum, check_eps, convergence_study, effective_terms
     from .exceptions import DomainError, TruncationError
-    from .model import ModelParams, spectral_constant
+    from .model import ModelParams, is_half, spectral_constant
 
     if not cfg.eps:
         raise DomainError("mse requires a nonempty --eps list")
     if not cfg.u:
         raise DomainError("mse requires a nonempty --u list")
     # before the auto n_max divides by eps and u is snapped into the grid
-    if not all(0.0 < e < np.inf for e in cfg.eps):
-        raise DomainError(f"eps must be finite and positive, got {cfg.eps}")
+    for e in cfg.eps:
+        check_eps(e)
     if not all(0.0 < u <= 1.0 for u in cfg.u):
         raise DomainError(f"u must lie in (0, 1], got {cfg.u}")
     p = ModelParams(H=cfg.H, beta=cfg.beta, mu=cfg.mu, T=cfg.T)
@@ -289,7 +289,7 @@ def compute_mse(cfg: RunConfig):
         raise DomainError("duplicate eps values")
     method = cfg.spectrum
     n_max = cfg.n_max
-    if method == "oracle" and abs(p.H - 0.5) < 1e-14 and not cfg.with_wh:
+    if method == "oracle" and is_half(p.H) and not cfg.with_wh:
         # at H = 1/2 the exact closed form IS the brute-force spectrum and allows
         # the deep truncations the power-law tail needs; it has no grid for --with-wh
         method = "closed_form_ou"

@@ -44,8 +44,9 @@ TAIL_BUDGET = 2e-2           # estimated excluded series mass, relative to P
 # is 2.1-2.9 doubles per N^2 on the dense routes (N = 1000-3000, with and
 # without the Wiener-Hopf column) and 8-17 per pair on the others (1e6
 # pairs).  Samples on a grid add a traced 2.0 doubles each on the closed form
-# and, on the first-order route, 4.0 each plus its 63 MB of block temporaries
-# (6.0 per sample at 4e6 samples).  The factors round those up.
+# and, on the first-order route, 5.0 each at 4e6 samples (6.7 at 1e6, where
+# its one 21 MB block of layer exponentials weighs more).  The factors round
+# those up.
 MEMORY_BUDGET = 4 * 2 ** 30
 DENSE_DOUBLES, PAIR_DOUBLES, SAMPLE_DOUBLES = 3, 20, 6
 
@@ -71,9 +72,14 @@ def _series_terms(eps, p: ModelParams, lam):
     return eps * lam / (eps + p.mu ** 2 * p.T * lam)
 
 
-def _check_series_args(eps, spec: Spectrum):
+def check_eps(eps):
+    """Refuse (DomainError) a noise intensity that is not finite and positive."""
     if not 0.0 < eps < np.inf:
         raise DomainError(f"eps must be finite and positive, got {eps}")
+
+
+def _check_series_args(eps, spec: Spectrum):
+    check_eps(eps)
     if spec.n_max == 0:
         raise DomainError("empty spectrum")
 
@@ -207,8 +213,7 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
     """
     from scipy.linalg import cho_solve
 
-    if not 0.0 < eps < np.inf:
-        raise DomainError(f"eps must be finite and positive, got {eps}")
+    check_eps(eps)
     us = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.all((us >= 0.0) & (us <= 1.0)):
         raise DomainError(f"u must lie in [0,1], got {u}")
@@ -265,8 +270,7 @@ class WienerHopfTable:
 
 def mse_asymptotic(position, eps, p: ModelParams):
     """Leading small-noise term; `position` is "interior" or "endpoint"."""
-    if not 0.0 < eps < np.inf:
-        raise DomainError(f"eps must be finite and positive, got {eps}")
+    check_eps(eps)
     H = p.H
     base = (eps / p.mu ** 2) ** (2.0 * H / (1.0 + 2.0 * H)) \
         * spectral_constant(H) ** (1.0 / (1.0 + 2.0 * H)) / np.sin(np.pi / (2.0 * H + 1.0))
@@ -279,7 +283,9 @@ def mse_asymptotic(position, eps, p: ModelParams):
 
 def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = None,
                    grid_size=1000, *, wiener_hopf=None) -> Spectrum:
-    """Construct the requested spectrum source for error sweeps.
+    """Construct the requested spectrum source for error sweeps: the one
+    place in the package that turns a problem into a spectrum, for `mse`,
+    `eigs` and the acceptance suite (`validation`) alike.
 
     oracle         : Nystrom eigensolve on a Gauss-Legendre grid
     closed_form_ou : exact H = 1/2 spectrum (requires H = 1/2)
@@ -290,9 +296,9 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
     The dense routes (oracle, refined) assemble an N x N kernel matrix on
     `grid`, else on the Gauss-Legendre grid of `grid_size` nodes; the
     others sample their n_max eigenfunctions on `grid` when one is given.
-    Before any grid or array is built, DomainError refuses a dense request
-    with n_max above N, a request whose arrays would exceed MEMORY_BUDGET,
-    and the refined route at H < 1/2.
+    Before any grid or array is built, DomainError refuses n_max < 1 on
+    every route, a dense request with n_max above N, a request whose arrays
+    would exceed MEMORY_BUDGET, and the refined route at H < 1/2.
 
     `wiener_hopf` = (eps_grid, u_points) asks a dense route for the dense
     Wiener-Hopf column: `WienerHopfTable.read` solves it on the assembled
@@ -300,6 +306,8 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
     spectrum keeps the table as `wiener_hopf`.  The other routes have no
     matrix and refuse it (DomainError).
     """
+    if n_max < 1:
+        raise DomainError(f"n_max must be at least 1, got {n_max}")
     dense = method in ("oracle", "refined")
     N = grid_size if grid is None else grid.size
     if wiener_hopf is not None and not dense:

@@ -351,6 +351,12 @@ def spectral_constant(H):
     return math.sin(math.pi * H) * math.gamma(2.0 * H + 1.0)
 
 
+def is_half(H):
+    """Whether H is 1/2 to within 1e-12, the one test every route uses: there
+    the closed-form OU spectrum applies and the first-order layers vanish."""
+    return abs(H - 0.5) <= 1e-12
+
+
 def c_alpha(alpha):
     """Constant c_alpha = (1 - alpha/2)(1 - alpha) of the H > 1/2 singular kernel."""
     return (1.0 - 0.5 * alpha) * (1.0 - alpha)

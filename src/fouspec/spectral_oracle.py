@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError, SolverError
-from .model import CovMatrix, ModelParams, QuadGrid, cov_row
+from .model import CovMatrix, ModelParams, QuadGrid, cov_row, is_half
 
 _INTEGRAL_TIE_TOL = 1e-12
 PSD_TOL = 1e-10  # refuse a matrix whose min eigenvalue / trace is below -PSD_TOL
@@ -536,7 +536,7 @@ def ou_closed_form_eigs(p: ModelParams, n_max: int, grid: QuadGrid = None) -> Sp
     Raises DomainError when p.H is not 1/2 and when the head mode overflows
     (beta*T above about 355).
     """
-    if abs(p.H - 0.5) > 1e-12:
+    if not is_half(p.H):
         raise DomainError("closed-form OU spectrum requires H = 1/2")
     beta = p.beta_eff
     # nu/beta may overflow to inf at subnormal beta and beta^2 at huge beta,

@@ -1,8 +1,10 @@
 """Acceptance suite: one callable per criterion, shared by tests and the CLI.
 
-Each check returns {"id", "name", "passed", "seconds", "details"}.  Spectra
-are cached per parameter set so the eigenvalue, endpoint and dominance
-checks reuse one eigensolve.  Trend assertions use a floor rule: a
+Each check returns {"id", "name", "passed", "seconds", "details"}.  Every
+spectrum is built by `error_analysis.build_spectrum`, as `mse` and `eigs`
+build theirs, so the suite passes the same gate and takes the same route.
+Oracle spectra are cached per parameter set so the eigenvalue, endpoint and
+dominance checks reuse one eigensolve.  Trend assertions use a floor rule: a
 decreasing error sequence passes outright, and so does one that never
 leaves a 1% band (the trend is unobservable below the oracle's own
 discretization floor).
@@ -16,11 +18,10 @@ import numpy as np
 
 from .asymptotics import (ThetaProfile, b_alpha_closed, b_alpha_numeric,
                           lambda_from_nu, nu_first_order)
-from .error_analysis import (build_spectrum, convergence_study, mse_series,
-                             mse_wiener_hopf)
+from .error_analysis import build_spectrum, convergence_study, mse_series
 from .ia_refine import find_nu
 from .model import ModelParams, QuadGrid, cov_matrix, fou_cov
-from .spectral_oracle import nystrom_eigs, ou_closed_form_eigs
+from .spectral_oracle import PSD_TOL
 
 FLOOR = 0.01  # error band in which trend assertions are vacuous
 
@@ -30,9 +31,8 @@ _cache = {}
 def _oracle(H, beta, N, n_max):
     key = ("oracle", H, beta, N, n_max)
     if key not in _cache:
-        p = ModelParams(H=H, beta=beta)
-        cov = cov_matrix(QuadGrid.gauss_legendre_unit(N), p)
-        _cache[key] = nystrom_eigs(cov, n_max, overwrite=True)
+        _cache[key] = build_spectrum(ModelParams(H=H, beta=beta), "oracle",
+                                     n_max=n_max, grid_size=N)
     return _cache[key]
 
 
@@ -66,7 +66,7 @@ def check_ou_spectrum(quick=False):
     """Criterion 2: Nystrom vs closed-form OU spectrum at H=1/2, beta=1."""
     N = 600 if quick else 1000
     spec = _oracle(0.5, 1.0, N, 10)
-    closed = ou_closed_form_eigs(ModelParams(H=0.5, beta=1.0), 10)
+    closed = build_spectrum(ModelParams(H=0.5, beta=1.0), "closed_form_ou", n_max=10)
     rel = float(np.max(np.abs(spec.lam / closed.lam - 1.0)))
     return {"id": 2, "name": "ou_spectrum", "passed": rel < 1e-3,
             "details": {"max_rel_err_n_le_10": rel, "N": N}}
@@ -172,17 +172,11 @@ def check_series_wh_identity(quick=False):
     N = 200 if quick else 300
     p = ModelParams(H=0.7, beta=-1.0)
     g = QuadGrid.gauss_legendre_unit(N)
-    cov = cov_matrix(g, p)
     us = [float(g.nodes[N // 4]), float(g.nodes[N // 2]), float(g.nodes[-2])]
     eps_grid = (1e-2, 1e-3, 1e-4)
-    # the Wiener-Hopf solves read K before the eigensolve reduces it in place
-    wh = [[mse_wiener_hopf(u, eps, cov) for u in us] for eps in eps_grid]
-    spec = nystrom_eigs(cov, N, overwrite=True)
-    worst = 0.0
-    for eps, row in zip(eps_grid, wh):
-        for u, b in zip(us, row):
-            a = mse_series(u, eps, spec)
-            worst = max(worst, abs(a - b) / abs(b))
+    spec = build_spectrum(p, "oracle", n_max=N, grid=g, wiener_hopf=(eps_grid, us))
+    rep = convergence_study(spec, eps_grid, us)
+    worst = float(np.max(np.abs(rep.P_series - rep.P_wiener_hopf) / np.abs(rep.P_wiener_hopf)))
     return {"id": 8, "name": "series_wh_identity", "passed": worst <= 1e-6,
             "details": {"max_rel_diff": worst, "N": N}}
 
@@ -234,13 +228,14 @@ def check_property_suites(quick=False):
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     details["scaling_max_rel"] = worst
     ok = worst <= 1e-6
-    # symmetry + PSD on a 200-point grid
+    # symmetry of the assembled matrix, and the spectrum's PSD verdict, on a
+    # 200-point grid
     p = ModelParams(H=0.7, beta=-1.0)
     g = QuadGrid.gauss_legendre_unit(200)
     cov = cov_matrix(g, p)
     sym = float(np.max(np.abs(cov.values - cov.values.T)))
-    spec = nystrom_eigs(cov, 30)
-    psd_ok = spec.diagnostics["min_eigenvalue"] >= -1e-10 * spec.diagnostics["trace"]
+    spec = build_spectrum(p, "oracle", n_max=30, grid=g)
+    psd_ok = spec.diagnostics["psd_defect"] >= -PSD_TOL
     details["symmetry_max_abs"] = sym
     details["min_eig_over_trace"] = spec.diagnostics["min_eigenvalue"] / spec.diagnostics["trace"]
     ok &= sym == 0.0 and bool(psd_ok)

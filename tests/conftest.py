@@ -54,17 +54,24 @@ def traced_matrices():
 
 
 @pytest.fixture
-def tiny_memory_budget(monkeypatch):
-    """A 64 KiB spectrum budget, with every allocator behind `build_spectrum`
-    (the grid, the kernel matrix and the closed-form and first-order arrays)
-    patched to fail: a request must be refused before any of them runs."""
+def no_allocation(monkeypatch):
+    """Every allocator behind `build_spectrum` (the grid, the kernel matrix
+    and the closed-form and first-order arrays) patched to fail: a request
+    must be refused before any of them runs."""
     from fouspec import asymptotics, error_analysis
 
     def never(*args, **kwargs):
         raise AssertionError("allocated before the request was refused")
 
-    monkeypatch.setattr(error_analysis, "MEMORY_BUDGET", 2 ** 16)
     for name in ("cov_matrix", "ou_closed_form_eigs"):
         monkeypatch.setattr(error_analysis, name, never)
     monkeypatch.setattr(asymptotics, "nu_first_order", never)
     monkeypatch.setattr(QuadGrid, "gauss_legendre_unit", never)
+
+
+@pytest.fixture
+def tiny_memory_budget(monkeypatch, no_allocation):
+    """A 64 KiB spectrum budget, with `no_allocation`'s allocators."""
+    from fouspec import error_analysis
+
+    monkeypatch.setattr(error_analysis, "MEMORY_BUDGET", 2 ** 16)

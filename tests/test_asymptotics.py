@@ -11,6 +11,7 @@ from fouspec.asymptotics import (ThetaProfile, b_alpha_closed, b_alpha_numeric,
                                  lambda_from_nu, nu_first_order, phi_first_order,
                                  phi_integral_first_order, rho0, theta0)
 from fouspec.exceptions import DomainError
+from fouspec.model import QuadGrid
 
 
 def _x_cauchy_subtracted(prof, z):
@@ -279,6 +280,33 @@ class TestPhiFirstOrder:
             nu = (n - 0.5) * math.pi
             assert_allclose(phi_first_order(x, n, 0.5),
                             -math.sqrt(2.0) * np.sin(nu * x), rtol=1e-14)
+
+    def test_h_within_the_half_band_is_pure_sine(self):
+        # `model.is_half` is the one H = 1/2 rule: where the closed-form
+        # spectrum is accepted, the layers are skipped, not formed as ~1e-13
+        H = 0.5 + 5e-13
+        x = np.linspace(0.0, 1.0, 11)
+        n = np.arange(1, 6)
+        sine = -math.sqrt(2.0) * np.sin(np.multiply.outer(x, nu_first_order(n, H))
+                                        + math.pi * eta_h(H))
+        assert np.array_equal(phi_first_order(x, n, H), sine)
+
+    def test_layer_temporaries_share_one_block(self):
+        # 1e6 (x, n) pairs: both layers reuse one _CHUNK x 640 block of
+        # exponentials.  Three such blocks at a time traced a 90.6 MiB peak;
+        # one block traces 50.7 MiB
+        import tracemalloc
+
+        x = QuadGrid.gauss_legendre_unit(500).nodes
+        n = np.arange(1, 2001)
+        phi_first_order(x[:3], n[:3], 0.7)  # the cached layer rule is not counted
+        tracemalloc.start()
+        try:
+            phi_first_order(x, n, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 70 * 2 ** 20
 
     def test_vanishes_at_zero(self):
         for n in (10, 20, 30):

@@ -563,7 +563,9 @@ def test_closed_form_and_oracle_routes_load_only_what_they_use():
     # solves that keep at most N/20 pairs, the refined head among them: the
     # oracle run here keeps 30 of 60 and takes the full reduction, and
     # neither those two routes nor importing the modules of an `mse` run
-    # loads it.  The H = 1/2 closed form loads no scipy module at all, and
+    # loads it.  The H = 1/2 closed form and the first-order route load no
+    # scipy module at all (the latter checked in a second interpreter, since
+    # the oracle run above must not find the first-order module loaded), and
     # the error layer imports scipy.linalg only for the Wiener-Hopf solve.
     # The Gauss rules are built in the package: no mse or eigs route loads
     # scipy.special
@@ -591,13 +593,23 @@ run("first_order", ["mse", "--H", "0.7", "--spectrum", "first_order", "--N-unit"
 run("eigs", ["eigs", "--N-unit", "60", "--n-max", "6"], heavy[2:4])
 print(json.dumps(loaded))
 """
+    first_order = """
+import contextlib, io, json, sys
+from fouspec import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["mse", "--H", "0.7", "--spectrum", "first_order", "--n-max", "20",
+                     "--eps", "1e-1"]) == cli.EXIT_OK
+print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
+"""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"error_analysis": [], "0.5": [], "0.5 scipy": [],
-                                       "0.7": [], "ia_refine": [], "refined": [],
-                                       "first_order": [], "eigs": []}
+    out = []
+    for script in (code, first_order):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        out.append(json.loads(proc.stdout))
+    assert out == [{"error_analysis": [], "0.5": [], "0.5 scipy": [], "0.7": [],
+                    "ia_refine": [], "refined": [], "first_order": [], "eigs": []}, []]
 
 
 @pytest.mark.parametrize("argv", [
@@ -644,6 +656,14 @@ def test_negative_list_values_reach_the_range_check(flag, message, capsys):
     argv = ["mse", "--H", "0.5", "--eps", "1e-3", flag, "-1e-3,1e-4"]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+def test_h_within_the_half_band_takes_the_closed_form(capsys):
+    # `model.is_half` is the one H = 1/2 rule: mse swapped to the closed form
+    # only within 1e-14, while the closed form itself accepts 1e-12
+    argv = ["mse", "--H", repr(0.5 + 5e-13), "--eps", "1e-3", "--N-unit", "400"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "# spectrum = closed_form_ou, n_max = " in capsys.readouterr().out
 
 
 def test_mse_snaps_half_to_the_lower_central_node(monkeypatch):

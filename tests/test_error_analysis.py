@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,6 +462,16 @@ def test_dense_route_refuses_more_pairs_than_nodes(method, monkeypatch):
         build_spectrum(ModelParams(H=0.7, beta=-1.0), method, n_max=40, grid_size=20)
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+@pytest.mark.parametrize("method", ["oracle", "refined", "closed_form_ou", "first_order"])
+def test_fewer_than_one_pair_is_refused_first(method, n_max, no_allocation):
+    # the closed-form and first-order routes returned an empty spectrum here,
+    # and the dense ones assembled the matrix before the eigensolve refused
+    H = 0.5 if method == "closed_form_ou" else 0.7
+    with pytest.raises(DomainError, match=f"n_max must be at least 1, got {n_max}"):
+        build_spectrum(ModelParams(H=H, beta=-1.0), method, n_max=n_max)
+
+
 @pytest.mark.parametrize("method,size", [("oracle", "N = 1000 grid nodes"),
                                          ("refined", "N = 1000 grid nodes"),
                                          ("closed_form_ou", "n_max = 500 pairs"),
@@ -570,6 +582,31 @@ def test_problem_is_stated_once():
     rep = convergence_study(spec, [1e-2], [1.0])
     assert rep.params is p
     assert rep.P_series[0, 0] == mse_series(1.0, 1e-2, spec)
+
+
+def _package_calls():
+    """(module, top-level definition, callee name, call node) of every call
+    in the package's modules."""
+    for path in sorted(Path(error_analysis.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    yield path.name, getattr(top, "name", None), name, node
+
+
+def test_build_spectrum_is_the_one_door_to_a_spectrum():
+    # the acceptance suite kept its own copy of the dense pipeline and
+    # skipped the gate; only error_analysis solves for a spectrum or a
+    # Wiener-Hopf value, and only build_spectrum solves in place
+    solvers = {"nystrom_eigs", "ou_closed_form_eigs", "refined_spectrum", "mse_wiener_hopf"}
+    calls = list(_package_calls())
+    assert {module for module, _, name, _ in calls if name in solvers} == {"error_analysis.py"}
+    in_place = [(module, top) for module, top, _, node in calls
+                if any(k.arg == "overwrite" and isinstance(k.value, ast.Constant)
+                       and k.value.value is True for k in node.keywords)]
+    assert in_place == [("error_analysis.py", "build_spectrum")]
 
 
 @pytest.mark.parametrize("entry", [(7, 7), (45, 4), (4, 45)], ids=["diagonal", "lower", "upper"])

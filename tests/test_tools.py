@@ -1,0 +1,32 @@
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "tools" / "src_lines.py"
+
+
+def _table(*args):
+    proc = subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["module", "lines", "code"]
+    return {name: (int(total), int(code))
+            for name, total, code in (line.split() for line in lines[1:])}
+
+
+def test_src_lines_leaves_out_comments_docstrings_and_blanks(tmp_path):
+    (tmp_path / "a.py").write_text('"""Module\ndocstring."""\n\nimport os  # kept\n'
+                                   '# a comment\n\n\ndef f(x):\n    """One\n    more."""\n'
+                                   '    return (x +\n            1)\n')
+    (tmp_path / "b.py").write_text("X = 1\n")
+    assert _table(str(tmp_path)) == {"a.py": (12, 4), "b.py": (1, 1), "total": (13, 5)}
+
+
+def test_src_lines_counts_every_module_of_the_package():
+    table = _table()
+    modules = sorted(p.name for p in (ROOT / "src" / "fouspec").glob("*.py"))
+    assert sorted(table) == sorted(modules + ["total"])
+    assert table["total"] == tuple(sum(table[m][k] for m in modules) for k in (0, 1))
+    assert all(0 < code < total for total, code in table.values())
