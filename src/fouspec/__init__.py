@@ -7,7 +7,7 @@ model           parameters, fBm/fOU covariance kernels, matrix assembly
 spectral_oracle Nystrom reference spectra and the exact H = 1/2 spectrum
 asymptotics     first-order eigenvalue/eigenfunction formulas, theta, h, rho0
 ia_refine       integro-algebraic refinement of frequencies and eigenpairs
-error_analysis  eigen-series / Wiener-Hopf errors and asymptote sweeps
+error_analysis  eigen-series / Wiener-Hopf errors, asymptote sweeps, `estimate`
 cli             `fouspec` command-line front end
 validation      acceptance-criteria runner
 
@@ -54,6 +54,7 @@ _EXPORTS = {
     "mse_asymptotic": "error_analysis",
     "convergence_study": "error_analysis",
     "build_spectrum": "error_analysis",
+    "estimate": "error_analysis",
     "DomainError": "exceptions",
     "SolverError": "exceptions",
     "TruncationError": "exceptions",

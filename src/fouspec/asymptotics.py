@@ -335,7 +335,7 @@ def rho0(u, alpha):
 @lru_cache(maxsize=16)
 def _layer_rule(alpha):
     """Cached semi-axis rule with rho0 and the f0/f1 layer densities."""
-    nodes, weights, _ = doubling_nodes(2.0 ** -16, 40, 16)
+    nodes, weights, _ = doubling_nodes(2.0 ** -16, _LAYER_PANELS, _LAYER_M)
     rho = rho0(nodes, alpha)
     b = b_alpha_closed(alpha)
     sq = math.sqrt(3.0 - alpha)
@@ -345,6 +345,7 @@ def _layer_rule(alpha):
 
 
 _CHUNK = 4096  # (x, n) pairs per block of layer exponentials: bounds the temporaries
+_LAYER_PANELS, _LAYER_M = 40, 16  # the layer rule's doubling panels, nodes per panel
 
 
 def phi_first_order(x, n, H):

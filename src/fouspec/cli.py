@@ -7,12 +7,12 @@ byte-identical files.  Exit codes: 0 ok, 1 validation failure, 2 usage
 or invalid parameters, 3 solver failure, 4 truncation refusal.
 
 Each command takes only the flags it reads; a config file may set any
-RunConfig field, and flags override it.  The thread count resolves as
---threads, then the config file, then FOUSPEC_THREADS, then 0 (machine
-default), and `main` pins BLAS to it before any handler imports numpy, so
-the `# threads=` header line records the count that was pinned.  Results
-are thread-count invariant up to BLAS reduction order, and exactly
-reproducible for a fixed count.
+RunConfig field, and flags override it; `mse` renders what
+`error_analysis.estimate` returns.  The thread count resolves as --threads,
+then the config file, then FOUSPEC_THREADS, then 0 (machine default), and
+`main` pins BLAS to it before any handler imports numpy, so the `# threads=`
+header line records the pinned count.  Results are thread-count invariant up
+to BLAS reduction order, and exactly reproducible for a fixed count.
 """
 
 import argparse
@@ -29,13 +29,6 @@ EXIT_TRUNCATION = 4
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
-
-# The automatic closed-form truncation stops at CLOSED_FORM_PAIRS.  There the
-# excluded series mass is about 0.2 n_eff / n_max of P (H = 1/2), twice the
-# tail budget of 2e-2 once n_eff >= CLOSED_FORM_PAIRS / 5: such runs are
-# refused before the spectrum is built.
-CLOSED_FORM_PAIRS = 5_000_000
-
 
 @dataclass
 class RunConfig:
@@ -268,70 +261,25 @@ def compute_eigs(cfg: RunConfig):
 
 
 def compute_mse(cfg: RunConfig):
-    import numpy as np
+    from .error_analysis import estimate
+    from .model import ModelParams, spectral_constant
 
-    from .error_analysis import build_spectrum, check_eps, convergence_study, effective_terms
-    from .exceptions import DomainError, TruncationError
-    from .model import ModelParams, is_half, spectral_constant
-
-    if not cfg.eps:
-        raise DomainError("mse requires a nonempty --eps list")
-    if not cfg.u:
-        raise DomainError("mse requires a nonempty --u list")
-    # before the auto n_max divides by eps and u is snapped into the grid
-    for e in cfg.eps:
-        check_eps(e)
-    if not all(0.0 < u <= 1.0 for u in cfg.u):
-        raise DomainError(f"u must lie in (0, 1], got {cfg.u}")
     p = ModelParams(H=cfg.H, beta=cfg.beta, mu=cfg.mu, T=cfg.T)
-    eps = sorted((float(e) for e in cfg.eps), reverse=True)
-    if len(set(eps)) != len(eps):
-        raise DomainError("duplicate eps values")
-    method = cfg.spectrum
-    n_max = cfg.n_max
-    if method == "oracle" and is_half(p.H) and not cfg.with_wh:
-        # at H = 1/2 the exact closed form IS the brute-force spectrum and allows
-        # the deep truncations the power-law tail needs; it has no grid for --with-wh
-        method = "closed_form_ou"
-    if not n_max:
-        n_eff = effective_terms(eps[-1], p)
-        if not n_eff < np.inf:
-            raise DomainError(f"cannot size the spectrum: mu^2 T^(2H+1) / eps overflows "
-                              f"at eps = {eps[-1]:.3g}; set --n-max and --N-unit")
-        n_max = max(1500, int(5 * n_eff))
-        if method == "closed_form_ou":
-            if n_eff >= CLOSED_FORM_PAIRS / 5:
-                raise TruncationError(
-                    f"eps={eps[-1]:g} needs ~{n_eff:.3g} effective terms, and the closed "
-                    f"form stops at n_max={CLOSED_FORM_PAIRS}: from "
-                    f"{CLOSED_FORM_PAIRS / 5:.3g} effective terms on, its excluded series "
-                    "mass exceeds the tail budget; raise the smallest eps")
-            n_max = min(max(n_max, int(200 * n_eff)), CLOSED_FORM_PAIRS)
-    spec = build_spectrum(p, method, n_max=n_max,
-                          grid_size=cfg.N_unit or max(3000, 2 * n_max),
-                          wiener_hopf=(eps, cfg.u) if cfg.with_wh else None)
-    us = []
-    for u in cfg.u:
-        u = float(u)
-        if spec.grid is not None and u != 1.0:
-            j = int(spec.grid.nearest(u))
-            u = float(spec.grid.nodes[j])  # snap to the grid (echoed in output)
-        us.append(u)
-    rep = convergence_study(spec, eps, us)
-    H = p.H
+    rep = estimate(p, cfg.eps, cfg.u, spectrum=cfg.spectrum, n_max=cfg.n_max,
+                   grid_size=cfg.N_unit, with_wh=cfg.with_wh)
     comments = [
         "P_asym = (eps/mu^2)^(2H/(1+2H)) * C^(1/(1+2H)) / sin(pi/(2H+1)) "
         "* (1/(2H+1) interior, 1 endpoint)",
-        f"exponent 2H/(1+2H) = {_fmt(2 * H / (1 + 2 * H))}",
-        f"C = sin(pi H)*Gamma(2H+1) = {_fmt(spectral_constant(H))}",
-        f"spectrum = {spec.method}, n_max = {spec.n_max}",
+        f"exponent 2H/(1+2H) = {_fmt(2 * p.H / (1 + 2 * p.H))}",
+        f"C = sin(pi H)*Gamma(2H+1) = {_fmt(spectral_constant(p.H))}",
+        f"spectrum = {rep.spectrum_method}, n_max = {rep.truncation_n}",
     ]
     cols = {"P_series": rep.P_series, "P_wiener_hopf": rep.P_wiener_hopf,
             "P_asymptotic": rep.P_asymptotic, "ratio": rep.ratios,
             "tail_est": rep.diagnostics["tails"]}
     cols = {k: v for k, v in cols.items() if v is not None}
-    rows = [[float(e), u, *(float(v[i, k]) for v in cols.values())]
-            for i, e in enumerate(eps) for k, u in enumerate(us)]
+    rows = [[float(e), float(u), *(float(v[i, k]) for v in cols.values())]
+            for i, e in enumerate(rep.eps_values) for k, u in enumerate(rep.u_points)]
     return comments, ["eps", "u", *cols], rows
 
 

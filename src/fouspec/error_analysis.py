@@ -15,7 +15,8 @@ must agree to rounding.  As eps -> 0,
 
 independent of beta, T and of the interior position.  `convergence_study`
 sweeps eps and tabulates the ratios to this limit together with tail and
-oscillation diagnostics.
+oscillation diagnostics; `estimate` runs it by the rules of `fouspec mse`
+(route, sizing, the snap of u) on the spectrum of `build_spectrum`.
 
 The series mass beyond N = n_max is the integral of the terms over n >= N
 under lambda_n = lambda_N (N/n)^(2H+1), with phi_n^2 at its mean phi_bar^2
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import DomainError, SolverError, TruncationError
-from .model import CovMatrix, ModelParams, QuadGrid, cov_matrix, spectral_constant
+from .model import CovMatrix, ModelParams, QuadGrid, cov_matrix, is_half, spectral_constant
 from .spectral_oracle import Spectrum, nystrom_eigs, ou_closed_form_eigs
 
 EXCLUDED_TERM_BUDGET = 1e-3  # largest excluded series term, relative to P
@@ -44,11 +45,17 @@ TAIL_BUDGET = 2e-2           # estimated excluded series mass, relative to P
 # is 2.1-2.9 doubles per N^2 on the dense routes (N = 1000-3000, with and
 # without the Wiener-Hopf column) and 8-17 per pair on the others (1e6
 # pairs).  Samples on a grid add a traced 2.0 doubles each on the closed form
-# and, on the first-order route, 5.0 each at 4e6 samples (6.7 at 1e6, where
-# its one 21 MB block of layer exponentials weighs more).  The factors round
-# those up.
+# and 5.0 on the first-order route (4e6 samples), which off H = 1/2 is also
+# charged its one block of layer exponentials: up to `asymptotics._CHUNK`
+# rows of the layer rule's 640 nodes, 21 MB.  The factors round those up.
 MEMORY_BUDGET = 4 * 2 ** 30
 DENSE_DOUBLES, PAIR_DOUBLES, SAMPLE_DOUBLES = 3, 20, 6
+
+# The automatic closed-form truncation of `estimate` stops at CLOSED_FORM_PAIRS.
+# There the excluded series mass is about 0.2 n_eff / n_max of P (H = 1/2),
+# twice the tail budget of 2e-2 once n_eff >= CLOSED_FORM_PAIRS / 5: such
+# runs are refused before the spectrum is built.
+CLOSED_FORM_PAIRS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -323,6 +330,10 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
     else:  # the route also samples every pair on the grid
         need = (PAIR_DOUBLES + SAMPLE_DOUBLES * N) * n_max
         size = f"n_max = {n_max} pairs sampled on N = {N} grid nodes"
+    if method == "first_order" and not is_half(p.H):  # one block of layer exponentials
+        from . import asymptotics as a
+
+        need += min(a._CHUNK, n_max * (1 if grid is None else N)) * a._LAYER_PANELS * a._LAYER_M
     need *= 8
     budget = MEMORY_BUDGET
     with contextlib.suppress(AttributeError, ValueError, OSError):  # no sysconf
@@ -424,3 +435,60 @@ def convergence_study(spec: Spectrum, eps_grid, u_points) -> MseReport:
                      ratios=ratios, spectrum_method=spec.method,
                      truncation_n=spec.n_max, P_wiener_hopf=P_wh,
                      diagnostics=diagnostics)
+
+
+def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
+             with_wh=False) -> MseReport:
+    """The errors `fouspec mse` prints: P at every eps and relative time u
+    for the problem `p`, with the ratios to the asymptote.
+
+    The one door from a request to an `MseReport`; `convergence_study` does
+    the sweep.  `spectrum` names the route of `build_spectrum`, and the
+    oracle at H = 1/2 is swapped for the exact closed form unless `with_wh`
+    asks for the dense Wiener-Hopf column, which needs the oracle's matrix.
+    n_max = 0 sizes the truncation from the smallest eps: max(1500, 5 n_eff)
+    pairs (`effective_terms`), and on the closed form at least 200 n_eff,
+    capped at CLOSED_FORM_PAIRS.  grid_size = 0 takes max(3000, 2 n_max)
+    nodes.  An interior u is snapped to its nearest grid node
+    (`QuadGrid.nearest`) on a route with a grid, and the report's
+    `u_points` echo the snapped values; eps comes back sorted decreasing.
+    DomainError refuses an empty or invalid eps or u list, duplicate eps,
+    and an auto n_max that overflows; TruncationError refuses an auto
+    closed form that its cap cannot serve, before the spectrum is built.
+    `build_spectrum` and `convergence_study` add their own refusals.
+    """
+    if len(eps) == 0:
+        raise DomainError("mse requires a nonempty --eps list")
+    if len(u) == 0:
+        raise DomainError("mse requires a nonempty --u list")
+    # before the auto n_max divides by eps and u is snapped into the grid
+    for e in eps:
+        check_eps(e)
+    if not all(0.0 < x <= 1.0 for x in u):
+        raise DomainError(f"u must lie in (0, 1], got {u}")
+    eps = sorted((float(e) for e in eps), reverse=True)
+    if len(set(eps)) != len(eps):
+        raise DomainError("duplicate eps values")
+    if spectrum == "oracle" and is_half(p.H) and not with_wh:
+        # at H = 1/2 the exact closed form IS the brute-force spectrum and allows
+        # the deep truncations the power-law tail needs; it has no grid for with_wh
+        spectrum = "closed_form_ou"
+    if not n_max:
+        n_eff = effective_terms(eps[-1], p)
+        if not n_eff < np.inf:
+            raise DomainError(f"cannot size the spectrum: mu^2 T^(2H+1) / eps overflows "
+                              f"at eps = {eps[-1]:.3g}; set --n-max and --N-unit")
+        n_max = max(1500, int(5 * n_eff))
+        if spectrum == "closed_form_ou":
+            if n_eff >= CLOSED_FORM_PAIRS / 5:
+                raise TruncationError(
+                    f"eps={eps[-1]:g} needs ~{n_eff:.3g} effective terms, and the closed "
+                    f"form stops at n_max={CLOSED_FORM_PAIRS}: from "
+                    f"{CLOSED_FORM_PAIRS / 5:.3g} effective terms on, its excluded series "
+                    "mass exceeds the tail budget; raise the smallest eps")
+            n_max = min(max(n_max, int(200 * n_eff)), CLOSED_FORM_PAIRS)
+    spec = build_spectrum(p, spectrum, n_max=n_max, grid_size=grid_size or max(3000, 2 * n_max),
+                          wiener_hopf=(eps, u) if with_wh else None)
+    us = [x if spec.grid is None or x == 1.0 else float(spec.grid.nodes[spec.grid.nearest(x)])
+          for x in map(float, u)]
+    return convergence_study(spec, eps, us)

@@ -306,23 +306,20 @@ def eigh(cov: CovMatrix, n_max, *, overwrite=False):
                                       "psd_defect": -PSD_TOL, "eigensolver": "lanczos"}
     from scipy.linalg import lapack
 
-    if N == 1:  # no reflectors: the 1 x 1 matrix is its own eigenvalue
-        lam, V = B.diagonal().copy(), Eigenvectors(np.ones((1, 1)))
-    else:
-        lwork = int(lapack.dsyevr_lwork(N)[0]) - 5 * N  # dsyevr's share for dsytrd
-        c, d, e, tau, info = lapack.dsytrd(B, lower=1, lwork=lwork, overwrite_a=1)
-        if info != 0:  # pragma: no cover - argument errors only
-            raise np.linalg.LinAlgError(f"tridiagonal reduction failed (info = {info})")
-        # Q = 1 (+) Q1: reflector j is column j of c, with its implied unit in
-        # row j + 1, so reflectors a:b form the QR-form block c[1 + a:, a:b]
-        edges = sorted({(N - 1) * i // PANELS for i in range(PANELS + 1)})
-        panels = tuple((a, np.array(c[1 + a:, a:b], order="F"), tau[a:b])
-                       for a, b in zip(edges, edges[1:]))
-        del B, c  # c is B, reduced in place
-        _, lam, Z, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 0, 0)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (info = {info})")
-        V = Eigenvectors(np.asfortranarray(Z[:, N - n_max:]), panels)
+    lwork = int(lapack.dsyevr_lwork(N)[0]) - 5 * N  # dsyevr's share for dsytrd
+    c, d, e, tau, info = lapack.dsytrd(B, lower=1, lwork=lwork, overwrite_a=1)
+    if info != 0:  # pragma: no cover - argument errors only
+        raise np.linalg.LinAlgError(f"tridiagonal reduction failed (info = {info})")
+    # Q = 1 (+) Q1: reflector j is column j of c, with its implied unit in
+    # row j + 1, so reflectors a:b form the QR-form block c[1 + a:, a:b]
+    edges = sorted({(N - 1) * i // PANELS for i in range(PANELS + 1)})
+    panels = tuple((a, np.array(c[1 + a:, a:b], order="F"), tau[a:b])
+                   for a, b in zip(edges, edges[1:]))
+    del B, c  # c is B, reduced in place
+    _, lam, Z, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 0, 0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (info = {info})")
+    V = Eigenvectors(np.asfortranarray(Z[:, N - n_max:]), panels)
     lam_min = float(lam[0])
     defect = float(min(lam_min, 0.0) / max(trace, 1e-300))
     if defect < -PSD_TOL:
@@ -533,11 +530,13 @@ def ou_closed_form_eigs(p: ModelParams, n_max: int, grid: QuadGrid = None) -> Sp
     Each quantity is one pass over the modes (`_ou_forms`), and the norms
     are computed once: the grid samples and `extend` reuse them, so the
     spectrum holds them next to nu, lam, phi1 and the integrals.
-    Raises DomainError when p.H is not 1/2 and when the head mode overflows
-    (beta*T above about 355).
+    Raises DomainError when p.H is not 1/2, when n_max < 1 and when the
+    head mode overflows (beta*T above about 355).
     """
     if not is_half(p.H):
         raise DomainError("closed-form OU spectrum requires H = 1/2")
+    if n_max < 1:
+        raise DomainError(f"n_max must be at least 1, got {n_max}")
     beta = p.beta_eff
     # nu/beta may overflow to inf at subnormal beta and beta^2 at huge beta,
     # which the arctan form takes in stride; overflow (and inf/inf) in the

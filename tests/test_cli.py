@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import itertools
@@ -297,7 +298,7 @@ def test_capped_closed_form_is_refused_before_it_is_built(eps, monkeypatch, caps
     monkeypatch.setattr(error_analysis, "build_spectrum", unbuilt)
     refused = 0
     for u, bT, mu, T in _CAP_CASES:
-        if (mu * mu * T * T / eps) ** 0.5 < cli.CLOSED_FORM_PAIRS / 5:
+        if (mu * mu * T * T / eps) ** 0.5 < error_analysis.CLOSED_FORM_PAIRS / 5:
             continue  # n_eff below the refusal: the run is built as before
         assert cli.main(_cap_argv(eps, u, bT, mu, T)) == cli.EXIT_TRUNCATION
         assert "closed form stops at n_max=5000000" in capsys.readouterr().err
@@ -311,7 +312,7 @@ def test_closed_form_refusal_only_where_the_capped_spectrum_fails(monkeypatch, c
     # the excluded mass is about 0.2 n_eff / cap of P at every cap, so a
     # small cap stands in for the 5e6 of the command
     cap = 20_000
-    monkeypatch.setattr(cli, "CLOSED_FORM_PAIRS", cap)
+    monkeypatch.setattr(error_analysis, "CLOSED_FORM_PAIRS", cap)
     for u, bT, mu, T in _CAP_CASES:
         eps = mu * mu * T * T / (1.001 * cap / 5) ** 2
         assert cli.main(_cap_argv(eps, u, bT, mu, T)) == cli.EXIT_TRUNCATION
@@ -666,8 +667,22 @@ def test_h_within_the_half_band_takes_the_closed_form(capsys):
     assert "# spectrum = closed_form_ou, n_max = " in capsys.readouterr().out
 
 
+def test_mse_goes_through_estimate():
+    # every rule from a request to the numbers lives in error_analysis.estimate:
+    # compute_mse only builds the problem and renders the report
+    tree = ast.parse(Path(cli.__file__).read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "compute_mse")
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert "estimate" in called
+    assert not called & {"build_spectrum", "convergence_study"}
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    assert "CLOSED_FORM_PAIRS" not in names
+
+
 def test_mse_snaps_half_to_the_lower_central_node(monkeypatch):
-    # compute_mse snaps u with `QuadGrid.nearest`, as mse_wiener_hopf does
+    # estimate snaps u with `QuadGrid.nearest`, as mse_wiener_hopf does
     from types import SimpleNamespace
 
     from fouspec.model import QuadGrid

@@ -505,6 +505,24 @@ def test_grid_samples_count_against_the_memory_budget(method, H, monkeypatch):
         build_spectrum(p, method, n_max=20_000)
 
 
+def test_first_order_layer_block_is_charged(traced_matrices, monkeypatch):
+    # the gate charged (20 + 6 N) doubles per pair, 46 MiB here, and left out
+    # the one 21 MB block of layer exponentials: the call traced 50.7 MiB
+    p, grid = ModelParams(H=0.7, beta=-1.0), QuadGrid.gauss_legendre_unit(500)
+
+    def build():
+        return build_spectrum(p, "first_order", n_max=2000, grid=grid)
+
+    peak, _, spec = traced_matrices(build, 1)  # in doubles
+    assert spec.n_max == 2000
+    # the charge is at least the traced peak: a budget one byte below refuses
+    monkeypatch.setattr(error_analysis, "MEMORY_BUDGET", int(8 * peak) - 1)
+    with pytest.raises(DomainError, match="first_order spectrum .* budget"):
+        build()
+    monkeypatch.setattr(error_analysis, "MEMORY_BUDGET", int(12 * peak))
+    assert build().n_max == 2000
+
+
 def test_refined_head_pairs_are_the_oracle_pairs():
     # the head pairs come from the oracle matrix of the same grid
     p = ModelParams(H=0.7, beta=-1.0)

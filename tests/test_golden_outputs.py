@@ -18,6 +18,7 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fouspec import cli
@@ -99,6 +100,39 @@ def test_output_matches_golden_file(name, monkeypatch):
             assert g == w, f"{name}:{k + 1}"
         else:
             _assert_close(g.split(","), w.split(","), f"{name}:{k + 1}")
+
+
+def _printed_table(text):
+    """{column: values} of the results the CLI printed, as CSV or JSON."""
+    if text.lstrip().startswith("{"):
+        rows = json.loads(text)["results"]
+        return {k: [row[k] for row in rows] for k in rows[0]}
+    header, *rows = [line for line in text.splitlines() if not line.startswith("#")]
+    return dict(zip(header.split(","), zip(*(map(float, r.split(",")) for r in rows))))
+
+
+@pytest.mark.parametrize("name", sorted(k for k in CASES if CASES[k][0] == "mse"))
+def test_estimate_gives_the_printed_cells(name, monkeypatch):
+    # the library's one call returns bit for bit what `mse` prints: 17
+    # significant digits round-trip every double
+    from fouspec.error_analysis import estimate
+    from fouspec.model import ModelParams
+
+    monkeypatch.delenv("FOUSPEC_THREADS", raising=False)
+    parser = cli._build_parser()
+    cfg = cli._merge_config(parser.parse_args(cli._attach_numbers(CASES[name])), parser)
+    rep = estimate(ModelParams(H=cfg.H, beta=cfg.beta, mu=cfg.mu, T=cfg.T), cfg.eps, cfg.u,
+                   spectrum=cfg.spectrum, n_max=cfg.n_max, grid_size=cfg.N_unit,
+                   with_wh=cfg.with_wh)
+    printed = _printed_table(_run(CASES[name]))
+    cells = {"eps": np.repeat(rep.eps_values, len(rep.u_points)),
+             "u": np.tile(rep.u_points, len(rep.eps_values)),
+             "P_series": rep.P_series.ravel(), "P_asymptotic": rep.P_asymptotic.ravel()}
+    if rep.P_wiener_hopf is not None:
+        cells["P_wiener_hopf"] = rep.P_wiener_hopf.ravel()
+    assert ("P_wiener_hopf" in printed) == ("--with-wh" in CASES[name])
+    for column, values in cells.items():
+        assert np.array_equal(np.array(printed[column], dtype=float), values), column
 
 
 if __name__ == "__main__":

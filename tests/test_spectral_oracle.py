@@ -226,7 +226,8 @@ class TestEigensolveBranches:
         assert np.array_equal(spec.lam, lam_ref[::-1][:n_max])
 
     def test_one_node_grid(self, capsys):
-        # the reflector block of a 1 x 1 matrix is empty: LAPACK is not called
+        # a 1 x 1 matrix has no reflectors: dsytrd gives d = [B00] and e = [],
+        # and dstemr the same value with Z = [[1]]
         cov = cov_matrix(QuadGrid.gauss_legendre_unit(1), ModelParams(H=0.7, beta=-1.0))
         spec = nystrom_eigs(cov, 1)
         w = cov.grid.weights[0]
@@ -311,6 +312,14 @@ class TestEigensolveBranches:
 
 
 class TestClosedFormOU:
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_fewer_than_one_pair_is_refused(self, n_max):
+        # it returned an empty spectrum, refused only later by mse_series
+        with pytest.raises(DomainError, match=f"n_max must be at least 1, got {n_max}"):
+            ou_closed_form_eigs(_ou(1.0), n_max)
+        spec = ou_closed_form_eigs(_ou(1.0), 1)
+        assert (spec.n_max, spec.lam.shape, spec.phi1.shape) == (1, (1,), (1,))
+
     def test_bm_case(self):
         spec = ou_closed_form_eigs(_ou(0.0), 5)
         assert_allclose(spec.nu[0], math.pi / 2.0, rtol=1e-15)

@@ -30,3 +30,23 @@ def test_src_lines_counts_every_module_of_the_package():
     assert sorted(table) == sorted(modules + ["total"])
     assert table["total"] == tuple(sum(table[m][k] for m in modules) for k in (0, 1))
     assert all(0 < code < total for total, code in table.values())
+
+
+def test_workload_digests_hash_each_command_stdout(monkeypatch, capsys):
+    import hashlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("workload_digests",
+                                                  ROOT / "tools" / "workload_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    args = ["--H", "0.5", "--n-max", "50", "--eps", "1e-1", "--u", "1"]
+    monkeypatch.setattr(tool, "WORKLOADS", {"tiny": {"args": args}})
+    assert tool.main(["--beta", "-0.5,0.25"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["workload", "beta", "exit", "sha256"]
+    for row, beta in zip(rows, (-0.5, 0.25), strict=True):
+        proc = subprocess.run([sys.executable, "-m", "fouspec.cli", *tool.cli_argv(args, beta)],
+                              capture_output=True, cwd=ROOT, env=tool.child_env())
+        assert proc.returncode == 0 and proc.stdout.startswith(b"# fouspec")
+        assert row.split() == ["tiny", f"{beta:g}", "0", hashlib.sha256(proc.stdout).hexdigest()]
