@@ -41,13 +41,16 @@ EXCLUDED_TERM_BUDGET = 1e-3  # largest excluded series term, relative to P
 TAIL_BUDGET = 2e-2           # estimated excluded series mass, relative to P
 
 # A spectrum request is refused above MEMORY_BUDGET bytes, or the physical
-# memory if less.  Peak RSS over the interpreter's (one thread, H = 0.7, two u)
-# is 2.1-2.9 doubles per N^2 on the dense routes (N = 1000-3000, with and
-# without the Wiener-Hopf column) and 8-17 per pair on the others (1e6
+# memory if less.  Peak RSS over the interpreter's (one thread, H = 0.7, two u,
+# N = 1000-3000) is 1.6-1.7 doubles per N^2 on the oracle route keeping N/2
+# pairs, 1.7-2.0 with the Wiener-Hopf column and 1.2-2.9 on the refined route,
+# whose fixed costs weigh most at N = 1000; 8-17 per pair on the others (1e6
 # pairs).  Samples on a grid add a traced 2.0 doubles each on the closed form
 # and 5.0 on the first-order route (4e6 samples), which off H = 1/2 is also
 # charged its one block of layer exponentials: up to `asymptotics._CHUNK`
-# rows of the layer rule's 640 nodes, 21 MB.  The factors round those up.
+# rows of the layer rule's 640 nodes, 21 MB.  The factors round those up;
+# DENSE_DOUBLES stays 3 (2.1-2.9 measured before the Wiener-Hopf solve moved
+# into K's spare triangle), so the same requests are refused as before.
 MEMORY_BUDGET = 4 * 2 ** 30
 DENSE_DOUBLES, PAIR_DOUBLES, SAMPLE_DOUBLES = 3, 20, 6
 
@@ -199,6 +202,31 @@ def cho_factor(a, **kwargs):
     return factor(a, **kwargs)
 
 
+_BLOCK = 128  # rows per block of `_mirror_upper`
+_UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool))
+
+
+def _mirror_upper(K, sw=None, s=None):
+    """Write the mirror of the C-ordered square K's strict lower triangle and
+    diagonal into its upper triangle, diagonal included, in row blocks: K_ji
+    itself, or ((K_ji sw_j) sw_i) s, the bits of `CovMatrix.weighted()`
+    scaled by s.  The off-diagonal rectangles are written directly and the
+    diagonal squares through a fixed mask."""
+    N = len(K)
+    for a in range(0, N, _BLOCK):
+        b = min(a + _BLOCK, N)
+        square = K[a:b, a:b].T.copy()
+        for out, mirror, cols in ((K[a:b, b:], K[b:, a:b].T, slice(b, N)),
+                                  (square, square, slice(a, b))):
+            if sw is None:
+                out[...] = mirror
+            else:
+                np.multiply(mirror, sw[cols], out=out)
+                out *= sw[a:b, None]
+                out *= s
+        np.copyto(K[a:b, a:b], square, where=_UPPER[:b - a, :b - a])
+
+
 def mse_wiener_hopf(u, eps, cov: CovMatrix):
     """P(u, eps) from the dense Wiener-Hopf solve on the matrix's grid, with
     mu and T from its params.
@@ -213,10 +241,16 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
     and the two differ by 2.7e-4 relative.  The off-grid formula of ROADMAP
     item 1, evaluated at u itself, closes this gap.
 
-    The one N x N array is eps I + mu^2 T B, from B = `cov.weighted()`
-    scaled and Cholesky-factored in place, so the peak is about one matrix
-    beyond `cov`.  A `CovMatrix` is finite by construction, so the solve
-    skips its own scan of the factor.
+    No new N x N array is made.  The system eps I + mu^2 T B, with B the
+    bits of `cov.weighted()`, is written into the upper triangle of K's
+    own C-ordered buffer from the strict lower triangle, which `cov_matrix`
+    mirrors exactly (K must be exactly symmetric), and Cholesky-factored
+    there; the right-hand sides are read first.  The upper triangle and
+    the diagonal are restored before the call returns or raises, so
+    `cov.values` is K again, but while the call runs it is not: one
+    `CovMatrix` must not be shared with another thread then.  A read-only
+    `cov.values` is solved on one copy.  A `CovMatrix` is finite by
+    construction, so the solve skips its own scan of the factor.
     """
     from scipy.linalg import cho_solve
 
@@ -227,16 +261,21 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
     p, grid = cov.params, cov.grid
     j = grid.nearest(us)
     sw = np.sqrt(grid.weights)
-    A = cov.weighted()
-    A *= p.mu ** 2 * p.T
-    A[np.diag_indices_from(A)] += eps
+    K = cov.values if cov.values.flags.writeable else cov.values.copy()
+    rhs = p.mu ** 2 * sw[:, None] * K[:, j]
+    diagonal = np.diag_indices_from(K)
+    saved = K[diagonal]
     try:
-        ch = cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
+        _mirror_upper(K, sw, p.mu ** 2 * p.T)
+        K[diagonal] += eps
+        ch = cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
+        h_cols = cho_solve(ch, rhs, check_finite=False) / sw[:, None]
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Wiener-Hopf system not positive definite: {exc}",
                           stage="mse_wiener_hopf")
-    rhs = p.mu ** 2 * sw[:, None] * cov.values[:, j]
-    h_cols = cho_solve(ch, rhs, check_finite=False) / sw[:, None]
+    finally:
+        _mirror_upper(K)
+        K[diagonal] = saved
     P = eps / p.mu ** 2 * h_cols[j, np.arange(len(j))]
     return float(P[0]) if np.ndim(u) == 0 else P
 
@@ -249,6 +288,8 @@ class WienerHopfTable:
     the grid node `nodes[k]` that u_points[k] snaps to (`QuadGrid.nearest`).
     `build_spectrum` reads the table before the eigensolve reduces the
     matrix in place, so a spectrum carries these cells and not the matrix.
+    Each solve runs in the spare triangle of `cov`'s own buffer and puts K
+    back, so reading the table adds no matrix to K.
     """
 
     eps: np.ndarray

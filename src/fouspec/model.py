@@ -157,7 +157,8 @@ class CovMatrix:
 
     `values` is K until a solve that owns the matrix takes its buffer
     (`weighted(take_for=...)`); from then on reading `values` raises
-    DomainError naming that solve.
+    DomainError naming that solve.  `error_analysis.mse_wiener_hopf`
+    borrows the upper triangle while it runs and puts K back.
     """
 
     _values: np.ndarray = field(repr=False)
@@ -190,8 +191,9 @@ class CovMatrix:
         Built as the C-ordered B' = (K_ij sw_j) sw_i, sw = sqrt(w), in two
         contiguous passes (0.05 s at N = 3000, against 0.155 s for a strided
         Fortran-order build).  K is exactly symmetric, so B'.T is
-        (sw_i K_ij) sw_j bit for bit: the matrix the eigensolvers and the
-        Wiener-Hopf solve overwrite in place.
+        (sw_i K_ij) sw_j bit for bit: the matrix the eigensolvers overwrite
+        in place.  The Wiener-Hopf solve writes the same bits into K's own
+        upper triangle instead (`error_analysis.mse_wiener_hopf`).
 
         By default B is one new allocation.  `take_for` names a solve that
         owns the matrix: B is then built in K's own buffer (if writeable),

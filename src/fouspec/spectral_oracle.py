@@ -61,13 +61,14 @@ class Spectrum:
     the oracle, W^{-1/2} V from its `vectors` V, which are kept factored
     (see `Eigenvectors`) and formed into `phi` only on its first read, then
     cached (1.0 s and 0.5 matrices more at N = 3000 with 1500 pairs).  The
-    factored oracle spectrum holds 1.07 matrices there.  `extend(spectrum,
-    u)` gives phi_n(u) for all n at any u in [0,1]; the route that builds
-    the spectrum sets it, or leaves it None when it has no off-grid
-    evaluator.  `method` only labels the route.  No spectrum keeps its
-    kernel matrix: the dense routes of `build_spectrum` read the requested
-    Wiener-Hopf values off it before the eigensolve reduces it in place, and
-    keep them as `wiener_hopf` (`error_analysis.WienerHopfTable`).
+    factored oracle spectrum holds 1.06 matrices there (the reflector panels
+    and the kept vectors), and building it peaks at 1.56 (`eigh`).
+    `extend(spectrum, u)` gives phi_n(u) for all n at any u in [0,1]; the
+    route that builds the spectrum sets it, or leaves it None when it has
+    no off-grid evaluator.  `method` only labels the route.  No spectrum
+    keeps its kernel matrix: the dense routes of `build_spectrum` read the
+    requested Wiener-Hopf values off it before the eigensolve reduces it in
+    place, and keep them as `wiener_hopf` (`error_analysis.WienerHopfTable`).
     """
 
     method: str
@@ -272,11 +273,13 @@ def eigh(cov: CovMatrix, n_max, *, overwrite=False):
         there the two agree to rounding, not bit for bit.)  At N = 3000
         keeping 1500 (one thread) the solve takes 2.8-2.9 s (`dsytrd`
         2.0-2.2 s, `dstemr` 0.7-0.8 s), against 4.3-4.7 s for
-        `scipy.linalg.eigh`.  The peak is 2.1 matrices beyond `cov`: B with
-        its panels (0.56), then the panels, Z and the kept block.  With
-        `overwrite` B is K, released with the reduction, so the peak is the
-        same 2.1 matrices counting K itself.  The smallest computed
-        eigenvalue is the minimum.
+        `scipy.linalg.eigh`.  The peak is 1.56 matrices beyond `cov`, at two
+        moments: B with its panels (0.56), then the panels next to dstemr's
+        N x N output.  The kept columns are moved to the front of that
+        output, which then shrinks to them in place, so no copy of them
+        is made.  With `overwrite` B is K, released with the reduction, so
+        the peak is the same 1.56 matrices counting K itself.  The smallest
+        computed eigenvalue is the minimum.
     Returns (lam, V, psd), with psd = {"min_eigenvalue", "trace",
     "psd_defect", "eigensolver"}: the minimum (or the certified bound), the
     trace sum_i w_i K_ii, min(min_eigenvalue, 0) / trace (-PSD_TOL when
@@ -319,7 +322,16 @@ def eigh(cov: CovMatrix, n_max, *, overwrite=False):
     _, lam, Z, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 0, 0)
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (info = {info})")
-    V = Eigenvectors(np.asfortranarray(Z[:, N - n_max:]), panels)
+    # the kept columns move to the front of dstemr's own Z in blocks no wider
+    # than the shift, so no block overlaps its source; Z, of which no view is
+    # left, then shrinks to them in place
+    shift = N - n_max
+    if shift:
+        for a in range(0, n_max, shift):
+            b = min(a + shift, n_max)
+            Z[:, a:b] = Z[:, shift + a:shift + b]
+    Z.resize((N, n_max), refcheck=False)
+    V = Eigenvectors(Z, panels)
     lam_min = float(lam[0])
     defect = float(min(lam_min, 0.0) / max(trace, 1e-300))
     if defect < -PSD_TOL:

@@ -16,7 +16,7 @@ from fouspec.asymptotics import phi_first_order
 from fouspec.error_analysis import (build_spectrum, check_truncation,
                                     convergence_study, mse_asymptotic, mse_series,
                                     hyp2f1_tail, mse_wiener_hopf, truncation_tail)
-from fouspec.exceptions import DomainError, TruncationError
+from fouspec.exceptions import DomainError, SolverError, TruncationError
 from fouspec.ia_refine import refined_eigenpair
 from fouspec.model import CovMatrix, ModelParams, QuadGrid, cov_matrix
 from fouspec.spectral_oracle import nystrom_eigs
@@ -102,12 +102,36 @@ class TestWienerHopf:
         mse_wiener_hopf([0.5, 1.0], 1e-3, cov)
         assert np.array_equal(cov.values, before)
 
+    def test_failed_factorization_restores_the_matrix(self, monkeypatch):
+        # the system is written into K's upper triangle; a refusal must put K back
+        def not_definite(*args, **kwargs):
+            raise np.linalg.LinAlgError("leading minor not positive")
+
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(300), ModelParams(H=0.7, beta=-1.0))
+        before = cov.values.copy()
+        monkeypatch.setattr(error_analysis, "cho_factor", not_definite)
+        with pytest.raises(SolverError, match="not positive definite") as exc:
+            mse_wiener_hopf([0.5, 1.0], 1e-3, cov)
+        assert exc.value.stage == "mse_wiener_hopf"
+        assert np.array_equal(cov.values, before)
+
+    def test_read_only_matrix_is_solved_on_a_copy(self):
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(300), ModelParams(H=0.7, beta=-1.0))
+        values = cov.values.copy()
+        values.flags.writeable = False
+        frozen = CovMatrix(values, cov.grid, cov.params)
+        P = mse_wiener_hopf([0.5, 1.0], 1e-4, frozen)
+        assert np.array_equal(P, mse_wiener_hopf([0.5, 1.0], 1e-4, cov))
+        assert np.array_equal(values, cov.values)
+
     def test_peak_memory(self, peak_matrices):
-        # one matrix, built without temporaries and factored in place; with
-        # a temporary and the factorization's Fortran-order copy it was 2.13
+        # the system is built and factored in K's own upper triangle: 0.12
+        # matrices, the right-hand sides and one row block; in a weighted
+        # copy of K it was 1.03, and with a temporary and the factorization's
+        # Fortran-order copy 2.13
         N = 600
         cov = cov_matrix(QuadGrid.gauss_legendre_unit(N), ModelParams(H=0.7, beta=-1.0))
-        assert peak_matrices(lambda: mse_wiener_hopf([0.5, 1.0], 1e-4, cov), N) <= 1.5
+        assert peak_matrices(lambda: mse_wiener_hopf([0.5, 1.0], 1e-4, cov), N) <= 0.5
 
     def test_half_snaps_to_the_lower_central_node(self):
         # u = 1/2 is midway between the central nodes of an even grid; the
@@ -252,9 +276,9 @@ class TestConvergenceStudy:
                 convergence_study(built, eps, us)
 
     def test_peak_memory_with_the_column(self, traced_matrices):
-        # K, then K and one Wiener-Hopf factor, then the eigensolve reducing
-        # K in place: 2.12 matrices; the parent kept K next to the
-        # eigensolve's copy and each factor, 3.11
+        # the assembly of K sets the peak at N = 600: 2.12 matrices; the
+        # Wiener-Hopf solves and the eigensolve stay below it.  When the
+        # spectrum kept K next to the eigensolve's copy and each factor, 3.11
         N = 600
         p = ModelParams(H=0.7, beta=-1.0)
         eps, us = [1e-3, 1e-4], [0.5, 1.0]
@@ -267,6 +291,21 @@ class TestConvergenceStudy:
         peak, _, rep = traced_matrices(run, N)
         assert peak <= 2.3
         assert rep.P_wiener_hopf.shape == (2, 2)
+
+    def test_peak_memory_of_the_dense_run(self, traced_matrices):
+        # K with the Wiener-Hopf solves in its own upper triangle, then the
+        # eigensolve's panels (0.56) next to dstemr's N x N output: 1.58
+        # matrices; with a weighted copy of K per solve and the kept block
+        # copied out of the whole output, 2.07.  At N = 600 the node tables
+        # of phi(1) set the peak instead.
+        N = 1500
+        grid = QuadGrid.gauss_legendre_unit(N)
+        peak, kept, spec = traced_matrices(lambda: build_spectrum(
+            ModelParams(H=0.7, beta=-1.0), "oracle", n_max=N // 2, grid=grid,
+            wiener_hopf=((1e-3, 1e-4, 1e-5), (0.5, 1.0))), N)
+        assert peak <= 1.65
+        assert kept <= 1.1
+        assert spec.wiener_hopf.P.shape == (3, 2)
 
 
 def test_closed_form_peak_memory(traced_matrices):

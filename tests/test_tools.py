@@ -44,9 +44,11 @@ def test_workload_digests_hash_each_command_stdout(monkeypatch, capsys):
     monkeypatch.setattr(tool, "WORKLOADS", {"tiny": {"args": args}})
     assert tool.main(["--beta", "-0.5,0.25"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["workload", "beta", "exit", "sha256"]
+    assert header.split() == ["workload", "beta", "exit", "sha256", "rss_mb"]
     for row, beta in zip(rows, (-0.5, 0.25), strict=True):
         proc = subprocess.run([sys.executable, "-m", "fouspec.cli", *tool.cli_argv(args, beta)],
                               capture_output=True, cwd=ROOT, env=tool.child_env())
         assert proc.returncode == 0 and proc.stdout.startswith(b"# fouspec")
-        assert row.split() == ["tiny", f"{beta:g}", "0", hashlib.sha256(proc.stdout).hexdigest()]
+        *fields, rss = row.split()
+        assert fields == ["tiny", f"{beta:g}", "0", hashlib.sha256(proc.stdout).hexdigest()]
+        assert float(rss) > 0  # the child's peak RSS in MB
