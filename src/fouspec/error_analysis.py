@@ -229,67 +229,76 @@ def _mirror_upper(K, sw=None, s=None):
 
 def mse_wiener_hopf(u, eps, cov: CovMatrix):
     """P(u, eps) from the dense Wiener-Hopf solve on the matrix's grid, with
-    mu and T from its params.
+    mu and T from its params, of shape np.shape(eps) + np.shape(u): a
+    float for one eps and one u.
 
-    u is one point in [0,1] or a sequence of them, each snapped to the
-    nearest grid node (`QuadGrid.nearest`: the lower one on a tie); a
-    sequence shares one Cholesky factorization and returns an array.
+    Each u in [0,1] is snapped to the nearest grid node (`QuadGrid.nearest`:
+    the lower one on a tie).  Each eps takes one Cholesky factorization,
+    which every u shares; all eps are checked before K is touched.
     Algebraically identical to `mse_series` fed the full spectrum of the
-    same matrix at that node.  So at u = 1 this is the value
-    at the last node, not at the endpoint where `mse_series` reads phi(1):
-    at N = 300 (H = 0.7, beta = -1, eps = 1e-3) that node is 1.6e-5 from 1
-    and the two differ by 2.7e-4 relative.  The off-grid formula of ROADMAP
-    item 1, evaluated at u itself, closes this gap.
+    same matrix at that node.  So at u = 1 this is the value at the last
+    node, not at the endpoint where `mse_series` reads phi(1): at N = 300
+    (H = 0.7, beta = -1, eps = 1e-3) that node is 1.6e-5 from 1 and the two
+    differ by 2.7e-4 relative.  The off-grid formula of ROADMAP item 1,
+    evaluated at u itself, closes this gap.
 
     No new N x N array is made.  The system eps I + mu^2 T B, with B the
     bits of `cov.weighted()`, is written into the upper triangle of K's
     own C-ordered buffer from the strict lower triangle, which `cov_matrix`
     mirrors exactly (K must be exactly symmetric), and Cholesky-factored
-    there; the right-hand sides are read first.  The upper triangle and
-    the diagonal are restored before the call returns or raises, so
-    `cov.values` is K again, but while the call runs it is not: one
-    `CovMatrix` must not be shared with another thread then.  A read-only
-    `cov.values` is solved on one copy.  A `CovMatrix` is finite by
+    there.  The right-hand sides and the diagonal are read first, and the
+    diagonal is put back before each eps's fill.  The upper triangle and
+    the diagonal are restored once, after the last eps or when a solve
+    raises, so `cov.values` is K again and is left for the eigensolve to
+    spend.  While the call runs it is not K, so one `CovMatrix` must not be
+    shared with another thread then.  A `CovMatrix` is finite by
     construction, so the solve skips its own scan of the factor.
     """
     from scipy.linalg import cho_solve
 
-    check_eps(eps)
+    eps_list = np.asarray(eps, dtype=float).ravel().tolist()
+    for e in eps_list:
+        check_eps(e)
     us = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.all((us >= 0.0) & (us <= 1.0)):
         raise DomainError(f"u must lie in [0,1], got {u}")
     p, grid = cov.params, cov.grid
     j = grid.nearest(us)
     sw = np.sqrt(grid.weights)
-    K = cov.values if cov.values.flags.writeable else cov.values.copy()
+    K = cov.values
     rhs = p.mu ** 2 * sw[:, None] * K[:, j]
     diagonal = np.diag_indices_from(K)
     saved = K[diagonal]
+    P = np.empty((len(eps_list), len(j)))
     try:
-        _mirror_upper(K, sw, p.mu ** 2 * p.T)
-        K[diagonal] += eps
-        ch = cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
-        h_cols = cho_solve(ch, rhs, check_finite=False) / sw[:, None]
+        for row, e in zip(P, eps_list):
+            K[diagonal] = saved
+            _mirror_upper(K, sw, p.mu ** 2 * p.T)
+            K[diagonal] += e
+            ch = cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
+            h_cols = cho_solve(ch, rhs, check_finite=False) / sw[:, None]
+            row[:] = e / p.mu ** 2 * h_cols[j, np.arange(len(j))]
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Wiener-Hopf system not positive definite: {exc}",
                           stage="mse_wiener_hopf")
     finally:
         _mirror_upper(K)
         K[diagonal] = saved
-    P = eps / p.mu ** 2 * h_cols[j, np.arange(len(j))]
-    return float(P[0]) if np.ndim(u) == 0 else P
+    P = P.reshape(np.shape(eps) + np.shape(u))
+    return float(P) if P.ndim == 0 else P
 
 
 @dataclass(frozen=True)
 class WienerHopfTable:
     """Dense Wiener-Hopf values P(u, eps) read off one kernel matrix.
 
-    Row i is `mse_wiener_hopf(u_points, eps[i], cov)`; column k belongs to
-    the grid node `nodes[k]` that u_points[k] snaps to (`QuadGrid.nearest`).
-    `build_spectrum` reads the table before the eigensolve reduces the
-    matrix in place, so a spectrum carries these cells and not the matrix.
-    Each solve runs in the spare triangle of `cov`'s own buffer and puts K
-    back, so reading the table adds no matrix to K.
+    Row i holds the values at eps[i]; column k belongs to the grid node
+    `nodes[k]` that u_points[k] snaps to (`QuadGrid.nearest`).
+    `build_spectrum` reads the table before the eigensolve spends the
+    matrix, so a spectrum carries these cells and not the matrix.  The
+    solve borrows the spare triangle of `cov`'s own buffer and puts K back,
+    so reading the table adds no matrix to K and leaves `cov` to the
+    eigensolve.
     """
 
     eps: np.ndarray
@@ -298,11 +307,10 @@ class WienerHopfTable:
 
     @classmethod
     def read(cls, cov: CovMatrix, eps_grid, u_points):
-        """One `mse_wiener_hopf` solve per eps, every u in it."""
+        """One `mse_wiener_hopf` call: a factorization per eps, every u in it."""
         eps = [float(e) for e in eps_grid]
         us = np.atleast_1d(np.asarray(u_points, dtype=float))
-        P = np.array([mse_wiener_hopf(us, e, cov) for e in eps])
-        return cls(np.array(eps), cov.grid.nearest(us), P)
+        return cls(np.array(eps), cov.grid.nearest(us), mse_wiener_hopf(us, eps, cov))
 
     def cells(self, grid: QuadGrid, eps_grid, u_points):
         """P at every (eps, u) pair, u snapped on `grid`, the grid the table
@@ -350,7 +358,7 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
 
     `wiener_hopf` = (eps_grid, u_points) asks a dense route for the dense
     Wiener-Hopf column: `WienerHopfTable.read` solves it on the assembled
-    matrix before the eigensolve reduces that matrix in place, and the
+    matrix before the eigensolve spends that matrix, and the
     spectrum keeps the table as `wiener_hopf`.  The other routes have no
     matrix and refuse it (DomainError).
     """
@@ -396,7 +404,7 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
         table = None if wiener_hopf is None else WienerHopfTable.read(cov, *wiener_hopf)
         # the refined route keeps only the head pairs below the solver's start
         n_head = n_max if method == "oracle" else min(n_max, ia_refine.DEFAULT_N_MIN - 1)
-        head = replace(nystrom_eigs(cov, n_head, overwrite=True), wiener_hopf=table)
+        head = replace(nystrom_eigs(cov, n_head), wiener_hopf=table)
         return head if method == "oracle" else ia_refine.refined_spectrum(head, n_max)
     if method == "closed_form_ou":
         return ou_closed_form_eigs(p, n_max, grid=grid)

@@ -311,7 +311,7 @@ def _pair_terms(n, p: ModelParams, x):
     gb = np.abs((u * u - r * r) / (r * r + 1.0)
                 + u ** (p.alpha - 1.0) * np.exp(1j * (1.0 - p.alpha) * math.pi / 2.0))
     if np.any(gb <= 0.0):
-        raise SolverError("gamma_beta vanished on the layer grid", stage="refined_eigenpair")
+        raise SolverError("gamma_beta vanished on the layer grid", stage="refined_spectrum")
     p0_m, p1_m = (t.real for t in phi_tilde(-v))
     scale = vw / nu * st / gb
     return ref, ratio, res, k_lo, k_hi, scale * (u + r) * p1_m, scale * (u - r) * p0_m
@@ -352,7 +352,7 @@ def _refined_pairs(p: ModelParams, unit_grid: QuadGrid, ns):
     norm = np.sqrt(np.sum(w * phi ** 2, axis=1))
     if np.any(norm == 0.0):
         raise SolverError("assembled eigenfunction has zero norm",
-                          stage="refined_eigenpair")
+                          stage="refined_spectrum")
     phi /= norm[:, None]
     r = p.beta_eff / nu
     phi1 = -2.0 * np.array([t[1] for t in terms], dtype=float) * (1.0 + r * r) / norm

@@ -155,19 +155,22 @@ class CovMatrix:
     (DomainError) when it is built, by one scan.  The solvers read one
     triangle of `weighted()` only, so they could not see such an entry.
 
-    `values` is K until a solve that owns the matrix takes its buffer
-    (`weighted(take_for=...)`); from then on reading `values` raises
-    DomainError naming that solve.  `error_analysis.mse_wiener_hopf`
-    borrows the upper triangle while it runs and puts K back.
+    The matrix owns a writeable C-ordered buffer: the array it is given, or
+    a copy of it when that array is read-only or in another order.  A solve
+    spends the matrix: the eigensolve takes the buffer through `weighted()`,
+    reduces it in place and frees it, and from then on reading `values`
+    raises DomainError.  `CovMatrix(cov.values.copy(), cov.grid,
+    cov.params)`, made before, gives a second solve its own matrix.
+    `error_analysis.mse_wiener_hopf` borrows the upper triangle while it
+    runs and puts K back.
     """
 
     _values: np.ndarray = field(repr=False)
     grid: QuadGrid
     params: ModelParams = field(repr=False)
-    _taken_by: str = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self._values, dtype=float)
+        v = np.require(self._values, dtype=float, requirements=["C", "W"])
         object.__setattr__(self, "_values", v)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] != self.grid.size:
             raise DomainError("covariance matrix must be square and match the grid")
@@ -179,35 +182,27 @@ class CovMatrix:
 
     @property
     def values(self):
-        if self._taken_by is not None:
-            raise DomainError(f"the covariance matrix was reduced in place by "
-                              f"{self._taken_by} and no longer holds K; assemble it "
-                              "again, or solve without overwrite")
+        if self._values is None:
+            raise DomainError("the covariance matrix was reduced in place by its eigensolve "
+                              "and no longer holds K; assemble it again, or copy it "
+                              "before the solve")
         return self._values
 
-    def weighted(self, *, take_for=None):
-        """B = W^{1/2} K W^{1/2} as a Fortran-ordered view.
+    def weighted(self):
+        """B = W^{1/2} K W^{1/2} as a Fortran-ordered view of K's own buffer,
+        which the matrix gives up: the solve that calls this spends it.
 
-        Built as the C-ordered B' = (K_ij sw_j) sw_i, sw = sqrt(w), in two
-        contiguous passes (0.05 s at N = 3000, against 0.155 s for a strided
-        Fortran-order build).  K is exactly symmetric, so B'.T is
+        Built in place as the C-ordered B' = (K_ij sw_j) sw_i, sw = sqrt(w),
+        in two contiguous passes (0.05 s at N = 3000, against 0.155 s for a
+        strided Fortran-order build).  K is exactly symmetric, so B'.T is
         (sw_i K_ij) sw_j bit for bit: the matrix the eigensolvers overwrite
-        in place.  The Wiener-Hopf solve writes the same bits into K's own
-        upper triangle instead (`error_analysis.mse_wiener_hopf`).
-
-        By default B is one new allocation.  `take_for` names a solve that
-        owns the matrix: B is then built in K's own buffer (if writeable),
-        by the same two multiplies and so to the same bits, and the matrix
-        gives that buffer up, so the solve can free it.
+        in place, and free with it.  The Wiener-Hopf solve writes the same
+        bits into K's own upper triangle instead
+        (`error_analysis.mse_wiener_hopf`).
         """
         sw = np.sqrt(self.grid.weights)
-        K = self.values
-        if take_for is None:
-            B = K * sw
-        else:
-            B = np.multiply(K, sw, out=K if K.flags.writeable else None)
-            object.__setattr__(self, "_values", None)
-            object.__setattr__(self, "_taken_by", take_for)
+        B = np.multiply(self.values, sw, out=self.values)
+        object.__setattr__(self, "_values", None)
         B *= sw[:, None]
         return B.T
 

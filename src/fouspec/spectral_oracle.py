@@ -66,9 +66,10 @@ class Spectrum:
     `extend(spectrum, u)` gives phi_n(u) for all n at any u in [0,1]; the
     route that builds the spectrum sets it, or leaves it None when it has
     no off-grid evaluator.  `method` only labels the route.  No spectrum
-    keeps its kernel matrix: the dense routes of `build_spectrum` read the
-    requested Wiener-Hopf values off it before the eigensolve reduces it in
-    place, and keep them as `wiener_hopf` (`error_analysis.WienerHopfTable`).
+    keeps its kernel matrix: the eigensolve spends it, reducing it in
+    place, so the dense routes of `build_spectrum` read the requested
+    Wiener-Hopf values off it first and keep them as `wiener_hopf`
+    (`error_analysis.WienerHopfTable`).
     """
 
     method: str
@@ -185,7 +186,7 @@ def _sign_fix(phi_cols, phi1, integrals, ns):
     integrals *= sign
 
 
-def nystrom_eigs(cov: CovMatrix, n_max: int, *, overwrite=False) -> Spectrum:
+def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
     """Leading eigenpairs of the covariance operator discretized by `cov`.
 
     On the matrix's grid, solves the symmetric problem W^{1/2} K W^{1/2} v =
@@ -203,15 +204,15 @@ def nystrom_eigs(cov: CovMatrix, n_max: int, *, overwrite=False) -> Spectrum:
     matrix, and when lambda_{n_max} / lambda_1 is not above ROUNDING_FLOOR,
     where it is rounding noise (strong positive drift).
 
-    `overwrite` is passed on to `eigh`: with True the solve reduces `cov`'s
-    own buffer and takes it, so `cov` is spent (see `CovMatrix.values`).
+    The solve spends `cov` (`eigh`); `CovMatrix(cov.values.copy(),
+    cov.grid, cov.params)` gives a second solve its own matrix.
     """
     grid = cov.grid
     N = grid.size
     if not 1 <= n_max <= N:
         raise DomainError(f"n_max must lie in [1, grid size {N}], got {n_max}")
     try:
-        lam, V, diagnostics = eigh(cov, n_max, overwrite=overwrite)
+        lam, V, diagnostics = eigh(cov, n_max)
     except np.linalg.LinAlgError as exc:
         raise SolverError(str(exc), stage="nystrom_eigs")
     lam = lam[::-1][:n_max].copy()
@@ -235,15 +236,16 @@ def nystrom_eigs(cov: CovMatrix, n_max: int, *, overwrite=False) -> Spectrum:
 PANELS = 8  # the reflectors kept in this many column panels: 0.56 N^2 floats
 
 
-def eigh(cov: CovMatrix, n_max, *, overwrite=False):
+def eigh(cov: CovMatrix, n_max):
     """Eigenvalues of B = W^{1/2} K W^{1/2} (`cov.weighted()`), ascending,
     unit eigenvectors of the n_max largest as `Eigenvectors` whose columns
     are in the same order, and the evidence that B is positive semidefinite.
 
-    B is a new matrix by default.  With `overwrite` (scipy's `overwrite_a`)
-    the trace is read first and B is then built in `cov`'s own buffer,
-    which `cov` gives up (`CovMatrix.weighted`), so K is freed when B is:
-    a later read of `cov.values` raises DomainError.  The bits are the same.
+    The solve spends `cov`: the trace is read first, and B is then built
+    in `cov`'s own buffer, which `cov` gives up (`CovMatrix.weighted`), so
+    K is freed when B is, and a later read of `cov.values` raises
+    DomainError.  `CovMatrix(cov.values.copy(), cov.grid, cov.params)`
+    made before the solve gives a second solve its own matrix.
 
     The solver is chosen here by the share of the pairs kept:
       - n_max <= LANCZOS_FRACTION * N, "lanczos": ARPACK's Lanczos (`eigsh`)
@@ -273,12 +275,11 @@ def eigh(cov: CovMatrix, n_max, *, overwrite=False):
         there the two agree to rounding, not bit for bit.)  At N = 3000
         keeping 1500 (one thread) the solve takes 2.8-2.9 s (`dsytrd`
         2.0-2.2 s, `dstemr` 0.7-0.8 s), against 4.3-4.7 s for
-        `scipy.linalg.eigh`.  The peak is 1.56 matrices beyond `cov`, at two
-        moments: B with its panels (0.56), then the panels next to dstemr's
-        N x N output.  The kept columns are moved to the front of that
-        output, which then shrinks to them in place, so no copy of them
-        is made.  With `overwrite` B is K, released with the reduction, so
-        the peak is the same 1.56 matrices counting K itself.  The smallest
+        `scipy.linalg.eigh`.  The peak is 1.56 matrices counting K itself,
+        at two moments: B (which is K) with its panels, then the panels
+        next to dstemr's N x N output, once B is released.  The kept
+        columns are moved to the front of that output, which then shrinks
+        to them in place, so no copy of them is made.  The smallest
         computed eigenvalue is the minimum.
     Returns (lam, V, psd), with psd = {"min_eigenvalue", "trace",
     "psd_defect", "eigensolver"}: the minimum (or the certified bound), the
@@ -289,7 +290,7 @@ def eigh(cov: CovMatrix, n_max, *, overwrite=False):
     """
     N = cov.grid.size
     trace = float(np.sum(cov.grid.weights * np.diag(cov.values)))
-    B = cov.weighted(take_for="eigh(overwrite=True)" if overwrite else None)
+    B = cov.weighted()
     if n_max <= LANCZOS_FRACTION * N:
         from scipy.linalg import cho_factor
         from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh

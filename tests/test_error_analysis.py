@@ -33,7 +33,7 @@ def small_oracle():
     p = ModelParams(H=0.6, beta=1.0)
     grid = QuadGrid.gauss_legendre_unit(150)
     cov = cov_matrix(grid, p)
-    spec = nystrom_eigs(cov, 150)
+    spec = nystrom_eigs(CovMatrix(cov.values.copy(), grid, p), 150)  # the solve spends it
     return p, grid, cov, spec
 
 
@@ -116,13 +116,71 @@ class TestWienerHopf:
         assert np.array_equal(cov.values, before)
 
     def test_read_only_matrix_is_solved_on_a_copy(self):
+        # CovMatrix copies a read-only array into a writeable buffer of its own
         cov = cov_matrix(QuadGrid.gauss_legendre_unit(300), ModelParams(H=0.7, beta=-1.0))
         values = cov.values.copy()
         values.flags.writeable = False
         frozen = CovMatrix(values, cov.grid, cov.params)
+        assert frozen.values.flags.writeable and frozen.values is not values
         P = mse_wiener_hopf([0.5, 1.0], 1e-4, frozen)
         assert np.array_equal(P, mse_wiener_hopf([0.5, 1.0], 1e-4, cov))
         assert np.array_equal(values, cov.values)
+
+    EPS = [1e-2, 1e-3, 1e-4]
+
+    @staticmethod
+    def _counted_factor(monkeypatch, fail_at=None):
+        """Patch the module's cho_factor to count its calls, and to refuse the
+        call numbered `fail_at`; returns the list of calls."""
+        calls, factor = [], error_analysis.cho_factor
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise np.linalg.LinAlgError("leading minor not positive")
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(error_analysis, "cho_factor", counted)
+        return calls
+
+    def test_several_eps_match_one_call_each(self, monkeypatch):
+        # one fill and factorization per eps and one restore per call give
+        # the bits of one scalar-eps call per eps, and K back exactly
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(300), ModelParams(H=0.7, beta=-1.0))
+        before = cov.values.copy()
+        us = [0.5, 1.0]
+        calls = self._counted_factor(monkeypatch)
+        many = mse_wiener_hopf(us, self.EPS, cov)
+        assert len(calls) == len(self.EPS)  # the tracer's factorization count
+        assert np.array_equal(cov.values, before)
+        one = np.array([mse_wiener_hopf(us, e, cov) for e in self.EPS])
+        assert many.shape == (3, 2) and np.array_equal(many, one)
+        assert np.array_equal(mse_wiener_hopf(1.0, self.EPS, cov), one[:, 1])
+        assert np.array_equal(cov.values, before)
+
+    def test_failure_at_a_later_eps_restores_the_matrix(self, monkeypatch):
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(300), ModelParams(H=0.7, beta=-1.0))
+        before = cov.values.copy()
+        calls = self._counted_factor(monkeypatch, fail_at=2)
+        with pytest.raises(SolverError, match="not positive definite"):
+            mse_wiener_hopf([0.5, 1.0], self.EPS, cov)
+        assert len(calls) == 2
+        assert np.array_equal(cov.values, before)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_bad_eps_is_refused_before_the_matrix_is_touched(self, monkeypatch, bad):
+        def never(*args, **kwargs):
+            raise AssertionError("the matrix was touched")
+
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(300), ModelParams(H=0.7, beta=-1.0))
+        before = cov.values.copy()
+        eps = list(self.EPS)
+        eps[bad] = [0.0, math.nan, -1e-3][bad]
+        monkeypatch.setattr(error_analysis, "_mirror_upper", never)
+        monkeypatch.setattr(error_analysis, "cho_factor", never)
+        with pytest.raises(DomainError, match="eps must be finite and positive"):
+            mse_wiener_hopf([0.5, 1.0], eps, cov)
+        assert np.array_equal(cov.values, before)
 
     def test_peak_memory(self, peak_matrices):
         # the system is built and factored in K's own upper triangle: 0.12
@@ -656,14 +714,13 @@ def _package_calls():
 def test_build_spectrum_is_the_one_door_to_a_spectrum():
     # the acceptance suite kept its own copy of the dense pipeline and
     # skipped the gate; only error_analysis solves for a spectrum or a
-    # Wiener-Hopf value, and only build_spectrum solves in place
+    # Wiener-Hopf value, and only build_spectrum spends a matrix on the
+    # eigensolve
     solvers = {"nystrom_eigs", "ou_closed_form_eigs", "refined_spectrum", "mse_wiener_hopf"}
     calls = list(_package_calls())
     assert {module for module, _, name, _ in calls if name in solvers} == {"error_analysis.py"}
-    in_place = [(module, top) for module, top, _, node in calls
-                if any(k.arg == "overwrite" and isinstance(k.value, ast.Constant)
-                       and k.value.value is True for k in node.keywords)]
-    assert in_place == [("error_analysis.py", "build_spectrum")]
+    eigensolves = [(module, top) for module, top, name, _ in calls if name == "nystrom_eigs"]
+    assert eigensolves == [("error_analysis.py", "build_spectrum")]
 
 
 @pytest.mark.parametrize("entry", [(7, 7), (45, 4), (4, 45)], ids=["diagonal", "lower", "upper"])
@@ -674,10 +731,27 @@ def test_non_finite_matrix_is_refused(entry):
     p = ModelParams(H=0.7, beta=-1.0)
     cov = cov_matrix(QuadGrid.gauss_legendre_unit(60), p)
     eps, us = [1e-1, 3e-2], [0.5, 1.0]
+    K = cov.values.copy()  # before the solve spends the matrix
     table = error_analysis.WienerHopfTable.read(cov, eps, us)
     spec = replace(nystrom_eigs(cov, 30), wiener_hopf=table)
     assert np.all(np.isfinite(convergence_study(spec, eps, us).P_wiener_hopf))
-    K = cov.values.copy()
     K[entry] = np.nan
     with pytest.raises(DomainError, match="non-finite"):
         CovMatrix(K, cov.grid, p)
+
+
+@pytest.mark.parametrize("route", [
+    dict(spectrum="oracle", n_max=100, grid_size=200, with_wh=True),
+    dict(spectrum="first_order", n_max=2000)], ids=["oracle", "first_order"])
+def test_scaling_in_T_and_mu(route):
+    # P(u; beta, T, mu, eps) = T^(2H) P(u; beta T, 1, 1, eps / (mu^2 T^(2H+1))):
+    # pins the mu^2 T factors of the series and of the Wiener-Hopf system
+    H, beta, T, mu = 0.7, -1.0, 2.0, 1.5
+    eps, us = [1.0, 0.3], [0.5, 1.0]
+    rep = error_analysis.estimate(ModelParams(H=H, beta=beta, T=T, mu=mu), eps, us, **route)
+    unit = error_analysis.estimate(ModelParams(H=H, beta=beta * T),
+                                   [e / (mu ** 2 * T ** (2 * H + 1)) for e in eps], us, **route)
+    columns = ["P_series"] + (["P_wiener_hopf"] if route.get("with_wh") else [])
+    for name in columns:
+        assert_allclose(getattr(rep, name), T ** (2 * H) * getattr(unit, name), rtol=1e-13,
+                        atol=0, err_msg=name)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from fouspec.asymptotics import b_alpha_closed, lambda_from_nu, nu_first_order, phi_first_order
 from fouspec.exceptions import DomainError, SolverError
-from fouspec import ia_refine
+from fouspec import cli, ia_refine
 from fouspec.ia_refine import evaluate_abxi, find_nu, refined_eigenpair, solve_p
 from fouspec.model import ModelParams, QuadGrid, cov_matrix
 from fouspec.spectral_oracle import nystrom_eigs, ou_closed_form_eigs
@@ -338,6 +338,27 @@ class TestRefinedEigenpair:
         gb = np.abs((u * u - r * r) / (r * r + 1.0)
                     + u ** (p.alpha - 1.0) * np.exp(1j * (1 - p.alpha) * math.pi / 2))
         assert np.all(gb > 0)
+
+    def test_zero_norm_is_refused_as_the_refined_spectrum(self, monkeypatch, capsys):
+        # the refined route assembles its columns only inside refined_spectrum,
+        # so a failed assembly names that stage
+        pair_terms = ia_refine._pair_terms
+
+        def vanishing(n, p, x):
+            ref, ratio, res, k_lo, k_hi, w0, w1 = pair_terms(n, p, x)
+            return ref, ratio, 0.0 * res, k_lo, k_hi, 0.0 * w0, 0.0 * w1
+
+        monkeypatch.setattr(ia_refine, "_pair_terms", vanishing)
+        p = ModelParams(H=0.7, beta=-1.0)
+        head = nystrom_eigs(cov_matrix(QuadGrid.gauss_legendre_unit(60), p), 2)
+        with pytest.raises(SolverError, match="zero norm") as exc:
+            ia_refine.refined_spectrum(head, 4)
+        assert exc.value.stage == "refined_spectrum"
+        argv = ["mse", "--H", "0.7", "--spectrum", "refined", "--N-unit", "60",
+                "--n-max", "4", "--eps", "1e-1"]
+        assert cli.main(argv) == cli.EXIT_SOLVER
+        assert "[stage: refined_spectrum]" in capsys.readouterr().err
+
 
 class TestLayerRule:
     # max |phi - phi_wide| on the N = 2000 grid at H = 0.7, beta = -1 of the

@@ -105,19 +105,24 @@ class _CountsRecorder:
 
 def _sample_returns():
     """One real return value of each call whose span reads counts, at small
-    sizes, by the name the tracer wraps; `eigh` once per solver."""
+    sizes, by the name the tracer wraps; `eigh` once per solver.  A solve
+    spends its matrix, so each solve gets its own and `cov` stays whole."""
     from fouspec import error_analysis, ia_refine, spectral_oracle
-    from fouspec.model import ModelParams, QuadGrid
+    from fouspec.model import CovMatrix, ModelParams, QuadGrid
 
     p = ModelParams(H=0.7, beta=-1.0)
     grid = QuadGrid.gauss_legendre_unit(40)
     cov = error_analysis.cov_matrix(grid, p)
+
+    def own():
+        return CovMatrix(cov.values.copy(), grid, p)
+
     return {
         "fouspec.error_analysis.cov_matrix": [cov],
         "fouspec.spectral_oracle.cov_row": [spectral_oracle.cov_row(1.0, p, grid)],
-        "fouspec.spectral_oracle.eigh": [spectral_oracle.eigh(cov, 2),
-                                         spectral_oracle.eigh(cov, 20)],
-        "fouspec.error_analysis.nystrom_eigs": [error_analysis.nystrom_eigs(cov, 2)],
+        "fouspec.spectral_oracle.eigh": [spectral_oracle.eigh(own(), 2),
+                                         spectral_oracle.eigh(own(), 20)],
+        "fouspec.error_analysis.nystrom_eigs": [error_analysis.nystrom_eigs(own(), 2)],
         "fouspec.error_analysis.ou_closed_form_eigs": [
             error_analysis.ou_closed_form_eigs(ModelParams(H=0.5, beta=-1.0), 10)],
         "fouspec.ia_refine.find_nu": [ia_refine.find_nu(3, p)],

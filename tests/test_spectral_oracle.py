@@ -19,6 +19,11 @@ def _ou(beta):
     return ModelParams(H=0.5, beta=beta)
 
 
+def _copy(cov):
+    """A matrix of its own for one more solve: a solve spends the one it is given."""
+    return CovMatrix(cov.values.copy(), cov.grid, cov.params)
+
+
 def _bisect(f, lo, hi, steps=200):
     flo = f(lo)
     for _ in range(steps):
@@ -42,8 +47,8 @@ class TestNystrom:
         p = ModelParams(H=0.7, beta=-1.0)
         g = QuadGrid.gauss_legendre_unit(200)
         cov = cov_matrix(g, p)
+        trace = float(g.weights @ np.diag(cov.values))  # before the solve spends cov
         spec = nystrom_eigs(cov, 200)
-        trace = float(g.weights @ np.diag(cov.values))
         assert_allclose(spec.lam.sum(), trace, rtol=1e-3)
 
     def test_leading_eigenvalue_grid_stable(self):
@@ -108,8 +113,8 @@ class TestEigensolveBranches:
         cov = cov_matrix(g, ModelParams(H=H, beta=beta))
         sw = np.sqrt(g.weights)
         B = sw[:, None] * cov.values * sw[None, :]
-        heads = {n_max: nystrom_eigs(cov, n_max) for n_max in (1, 2)}
-        again = nystrom_eigs(cov, 2)
+        heads = {n_max: nystrom_eigs(_copy(cov), n_max) for n_max in (1, 2)}
+        again = nystrom_eigs(_copy(cov), 2)
         monkeypatch.setattr(spectral_oracle, "LANCZOS_FRACTION", 0.0)
         full = nystrom_eigs(cov, 3)
         lam1 = full.lam[0]
@@ -160,7 +165,7 @@ class TestEigensolveBranches:
         cov = cov_matrix(g, p)
         sw = np.sqrt(g.weights)
         B = sw[:, None] * cov.values * sw[None, :]
-        lanczos = nystrom_eigs(cov, n_max)
+        lanczos = nystrom_eigs(_copy(cov), n_max)
         monkeypatch.setattr(spectral_oracle, "LANCZOS_FRACTION", 0.0)
         full = nystrom_eigs(cov, n_max + 1)
         assert lanczos.diagnostics["eigensolver"] == "lanczos"
@@ -217,16 +222,16 @@ class TestEigensolveBranches:
         B = sw[:, None] * cov.values * sw[None, :]
         lam_ref, V_ref = linalg.eigh(B)
         n_max = N // 2
-        lam, V, _ = spectral_oracle.eigh(cov, n_max)
+        lam, V, _ = spectral_oracle.eigh(_copy(cov), n_max)
         assert np.array_equal(lam, lam_ref)
         assert np.max(np.abs(V - V_ref[:, N - n_max:])) <= 1e-15
         # dstemr's output does not depend on n_max: the kept columns are its
         # last ones, bit for bit, also above N // 2, where the kept range
         # overlaps the front it moves to, and at N, where none move
-        whole = spectral_oracle.eigh(cov, N)[1].Z
+        whole = spectral_oracle.eigh(_copy(cov), N)[1].Z
         assert whole.shape == (N, N)
         for n in (n_max, n_max + 1, N - 1):
-            Z = V.Z if n == n_max else spectral_oracle.eigh(cov, n)[1].Z
+            Z = V.Z if n == n_max else spectral_oracle.eigh(_copy(cov), n)[1].Z
             assert Z.flags.f_contiguous and np.array_equal(Z, whole[:, N - n:]), n
         spec = nystrom_eigs(cov, n_max)
         assert spec.diagnostics["eigensolver"] == "full"
@@ -237,21 +242,14 @@ class TestEigensolveBranches:
         # a 1 x 1 matrix has no reflectors: dsytrd gives d = [B00] and e = [],
         # and dstemr the same value with Z = [[1]]
         cov = cov_matrix(QuadGrid.gauss_legendre_unit(1), ModelParams(H=0.7, beta=-1.0))
+        w, k = cov.grid.weights[0], cov.values[0, 0]  # before the solve spends cov
         spec = nystrom_eigs(cov, 1)
-        w = cov.grid.weights[0]
         assert spec.diagnostics["eigensolver"] == "full"
         assert spec.lam[0] == spec.diagnostics["min_eigenvalue"]
-        assert_allclose(spec.lam[0], w * cov.values[0, 0], rtol=1e-15)
+        assert_allclose(spec.lam[0], w * k, rtol=1e-15)
         assert_allclose(w * spec.phi[0, 0] ** 2, 1.0, rtol=1e-15)
         assert cli.main(["eigs", "--N-unit", "1", "--n-max", "1"]) == cli.EXIT_OK
         assert capsys.readouterr().out.count("\n") >= 2
-
-    @pytest.mark.parametrize("n_max", [2, 3, 21])  # lanczos, lanczos, full at N = 200
-    def test_matrix_is_left_unchanged(self, n_max):
-        cov = cov_matrix(QuadGrid.gauss_legendre_unit(200), ModelParams(H=0.7, beta=-1.0))
-        before = cov.values.copy()
-        nystrom_eigs(cov, n_max)
-        assert np.array_equal(cov.values, before)
 
     def test_tridiagonal_failure_is_a_solver_error(self, monkeypatch, capsys):
         from scipy.linalg import lapack
@@ -282,44 +280,23 @@ class TestEigensolveBranches:
         # K (a copy made in the trace) is weighted and reduced in place and
         # freed once the reflectors are copied out: 1.87 matrices counting K
         # itself, set by the node tables of phi(1) at N = 600 (2.11 while
-        # the kept block was copied out of the whole tridiagonal output);
-        # the default solve kept K next to its weighted copy, 3.11
+        # the kept block was copied out of the whole tridiagonal output)
         N = 600
         cov = cov_matrix(QuadGrid.gauss_legendre_unit(N), ModelParams(H=0.7, beta=-1.0))
-        peak, kept, _ = traced_matrices(lambda: nystrom_eigs(
-            CovMatrix(cov.values.copy(), cov.grid, cov.params), N // 2, overwrite=True), N)
+        peak, kept, _ = traced_matrices(lambda: nystrom_eigs(_copy(cov), N // 2), N)
         assert peak <= 1.95
         assert kept <= 1.1  # the panels and Z
 
     @pytest.mark.parametrize("n_max", [2, 21])  # lanczos, full at N = 200
-    def test_in_place_solve_matches_the_default(self, n_max):
-        # the same two multiplies in K's own buffer: the same bits
-        cov = cov_matrix(QuadGrid.gauss_legendre_unit(200), ModelParams(H=0.7, beta=-1.0))
-        taken = CovMatrix(cov.values.copy(), cov.grid, cov.params)
-        lam, V, psd = spectral_oracle.eigh(cov, n_max, overwrite=False)
-        lam2, V2, psd2 = spectral_oracle.eigh(taken, n_max, overwrite=True)
-        assert np.array_equal(lam, lam2) and psd == psd2
-        assert np.array_equal(V.Z, V2.Z)
-        for (a, refl, tau), (a2, refl2, tau2) in zip(V.panels, V2.panels, strict=True):
-            assert a == a2 and np.array_equal(refl, refl2) and np.array_equal(tau, tau2)
-
-    @pytest.mark.parametrize("n_max", [2, 21])  # lanczos, full at N = 200
-    def test_overwrite_false_leaves_the_matrix(self, n_max):
-        cov = cov_matrix(QuadGrid.gauss_legendre_unit(200), ModelParams(H=0.7, beta=-1.0))
-        before = cov.values.copy()
-        nystrom_eigs(cov, n_max, overwrite=False)
-        assert np.array_equal(cov.values, before)
-
-    @pytest.mark.parametrize("n_max", [2, 21])  # lanczos, full at N = 200
     def test_taken_matrix_is_refused(self, n_max):
-        # a spent matrix names the solve that took it, wherever it is read
+        # a spent matrix names the eigensolve that took it, wherever it is read
         cov = cov_matrix(QuadGrid.gauss_legendre_unit(200), ModelParams(H=0.7, beta=-1.0))
-        spec = nystrom_eigs(cov, n_max, overwrite=True)
+        spec = nystrom_eigs(cov, n_max)
         assert spec.n_max == n_max
         for read in (lambda: cov.values, lambda: cov.weighted(),
                      lambda: error_analysis.mse_wiener_hopf(0.5, 1e-3, cov),
                      lambda: nystrom_eigs(cov, n_max)):
-            with pytest.raises(DomainError, match=r"reduced in place by eigh\(overwrite=True\)"):
+            with pytest.raises(DomainError, match="reduced in place by its eigensolve"):
                 read()
 
 
@@ -399,7 +376,7 @@ class TestClosedFormOU:
         # the grid's error or refuses, naming the last index it can return
         cov = cov_matrix(QuadGrid.gauss_legendre_unit(1000), _ou(beta))
         try:
-            spec = nystrom_eigs(cov, 50)
+            spec = nystrom_eigs(_copy(cov), 50)
         except SolverError as exc:
             assert beta > 13.0 and exc.stage == "nystrom_eigs"
             spec = nystrom_eigs(cov, int(re.search(r"up to n = (\d+)", str(exc))[1]))

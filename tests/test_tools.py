@@ -11,9 +11,9 @@ def _table(*args):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["module", "lines", "code"]
-    return {name: (int(total), int(code))
-            for name, total, code in (line.split() for line in lines[1:])}
+    assert lines[0].split() == ["module", "lines", "code", "options"]
+    return {name: tuple(map(int, counts))
+            for name, *counts in (line.split() for line in lines[1:])}
 
 
 def test_src_lines_leaves_out_comments_docstrings_and_blanks(tmp_path):
@@ -21,15 +21,31 @@ def test_src_lines_leaves_out_comments_docstrings_and_blanks(tmp_path):
                                    '# a comment\n\n\ndef f(x):\n    """One\n    more."""\n'
                                    '    return (x +\n            1)\n')
     (tmp_path / "b.py").write_text("X = 1\n")
-    assert _table(str(tmp_path)) == {"a.py": (12, 4), "b.py": (1, 1), "total": (13, 5)}
+    assert _table(str(tmp_path)) == {"a.py": (12, 4, 0), "b.py": (1, 1, 0),
+                                     "total": (13, 5, 0)}
+
+
+def test_src_lines_counts_options_of_public_functions_and_methods(tmp_path):
+    # defaults of positional and keyword-only parameters; names with one
+    # leading underscore and lambdas do not count, __init__ and nested
+    # public functions do
+    (tmp_path / "m.py").write_text(
+        "def f(a, b=1, *, c=2, d):\n    def inner(k=1):\n        return k\n"
+        "    return lambda x=1: x\n\n\n"
+        "def _g(x=1):\n    return x\n\n\n"
+        "class C:\n    def __init__(self, x=0):\n        self.x = x\n\n"
+        "    def m(self, y=None, *args, z=3, w, **kw):\n        return y\n\n"
+        "    def _h(self, q=1):\n        return q\n\n\n"
+        "async def h(a=1):\n    return a\n")
+    assert _table(str(tmp_path))["m.py"][2] == 7
 
 
 def test_src_lines_counts_every_module_of_the_package():
     table = _table()
     modules = sorted(p.name for p in (ROOT / "src" / "fouspec").glob("*.py"))
     assert sorted(table) == sorted(modules + ["total"])
-    assert table["total"] == tuple(sum(table[m][k] for m in modules) for k in (0, 1))
-    assert all(0 < code < total for total, code in table.values())
+    assert table["total"] == tuple(sum(table[m][k] for m in modules) for k in range(3))
+    assert all(0 < code < total and opts >= 0 for total, code, opts in table.values())
 
 
 def test_workload_digests_hash_each_command_stdout(monkeypatch, capsys):
