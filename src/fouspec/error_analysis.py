@@ -45,14 +45,15 @@ TAIL_BUDGET = 2e-2           # estimated excluded series mass, relative to P
 # N = 1000-3000) is 1.6-1.7 doubles per N^2 on the oracle route keeping N/2
 # pairs, 1.7-2.0 with the Wiener-Hopf column and 1.2-2.9 on the refined route,
 # whose fixed costs weigh most at N = 1000; 8-17 per pair on the others (1e6
-# pairs).  Samples on a grid add a traced 2.0 doubles each on the closed form
-# and 5.0 on the first-order route (4e6 samples), which off H = 1/2 is also
-# charged its one block of layer exponentials: up to `asymptotics._CHUNK`
-# rows of the layer rule's 640 nodes, 21 MB.  The factors round those up;
-# DENSE_DOUBLES stays 3 (2.1-2.9 measured before the Wiener-Hopf solve moved
-# into K's spare triangle), so the same requests are refused as before.
+# pairs).  The first-order route off H = 1/2 is also charged its one block
+# of layer exponentials: up to `asymptotics._CHUNK` rows of the layer rule's
+# 640 nodes, 21 MB.  The factors round those up.  DENSE_DOUBLES stays 3,
+# so the same requests are refused as before, although the dense peak no
+# longer reaches it: 2.1-2.9 was measured while the Wiener-Hopf solve had
+# its own matrix and beta = 0 its own kernel, which traced 3.0 matrices
+# against 1.44 for the expansion every drift now takes.
 MEMORY_BUDGET = 4 * 2 ** 30
-DENSE_DOUBLES, PAIR_DOUBLES, SAMPLE_DOUBLES = 3, 20, 6
+DENSE_DOUBLES, PAIR_DOUBLES = 3, 20
 
 # The automatic closed-form truncation of `estimate` stops at CLOSED_FORM_PAIRS.
 # There the excluded series mass is about 0.2 n_eff / n_max of P (H = 1/2),
@@ -350,39 +351,37 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
                      integro-algebraic solver (H >= 1/2)
 
     The dense routes (oracle, refined) assemble an N x N kernel matrix on
-    `grid`, else on the Gauss-Legendre grid of `grid_size` nodes; the
-    others sample their n_max eigenfunctions on `grid` when one is given.
-    Before any grid or array is built, DomainError refuses n_max < 1 on
-    every route, a dense request with n_max above N, a request whose arrays
-    would exceed MEMORY_BUDGET, and the refined route at H < 1/2.
+    `grid`, else on the Gauss-Legendre grid of `grid_size` nodes, and keep
+    the grid with their eigenfunction samples.  The others have no grid:
+    their `extend` evaluates the eigenfunctions at any u.  Before any grid
+    or array is built, DomainError refuses n_max < 1 on every route, a
+    `grid` or `wiener_hopf` on a route without a matrix, a dense request
+    with n_max above N, a request whose arrays would exceed MEMORY_BUDGET,
+    and the refined route at H < 1/2.
 
     `wiener_hopf` = (eps_grid, u_points) asks a dense route for the dense
     Wiener-Hopf column: `WienerHopfTable.read` solves it on the assembled
     matrix before the eigensolve spends that matrix, and the
-    spectrum keeps the table as `wiener_hopf`.  The other routes have no
-    matrix and refuse it (DomainError).
+    spectrum keeps the table as `wiener_hopf`.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
     dense = method in ("oracle", "refined")
     N = grid_size if grid is None else grid.size
-    if wiener_hopf is not None and not dense:
-        raise DomainError("the Wiener-Hopf column needs a kernel matrix: only the oracle "
-                          f"and refined routes assemble one, not {method!r}")
+    if not dense and (grid is not None or wiener_hopf is not None):
+        raise DomainError("a grid and the Wiener-Hopf column need a kernel matrix: only the "
+                          f"oracle and refined routes assemble one, not {method!r}")
     if dense and n_max > N:
         raise DomainError(f"n_max={n_max} exceeds the grid size {N}; "
-                          "raise --N-unit or lower --n-max")
+                          "raise grid_size or lower n_max (--N-unit, --n-max)")
     if dense:
         need, size = DENSE_DOUBLES * N ** 2, f"N = {N} grid nodes"
-    elif grid is None:
+    else:
         need, size = PAIR_DOUBLES * n_max, f"n_max = {n_max} pairs"
-    else:  # the route also samples every pair on the grid
-        need = (PAIR_DOUBLES + SAMPLE_DOUBLES * N) * n_max
-        size = f"n_max = {n_max} pairs sampled on N = {N} grid nodes"
     if method == "first_order" and not is_half(p.H):  # one block of layer exponentials
         from . import asymptotics as a
 
-        need += min(a._CHUNK, n_max * (1 if grid is None else N)) * a._LAYER_PANELS * a._LAYER_M
+        need += min(a._CHUNK, n_max) * a._LAYER_PANELS * a._LAYER_M
     need *= 8
     budget = MEMORY_BUDGET
     with contextlib.suppress(AttributeError, ValueError, OSError):  # no sysconf
@@ -390,7 +389,7 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
     if need > budget:
         raise DomainError(f"the {method} spectrum at {size} needs about {need / 2 ** 30:.3g} "
                           f"GiB, above the {budget / 2 ** 30:.3g} GiB budget; lower "
-                          "--N-unit or --n-max, or raise the smallest eps")
+                          "grid_size or n_max (--N-unit, --n-max), or raise the smallest eps")
     if dense:
         if method == "refined":
             from . import ia_refine  # the other routes never load the solver
@@ -407,17 +406,16 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
         head = replace(nystrom_eigs(cov, n_head), wiener_hopf=table)
         return head if method == "oracle" else ia_refine.refined_spectrum(head, n_max)
     if method == "closed_form_ou":
-        return ou_closed_form_eigs(p, n_max, grid=grid)
+        return ou_closed_form_eigs(p, n_max)
     if method == "first_order":
         from . import asymptotics
 
         n = np.arange(1, n_max + 1)
         nu = asymptotics.nu_first_order(n, p.H)
         lam = asymptotics.lambda_from_nu(nu, p.H, p.beta_eff) * p.T ** (2.0 * p.H)
-        phi = None if grid is None else asymptotics.phi_first_order(grid.nodes, n, p.H)
         phi1 = asymptotics.phi_first_order(1.0, n, p.H)
         integ = asymptotics.phi_integral_first_order(n, p.H)
-        return Spectrum("first_order", p, lam, nu, grid, phi, phi1, integ,
+        return Spectrum("first_order", p, lam, nu, None, None, phi1, integ,
                         extend=lambda spec, u: asymptotics.phi_first_order(
                             u, n, spec.params.H))
     raise DomainError(f"unknown spectrum method {method!r}")
@@ -507,9 +505,9 @@ def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
     `build_spectrum` and `convergence_study` add their own refusals.
     """
     if len(eps) == 0:
-        raise DomainError("mse requires a nonempty --eps list")
+        raise DomainError("eps must be a nonempty list (--eps)")
     if len(u) == 0:
-        raise DomainError("mse requires a nonempty --u list")
+        raise DomainError("u must be a nonempty list (--u)")
     # before the auto n_max divides by eps and u is snapped into the grid
     for e in eps:
         check_eps(e)
@@ -525,8 +523,8 @@ def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
     if not n_max:
         n_eff = effective_terms(eps[-1], p)
         if not n_eff < np.inf:
-            raise DomainError(f"cannot size the spectrum: mu^2 T^(2H+1) / eps overflows "
-                              f"at eps = {eps[-1]:.3g}; set --n-max and --N-unit")
+            raise DomainError("cannot size the spectrum: mu^2 T^(2H+1) / eps overflows at "
+                              f"eps = {eps[-1]:.3g}; set n_max and grid_size (--n-max, --N-unit)")
         n_max = max(1500, int(5 * n_eff))
         if spectrum == "closed_form_ou":
             if n_eff >= CLOSED_FORM_PAIRS / 5:

@@ -148,12 +148,10 @@ def solve_p(nu, p: ModelParams) -> _QPSolution:
     check_scope(p)
     if nu < NU_MIN:
         raise DomainError(f"nu must be >= {NU_MIN}, got {nu}")
-    alpha = p.alpha
-    profile = ThetaProfile(alpha, p.beta_eff, nu)
+    profile = ThetaProfile(p.alpha, p.beta_eff, nu)
     w, weights = _auxiliary_rule()
-    # alpha = 1 makes theta (hence h) vanish identically
-    h_vals = np.zeros_like(w) if alpha == 1.0 else h_weight(w / nu, profile)
-    ker = h_vals * np.exp(-w) * weights / math.pi
+    # h is +0.0 at alpha = 1, where theta vanishes identically
+    ker = h_weight(w / nu, profile) * np.exp(-w) * weights / math.pi
     # the stack (I - A, I + A), built in place from A = table * ker
     m = len(w)
     systems = np.empty((2, m, m))

@@ -15,17 +15,19 @@ w^{2H} endpoint weight integrate to machine precision, so the kernel needs
 no 2-d quadrature at all.
 
 One assembler, `_kernel`, evaluates the expansion for a block of pairs
-s_i <= t_j through one evaluator, `_pairs`: a rank-5 product of per-node
-factors, minus |t-s|^{2H}/2, plus two lag terms whose integrals over
-[0, t-s] are rank-GL_ORDER products of per-node exponential tables.  An
-entry costs one power and about 15 elementwise passes.  `cov_matrix`
-(upper-triangle blocks in place, mirrored), `cov_row` (one Nystrom row)
-and `fou_cov` (one pair) are thin calls into it.  It
+s_i <= t_j through one evaluator, `_pairs`, at every beta, zero included:
+a rank-5 product of per-node factors, minus |t-s|^{2H}/2, plus two lag
+terms whose integrals over [0, t-s] are rank-GL_ORDER products of per-node
+exponential tables.  An entry costs one power and about 15 elementwise
+passes.  `cov_matrix` (upper-triangle blocks in place, mirrored), `cov_row`
+(one Nystrom row) and `fou_cov` (one pair) are thin calls into it.  It
 refuses beta*T below `MIN_BETA_T`, where e^{+|beta|t} terms cancel off the
 diagonal, and every result is scanned once for non-finite entries after the
-rescaling by T^{2H} (a matrix by `CovMatrix`).  `fou_cov_singular` keeps an
+rescaling by T^{2H} (a matrix by `CovMatrix`).  Two references stay
+outside it for cross-checking: `fbm_cov`, the beta = 0 covariance, which
+the expansion reproduces bit for bit, and `fou_cov_singular`, an
 independent slow-but-honest evaluation of the H > 1/2 singular-kernel
-double integral for cross-checking.
+double integral.
 
 All kernels satisfy the rescaling law K_beta(sT, tT) = T^{2H} K_{beta*T}(s, t),
 so the assembler works on the unit interval with effective drift beta*T.
@@ -223,12 +225,13 @@ def fbm_cov(s, t, H):
 def _node_tables(x, b, c):
     """Every factor of the expansion that depends on one time x_i, over all i.
 
-    b != 0.  "s" and "t" hold the factors of the rank-5 separable part on
-    each side of a pair s <= t, "m" and "p" the exponential tables whose
-    products give the two lag terms.  Every decaying exponential is
-    multiplied onto its growing partner.  e^{bx} int_0^x e^{-bv} dv and
-    Em(x) = int_0^x e^{-2bu} du are written with expm1, so they stay
-    accurate for tiny |b|.
+    "s" and "t" hold the factors of the rank-5 separable part on each side
+    of a pair s <= t, "m" and "p" the exponential tables whose products give
+    the two lag terms.  Every decaying exponential is multiplied onto its
+    growing partner.  e^{bx} int_0^x e^{-bv} dv and Em(x) = int_0^x e^{-2bu} du
+    are written with expm1, so they stay accurate for tiny |b|, and take
+    their limits x and x(1-z) at b = 0, where every other beta term is an
+    exact zero: K is then the fBm covariance bit for bit.
     """
     z, w = jacobi_01(GL_ORDER, c)
     A = np.exp(-b * np.outer(x, z))   # e^{-b x_i z_k}
@@ -239,14 +242,17 @@ def _node_tables(x, b, c):
     fm = xc1 * (A @ w)                # F-(x_i) = int_0^x e^{-bv} v^c dv
     fp = xc1 * (B @ w)                # F+(x_i) = int_0^x e^{+bv} v^c dv
     # D_A(s) = int_0^s w^c e^{-bw} Em(s-w) dw, single-variable
-    em_s = -np.expm1(-2.0 * b * np.outer(x, 1.0 - z)) / (2.0 * b)
+    em_s = np.outer(x, 1.0 - z)       # Em(x(1 - z)) at b = 0
+    if b:
+        em_s = -np.expm1(-2.0 * b * em_s) / (2.0 * b)
     d_a = xc1 * ((A * em_s) @ w)
     # K = S_s . T_t - (t-s)^c / 2 - (b/4) e^{-bs} e^{bt} F-(t-s)
     #     - (b/4) e^{bs} e^{-bt} (F+(t) - F+(t-s))
     s_fac = np.column_stack([0.5 * xc + 0.5 * b * ebx * fm, 0.5 * ebx,
                              0.5 * b * xc + 0.5 * b * b * ebx * fm, 0.25 * b * ebx,
                              -0.5 * b * embx * fp - 0.5 * b * b * ebx * d_a])
-    t_fac = np.column_stack([np.ones_like(x), xc, np.expm1(b * x) / b, ebx * fm, ebx])
+    t_fac = np.column_stack([np.ones_like(x), xc, np.expm1(b * x) / b if b else x,
+                             ebx * fm, ebx])
     # F-+(t - s) = (t - s)^{c+1} sum_k w_k e^{-+b (t - s) z_k}: the lag tables
     # reuse the entries of A and B, so that F+(t) - F+(t - s) cancels their
     # rounding, and carry the growing and decaying factors of each term
@@ -303,11 +309,7 @@ def _kernel(s, t, p: ModelParams):
     if symmetric:
         t = s
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        if abs(b) < np.finfo(float).tiny:
-            # beta = 0, or subnormal: the beta terms vanish below rounding, and
-            # the 1/b factors of the expansion would overflow
-            K = fbm_cov(s[:, None], t[None, :], p.H)
-        elif symmetric:
+        if symmetric:
             n = len(s)
             tab = _node_tables(s, b, c)
             lower = np.tri(_ROW_BLOCK, k=-1, dtype=bool)

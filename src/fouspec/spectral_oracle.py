@@ -56,9 +56,10 @@ class Spectrum:
 
     `lam` holds eigenvalues of the kernel fou_cov(uT, vT) viewed on
     L^2([0,1], du), i.e. T^{2H} times the unit-interval eigenvalues of the
-    drift-beta*T kernel.  `phi` columns are eigenfunction samples on
-    `grid.nodes` with unit weighted-L2 norm: the route's `samples`, or, for
-    the oracle, W^{-1/2} V from its `vectors` V, which are kept factored
+    drift-beta*T kernel.  Only the dense routes, which solve on a grid,
+    have one; there `phi` columns are eigenfunction samples on `grid.nodes`
+    with unit weighted-L2 norm: the refined route's `samples`, or, for the
+    oracle, W^{-1/2} V from its `vectors` V, which are kept factored
     (see `Eigenvectors`) and formed into `phi` only on its first read, then
     cached (1.0 s and 0.5 matrices more at N = 3000 with 1500 pairs).  The
     factored oracle spectrum holds 1.06 matrices there (the reflector panels
@@ -99,14 +100,14 @@ class Spectrum:
     def phi_values(self, u):
         """Eigenfunction values phi_n(u) for one point u in [0,1], all n.
 
-        The sample at a grid node, else phi1 at u = 1, else `extend`.  The
-        oracle reads a node's sample through its factored vectors, never
-        through a formed `phi`, so the values do not depend on whether `phi`
-        was read before.
+        The sample at a node of the grid, if the spectrum has one, else phi1
+        at u = 1, else `extend`.  The oracle reads a node's sample through
+        its factored vectors, never through a formed `phi`, so the values do
+        not depend on whether `phi` was read before.
         """
         if not 0.0 <= u <= 1.0:
             raise DomainError(f"u must lie in [0,1], got {u}")
-        if self.grid is not None and (self.samples is not None or self.vectors is not None):
+        if self.grid is not None:
             k = int(self.grid.nearest(u))
             if abs(self.grid.nodes[k] - u) < 1e-12:
                 if self.vectors is None:
@@ -219,7 +220,8 @@ def nystrom_eigs(cov: CovMatrix, n_max: int) -> Spectrum:
     if not lam[n_max - 1] > ROUNDING_FLOOR * lam[0]:
         raise SolverError(f"lambda_n / lambda_1 is above the rounding floor {ROUNDING_FLOOR:.2g} "
                           f"up to n = {np.sum(lam > ROUNDING_FLOOR * lam[0])} only; the rest "
-                          "is rounding noise: lower --n-max or beta*T", stage="nystrom_eigs")
+                          "is rounding noise: lower n_max or beta*T (--n-max, --beta)",
+                          stage="nystrom_eigs")
     # decreasing order, renormalized (paranoia: every solver gives unit 2-norm)
     # by Z's column norms, which are V's since Q is orthogonal; phi = W^{-1/2} V
     # then has unit weighted-L2 norm
@@ -529,7 +531,7 @@ def _ou_phi_values(nu, norm, u):
                       lambda k: np.sinh(k * u)) / norm
 
 
-def ou_closed_form_eigs(p: ModelParams, n_max: int, grid: QuadGrid = None) -> Spectrum:
+def ou_closed_form_eigs(p: ModelParams, n_max: int) -> Spectrum:
     """Exact spectrum of the H = 1/2 problem `p`, pairs n = 1 .. n_max.
 
     With beta = p.beta_eff, the drift of the unit-interval problem,
@@ -539,10 +541,10 @@ def ou_closed_form_eigs(p: ModelParams, n_max: int, grid: QuadGrid = None) -> Sp
     proportional to sqrt(2) sin(nu_n x); for beta >= 1 the complete spectrum
     additionally starts with one non-oscillatory mode (see `_ou_modes`).
     Eigenvalues carry the T^{2H} scaling.  Eigenfunctions are unit-norm and
-    sign-fixed to int phi < 0, and sampled on `grid` when one is given.
-    Each quantity is one pass over the modes (`_ou_forms`), and the norms
-    are computed once: the grid samples and `extend` reuse them, so the
-    spectrum holds them next to nu, lam, phi1 and the integrals.
+    sign-fixed to int phi < 0; the spectrum has no grid, and `extend` is
+    their one evaluator, at any u.  Each quantity is one pass over the
+    modes (`_ou_forms`), and the norms are computed once: `extend` reuses
+    them, so the spectrum holds them next to nu, lam, phi1 and the integrals.
     Raises DomainError when p.H is not 1/2, when n_max < 1 and when the
     head mode overflows (beta*T above about 355).
     """
@@ -575,7 +577,6 @@ def ou_closed_form_eigs(p: ModelParams, n_max: int, grid: QuadGrid = None) -> Sp
                                 lambda k: (np.cosh(k) - 1.0) / k)) / norm
     if not all(np.all(np.isfinite(a)) for a in (lam, norm, phi1, integrals)):
         raise DomainError(f"closed-form OU spectrum overflows at beta*T = {beta:g}")
-    phi = None if grid is None else _ou_phi_values(nu, norm, grid.nodes)
     lam *= p.T ** (2.0 * p.H)
-    return Spectrum("closed_form_ou", p, lam, nu, grid, phi, phi1, integrals,
+    return Spectrum("closed_form_ou", p, lam, nu, None, None, phi1, integrals,
                     extend=lambda spec, u: _ou_phi_values(nu, norm, u))

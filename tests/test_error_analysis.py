@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 from fouspec import error_analysis
+from fouspec._quad import gauss_legendre_01
 from fouspec.asymptotics import phi_first_order
 from fouspec.error_analysis import (build_spectrum, check_truncation,
                                     convergence_study, mse_asymptotic, mse_series,
@@ -318,12 +319,7 @@ class TestConvergenceStudy:
         # and a study reads only the cells its spectrum read
         p, grid, cov, spec = small_oracle
         u = float(grid.nodes[75])
-        for method, q in (("closed_form_ou", ModelParams(H=0.5, beta=1.0)),
-                          ("first_order", p)):
-            with pytest.raises(DomainError, match="kernel matrix"):
-                build_spectrum(q, method, n_max=20, grid=grid, wiener_hopf=([1e-3], [u]))
-        closed = build_spectrum(ModelParams(H=0.5, beta=1.0), "closed_form_ou",
-                                n_max=2000, grid=grid)
+        closed = build_spectrum(ModelParams(H=0.5, beta=1.0), "closed_form_ou", n_max=2000)
         for bare in (spec, closed):
             assert bare.wiener_hopf is None
             assert convergence_study(bare, [1e-1], [1.0]).P_wiener_hopf is None
@@ -555,7 +551,8 @@ def test_dense_route_refuses_more_pairs_than_nodes(method, monkeypatch):
         raise AssertionError("assembled a matrix for a refused request")
 
     monkeypatch.setattr(error_analysis, "cov_matrix", never)
-    with pytest.raises(DomainError, match="n_max=40 exceeds the grid size 20"):
+    with pytest.raises(DomainError, match=r"n_max=40 exceeds the grid size 20; raise "
+                                          r"grid_size or lower n_max \(--N-unit, --n-max\)"):
         build_spectrum(ModelParams(H=0.7, beta=-1.0), method, n_max=40, grid_size=20)
 
 
@@ -576,48 +573,40 @@ def test_fewer_than_one_pair_is_refused_first(method, n_max, no_allocation):
 def test_request_over_the_memory_budget_is_refused_before_any_array(method, size,
                                                                    tiny_memory_budget):
     H = 0.5 if method == "closed_form_ou" else 0.7
-    with pytest.raises(DomainError, match=f"the {method} spectrum at {size} needs .* budget"):
+    with pytest.raises(DomainError, match=f"the {method} spectrum at {size} needs .* budget; "
+                                          r"lower grid_size or n_max \(--N-unit, --n-max\)"):
         build_spectrum(ModelParams(H=H, beta=-1.0), method, n_max=500, grid_size=1000)
 
 
-@pytest.mark.parametrize("method,H", [("first_order", 0.7), ("closed_form_ou", 0.5)])
-def test_grid_samples_count_against_the_memory_budget(method, H, monkeypatch):
-    # 20,000 pairs are 3.2 MB, but sampled on 1000 nodes they are 2e7 samples:
-    # the first-order route grew past 690 MB where the gate charged the pairs only
-    from fouspec import asymptotics
-
-    grid = QuadGrid.gauss_legendre_unit(1000)
-
-    def never(*args, **kwargs):
-        raise AssertionError("allocated before the request was refused")
-
-    monkeypatch.setattr(error_analysis, "MEMORY_BUDGET", 64 * 2 ** 20)
-    monkeypatch.setattr(error_analysis, "ou_closed_form_eigs", never)
-    monkeypatch.setattr(asymptotics, "nu_first_order", never)
-    p = ModelParams(H=H, beta=-1.0)
-    with pytest.raises(DomainError, match="n_max = 20000 pairs sampled on N = 1000 "
-                                          "grid nodes needs .* budget"):
-        build_spectrum(p, method, n_max=20_000, grid=grid)
-    with pytest.raises(AssertionError, match="allocated"):  # the pairs alone fit
-        build_spectrum(p, method, n_max=20_000)
+@pytest.mark.parametrize("method,H", [("closed_form_ou", 0.5), ("first_order", 0.7)])
+@pytest.mark.parametrize("matrix_input", ["grid", "wiener_hopf", "both"])
+def test_routes_without_a_matrix_refuse_its_inputs(method, H, matrix_input, no_allocation):
+    # a grid used to make these routes sample every pair on it; neither a
+    # grid nor the Wiener-Hopf column has a kernel matrix to go with here
+    grid = QuadGrid(*gauss_legendre_01(20))  # the fixture refuses gauss_legendre_unit
+    kwargs = {"grid": grid, "wiener_hopf": ([1e-3], [1.0])}
+    if matrix_input != "both":
+        kwargs = {matrix_input: kwargs[matrix_input]}
+    with pytest.raises(DomainError, match=f"kernel matrix: .* not {method!r}"):
+        build_spectrum(ModelParams(H=H, beta=-1.0), method, n_max=20, **kwargs)
 
 
 def test_first_order_layer_block_is_charged(traced_matrices, monkeypatch):
-    # the gate charged (20 + 6 N) doubles per pair, 46 MiB here, and left out
-    # the one 21 MB block of layer exponentials: the call traced 50.7 MiB
-    p, grid = ModelParams(H=0.7, beta=-1.0), QuadGrid.gauss_legendre_unit(500)
+    # off H = 1/2 the gate charges the one 21 MB block of layer exponentials
+    # next to 20 doubles per pair: 21.3 MiB here, against a traced 20.7 MiB
+    p = ModelParams(H=0.7, beta=-1.0)
 
     def build():
-        return build_spectrum(p, "first_order", n_max=2000, grid=grid)
+        return build_spectrum(p, "first_order", n_max=8192)
 
     peak, _, spec = traced_matrices(build, 1)  # in doubles
-    assert spec.n_max == 2000
+    assert spec.n_max == 8192
     # the charge is at least the traced peak: a budget one byte below refuses
     monkeypatch.setattr(error_analysis, "MEMORY_BUDGET", int(8 * peak) - 1)
     with pytest.raises(DomainError, match="first_order spectrum .* budget"):
         build()
     monkeypatch.setattr(error_analysis, "MEMORY_BUDGET", int(12 * peak))
-    assert build().n_max == 2000
+    assert build().n_max == 8192
 
 
 def test_refined_head_pairs_are_the_oracle_pairs():
@@ -629,14 +618,14 @@ def test_refined_head_pairs_are_the_oracle_pairs():
 
 
 def test_first_order_extends_by_formula():
+    # the route has no grid: at a node, too, the value is the formula's
     p = ModelParams(H=0.7, beta=-1.0)
-    g = QuadGrid.gauss_legendre_unit(30)
-    spec = build_spectrum(p, "first_order", n_max=25, grid=g)
+    spec = build_spectrum(p, "first_order", n_max=25)
+    assert spec.grid is None and spec.phi is None
     n = np.arange(1, 26)
-    assert np.array_equal(spec.phi_values(1.0), phi_first_order(1.0, n, p.H))
-    assert np.array_equal(spec.phi_values(0.3), phi_first_order(0.3, n, p.H))
-    assert_allclose(spec.phi_values(float(g.nodes[11])),
-                    phi_first_order(float(g.nodes[11]), n, p.H), rtol=0, atol=1e-15)
+    node = float(QuadGrid.gauss_legendre_unit(30).nodes[11])
+    for u in (1.0, 0.3, node):
+        assert np.array_equal(spec.phi_values(u), phi_first_order(u, n, p.H))
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 4, 7])
@@ -755,3 +744,13 @@ def test_scaling_in_T_and_mu(route):
     for name in columns:
         assert_allclose(getattr(rep, name), T ** (2 * H) * getattr(unit, name), rtol=1e-13,
                         atol=0, err_msg=name)
+
+
+def test_estimate_refusals_name_its_parameters(no_allocation):
+    # estimate is a library call: a refusal names its own parameters first,
+    # with the `mse` flags in parentheses
+    with pytest.raises(DomainError, match=r"set n_max and grid_size \(--n-max, --N-unit\)"):
+        error_analysis.estimate(ModelParams(H=0.7, mu=1000.0), [5e-324], [1.0])
+    for eps, u, name in (([], [1.0], "eps"), ([1e-2], [], "u")):
+        with pytest.raises(DomainError, match=rf"^{name} must be a nonempty list \(--{name}\)"):
+            error_analysis.estimate(ModelParams(H=0.7), eps, u)

@@ -30,6 +30,8 @@ GOLDEN_RTOL = 1e-12
 CASES = {
     "mse_oracle_wh": ["mse", "--H", "0.7", "--beta", "-1", "--N-unit", "100",
                       "--n-max", "20", "--eps", "1e-1,5e-2", "--u", "0.5,1", "--with-wh"],
+    "mse_oracle_wh_b0": ["mse", "--H", "0.7", "--beta", "0", "--N-unit", "100",
+                         "--n-max", "20", "--eps", "1e-1,5e-2", "--u", "0.5,1", "--with-wh"],
     "mse_refined": ["mse", "--H", "0.7", "--beta", "-1", "--spectrum", "refined",
                     "--N-unit", "100", "--n-max", "40", "--eps", "1e-1,1e-2",
                     "--u", "0.5,1"],
@@ -38,6 +40,7 @@ CASES = {
     "mse_first_order": ["mse", "--H", "0.7", "--beta", "-1", "--spectrum", "first_order",
                         "--n-max", "2000", "--eps", "1e-2,1e-3", "--u", "0.5,1"],
     "eigs_h07": ["eigs", "--H", "0.7", "--beta", "-1", "--N-unit", "40", "--n-max", "5"],
+    "eigs_h07_b0": ["eigs", "--H", "0.7", "--beta", "0", "--N-unit", "40", "--n-max", "5"],
     "eigs_h03": ["eigs", "--H", "0.3", "--beta", "-1", "--N-unit", "40", "--n-max", "5"],
     "special": ["special", "--H", "0.75", "--beta", "-1", "--nu", "40"],
     "mse_oracle_json": ["mse", "--H", "0.7", "--beta", "-1", "--N-unit", "80",

@@ -122,6 +122,15 @@ class TestFouCov:
             s, t = rng.uniform(0.0, 1.0, 2)
             p = ModelParams(H=H, beta=0.0)
             assert_allclose(fou_cov(s, t, p), fbm_cov(s, t, H), atol=1e-12)
+        # the expansion's beta terms are exact zeros at beta = 0 and vanish
+        # below rounding at a subnormal beta: on a grid K is fBm's, evaluated
+        # on the same arrays, bit for bit
+        g = QuadGrid.gauss_legendre_unit(50)
+        x = g.nodes
+        for H in (0.3, 0.5, 0.7):
+            for beta in (0.0, -0.0, 5e-324):
+                K = cov_matrix(g, ModelParams(H=H, beta=beta)).values
+                assert np.array_equal(K, fbm_cov(x[:, None], x[None, :], H))
 
     def test_classical_ou_variance(self):
         # int_0^1 e^{2(1-u)} du = (e^2 - 1)/2
@@ -300,6 +309,17 @@ def test_assembler_accuracy_at_h_half(beta, bound):
     exact = np.exp(beta * (s + t)) * -np.expm1(-2.0 * beta * s) / (2.0 * beta)
     scale = np.sqrt(np.diag(exact))
     assert np.max(np.abs(K - exact) / np.outer(scale, scale)) <= 1.25 * bound
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0])
+def test_assembly_peak_memory(beta, traced_matrices):
+    # one blocked expansion at every drift: 1.44 matrices traced at N = 1500;
+    # beta = 0 took fbm_cov over the full grid and traced 3.0
+    N = 1500
+    g = QuadGrid.gauss_legendre_unit(N)
+    peak, _, cov = traced_matrices(lambda: cov_matrix(g, ModelParams(H=0.7, beta=beta)), N)
+    assert cov.values.shape == (N, N)
+    assert peak <= 1.6
 
 
 @pytest.mark.parametrize("H,beta,bound", [(0.7, -12.0, 9.3e-11), (0.7, -1.0, 5.3e-12),

@@ -433,9 +433,10 @@ class TestClosedFormOU:
     def test_closed_forms_match_quadrature(self, beta):
         # beta = 1 and 2 start with the linear and the sinh head mode
         g = QuadGrid.gauss_legendre_unit(2000)
-        spec = ou_closed_form_eigs(_ou(beta), 50, grid=g)
-        assert_allclose(g.weights @ spec.phi, spec.phi_integral, rtol=1e-10)
-        assert_allclose(g.weights @ spec.phi ** 2, 1.0, rtol=0, atol=1e-12)
+        spec = ou_closed_form_eigs(_ou(beta), 50)
+        phi = spec.extend(spec, g.nodes)
+        assert_allclose(g.weights @ phi, spec.phi_integral, rtol=1e-10)
+        assert_allclose(g.weights @ phi ** 2, 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("beta", [1 + 1e-4, 1 - 1e-4, 1 + 1e-7, 1 - 1e-7,
                                       1 + 1e-10, 1 - 1e-10])
@@ -444,9 +445,9 @@ class TestClosedFormOU:
         # sinh(2k)/(4k) - 1/2 and 1 - cos v cancel (5.6e-7 norm defect at
         # 1 + 1e-10 before the series forms)
         g = QuadGrid.gauss_legendre_unit(400)
-        spec = ou_closed_form_eigs(_ou(beta), 3, grid=g)
+        spec = ou_closed_form_eigs(_ou(beta), 3)
         assert abs(spec.nu[0]) < 0.05
-        phi0 = spec.phi[:, 0]
+        phi0 = spec.extend(spec, g.nodes)[:, 0]
         assert abs(g.weights @ phi0 ** 2 - 1.0) <= 1e-12
         assert_allclose(g.weights @ phi0, spec.phi_integral[0], rtol=1e-11)
 
@@ -630,11 +631,14 @@ class TestLookupRule:
     """phi_values: grid sample, then phi1 at u = 1, then the route's `extend`."""
 
     def test_grid_samples_equal_the_closed_form(self):
+        # the closed form has no grid: at a node, too, phi_values is `extend`,
+        # and `extend` on all the nodes gives the same rows
         g = QuadGrid.gauss_legendre_unit(40)
-        spec = ou_closed_form_eigs(_ou(0.5), 12, grid=g)
+        spec = ou_closed_form_eigs(_ou(0.5), 12)
+        assert spec.grid is None and spec.phi is None
+        samples = spec.extend(spec, g.nodes)
         for j in (0, 17, 39):
-            assert np.array_equal(spec.phi_values(float(g.nodes[j])),
-                                  spec.extend(spec, float(g.nodes[j])))
+            assert np.array_equal(spec.phi_values(float(g.nodes[j])), samples[j])
         assert np.array_equal(spec.phi_values(1.0), spec.extend(spec, 1.0))
 
     def test_oracle_extends_by_nystrom(self, oracle_07):

@@ -1,6 +1,10 @@
+import hashlib
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "tools" / "src_lines.py"
@@ -48,23 +52,56 @@ def test_src_lines_counts_every_module_of_the_package():
     assert all(0 < code < total and opts >= 0 for total, code, opts in table.values())
 
 
-def test_workload_digests_hash_each_command_stdout(monkeypatch, capsys):
-    import hashlib
+TINY = ["--H", "0.5", "--n-max", "50", "--eps", "1e-1", "--u", "1"]
+
+
+def _digests_tool(monkeypatch):
+    """tools/workload_digests.py as a module, with one tiny workload."""
     import importlib.util
 
     spec = importlib.util.spec_from_file_location("workload_digests",
                                                   ROOT / "tools" / "workload_digests.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    args = ["--H", "0.5", "--n-max", "50", "--eps", "1e-1", "--u", "1"]
-    monkeypatch.setattr(tool, "WORKLOADS", {"tiny": {"args": args}})
+    monkeypatch.setattr(tool, "WORKLOADS", {"tiny": {"args": TINY}})
+    return tool
+
+
+def test_workload_digests_hash_each_command_stdout(monkeypatch, capsys):
+    tool = _digests_tool(monkeypatch)
     assert tool.main(["--beta", "-0.5,0.25"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["workload", "beta", "exit", "sha256", "rss_mb"]
     for row, beta in zip(rows, (-0.5, 0.25), strict=True):
-        proc = subprocess.run([sys.executable, "-m", "fouspec.cli", *tool.cli_argv(args, beta)],
+        proc = subprocess.run([sys.executable, "-m", "fouspec.cli", *tool.cli_argv(TINY, beta)],
                               capture_output=True, cwd=ROOT, env=tool.child_env())
         assert proc.returncode == 0 and proc.stdout.startswith(b"# fouspec")
         *fields, rss = row.split()
         assert fields == ["tiny", f"{beta:g}", "0", hashlib.sha256(proc.stdout).hexdigest()]
         assert float(rss) > 0  # the child's peak RSS in MB
+
+
+@pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
+                    reason="needs git and the repository's history")
+def test_workload_digests_against_a_revision(monkeypatch, capsys):
+    # the workload's output does not depend on uncommitted changes, so HEAD's
+    # src/ prints the same bytes as this tree's
+    tool = _digests_tool(monkeypatch)
+    assert tool.main(["--beta", "-0.5,0", "--against", "HEAD"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["workload", "beta", "exit", "sha256", "rss_mb",
+                              "base_rss_mb", "same"]
+    assert len(rows) == 2
+    for row in rows:
+        *_, rss, base_rss, same = row.split()
+        assert same == "yes" and float(rss) > 0 and float(base_rss) > 0
+
+
+def test_workload_digests_exit_1_on_a_difference(monkeypatch, capsys):
+    # a digest that depends on the tree: the row reads "no" and the exit is 1
+    tool = _digests_tool(monkeypatch)
+    monkeypatch.setattr(tool, "unpack_src", lambda rev, dest: Path(dest))
+    monkeypatch.setattr(tool, "digest", lambda args, beta, src=tool.ROOT / "src":
+                        (0, hashlib.sha256(str(src).encode()).hexdigest(), 1.0))
+    assert tool.main(["--against", "REV"]) == 1
+    assert capsys.readouterr().out.split()[-1] == "no"
