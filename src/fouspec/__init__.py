@@ -50,6 +50,7 @@ _EXPORTS = {
     "MseReport": "error_analysis",
     "WienerHopfTable": "error_analysis",
     "mse_series": "error_analysis",
+    "mercer_remainder": "error_analysis",
     "mse_wiener_hopf": "error_analysis",
     "mse_asymptotic": "error_analysis",
     "convergence_study": "error_analysis",

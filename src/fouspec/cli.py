@@ -39,8 +39,12 @@ class RunConfig:
     beta: float = 0.0
     mu: float = 1.0
     T: float = 1.0
-    N_unit: int = 0      # 0 = auto: 1000 for eigs, max(3000, 2*n_max) for mse
-    n_max: int = 0       # 0 = auto: 20 for eigs, >= 1500 for mse
+    # 0 = auto.  eigs: 1000 nodes, 20 pairs.  mse with both 0 on the oracle:
+    # N = max(1000, 10 n_eff) nodes keeping N/2 pairs, and N/2 nodes keeping
+    # N/4 for the u = 1 extrapolation; otherwise max(1500, 5 n_eff) pairs
+    # (closed form: 200 n_eff) on max(3000, 2*n_max) nodes
+    N_unit: int = 0
+    n_max: int = 0
     eps: tuple = (1e-3, 1e-4, 1e-5)
     u: tuple = (0.5, 1.0)
     spectrum: str = "oracle"
@@ -124,10 +128,11 @@ _FLAGS = {
     "H": dict(type=float, help="Hurst exponent in (0,1) [0.7]"),
     "beta": dict(type=float, help="drift coefficient [0]"),
     "T": dict(type=float, help="horizon [1]"),
-    "N-unit": dict(type=int, help="unit-interval grid size [auto: 1000 for eigs, "
-                                  ">= 3000 for mse]"),
-    "n-max": dict(type=int, help="eigenpairs [auto: 20 for eigs, sized to the "
-                                 "smallest eps for mse]"),
+    "N-unit": dict(type=int, help="unit-interval grid size [auto: 1000 for eigs; for "
+                                  "mse sized to the smallest eps, and on the oracle "
+                                  "with --n-max auto too, two grids: N >= 1000 and N/2]"),
+    "n-max": dict(type=int, help="eigenpairs [auto: 20 for eigs; for mse sized to the "
+                                 "smallest eps, half the finer grid on the oracle]"),
     "mu": dict(type=float, help="observation gain [1]"),
     "eps": dict(type=float_list, help="comma list of noise intensities"),
     "u": dict(type=float_list, help="comma list of relative times in (0,1]"),
@@ -274,9 +279,16 @@ def compute_mse(cfg: RunConfig):
         f"C = sin(pi H)*Gamma(2H+1) = {_fmt(spectral_constant(p.H))}",
         f"spectrum = {rep.spectrum_method}, n_max = {rep.truncation_n}",
     ]
+    if rep.P_closed is not None:
+        comments.append("P_closed = P_series closed by its Mercer remainder; P_closed_err "
+                        "bounds its truncation error only, not the grid error")
+    if "grids" in rep.diagnostics:
+        comments.append("at u = 1, P_closed is extrapolated from N = %d and %d nodes "
+                        "at order 2H+1, and P_closed_err adds the step" % rep.diagnostics["grids"])
     cols = {"P_series": rep.P_series, "P_wiener_hopf": rep.P_wiener_hopf,
             "P_asymptotic": rep.P_asymptotic, "ratio": rep.ratios,
-            "tail_est": rep.diagnostics["tails"]}
+            "tail_est": rep.diagnostics["tails"], "P_closed": rep.P_closed,
+            "P_closed_err": rep.P_closed_err}
     cols = {k: v for k, v in cols.items() if v is not None}
     rows = [[float(e), float(u), *(float(v[i, k]) for v in cols.values())]
             for i, e in enumerate(rep.eps_values) for k, u in enumerate(rep.u_points)]

@@ -22,7 +22,18 @@ The series mass beyond N = n_max is the integral of the terms over n >= N
 under lambda_n = lambda_N (N/n)^(2H+1), with phi_n^2 at its mean phi_bar^2
 (2H+1 at the endpoint, 1 inside), in closed form with b = 2H/(2H+1):
     tail = phi_bar^2 N lambda_N / (2H) * 2F1(1, b; b+1; -mu^2 T lambda_N / eps),
-with the 2F1 from `hyp2f1_tail`.  In this module only the Wiener-Hopf solve
+with the 2F1 from `hyp2f1_tail`.  That law estimates the mass; Mercer's
+theorem, K(u,u) = sum_n lambda_n phi_n(u)^2 over all pairs, gives it exactly
+with one kernel value: the remainder R_M(u) = K(uT, uT) - S_M(u), S_M the
+sum of lambda_n phi_n(u)^2 over the M kept pairs (`mercer_remainder`).  Each
+left-out term is lambda_n phi_n(u)^2 g_n with g_n = eps / (eps + mu^2 T
+lambda_n) in [g(lambda_M), 1), so P lies in the bracket
+    [P_M + g(lambda_M) R_M, P_M + R_M],
+P_M the truncated series, and the closure takes the law's shape for the mass:
+    P_closed = P_M + R_M * 2F1(1, b; b+1; -mu^2 T lambda_M / eps).
+On oracle pairs the identity is the discrete one, so the bracket holds the
+same-grid resolvent at every u, on the grid or off it; what is left is the
+grid error, of order 2H + 1 in N.  In this module only the Wiener-Hopf solve
 calls scipy (`scipy.linalg`), which it imports when it runs.
 """
 
@@ -34,7 +45,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import DomainError, SolverError, TruncationError
-from .model import CovMatrix, ModelParams, QuadGrid, cov_matrix, is_half, spectral_constant
+from .model import (CovMatrix, ModelParams, QuadGrid, cov_matrix, fou_cov, is_half,
+                    spectral_constant)
 from .spectral_oracle import Spectrum, nystrom_eigs, ou_closed_form_eigs
 
 EXCLUDED_TERM_BUDGET = 1e-3  # largest excluded series term, relative to P
@@ -42,7 +54,8 @@ TAIL_BUDGET = 2e-2           # estimated excluded series mass, relative to P
 
 # A spectrum request is refused above MEMORY_BUDGET bytes, or the physical
 # memory if less.  Peak RSS over the interpreter's (one thread, H = 0.7, two u,
-# N = 1000-3000) is 1.6-1.7 doubles per N^2 on the oracle route keeping N/2
+# N = 1000-3000: the automatic `mse` grids run from N = 1000 up, and
+# explicit ones above) is 1.6-1.7 doubles per N^2 on the oracle route keeping N/2
 # pairs, 1.7-2.0 with the Wiener-Hopf column and 1.2-2.9 on the refined route,
 # whose fixed costs weigh most at N = 1000; 8-17 per pair on the others (1e6
 # pairs).  The first-order route off H = 1/2 is also charged its one block
@@ -61,6 +74,11 @@ DENSE_DOUBLES, PAIR_DOUBLES = 3, 20
 # runs are refused before the spectrum is built.
 CLOSED_FORM_PAIRS = 5_000_000
 
+# An oracle remainder R_M(u) below -MERCER_PAD K(u,u) is no rounding, which
+# stayed above -6e-14 K(u,u) with up to 600 pairs (all of them, H from 0.05 to
+# 0.95, beta T from -12 to 6): its pairs are not those of one operator.
+MERCER_PAD = 1e-10
+
 
 @dataclass(frozen=True)
 class MseReport:
@@ -76,6 +94,9 @@ class MseReport:
     truncation_n: int
     P_wiener_hopf: np.ndarray = None
     diagnostics: dict = field(default_factory=dict, repr=False)
+    # oracle route of `estimate` only: the closed values and their error bars
+    P_closed: np.ndarray = None
+    P_closed_err: np.ndarray = None
 
 
 def _series_terms(eps, p: ModelParams, lam):
@@ -154,6 +175,38 @@ def truncation_tail(eps, spec: Spectrum, *, endpoint=False):
         y = p.mu ** 2 * p.T * lam_n / np.asarray(eps, dtype=float)
     tail = phi_bar2 * spec.n_max * lam_n / (2.0 * H) * hyp2f1_tail(b, y)
     return float(tail) if tail.ndim == 0 else tail
+
+
+def mercer_remainder(spec: Spectrum, u):
+    """R_M(u) = K(uT, uT) - sum_{n <= M} lambda_n phi_n(u)^2, the mass the
+    kept pairs leave out at one u in [0,1] (module docstring).
+
+    SolverError refuses an oracle remainder below -MERCER_PAD K(u,u): its
+    pairs cannot come from the one operator.  Pairs from no one operator,
+    such as the first-order ones, can give either sign.
+    """
+    return _remainder(spec, u, np.asarray(spec.phi_values(u)) ** 2)
+
+
+def _remainder(spec: Spectrum, u, phi2):
+    p = spec.params
+    K = fou_cov(u * p.T, u * p.T, p)
+    R = K - float(spec.lam @ phi2)
+    if spec.method == "oracle" and R < -MERCER_PAD * K:
+        raise SolverError(f"the oracle pairs leave R_M = {R:.3g} at u = {u:g}, below "
+                          f"-{MERCER_PAD:g} K(u,u): they are not one operator's",
+                          stage="mercer_remainder")
+    return R
+
+
+def _closure(eps, spec: Spectrum, P, R):
+    """(P_closed, P_lo, P_hi): the series values P at the noise intensities
+    eps closed by the remainders R (module docstring), broadcast."""
+    p = spec.params
+    b = 2.0 * p.H / (2.0 * p.H + 1.0)
+    with np.errstate(over="ignore"):  # y = inf: g = 0 and a zero shape
+        y = p.mu ** 2 * p.T * max(float(spec.lam[-1]), 0.0) / np.asarray(eps, dtype=float)
+    return P + R * hyp2f1_tail(b, y), P + R / (1.0 + y), P + R
 
 
 def effective_terms(eps, p: ModelParams):
@@ -387,9 +440,10 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
     with contextlib.suppress(AttributeError, ValueError, OSError):  # no sysconf
         budget = min(budget, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     if need > budget:
+        lower = "grid_size or n_max (--N-unit, --n-max)" if dense else "n_max (--n-max)"
         raise DomainError(f"the {method} spectrum at {size} needs about {need / 2 ** 30:.3g} "
                           f"GiB, above the {budget / 2 ** 30:.3g} GiB budget; lower "
-                          "grid_size or n_max (--N-unit, --n-max), or raise the smallest eps")
+                          f"{lower}, or raise the smallest eps")
     if dense:
         if method == "refined":
             from . import ia_refine  # the other routes never load the solver
@@ -432,7 +486,10 @@ def convergence_study(spec: Spectrum, eps_grid, u_points) -> MseReport:
     or when the table lacks a requested (eps, u) cell.  Also records the
     oscillation diagnostic I2 = P(u) - I1, where I1 is the series with phi^2
     replaced by its interior mean 1: I2 must stay O(eps), i.e. vanish faster
-    than the main term.
+    than the main term.  On the dense routes, whose kernel was assembled,
+    it also records the Mercer closure (module docstring): `mercer_R` per u,
+    and `P_closed`, `P_lo` and `P_hi` per cell, with `mercer_remainder`'s
+    refusal (SolverError) of an oracle remainder below its rounding pad.
     """
     p = spec.params
     eps_grid = np.asarray(list(eps_grid), dtype=float)
@@ -477,6 +534,11 @@ def convergence_study(spec: Spectrum, eps_grid, u_points) -> MseReport:
         "I2_over_eps": I2 / eps_grid[:, None],
         "monotone_in_eps": bool(np.all(np.diff(P_series, axis=0) <= 1e-12)),
     }
+    if spec.grid is not None:  # a dense route: its kernel is known to evaluate
+        R = np.array([_remainder(spec, float(u), f) for u, f in zip(u_points, phi2)])
+        diagnostics["mercer_R"] = R
+        diagnostics.update(zip(("P_closed", "P_lo", "P_hi"),
+                               _closure(eps_grid[:, None], spec, P_series, R)))
     return MseReport(params=p, eps_values=eps_grid, u_points=u_points,
                      P_series=P_series, P_asymptotic=P_asym,
                      ratios=ratios, spectrum_method=spec.method,
@@ -493,16 +555,31 @@ def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
     the sweep.  `spectrum` names the route of `build_spectrum`, and the
     oracle at H = 1/2 is swapped for the exact closed form unless `with_wh`
     asks for the dense Wiener-Hopf column, which needs the oracle's matrix.
-    n_max = 0 sizes the truncation from the smallest eps: max(1500, 5 n_eff)
-    pairs (`effective_terms`), and on the closed form at least 200 n_eff,
-    capped at CLOSED_FORM_PAIRS.  grid_size = 0 takes max(3000, 2 n_max)
+
+    Sizes of 0 are automatic, from n_eff at the smallest eps
+    (`effective_terms`).  With both 0 the oracle takes two grids: the finer
+    has N = max(1000, 10 n_eff) nodes, rounded up to even, and keeps N/2
+    pairs; the coarser has N/2 nodes and keeps N/4.  Everything the report
+    holds comes from the finer grid, save the closed value at u = 1, which
+    is extrapolated from the two grids' closures at the grid order q = 2H + 1:
+    P_N + (P_N - P_{N/2}) / (2^q - 1).  Otherwise n_max = 0 takes
+    max(1500, 5 n_eff) pairs, and on the closed form at least 200 n_eff,
+    capped at CLOSED_FORM_PAIRS, and grid_size = 0 takes max(3000, 2 n_max)
     nodes.  An interior u is snapped to its nearest grid node
     (`QuadGrid.nearest`) on a route with a grid, and the report's
     `u_points` echo the snapped values; eps comes back sorted decreasing.
+
+    On the oracle route the report also holds `P_closed`, the Mercer closure
+    of each cell (module docstring), and `P_closed_err`, the distance from it
+    to the farther end of its bracket.  At an extrapolated u = 1 the error
+    adds the extrapolation step, and the two brackets enter through the same
+    formula; elsewhere it bounds the truncation only, not the grid error.
     DomainError refuses an empty or invalid eps or u list, duplicate eps,
     and an auto n_max that overflows; TruncationError refuses an auto
-    closed form that its cap cannot serve, before the spectrum is built.
-    `build_spectrum` and `convergence_study` add their own refusals.
+    closed form that its cap cannot serve, before the spectrum is built;
+    SolverError refuses an oracle remainder below its rounding pad
+    (`mercer_remainder`) on either grid.  `build_spectrum` and
+    `convergence_study` add their own refusals.
     """
     if len(eps) == 0:
         raise DomainError("eps must be a nonempty list (--eps)")
@@ -520,12 +597,17 @@ def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
         # at H = 1/2 the exact closed form IS the brute-force spectrum and allows
         # the deep truncations the power-law tail needs; it has no grid for with_wh
         spectrum = "closed_form_ou"
+    two_grids = spectrum == "oracle" and not n_max and not grid_size
     if not n_max:
         n_eff = effective_terms(eps[-1], p)
         if not n_eff < np.inf:
             raise DomainError("cannot size the spectrum: mu^2 T^(2H+1) / eps overflows at "
                               f"eps = {eps[-1]:.3g}; set n_max and grid_size (--n-max, --N-unit)")
-        n_max = max(1500, int(5 * n_eff))
+        if two_grids:  # N/2 >= 5 n_eff pairs on N >= 1000 nodes
+            grid_size = max(1000, 2 * math.ceil(5 * n_eff))
+            n_max = grid_size // 2
+        else:
+            n_max = max(1500, int(5 * n_eff))
         if spectrum == "closed_form_ou":
             if n_eff >= CLOSED_FORM_PAIRS / 5:
                 raise TruncationError(
@@ -538,4 +620,26 @@ def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
                           wiener_hopf=(eps, u) if with_wh else None)
     us = [x if spec.grid is None or x == 1.0 else float(spec.grid.nodes[spec.grid.nearest(x)])
           for x in map(float, u)]
-    return convergence_study(spec, eps, us)
+    rep = convergence_study(spec, eps, us)
+    if spectrum != "oracle":
+        return rep
+    del spec  # the coarser grid is built after the finer one is freed
+    diagnostics = dict(rep.diagnostics)
+
+    def bar(closed, lo, hi):  # the distance to the bracket's farther end
+        return np.maximum(np.abs(closed - lo), np.abs(hi - closed))
+
+    P_closed = diagnostics["P_closed"].copy()
+    err = bar(P_closed, diagnostics["P_lo"], diagnostics["P_hi"])
+    end = np.array(us) == 1.0
+    if two_grids and end.any():
+        coarse = build_spectrum(p, "oracle", n_max=grid_size // 4, grid_size=grid_size // 2)
+        S = np.array([mse_series(1.0, e, coarse) for e in eps])
+        c_closed, c_lo, c_hi = _closure(np.array(eps), coarse, S, mercer_remainder(coarse, 1.0))
+        c_err = bar(c_closed, c_lo, c_hi)
+        r = 2.0 ** (2.0 * p.H + 1.0) - 1.0
+        step = (P_closed[:, end] - c_closed[:, None]) / r
+        err[:, end] = np.abs(step) + ((r + 1.0) * err[:, end] + c_err[:, None]) / r
+        P_closed[:, end] += step
+        diagnostics["grids"] = (grid_size, grid_size // 2)
+    return replace(rep, P_closed=P_closed, P_closed_err=err, diagnostics=diagnostics)

@@ -15,11 +15,12 @@ from fouspec import error_analysis
 from fouspec._quad import gauss_legendre_01
 from fouspec.asymptotics import phi_first_order
 from fouspec.error_analysis import (build_spectrum, check_truncation,
-                                    convergence_study, mse_asymptotic, mse_series,
-                                    hyp2f1_tail, mse_wiener_hopf, truncation_tail)
+                                    convergence_study, mercer_remainder, mse_asymptotic,
+                                    mse_series, hyp2f1_tail, mse_wiener_hopf,
+                                    truncation_tail)
 from fouspec.exceptions import DomainError, SolverError, TruncationError
 from fouspec.ia_refine import refined_eigenpair
-from fouspec.model import CovMatrix, ModelParams, QuadGrid, cov_matrix
+from fouspec.model import CovMatrix, ModelParams, QuadGrid, cov_matrix, cov_row, fou_cov
 from fouspec.spectral_oracle import nystrom_eigs
 
 
@@ -572,9 +573,12 @@ def test_fewer_than_one_pair_is_refused_first(method, n_max, no_allocation):
                                          ("first_order", "n_max = 500 pairs")])
 def test_request_over_the_memory_budget_is_refused_before_any_array(method, size,
                                                                    tiny_memory_budget):
+    # the hint names what the route can lower: a route without a grid has no --N-unit
     H = 0.5 if method == "closed_form_ou" else 0.7
+    hint = (r"grid_size or n_max \(--N-unit, --n-max\)" if size.endswith("nodes")
+            else r"n_max \(--n-max\)")
     with pytest.raises(DomainError, match=f"the {method} spectrum at {size} needs .* budget; "
-                                          r"lower grid_size or n_max \(--N-unit, --n-max\)"):
+                                          f"lower {hint}, or raise"):
         build_spectrum(ModelParams(H=H, beta=-1.0), method, n_max=500, grid_size=1000)
 
 
@@ -731,7 +735,8 @@ def test_non_finite_matrix_is_refused(entry):
 
 @pytest.mark.parametrize("route", [
     dict(spectrum="oracle", n_max=100, grid_size=200, with_wh=True),
-    dict(spectrum="first_order", n_max=2000)], ids=["oracle", "first_order"])
+    dict(spectrum="oracle", with_wh=True),
+    dict(spectrum="first_order", n_max=2000)], ids=["oracle", "two_grids", "first_order"])
 def test_scaling_in_T_and_mu(route):
     # P(u; beta, T, mu, eps) = T^(2H) P(u; beta T, 1, 1, eps / (mu^2 T^(2H+1))):
     # pins the mu^2 T factors of the series and of the Wiener-Hopf system
@@ -740,7 +745,7 @@ def test_scaling_in_T_and_mu(route):
     rep = error_analysis.estimate(ModelParams(H=H, beta=beta, T=T, mu=mu), eps, us, **route)
     unit = error_analysis.estimate(ModelParams(H=H, beta=beta * T),
                                    [e / (mu ** 2 * T ** (2 * H + 1)) for e in eps], us, **route)
-    columns = ["P_series"] + (["P_wiener_hopf"] if route.get("with_wh") else [])
+    columns = ["P_series"] + (["P_wiener_hopf", "P_closed"] if route.get("with_wh") else [])
     for name in columns:
         assert_allclose(getattr(rep, name), T ** (2 * H) * getattr(unit, name), rtol=1e-13,
                         atol=0, err_msg=name)
@@ -754,3 +759,81 @@ def test_estimate_refusals_name_its_parameters(no_allocation):
     for eps, u, name in (([], [1.0], "eps"), ([1e-2], [], "u")):
         with pytest.raises(DomainError, match=rf"^{name} must be a nonempty list \(--{name}\)"):
             error_analysis.estimate(ModelParams(H=0.7), eps, u)
+
+
+def _same_grid_resolvent(p, N, eps, u):
+    """P(u, eps) of the N-node problem itself, at any u in [0,1]:
+    K(u,u) - k_u' W^{1/2} (eps I + B)^{-1} W^{1/2} k_u, B = W^{1/2} K W^{1/2}
+    and k_u the kernel row at u, for mu = T = 1."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    grid = QuadGrid.gauss_legendre_unit(N)
+    a = np.sqrt(grid.weights) * cov_row(u, p, grid)
+    B = cov_matrix(grid, p).weighted()
+    B[np.diag_indices(N)] += eps
+    return fou_cov(u, u, p) - float(a @ cho_solve(cho_factor(B), a))
+
+
+@pytest.mark.parametrize("H", [0.3, 0.7, 0.9])
+def test_mercer_bracket_contains_the_same_grid_resolvent(H):
+    # the sum over all N oracle pairs is k_u' W^{1/2} B^{-1} W^{1/2} k_u, so
+    # R_M(u) is the mass of the left-out pairs plus K(u,u) less that sum, and
+    # each left-out term's weight g_n lies in [g(lambda_M), 1]
+    p, N = ModelParams(H=H, beta=-1.0), 400
+    spec = build_spectrum(p, "oracle", n_max=N // 2, grid_size=N)
+    for u in (1.0, float(spec.grid.nodes[N // 2]), 0.3):
+        R = mercer_remainder(spec, u)
+        assert R > 0.0
+        for eps in (1e-2, 1e-4):
+            S, g = mse_series(u, eps, spec), eps / (eps + spec.lam[-1])
+            P = _same_grid_resolvent(p, N, eps, u)
+            assert S + g * R - 1e-13 * P <= P <= S + R + 1e-13 * P, (u, eps)
+
+
+def test_study_reports_the_closure_of_each_cell():
+    # the diagnostics are the bracket of mercer_remainder, and the closure
+    # lies inside it
+    p = ModelParams(H=0.7, beta=-1.0)
+    spec = build_spectrum(p, "oracle", n_max=100, grid_size=200)
+    eps, us = [1e-2, 1e-3], [float(spec.grid.nodes[100]), 1.0]
+    d = convergence_study(spec, eps, us).diagnostics
+    for k, u in enumerate(us):
+        R = mercer_remainder(spec, u)
+        assert d["mercer_R"][k] == R
+        for i, e in enumerate(eps):
+            S = mse_series(u, e, spec)
+            assert_allclose([d["P_lo"][i, k], d["P_hi"][i, k]],
+                            [S + e / (e + spec.lam[-1]) * R, S + R], rtol=1e-14)
+            assert d["P_lo"][i, k] < d["P_closed"][i, k] < d["P_hi"][i, k]
+
+
+def test_negative_oracle_remainder_is_refused():
+    # pairs that leave more than K(u,u) are not the operator's
+    p = ModelParams(H=0.7, beta=-1.0)
+    spec = build_spectrum(p, "oracle", n_max=20, grid_size=100)
+    with pytest.raises(SolverError, match="R_M"):
+        mercer_remainder(replace(spec, lam=2.0 * spec.lam), 1.0)
+
+
+@pytest.mark.parametrize("beta", [-1.5, -1.0476, -0.5])
+def test_auto_oracle_passes_the_benchmark_check(beta, tmp_path, monkeypatch):
+    # the automatic sizing must keep the mse_oracle_h07 workload's check:
+    # the Wiener-Hopf value lies between the series and the series plus
+    # tail_est, which it does with little room (0.2 to 0.9 of tail_est)
+    import importlib.util
+
+    from fouspec import cli
+
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))  # run.py imports its tracer
+    spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    workload = run.WORKLOADS["mse_oracle_h07"]
+    parser = cli._build_parser()
+    argv = cli._attach_numbers(run.cli_argv(workload["args"], beta))
+    cfg = cli._merge_config(parser.parse_args(argv), parser)
+    assert (cfg.n_max, cfg.N_unit) == (0, 0)
+    path = tmp_path / "out.csv"
+    path.write_text(cli.render(cfg))
+    assert run.check_output(workload, 0, path, beta, None) == []

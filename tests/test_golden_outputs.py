@@ -133,7 +133,13 @@ def test_estimate_gives_the_printed_cells(name, monkeypatch):
              "P_series": rep.P_series.ravel(), "P_asymptotic": rep.P_asymptotic.ravel()}
     if rep.P_wiener_hopf is not None:
         cells["P_wiener_hopf"] = rep.P_wiener_hopf.ravel()
+    if rep.P_closed is not None:
+        cells["P_closed"] = rep.P_closed.ravel()
+        cells["P_closed_err"] = rep.P_closed_err.ravel()
     assert ("P_wiener_hopf" in printed) == ("--with-wh" in CASES[name])
+    # the closed columns belong to the oracle route
+    assert ("P_closed" in printed) == ("P_closed_err" in printed) \
+        == (rep.spectrum_method == "oracle")
     for column, values in cells.items():
         assert np.array_equal(np.array(printed[column], dtype=float), values), column
 
