@@ -163,17 +163,23 @@ def hyp2f1_tail(b, y):
     return out
 
 
+def _law_shape(eps, spec: Spectrum):
+    """y = mu^2 T lambda_M / eps and the tail law's shape 2F1(1, b; b+1; -y),
+    b = 2H/(2H+1): the law's mass at eps over its mass at eps = inf."""
+    p = spec.params
+    b = 2.0 * p.H / (2.0 * p.H + 1.0)
+    with np.errstate(over="ignore"):  # y = inf gives a zero shape
+        y = p.mu ** 2 * p.T * max(float(spec.lam[-1]), 0.0) / np.asarray(eps, dtype=float)
+    return y, hyp2f1_tail(b, y)
+
+
 def truncation_tail(eps, spec: Spectrum, *, endpoint=False):
     """Series mass beyond n_max (module docstring); `eps` and `endpoint`
     broadcast against each other, and two scalars give a float."""
-    p = spec.params
-    H = p.H
-    lam_n = max(float(spec.lam[-1]), 0.0)
+    H = spec.params.H
     phi_bar2 = np.where(endpoint, 2.0 * H + 1.0, 1.0)
-    b = 2.0 * H / (2.0 * H + 1.0)
-    with np.errstate(over="ignore"):  # y = inf gives a zero tail
-        y = p.mu ** 2 * p.T * lam_n / np.asarray(eps, dtype=float)
-    tail = phi_bar2 * spec.n_max * lam_n / (2.0 * H) * hyp2f1_tail(b, y)
+    tail = phi_bar2 * spec.n_max * max(float(spec.lam[-1]), 0.0) / (2.0 * H) \
+        * _law_shape(eps, spec)[1]
     return float(tail) if tail.ndim == 0 else tail
 
 
@@ -202,11 +208,8 @@ def _remainder(spec: Spectrum, u, phi2):
 def _closure(eps, spec: Spectrum, P, R):
     """(P_closed, P_lo, P_hi): the series values P at the noise intensities
     eps closed by the remainders R (module docstring), broadcast."""
-    p = spec.params
-    b = 2.0 * p.H / (2.0 * p.H + 1.0)
-    with np.errstate(over="ignore"):  # y = inf: g = 0 and a zero shape
-        y = p.mu ** 2 * p.T * max(float(spec.lam[-1]), 0.0) / np.asarray(eps, dtype=float)
-    return P + R * hyp2f1_tail(b, y), P + R / (1.0 + y), P + R
+    y, shape = _law_shape(eps, spec)
+    return P + R * shape, P + R / (1.0 + y), P + R
 
 
 def effective_terms(eps, p: ModelParams):
