@@ -42,7 +42,7 @@ class RunConfig:
     # 0 = auto.  eigs: 1000 nodes, 20 pairs.  mse with both 0 on the oracle:
     # N = max(1000, 10 n_eff) nodes keeping N/2 pairs, and N/2 nodes keeping
     # N/4 for the u = 1 extrapolation; otherwise max(1500, 5 n_eff) pairs
-    # (closed form: 200 n_eff) on max(3000, 2*n_max) nodes
+    # (closed form: max(1500, 20 n_eff)) on max(3000, 2*n_max) nodes
     N_unit: int = 0
     n_max: int = 0
     eps: tuple = (1e-3, 1e-4, 1e-5)
@@ -281,7 +281,9 @@ def compute_mse(cfg: RunConfig):
     ]
     if rep.P_closed is not None:
         comments.append("P_closed = P_series closed by its Mercer remainder; P_closed_err "
-                        "bounds its truncation error only, not the grid error")
+                        + ("bounds its truncation error and the rounding of the remainder"
+                           if rep.spectrum_method == "closed_form_ou" else
+                           "bounds its truncation error only, not the grid error"))
     if "grids" in rep.diagnostics:
         comments.append("at u = 1, P_closed is extrapolated from N = %d and %d nodes "
                         "at order 2H+1, and P_closed_err adds the step" % rep.diagnostics["grids"])

@@ -33,8 +33,12 @@ P_M the truncated series, and the closure takes the law's shape for the mass:
     P_closed = P_M + R_M * 2F1(1, b; b+1; -mu^2 T lambda_M / eps).
 On oracle pairs the identity is the discrete one, so the bracket holds the
 same-grid resolvent at every u, on the grid or off it; what is left is the
-grid error, of order 2H + 1 in N.  In this module only the Wiener-Hopf solve
-calls scipy (`scipy.linalg`), which it imports when it runs.
+grid error, of order 2H + 1 in N.  On the exact H = 1/2 pairs of the closed
+form it is Mercer's own, with K(u,u) the OU variance T expm1(2 beta T u) /
+(2 beta T): R_M >= 0, and the bracket holds P itself up to the rounding of
+K - S_M, which grows with K at strong positive drift.  In this module only
+the Wiener-Hopf solve calls scipy (`scipy.linalg`), which it imports when it
+runs.
 """
 
 import contextlib
@@ -68,15 +72,20 @@ TAIL_BUDGET = 2e-2           # estimated excluded series mass, relative to P
 MEMORY_BUDGET = 4 * 2 ** 30
 DENSE_DOUBLES, PAIR_DOUBLES = 3, 20
 
-# The automatic closed-form truncation of `estimate` stops at CLOSED_FORM_PAIRS.
-# There the excluded series mass is about 0.2 n_eff / n_max of P (H = 1/2),
-# twice the tail budget of 2e-2 once n_eff >= CLOSED_FORM_PAIRS / 5: such
-# runs are refused before the spectrum is built.
+# The automatic closed form of `estimate` keeps 20 n_eff pairs, which the
+# Mercer closure makes exact to about 1e-11 of P, and stops at
+# CLOSED_FORM_PAIRS.  The excluded series mass is about 0.2 n_eff / n_max of
+# P (H = 1/2): 1% at 20 n_eff, half the tail budget of 2e-2 that
+# `check_truncation` still reads, and twice that budget at the cap once
+# n_eff >= CLOSED_FORM_PAIRS / 5: such runs are refused before the spectrum
+# is built.
 CLOSED_FORM_PAIRS = 5_000_000
 
-# An oracle remainder R_M(u) below -MERCER_PAD K(u,u) is no rounding, which
-# stayed above -6e-14 K(u,u) with up to 600 pairs (all of them, H from 0.05 to
-# 0.95, beta T from -12 to 6): its pairs are not those of one operator.
+# An oracle or closed-form remainder R_M(u) below -MERCER_PAD K(u,u) is no
+# rounding, which stayed above -6e-14 K(u,u) with up to 600 oracle pairs (all
+# of them, H from 0.05 to 0.95, beta T from -12 to 6) and above -6e-16
+# K(u,u) with 63,245 closed-form pairs (beta T from -30 to 20): its pairs
+# are not those of one operator.
 MERCER_PAD = 1e-10
 
 
@@ -94,7 +103,8 @@ class MseReport:
     truncation_n: int
     P_wiener_hopf: np.ndarray = None
     diagnostics: dict = field(default_factory=dict, repr=False)
-    # oracle route of `estimate` only: the closed values and their error bars
+    # oracle and closed-form routes of `estimate` only: the closed values and
+    # their error bars
     P_closed: np.ndarray = None
     P_closed_err: np.ndarray = None
 
@@ -187,22 +197,63 @@ def mercer_remainder(spec: Spectrum, u):
     """R_M(u) = K(uT, uT) - sum_{n <= M} lambda_n phi_n(u)^2, the mass the
     kept pairs leave out at one u in [0,1] (module docstring).
 
-    SolverError refuses an oracle remainder below -MERCER_PAD K(u,u): its
-    pairs cannot come from the one operator.  Pairs from no one operator,
-    such as the first-order ones, can give either sign.
+    SolverError refuses an oracle or closed-form remainder below -MERCER_PAD
+    K(u,u): its pairs cannot come from the one operator.  The closed form's
+    exact pairs leave R_M >= 0, so a small negative value there is rounding
+    and reads 0.  Pairs from no one operator, such as the first-order ones,
+    can give either sign.
     """
-    return _remainder(spec, u, np.asarray(spec.phi_values(u)) ** 2)
+    return _remainder(spec, u, np.asarray(spec.phi_values(u)) ** 2)[0]
+
+
+def _kernel_diagonal(spec: Spectrum, u):
+    """K(uT, uT).  On the closed form the exact OU variance T expm1(2 beta T u)
+    / (2 beta T), u T at beta = 0, as `fou_cov` refuses beta T < -12, where the
+    closed form runs.  It is formed as expm1(x/2) (expm1(x/2) + 2) / x with
+    x = 2 beta T u, which stays finite wherever the spectrum does (beta T up
+    to about 355), while expm1(x) alone overflows from x = 709.8 on."""
+    p = spec.params
+    if spec.method != "closed_form_ou":
+        return fou_cov(u * p.T, u * p.T, p)
+    x = 2.0 * p.beta_eff * u
+    if abs(x) < 1e-8:  # expm1(x) / x = 1 + x/2 to the last bit
+        return p.T * u * (1.0 + 0.5 * x)
+    half = math.expm1(0.5 * x)
+    return p.T * u * (half / x) * (half + 2.0)
+
+
+_HEAD = 64  # closed-form pairs whose terms enter R_M one by one
 
 
 def _remainder(spec: Spectrum, u, phi2):
-    p = spec.params
-    K = fou_cov(u * p.T, u * p.T, p)
-    R = K - float(spec.lam @ phi2)
-    if spec.method == "oracle" and R < -MERCER_PAD * K:
-        raise SolverError(f"the oracle pairs leave R_M = {R:.3g} at u = {u:g}, below "
-                          f"-{MERCER_PAD:g} K(u,u): they are not one operator's",
+    """(R_M(u), a bound on its rounding) from the kept pairs' phi_n(u)^2
+    (`mercer_remainder`); the bound is 0 off the closed form.
+
+    On the closed form K is summed exactly (`math.fsum`) with the first
+    _HEAD terms and the dot product of the rest: one dot product of all
+    pairs rounds to several ulp of K, which at strong positive drift swamp
+    R_M.  The bound is (_HEAD + max(beta T, 0)) ulp of K, for K and the head
+    terms' own rounding, the sinh head mode's growing with beta T, plus the
+    classical bound n_max ulp of the rest's sum for its dot product of
+    positive terms.  Against head terms to 60 digits, R_M was within 14 ulp
+    of K for beta T from -30 to 20 (63,245 pairs, u in {0.3, 0.5, 1}),
+    where the bound read 69 ulp or more.
+    """
+    K = _kernel_diagonal(spec, u)
+    if spec.method == "closed_form_ou":
+        rest = float(spec.lam[_HEAD:] @ phi2[_HEAD:])
+        R = math.fsum([K, -rest, *(-spec.lam[:_HEAD] * phi2[:_HEAD]).tolist()])
+        bound = ((_HEAD + max(spec.params.beta_eff, 0.0)) * K + spec.n_max * rest) \
+            * np.finfo(float).eps
+    else:
+        R, bound = K - float(spec.lam @ phi2), 0.0
+    if spec.method in ("oracle", "closed_form_ou") and R < -MERCER_PAD * K:
+        raise SolverError(f"the {spec.method} pairs leave R_M = {R:.3g} at u = {u:g}, "
+                          f"below -{MERCER_PAD:g} K(u,u): they are not one operator's",
                           stage="mercer_remainder")
-    return R
+    if spec.method == "closed_form_ou":
+        R = max(R, 0.0)
+    return R, bound
 
 
 def _closure(eps, spec: Spectrum, P, R):
@@ -489,10 +540,12 @@ def convergence_study(spec: Spectrum, eps_grid, u_points) -> MseReport:
     or when the table lacks a requested (eps, u) cell.  Also records the
     oscillation diagnostic I2 = P(u) - I1, where I1 is the series with phi^2
     replaced by its interior mean 1: I2 must stay O(eps), i.e. vanish faster
-    than the main term.  On the dense routes, whose kernel was assembled,
-    it also records the Mercer closure (module docstring): `mercer_R` per u,
-    and `P_closed`, `P_lo` and `P_hi` per cell, with `mercer_remainder`'s
-    refusal (SolverError) of an oracle remainder below its rounding pad.
+    than the main term.  On every route but the first-order one, whose pairs
+    come from no one operator, it also records the Mercer closure (module
+    docstring): `mercer_R` per u, and `P_closed`, `P_lo` and `P_hi` per
+    cell, with `mercer_remainder`'s refusal (SolverError) of a remainder
+    below its rounding pad.  The closed form also records `mercer_R_err` per
+    u, a bound on the rounding of R_M = K - S_M (`_remainder`).
     """
     p = spec.params
     eps_grid = np.asarray(list(eps_grid), dtype=float)
@@ -537,11 +590,13 @@ def convergence_study(spec: Spectrum, eps_grid, u_points) -> MseReport:
         "I2_over_eps": I2 / eps_grid[:, None],
         "monotone_in_eps": bool(np.all(np.diff(P_series, axis=0) <= 1e-12)),
     }
-    if spec.grid is not None:  # a dense route: its kernel is known to evaluate
-        R = np.array([_remainder(spec, float(u), f) for u, f in zip(u_points, phi2)])
+    if spec.method != "first_order":
+        R, R_err = np.array([_remainder(spec, float(u), f) for u, f in zip(u_points, phi2)]).T
         diagnostics["mercer_R"] = R
         diagnostics.update(zip(("P_closed", "P_lo", "P_hi"),
                                _closure(eps_grid[:, None], spec, P_series, R)))
+        if spec.method == "closed_form_ou":
+            diagnostics["mercer_R_err"] = R_err
     return MseReport(params=p, eps_values=eps_grid, u_points=u_points,
                      P_series=P_series, P_asymptotic=P_asym,
                      ratios=ratios, spectrum_method=spec.method,
@@ -566,23 +621,27 @@ def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
     holds comes from the finer grid, save the closed value at u = 1, which
     is extrapolated from the two grids' closures at the grid order q = 2H + 1:
     P_N + (P_N - P_{N/2}) / (2^q - 1).  Otherwise n_max = 0 takes
-    max(1500, 5 n_eff) pairs, and on the closed form at least 200 n_eff,
+    max(1500, 5 n_eff) pairs, and on the closed form max(1500, 20 n_eff),
     capped at CLOSED_FORM_PAIRS, and grid_size = 0 takes max(3000, 2 n_max)
     nodes.  An interior u is snapped to its nearest grid node
     (`QuadGrid.nearest`) on a route with a grid, and the report's
     `u_points` echo the snapped values; eps comes back sorted decreasing.
 
-    On the oracle route the report also holds `P_closed`, the Mercer closure
-    of each cell (module docstring), and `P_closed_err`, the distance from it
-    to the farther end of its bracket.  At an extrapolated u = 1 the error
-    adds the extrapolation step, and the two brackets enter through the same
-    formula; elsewhere it bounds the truncation only, not the grid error.
+    On the oracle and closed-form routes the report also holds `P_closed`,
+    the Mercer closure of each cell (module docstring), and `P_closed_err`,
+    the distance from it to the farther end of its bracket.  On the closed
+    form, whose pairs are exact, that bounds the whole error once it adds
+    the rounding bound of K - S_M (`mercer_R_err` of `convergence_study`),
+    which dominates it at strong positive drift: K(1,1) ~ e^(2 beta T) /
+    (2 beta T).  On the oracle at an extrapolated u = 1 the error adds the
+    extrapolation step, and the two brackets enter through the same formula;
+    elsewhere it bounds the truncation only, not the grid error.
     DomainError refuses an empty or invalid eps or u list, duplicate eps,
     and an auto n_max that overflows; TruncationError refuses an auto
     closed form that its cap cannot serve, before the spectrum is built;
-    SolverError refuses an oracle remainder below its rounding pad
-    (`mercer_remainder`) on either grid.  `build_spectrum` and
-    `convergence_study` add their own refusals.
+    SolverError refuses a remainder below its rounding pad
+    (`mercer_remainder`), on the closed form or on either oracle grid.
+    `build_spectrum` and `convergence_study` add their own refusals.
     """
     if len(eps) == 0:
         raise DomainError("eps must be a nonempty list (--eps)")
@@ -618,13 +677,13 @@ def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
                     f"form stops at n_max={CLOSED_FORM_PAIRS}: from "
                     f"{CLOSED_FORM_PAIRS / 5:.3g} effective terms on, its excluded series "
                     "mass exceeds the tail budget; raise the smallest eps")
-            n_max = min(max(n_max, int(200 * n_eff)), CLOSED_FORM_PAIRS)
+            n_max = min(max(n_max, int(20 * n_eff)), CLOSED_FORM_PAIRS)
     spec = build_spectrum(p, spectrum, n_max=n_max, grid_size=grid_size or max(3000, 2 * n_max),
                           wiener_hopf=(eps, u) if with_wh else None)
     us = [x if spec.grid is None or x == 1.0 else float(spec.grid.nodes[spec.grid.nearest(x)])
           for x in map(float, u)]
     rep = convergence_study(spec, eps, us)
-    if spectrum != "oracle":
+    if spectrum not in ("oracle", "closed_form_ou"):
         return rep
     del spec  # the coarser grid is built after the finer one is freed
     diagnostics = dict(rep.diagnostics)
@@ -634,6 +693,8 @@ def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
 
     P_closed = diagnostics["P_closed"].copy()
     err = bar(P_closed, diagnostics["P_lo"], diagnostics["P_hi"])
+    if "mercer_R_err" in diagnostics:
+        err += diagnostics["mercer_R_err"]
     end = np.array(us) == 1.0
     if two_grids and end.any():
         coarse = build_spectrum(p, "oracle", n_max=grid_size // 4, grid_size=grid_size // 2)

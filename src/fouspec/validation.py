@@ -185,14 +185,14 @@ def check_series_wh_identity(quick=False):
 def check_error_asymptote(quick=False):
     """Criterion 9: small-noise error ratios against the closed asymptote."""
     details = {}
-    # classical case, closed-form spectrum
-    p5 = ModelParams(H=0.5, beta=0.0)
-    n_max = 200_000 if quick else 2_000_000
-    spec5 = build_spectrum(p5, "closed_form_ou", n_max=n_max)
-    rep5 = convergence_study(spec5, [1e-6], [0.5, 1.0])
-    dev5 = float(np.max(np.abs(rep5.ratios - 1.0)))
+    # classical case: `mse`'s closed form, its series closed by the Mercer
+    # remainder on 20 n_eff pairs
+    rep5 = estimate(ModelParams(H=0.5, beta=0.0), [1e-6], [0.5, 1.0])
+    ratios5 = rep5.P_closed / rep5.P_asymptotic
+    dev5 = float(np.max(np.abs(ratios5 - 1.0)))
     ok = dev5 <= 0.02
-    details["H=0.5"] = {"ratios": rep5.ratios[0].tolist(), "max_dev": dev5}
+    details["H=0.5"] = {"ratios": ratios5[0].tolist(), "max_dev": dev5,
+                        "n_pairs": rep5.truncation_n}
     if not quick:
         # `mse`'s automatic oracle: the closed values on N = max(1000, 10 n_eff)
         # nodes, extrapolated from N/2 at u = 1
@@ -209,6 +209,61 @@ def check_error_asymptote(quick=False):
                             "grids": list(rep7.diagnostics["grids"])}
     return {"id": 9, "name": "error_asymptote", "passed": bool(ok),
             "details": details}
+
+
+BRACKET_PAD = 1e-13  # relative rounding room at either end of a Mercer bracket
+
+
+def _kalman_bucy(beta, eps):
+    """P(1, eps) at H = 1/2, mu = T = 1: the Riccati solution of the filter."""
+    d = math.sqrt(beta * beta + 1.0 / eps)
+    e = math.exp(-2.0 * d)
+    return (1.0 - e) / ((d - beta) + (d + beta) * e)
+
+
+def _in_bracket(value, lo, hi):
+    return bool(lo - BRACKET_PAD * value <= value <= hi + BRACKET_PAD * value)
+
+
+@_timed
+def check_mercer_closure(quick):
+    """Criterion 11: the Mercer closure of the truncated series against exact
+    references: at H = 1/2 `mse`'s closed form at u = 1 against Kalman-Bucy,
+    and at H = 0.7 the oracle bracket against the same-grid Wiener-Hopf
+    value at the node nearest 0.5.  It runs in about a second, the same in
+    both suites, so `quick` changes nothing."""
+    details = {}
+    ok = True
+    eps_grid = [1e-4, 1e-6, 1e-8]
+    for beta in (-1.0, 0.0, 2.0):
+        rep = estimate(ModelParams(H=0.5, beta=beta), eps_grid, [1.0])
+        d = rep.diagnostics
+        for i, eps in enumerate(eps_grid):
+            exact = _kalman_bucy(beta, eps)
+            closed, err = float(rep.P_closed[i, 0]), float(rep.P_closed_err[i, 0])
+            rel = abs(closed / exact - 1.0)
+            inside = _in_bracket(exact, d["P_lo"][i, 0], d["P_hi"][i, 0])
+            good = rel <= 1e-10 and inside and abs(closed - exact) <= err
+            ok &= good
+            details[f"H=0.5,beta={beta},eps={eps:g}"] = {
+                "rel_err": rel, "err_over_P": err / exact, "in_bracket": inside,
+                "n_pairs": rep.truncation_n, "passed": good}
+    N = 400
+    grid = QuadGrid.gauss_legendre_unit(N)
+    u = float(grid.nodes[grid.nearest(0.5)])
+    eps_grid = (1e-2, 1e-3, 1e-4)
+    spec = build_spectrum(ModelParams(H=0.7, beta=-1.0), "oracle", n_max=N // 2, grid=grid,
+                          wiener_hopf=(eps_grid, [u]))
+    rep = convergence_study(spec, eps_grid, [u])
+    d = rep.diagnostics
+    for i, eps in enumerate(eps_grid):
+        wh = float(rep.P_wiener_hopf[i, 0])
+        lo, hi = float(d["P_lo"][i, 0]), float(d["P_hi"][i, 0])
+        inside = _in_bracket(wh, lo, hi)
+        ok &= inside
+        details[f"H=0.7,eps={eps:g}"] = {"u": u, "lo_rel": lo / wh - 1.0,
+                                         "hi_rel": hi / wh - 1.0, "in_bracket": inside}
+    return {"id": 11, "name": "mercer_closure", "passed": bool(ok), "details": details}
 
 
 @_timed
@@ -266,11 +321,11 @@ def check_property_suites(quick=False):
 ALL_CHECKS = [check_bm_spectrum, check_ou_spectrum, check_eigenvalue_formula,
               check_endpoint_law, check_ia_degenerate, check_refinement_dominance,
               check_special_constants, check_series_wh_identity,
-              check_error_asymptote, check_property_suites]
+              check_error_asymptote, check_property_suites, check_mercer_closure]
 
 QUICK_CHECKS = [check_bm_spectrum, check_ou_spectrum, check_ia_degenerate,
                 check_special_constants, check_series_wh_identity,
-                check_error_asymptote, check_property_suites]
+                check_error_asymptote, check_property_suites, check_mercer_closure]
 
 
 def run_all(quick=False):

@@ -24,6 +24,7 @@ CRITERIA = [
     "series_wh_identity",
     "error_asymptote",
     "property_suites",
+    "mercer_closure",
     "suite_runtime",
 ]
 

@@ -329,6 +329,18 @@ def test_closed_form_below_the_refusal_still_runs(capsys):
     assert "n_max = 5000000" in capsys.readouterr().out
 
 
+def test_closed_form_prints_its_closure_at_20_n_eff(capsys):
+    # the mse_closed_h05 workload's command: 20 n_eff = 63,245 pairs at the
+    # smallest eps, where 200 n_eff took 632,455, and the two closed columns
+    argv = ["mse", "--H", "0.5", "--beta", "-1.1", "--eps", "1e-4,1e-5,1e-6,1e-7"]
+    assert cli.main(argv) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "# spectrum = closed_form_ou, n_max = 63245\n" in out
+    header, *rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert header == "eps,u,P_series,P_asymptotic,ratio,tail_est,P_closed,P_closed_err"
+    assert len(rows) == 8
+
+
 def _numbers(text):
     """Numeric cells of a CSV or JSON result table."""
     text = text.lstrip()

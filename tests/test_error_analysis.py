@@ -364,7 +364,7 @@ class TestConvergenceStudy:
 
 
 def test_closed_form_peak_memory(traced_matrices):
-    # in doubles per pair, at the truncation of `mse --H 0.5 --eps ...,1e-7`:
+    # in doubles per pair, at the truncation of `mse --H 0.5 --eps ...,1e-9`:
     # the spectrum keeps nu, lam, phi1, the integrals and the norms that its
     # off-grid values share.  Measured: 6.0 to build (9.13 when the Newton
     # steps and the norms made their own temporaries), and 9.0 for the sweep
@@ -733,19 +733,23 @@ def test_non_finite_matrix_is_refused(entry):
         CovMatrix(K, cov.grid, p)
 
 
-@pytest.mark.parametrize("route", [
-    dict(spectrum="oracle", n_max=100, grid_size=200, with_wh=True),
-    dict(spectrum="oracle", with_wh=True),
-    dict(spectrum="first_order", n_max=2000)], ids=["oracle", "two_grids", "first_order"])
-def test_scaling_in_T_and_mu(route):
+@pytest.mark.parametrize("H, route", [
+    (0.7, dict(spectrum="oracle", n_max=100, grid_size=200, with_wh=True)),
+    (0.7, dict(spectrum="oracle", with_wh=True)),
+    (0.5, dict()),
+    (0.7, dict(spectrum="first_order", n_max=2000))],
+    ids=["oracle", "two_grids", "closed_form", "first_order"])
+def test_scaling_in_T_and_mu(H, route):
     # P(u; beta, T, mu, eps) = T^(2H) P(u; beta T, 1, 1, eps / (mu^2 T^(2H+1))):
-    # pins the mu^2 T factors of the series and of the Wiener-Hopf system
-    H, beta, T, mu = 0.7, -1.0, 2.0, 1.5
+    # pins the mu^2 T factors of the series, of the Wiener-Hopf system and of
+    # the closure, whose K(u,u) on the closed form is the OU variance
+    beta, T, mu = -1.0, 2.0, 1.5
     eps, us = [1.0, 0.3], [0.5, 1.0]
     rep = error_analysis.estimate(ModelParams(H=H, beta=beta, T=T, mu=mu), eps, us, **route)
     unit = error_analysis.estimate(ModelParams(H=H, beta=beta * T),
                                    [e / (mu ** 2 * T ** (2 * H + 1)) for e in eps], us, **route)
-    columns = ["P_series"] + (["P_wiener_hopf", "P_closed"] if route.get("with_wh") else [])
+    columns = ["P_series"] + (["P_wiener_hopf"] if route.get("with_wh") else []) \
+        + (["P_closed"] if rep.spectrum_method != "first_order" else [])
     for name in columns:
         assert_allclose(getattr(rep, name), T ** (2 * H) * getattr(unit, name), rtol=1e-13,
                         atol=0, err_msg=name)
@@ -837,3 +841,54 @@ def test_auto_oracle_passes_the_benchmark_check(beta, tmp_path, monkeypatch):
     path = tmp_path / "out.csv"
     path.write_text(cli.render(cfg))
     assert run.check_output(workload, 0, path, beta, None) == []
+
+
+def _kalman_bucy(beta, eps):
+    """P(1, eps) at H = 1/2, mu = T = 1: the Riccati solution of the filter."""
+    d = math.sqrt(beta ** 2 + 1.0 / eps)
+    e = math.exp(-2.0 * d)
+    return (1.0 - e) / ((d - beta) + (d + beta) * e)
+
+
+def test_closed_form_sizes_twenty_effective_terms():
+    # the closure needs 20 n_eff pairs where the law needed 200 n_eff
+    for eps, n in ((1e-2, 1500), (1e-4, 2000), (1e-7, 63_245)):
+        rep = error_analysis.estimate(ModelParams(H=0.5, beta=-1.1), [eps], [1.0])
+        assert (rep.spectrum_method, rep.truncation_n) == ("closed_form_ou", n), eps
+
+
+@pytest.mark.parametrize("beta", [-30.0, 5.0, 8.0, 12.0, 20.0])
+def test_closed_form_bar_covers_kalman_bucy_at_strong_drift(beta):
+    # at strong positive drift K(1,1) ~ e^(2 beta) / (2 beta) swamps R_M, and
+    # the rounding of K - S_M, not the bracket, sets the bar; at beta T = -30
+    # `fou_cov` refuses, so K(u,u) is the exact OU variance
+    p = ModelParams(H=0.5, beta=beta)
+    if beta < -12.0:
+        with pytest.raises(DomainError):
+            fou_cov(1.0, 1.0, p)
+    eps = [1e-4, 1e-6]
+    rep = error_analysis.estimate(p, eps, [0.5, 1.0])
+    assert rep.spectrum_method == "closed_form_ou"
+    assert np.all(rep.P_closed >= rep.P_series)
+    for i, e in enumerate(eps):
+        exact = _kalman_bucy(beta, e)
+        assert abs(rep.P_closed[i, 1] - exact) <= rep.P_closed_err[i, 1], (e, exact)
+        if beta < 0.0:  # where the bracket sets the bar: within 1e-10 of P
+            assert abs(rep.P_closed[i, 1] / exact - 1.0) <= 1e-10, e
+
+
+def test_closed_form_remainder_is_the_ou_variance_less_the_series():
+    # K(u,u) = T expm1(2 beta T u) / (2 beta T), u T at beta = 0; a remainder
+    # that rounding pushes below 0 reads 0, and one below -MERCER_PAD K is refused
+    for beta, T in ((-1.5, 1.0), (0.0, 2.0), (2.0, 0.5)):
+        p = ModelParams(H=0.5, beta=beta, T=T)
+        spec = build_spectrum(p, "closed_form_ou", n_max=3000)
+        for u in (0.3, 1.0):
+            S = float(spec.lam @ np.asarray(spec.phi_values(u)) ** 2)
+            K = u * T if beta == 0.0 else T * math.expm1(2 * beta * T * u) / (2 * beta * T)
+            assert_allclose(mercer_remainder(spec, u) + S, K, rtol=1e-15)
+            assert 0.0 < mercer_remainder(spec, u) < 2.0 / (math.pi ** 2 * 3000) * T
+    spec = build_spectrum(ModelParams(H=0.5, beta=20.0), "closed_form_ou", n_max=3000)
+    assert mercer_remainder(spec, 1.0) == 0.0
+    with pytest.raises(SolverError, match="R_M"):
+        mercer_remainder(replace(spec, lam=(1.0 + 1e-9) * spec.lam), 1.0)

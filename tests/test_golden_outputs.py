@@ -137,9 +137,9 @@ def test_estimate_gives_the_printed_cells(name, monkeypatch):
         cells["P_closed"] = rep.P_closed.ravel()
         cells["P_closed_err"] = rep.P_closed_err.ravel()
     assert ("P_wiener_hopf" in printed) == ("--with-wh" in CASES[name])
-    # the closed columns belong to the oracle route
+    # the closed columns belong to the oracle and closed-form routes
     assert ("P_closed" in printed) == ("P_closed_err" in printed) \
-        == (rep.spectrum_method == "oracle")
+        == (rep.spectrum_method in ("oracle", "closed_form_ou"))
     for column, values in cells.items():
         assert np.array_equal(np.array(printed[column], dtype=float), values), column
 

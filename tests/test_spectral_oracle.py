@@ -454,7 +454,7 @@ class TestClosedFormOU:
 
 # strong reversion, beta < 0, the branch-0 root, the sinh head mode, large beta
 _ROOT_BETAS = [-12.0, -1.1, 0.3, 2.0, 300.0]
-_DEEP = 632_000  # the truncation of `mse --H 0.5 --eps ...,1e-7`
+_DEEP = 632_000  # about the 632,455 pairs (20 n_eff) of `mse --H 0.5 --eps ...,1e-9`
 
 
 def _tan_bisection(beta, n_max):

@@ -102,6 +102,25 @@ def test_workload_digests_exit_1_on_a_difference(monkeypatch, capsys):
     tool = _digests_tool(monkeypatch)
     monkeypatch.setattr(tool, "unpack_src", lambda rev, dest: Path(dest))
     monkeypatch.setattr(tool, "digest", lambda args, beta, src=tool.ROOT / "src":
-                        (0, hashlib.sha256(str(src).encode()).hexdigest(), 1.0))
+                        (0, hashlib.sha256(str(src).encode()).hexdigest(), 1.0, b""))
     assert tool.main(["--against", "REV"]) == 1
-    assert capsys.readouterr().out.split()[-1] == "no"
+    assert capsys.readouterr().out.splitlines()[1].split()[-1] == "no"
+
+
+def test_workload_digests_explain_a_difference(monkeypatch, capsys):
+    # under a row that differs: the added and removed columns, the changed
+    # `#` lines, and per shared column the moved cells and the largest move
+    tool = _digests_tool(monkeypatch)
+    base = b"# n_max = 10\neps,u,old\n1e-2,0.5,3\n1e-2,1,4\n"
+    tree = b"# n_max = 20\neps,u,new\n1e-2,0.5,3\n1.001e-2,1,4\n"
+    monkeypatch.setattr(tool, "unpack_src", lambda rev, dest: Path(dest) / "base")
+    monkeypatch.setattr(tool, "digest", lambda args, beta, src=tool.ROOT / "src": (
+        0, hashlib.sha256(str(src).encode()).hexdigest(), 1.0,
+        base if src.name == "base" else tree))
+    assert tool.main(["--against", "REV"]) == 1
+    header, row, *lines = capsys.readouterr().out.splitlines()
+    assert row.split()[-1] == "no"
+    assert lines == ["    columns added: new", "    columns removed: old",
+                     "    - # n_max = 10", "    + # n_max = 20",
+                     "    eps: 1 of 2 cells moved, largest relative move 0.001",
+                     "    u: 0 of 2 cells moved, largest relative move 0"]

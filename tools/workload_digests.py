@@ -10,8 +10,12 @@ two checkouts; the RSS column is a measurement.  `--against REV` makes the
 comparison itself: it also runs each command on the `src/` of revision REV,
 unpacked by `git archive` into a temporary directory, adds that run's peak
 RSS and a `same` column (exit code and digest both equal), and exits 1 on
-any difference.  Standard library, git and tar only; it reads the workload
-definitions from perfbench/run.py and changes nothing there or in `.git`.
+any difference.  Under each row that differs it explains the move from
+both stdout tables: the columns added and removed, the `#` lines that
+changed, and for each shared column the number of cells that moved and the
+largest relative move.  Standard library, git and tar only; it reads the
+workload definitions from perfbench/run.py and changes nothing there or in
+`.git`.
 
     python tools/workload_digests.py --beta -1.5,-1.1,-0.5
     python tools/workload_digests.py --beta -1.1,0 --against HEAD~1
@@ -19,6 +23,7 @@ definitions from perfbench/run.py and changes nothing there or in `.git`.
 
 import argparse
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -32,8 +37,8 @@ from run import WORKLOADS, child_env, cli_argv  # noqa: E402
 
 
 def digest(args, beta, src=ROOT / "src"):
-    """(exit code, sha256 hex of stdout, peak RSS in MB) of one workload
-    command, run on the package in `src`."""
+    """(exit code, sha256 hex of stdout, peak RSS in MB, stdout bytes) of one
+    workload command, run on the package in `src`."""
     env = child_env()
     env["PYTHONPATH"] = os.pathsep.join([str(src), env["PYTHONPATH"]])
     proc = subprocess.Popen([sys.executable, "-m", "fouspec.cli", *cli_argv(args, beta)],
@@ -43,7 +48,44 @@ def digest(args, beta, src=ROOT / "src"):
         out = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, hashlib.sha256(out).hexdigest(), usage.ru_maxrss / 1024.0
+    return proc.returncode, hashlib.sha256(out).hexdigest(), usage.ru_maxrss / 1024.0, out
+
+
+def table(out):
+    """(`#` lines, {column: its cells as text}) of a CSV stdout: the first
+    line that is neither blank nor a `#` line is the header, and the lines
+    after it are the rows."""
+    lines = out.decode(errors="replace").splitlines()
+    notes = [line for line in lines if line.startswith("#")]
+    header, *rows = [line.split(",") for line in lines if line and not line.startswith("#")] \
+        or [[]]
+    return notes, {name: [row[k] if k < len(row) else "" for row in rows]
+                   for k, name in enumerate(header)}
+
+
+def _relative_move(old, new):
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def explain(base_out, out):
+    """Lines that say how the stdout `out` differs from `base_out`."""
+    (old_notes, old), (new_notes, new) = table(base_out), table(out)
+    lines = [f"columns added: {', '.join(c for c in new if c not in old) or 'none'}",
+             f"columns removed: {', '.join(c for c in old if c not in new) or 'none'}"]
+    lines += [f"- {n}" for n in old_notes if n not in new_notes]
+    lines += [f"+ {n}" for n in new_notes if n not in old_notes]
+    for name in (c for c in new if c in old):
+        pairs = list(zip(old[name], new[name]))
+        moved = [_relative_move(a, b) for a, b in pairs if a != b]
+        size = "" if len(old[name]) == len(new[name]) else \
+            f" ({len(old[name])} rows before, {len(new[name])} now)"
+        lines.append(f"{name}: {len(moved)} of {len(pairs)} cells moved{size}, largest "
+                     f"relative move {max(moved, default=0.0):.3g}")
+    return lines
 
 
 def unpack_src(rev, dest):
@@ -74,13 +116,16 @@ def main(argv=None):
         differ = False
         for name, workload in WORKLOADS.items():
             for beta in betas:
-                code, sha, rss = digest(workload["args"], beta)
+                code, sha, rss, out = digest(workload["args"], beta)
                 row = f"{name:<{width}}  {beta:>6g}  {code:>4}  {sha}  {rss:6.1f}"
                 if base:
-                    base_code, base_sha, base_rss = digest(workload["args"], beta, base)
+                    base_code, base_sha, base_rss, base_out = digest(workload["args"], beta,
+                                                                     base)
                     same = (base_code, base_sha) == (code, sha)
                     differ |= not same
                     row += f"  {base_rss:11.1f}  {'yes' if same else 'no'}"
+                    if not same:
+                        row += "".join(f"\n    {line}" for line in explain(base_out, out))
                 print(row, flush=True)
     return int(differ)
 
