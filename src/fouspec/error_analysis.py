@@ -74,9 +74,11 @@ DENSE_DOUBLES, PAIR_DOUBLES = 3, 20
 
 # The automatic closed form of `estimate` keeps 20 n_eff pairs, which the
 # Mercer closure makes exact to about 1e-11 of P, and stops at
-# CLOSED_FORM_PAIRS.  The excluded series mass is about 0.2 n_eff / n_max of
-# P (H = 1/2): 1% at 20 n_eff, half the tail budget of 2e-2 that
-# `check_truncation` still reads, and twice that budget at the cap once
+# CLOSED_FORM_PAIRS.  The tail law's excluded series mass is about
+# 0.2 n_eff / n_max of sqrt(eps) / mu (H = 1/2): 1% at 20 n_eff, half the
+# tail budget of 2e-2 that `check_truncation` still reads where P is near
+# sqrt(eps) / mu (strong negative drift lowers P, and the law then takes its
+# own 200 n_eff), and twice that budget at the cap once
 # n_eff >= CLOSED_FORM_PAIRS / 5: such runs are refused before the spectrum
 # is built.
 CLOSED_FORM_PAIRS = 5_000_000
@@ -200,21 +202,39 @@ def mercer_remainder(spec: Spectrum, u):
     SolverError refuses an oracle or closed-form remainder below -MERCER_PAD
     K(u,u): its pairs cannot come from the one operator.  The closed form's
     exact pairs leave R_M >= 0, so a small negative value there is rounding
-    and reads 0.  Pairs from no one operator, such as the first-order ones,
-    can give either sign.
+    and reads 0 (`_closed_form_remainder`).  Pairs from no one operator,
+    such as the first-order ones, can give either sign.
     """
-    return _remainder(spec, u, np.asarray(spec.phi_values(u)) ** 2)[0]
+    phi2 = np.asarray(spec.phi_values(u)) ** 2
+    if spec.method == "closed_form_ou":
+        return _closed_form_remainder(spec, u, phi2)[0]
+    return _kernel_remainder(spec, u, phi2)
 
 
-def _kernel_diagonal(spec: Spectrum, u):
-    """K(uT, uT).  On the closed form the exact OU variance T expm1(2 beta T u)
-    / (2 beta T), u T at beta = 0, as `fou_cov` refuses beta T < -12, where the
-    closed form runs.  It is formed as expm1(x/2) (expm1(x/2) + 2) / x with
-    x = 2 beta T u, which stays finite wherever the spectrum does (beta T up
-    to about 355), while expm1(x) alone overflows from x = 709.8 on."""
+def _refuse_below_pad(spec: Spectrum, u, R, K):
+    if R < -MERCER_PAD * K:
+        raise SolverError(f"the {spec.method} pairs leave R_M = {R:.3g} at u = {u:g}, "
+                          f"below -{MERCER_PAD:g} K(u,u): they are not one operator's",
+                          stage="mercer_remainder")
+
+
+def _kernel_remainder(spec: Spectrum, u, phi2):
+    """R_M(u) from the kept pairs' phi_n(u)^2: `fou_cov` less one dot
+    product, refused below the pad on the oracle."""
     p = spec.params
-    if spec.method != "closed_form_ou":
-        return fou_cov(u * p.T, u * p.T, p)
+    K = fou_cov(u * p.T, u * p.T, p)
+    R = K - float(spec.lam @ phi2)
+    if spec.method == "oracle":
+        _refuse_below_pad(spec, u, R, K)
+    return R
+
+
+def _ou_variance(p: ModelParams, u):
+    """K(uT, uT) at H = 1/2: the OU variance T expm1(2 beta T u) / (2 beta T),
+    u T at beta = 0, at every drift, where `fou_cov` refuses beta T < -12.
+    It is formed as expm1(x/2) (expm1(x/2) + 2) / x with x = 2 beta T u,
+    which stays finite wherever the closed-form spectrum does (beta T up to
+    about 355), while expm1(x) alone overflows from x = 709.8 on."""
     x = 2.0 * p.beta_eff * u
     if abs(x) < 1e-8:  # expm1(x) / x = 1 + x/2 to the last bit
         return p.T * u * (1.0 + 0.5 * x)
@@ -225,35 +245,27 @@ def _kernel_diagonal(spec: Spectrum, u):
 _HEAD = 64  # closed-form pairs whose terms enter R_M one by one
 
 
-def _remainder(spec: Spectrum, u, phi2):
-    """(R_M(u), a bound on its rounding) from the kept pairs' phi_n(u)^2
-    (`mercer_remainder`); the bound is 0 off the closed form.
+def _closed_form_remainder(spec: Spectrum, u, phi2):
+    """(R_M(u), a bound on its rounding) from the closed form's phi_n(u)^2.
 
-    On the closed form K is summed exactly (`math.fsum`) with the first
-    _HEAD terms and the dot product of the rest: one dot product of all
-    pairs rounds to several ulp of K, which at strong positive drift swamp
-    R_M.  The bound is (_HEAD + max(beta T, 0)) ulp of K, for K and the head
-    terms' own rounding, the sinh head mode's growing with beta T, plus the
-    classical bound n_max ulp of the rest's sum for its dot product of
-    positive terms.  Against head terms to 60 digits, R_M was within 14 ulp
-    of K for beta T from -30 to 20 (63,245 pairs, u in {0.3, 0.5, 1}),
-    where the bound read 69 ulp or more.
+    K is the exact `_ou_variance`, summed exactly (`math.fsum`) with the
+    first _HEAD terms and the dot product of the rest: one dot product of
+    all pairs rounds to several ulp of K, which at strong positive drift
+    swamp R_M.  The bound is (_HEAD + max(beta T, 0)) ulp of K, for K and
+    the head terms' own rounding, the sinh head mode's growing with beta T,
+    plus the classical bound n_max ulp of the rest's sum for its dot product
+    of positive terms.  Against head terms to 60 digits, R_M was within 14
+    ulp of K for beta T from -30 to 20 (63,245 pairs, u in {0.3, 0.5, 1}),
+    where the bound read 69 ulp or more.  Exact pairs leave R_M >= 0, so a
+    negative value above the pad is rounding and reads 0.
     """
-    K = _kernel_diagonal(spec, u)
-    if spec.method == "closed_form_ou":
-        rest = float(spec.lam[_HEAD:] @ phi2[_HEAD:])
-        R = math.fsum([K, -rest, *(-spec.lam[:_HEAD] * phi2[:_HEAD]).tolist()])
-        bound = ((_HEAD + max(spec.params.beta_eff, 0.0)) * K + spec.n_max * rest) \
-            * np.finfo(float).eps
-    else:
-        R, bound = K - float(spec.lam @ phi2), 0.0
-    if spec.method in ("oracle", "closed_form_ou") and R < -MERCER_PAD * K:
-        raise SolverError(f"the {spec.method} pairs leave R_M = {R:.3g} at u = {u:g}, "
-                          f"below -{MERCER_PAD:g} K(u,u): they are not one operator's",
-                          stage="mercer_remainder")
-    if spec.method == "closed_form_ou":
-        R = max(R, 0.0)
-    return R, bound
+    K = _ou_variance(spec.params, u)
+    rest = float(spec.lam[_HEAD:] @ phi2[_HEAD:])
+    R = math.fsum([K, -rest, *(-spec.lam[:_HEAD] * phi2[:_HEAD]).tolist()])
+    _refuse_below_pad(spec, u, R, K)
+    bound = ((_HEAD + max(spec.params.beta_eff, 0.0)) * K + spec.n_max * rest) \
+        * np.finfo(float).eps
+    return max(R, 0.0), bound
 
 
 def _closure(eps, spec: Spectrum, P, R):
@@ -545,7 +557,7 @@ def convergence_study(spec: Spectrum, eps_grid, u_points) -> MseReport:
     docstring): `mercer_R` per u, and `P_closed`, `P_lo` and `P_hi` per
     cell, with `mercer_remainder`'s refusal (SolverError) of a remainder
     below its rounding pad.  The closed form also records `mercer_R_err` per
-    u, a bound on the rounding of R_M = K - S_M (`_remainder`).
+    u, a bound on the rounding of R_M = K - S_M (`_closed_form_remainder`).
     """
     p = spec.params
     eps_grid = np.asarray(list(eps_grid), dtype=float)
@@ -591,12 +603,14 @@ def convergence_study(spec: Spectrum, eps_grid, u_points) -> MseReport:
         "monotone_in_eps": bool(np.all(np.diff(P_series, axis=0) <= 1e-12)),
     }
     if spec.method != "first_order":
-        R, R_err = np.array([_remainder(spec, float(u), f) for u, f in zip(u_points, phi2)]).T
+        if spec.method == "closed_form_ou":
+            R, diagnostics["mercer_R_err"] = np.array(
+                [_closed_form_remainder(spec, float(u), f) for u, f in zip(u_points, phi2)]).T
+        else:
+            R = np.array([_kernel_remainder(spec, float(u), f) for u, f in zip(u_points, phi2)])
         diagnostics["mercer_R"] = R
         diagnostics.update(zip(("P_closed", "P_lo", "P_hi"),
                                _closure(eps_grid[:, None], spec, P_series, R)))
-        if spec.method == "closed_form_ou":
-            diagnostics["mercer_R_err"] = R_err
     return MseReport(params=p, eps_values=eps_grid, u_points=u_points,
                      P_series=P_series, P_asymptotic=P_asym,
                      ratios=ratios, spectrum_method=spec.method,
@@ -622,8 +636,10 @@ def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
     is extrapolated from the two grids' closures at the grid order q = 2H + 1:
     P_N + (P_N - P_{N/2}) / (2^q - 1).  Otherwise n_max = 0 takes
     max(1500, 5 n_eff) pairs, and on the closed form max(1500, 20 n_eff),
-    capped at CLOSED_FORM_PAIRS, and grid_size = 0 takes max(3000, 2 n_max)
-    nodes.  An interior u is snapped to its nearest grid node
+    capped at CLOSED_FORM_PAIRS, or max(1500, 200 n_eff), capped alike,
+    where the tail law of `check_truncation` refuses the first (P well below
+    sqrt(eps) / mu at strong negative drift), and grid_size = 0 takes
+    max(3000, 2 n_max) nodes.  An interior u is snapped to its nearest grid node
     (`QuadGrid.nearest`) on a route with a grid, and the report's
     `u_points` echo the snapped values; eps comes back sorted decreasing.
 
@@ -660,6 +676,7 @@ def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
         # the deep truncations the power-law tail needs; it has no grid for with_wh
         spectrum = "closed_form_ou"
     two_grids = spectrum == "oracle" and not n_max and not grid_size
+    law_pairs = n_max  # the closed form's size where the tail law refuses its auto one
     if not n_max:
         n_eff = effective_terms(eps[-1], p)
         if not n_eff < np.inf:
@@ -677,12 +694,24 @@ def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
                     f"form stops at n_max={CLOSED_FORM_PAIRS}: from "
                     f"{CLOSED_FORM_PAIRS / 5:.3g} effective terms on, its excluded series "
                     "mass exceeds the tail budget; raise the smallest eps")
+            law_pairs = min(max(n_max, int(200 * n_eff)), CLOSED_FORM_PAIRS)
             n_max = min(max(n_max, int(20 * n_eff)), CLOSED_FORM_PAIRS)
     spec = build_spectrum(p, spectrum, n_max=n_max, grid_size=grid_size or max(3000, 2 * n_max),
                           wiener_hopf=(eps, u) if with_wh else None)
     us = [x if spec.grid is None or x == 1.0 else float(spec.grid.nodes[spec.grid.nearest(x)])
           for x in map(float, u)]
-    rep = convergence_study(spec, eps, us)
+    try:
+        rep = convergence_study(spec, eps, us)
+    except TruncationError:
+        # `check_truncation` judges the closed form by the tail law, whose
+        # mass at 20 n_eff pairs is about 1% of sqrt(eps) / mu: above the
+        # budget where P is well below that (strong negative drift).  The
+        # law's own 200 n_eff pairs answer there as they always did.
+        if law_pairs <= n_max:
+            raise
+        del spec
+        spec = build_spectrum(p, spectrum, n_max=law_pairs)
+        rep = convergence_study(spec, eps, us)
     if spectrum not in ("oracle", "closed_form_ou"):
         return rep
     del spec  # the coarser grid is built after the finer one is freed

@@ -341,6 +341,14 @@ def test_closed_form_prints_its_closure_at_20_n_eff(capsys):
     assert len(rows) == 8
 
 
+def test_closed_form_at_strong_negative_drift_still_runs(capsys):
+    # P = 0.41 sqrt(eps) here, and the tail law refuses the 2000 pairs of
+    # 20 n_eff: the run is answered on 200 n_eff, as before the closure
+    argv = ["mse", "--H", "0.5", "--beta", "-100", "--eps", "1e-4", "--u", "1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "# spectrum = closed_form_ou, n_max = 20000\n" in capsys.readouterr().out
+
+
 def _numbers(text):
     """Numeric cells of a CSV or JSON result table."""
     text = text.lstrip()

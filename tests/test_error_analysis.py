@@ -22,6 +22,7 @@ from fouspec.exceptions import DomainError, SolverError, TruncationError
 from fouspec.ia_refine import refined_eigenpair
 from fouspec.model import CovMatrix, ModelParams, QuadGrid, cov_matrix, cov_row, fou_cov
 from fouspec.spectral_oracle import nystrom_eigs
+from fouspec.validation import _kalman_bucy
 
 
 @pytest.fixture(scope="module")
@@ -433,9 +434,7 @@ def test_endpoint_matches_kalman_bucy(beta):
     for eps in (1e-4, 1e-5):
         val = mse_series(1.0, eps, spec)
         tail = truncation_tail(eps, spec, endpoint=True)
-        d = math.sqrt(beta ** 2 + 1.0 / eps)
-        e = math.exp(-2.0 * d)
-        assert_allclose(val + tail, (1.0 - e) / ((d - beta) + (d + beta) * e), rtol=1e-6)
+        assert_allclose(val + tail, _kalman_bucy(beta, eps), rtol=1e-6)
 
 
 def _tail_reference(y, H):
@@ -843,18 +842,29 @@ def test_auto_oracle_passes_the_benchmark_check(beta, tmp_path, monkeypatch):
     assert run.check_output(workload, 0, path, beta, None) == []
 
 
-def _kalman_bucy(beta, eps):
-    """P(1, eps) at H = 1/2, mu = T = 1: the Riccati solution of the filter."""
-    d = math.sqrt(beta ** 2 + 1.0 / eps)
-    e = math.exp(-2.0 * d)
-    return (1.0 - e) / ((d - beta) + (d + beta) * e)
-
-
 def test_closed_form_sizes_twenty_effective_terms():
     # the closure needs 20 n_eff pairs where the law needed 200 n_eff
     for eps, n in ((1e-2, 1500), (1e-4, 2000), (1e-7, 63_245)):
         rep = error_analysis.estimate(ModelParams(H=0.5, beta=-1.1), [eps], [1.0])
         assert (rep.spectrum_method, rep.truncation_n) == ("closed_form_ou", n), eps
+
+
+@pytest.mark.parametrize("beta", [-100.0, -300.0])
+def test_closed_form_takes_the_law_pairs_where_the_law_refuses(beta):
+    # at strong negative drift P sits well below sqrt(eps), and the tail law
+    # that check_truncation reads refuses 20 n_eff pairs (2000 here): the
+    # run is answered on the law's 200 n_eff, as it was before the closure
+    p, eps = ModelParams(H=0.5, beta=beta), [1e-4]
+    with pytest.raises(TruncationError):
+        convergence_study(build_spectrum(p, "closed_form_ou", n_max=2000), eps, [1.0])
+    rep = error_analysis.estimate(p, eps, [0.5, 1.0])
+    assert rep.truncation_n == 20_000
+    direct = convergence_study(build_spectrum(p, "closed_form_ou", n_max=20_000), eps,
+                               [0.5, 1.0])
+    assert np.array_equal(rep.P_series, direct.P_series)
+    exact = _kalman_bucy(beta, eps[0])
+    assert abs(rep.P_closed[0, 1] - exact) <= rep.P_closed_err[0, 1]
+    assert abs(rep.P_closed[0, 1] / exact - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("beta", [-30.0, 5.0, 8.0, 12.0, 20.0])
@@ -888,7 +898,25 @@ def test_closed_form_remainder_is_the_ou_variance_less_the_series():
             K = u * T if beta == 0.0 else T * math.expm1(2 * beta * T * u) / (2 * beta * T)
             assert_allclose(mercer_remainder(spec, u) + S, K, rtol=1e-15)
             assert 0.0 < mercer_remainder(spec, u) < 2.0 / (math.pi ** 2 * 3000) * T
+    # at beta T = 20, K(1,1) ~ 6e15 swamps the true R_M ~ 7e-5: the value
+    # is rounding, nonnegative and within its bound
     spec = build_spectrum(ModelParams(H=0.5, beta=20.0), "closed_form_ou", n_max=3000)
-    assert mercer_remainder(spec, 1.0) == 0.0
+    R, bound = error_analysis._closed_form_remainder(
+        spec, 1.0, np.asarray(spec.phi_values(1.0)) ** 2)
+    assert R == mercer_remainder(spec, 1.0)
+    assert 0.0 <= R <= bound
     with pytest.raises(SolverError, match="R_M"):
         mercer_remainder(replace(spec, lam=(1.0 + 1e-9) * spec.lam), 1.0)
+
+
+def test_closed_form_remainder_below_zero_but_above_the_pad_reads_zero():
+    # pairs scaled to leave R_M = -1e-12 K(1,1), above -MERCER_PAD K: rounding
+    spec = build_spectrum(ModelParams(H=0.5, beta=-1.5), "closed_form_ou", n_max=3000)
+    K = math.expm1(-3.0) / -3.0
+    R = mercer_remainder(spec, 1.0)
+    assert R > 1e-6 * K
+    S = K - R
+    scaled = replace(spec, lam=(1.0 + (R + 1e-12 * K) / S) * spec.lam)
+    assert mercer_remainder(scaled, 1.0) == 0.0
+    phi2 = np.asarray(spec.phi_values(1.0)) ** 2
+    assert math.fsum([K, *(-scaled.lam * phi2).tolist()]) < -1e-13 * K
