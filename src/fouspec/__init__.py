@@ -40,7 +40,6 @@ _EXPORTS = {
     "h_weight": "asymptotics",
     "rho0": "asymptotics",
     "phi_first_order": "asymptotics",
-    "phi_integral_first_order": "asymptotics",
     "IARefinement": "ia_refine",
     "solve_p": "ia_refine",
     "evaluate_abxi": "ia_refine",

@@ -335,17 +335,13 @@ def rho0(u, alpha):
 @lru_cache(maxsize=16)
 def _layer_rule(alpha):
     """Cached semi-axis rule with rho0 and the f0/f1 layer densities."""
-    nodes, weights, _ = doubling_nodes(2.0 ** -16, _LAYER_PANELS, _LAYER_M)
+    nodes, weights, _ = doubling_nodes(2.0 ** -16, 40, 16)  # 40 panels of 16 nodes
     rho = rho0(nodes, alpha)
     b = b_alpha_closed(alpha)
     sq = math.sqrt(3.0 - alpha)
     f0 = sq / math.pi * rho * (nodes - b) / math.sqrt(1.0 + b * b)
     f1 = sq / math.pi * rho
     return frozen(nodes, weights, f0, f1)
-
-
-_CHUNK = 4096  # (x, n) pairs per block of layer exponentials: bounds the temporaries
-_LAYER_PANELS, _LAYER_M = 40, 16  # the layer rule's doubling panels, nodes per panel
 
 
 def phi_first_order(x, n, H):
@@ -375,20 +371,12 @@ def phi_first_order(x, n, H):
     out = -math.sqrt(2.0) * np.sin(nu * xs + math.pi * eta_h(H))
     if not is_half(H):  # layers vanish identically at H = 1/2
         u, w, f0, f1 = _layer_rule(2.0 - 2.0 * H)
-        buf = np.empty((min(_CHUNK, len(ns)), len(u)))  # one block of exponentials
-        for lo in range(0, len(ns), _CHUNK):
-            b = slice(lo, lo + _CHUNK)
-            for sign, depth, f in ((-1.0, xs[b], f0), ((-1.0) ** ns[b], 1.0 - xs[b], f1)):
-                e = np.outer(nu[b], u, out=buf[:len(depth)])
-                e *= -depth[:, None]
-                with np.errstate(under="ignore"):
-                    out[b] += sign * (np.exp(e, out=e) @ (w * f))
+        e = np.empty((len(ns), len(u)))  # both layers' exponentials, in turn
+        for sign, depth, f in ((-1.0, xs, f0), ((-1.0) ** ns, 1.0 - xs, f1)):
+            np.outer(nu, u, out=e)
+            e *= -depth[:, None]
+            with np.errstate(under="ignore"):
+                out += sign * (np.exp(e, out=e) @ (w * f))
     out = out.reshape(x.shape + n.shape)
     return float(out) if out.ndim == 0 else out
 
-
-def phi_integral_first_order(n, H):
-    """First-order value of int_0^1 phi_n: -sqrt((2H+1)/(1+b_a^2)) / nu_n."""
-    alpha = 2.0 - 2.0 * H
-    b = b_alpha_closed(alpha)
-    return -math.sqrt((3.0 - alpha) / (1.0 + b * b)) / nu_first_order(n, H)

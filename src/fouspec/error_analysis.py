@@ -61,10 +61,8 @@ TAIL_BUDGET = 2e-2           # estimated excluded series mass, relative to P
 # N = 1000-3000: the automatic `mse` grids run from N = 1000 up, and
 # explicit ones above) is 1.6-1.7 doubles per N^2 on the oracle route keeping N/2
 # pairs, 1.7-2.0 with the Wiener-Hopf column and 1.2-2.9 on the refined route,
-# whose fixed costs weigh most at N = 1000; 8-17 per pair on the others (1e6
-# pairs).  The first-order route off H = 1/2 is also charged its one block
-# of layer exponentials: up to `asymptotics._CHUNK` rows of the layer rule's
-# 640 nodes, 21 MB.  The factors round those up.  DENSE_DOUBLES stays 3,
+# whose fixed costs weigh most at N = 1000; 8-17 per pair on the closed form
+# (1e6 pairs).  The factors round those up.  DENSE_DOUBLES stays 3,
 # so the same requests are refused as before, although the dense peak no
 # longer reaches it: 2.1-2.9 was measured while the Wiener-Hopf solve had
 # its own matrix and beta = 0 its own kernel, which traced 3.0 matrices
@@ -202,8 +200,8 @@ def mercer_remainder(spec: Spectrum, u):
     SolverError refuses an oracle or closed-form remainder below -MERCER_PAD
     K(u,u): its pairs cannot come from the one operator.  The closed form's
     exact pairs leave R_M >= 0, so a small negative value there is rounding
-    and reads 0 (`_closed_form_remainder`).  Pairs from no one operator,
-    such as the first-order ones, can give either sign.
+    and reads 0 (`_closed_form_remainder`).  The refined route joins the
+    pairs of two solvers, so its remainder is reported and not refused.
     """
     phi2 = np.asarray(spec.phi_values(u)) ** 2
     if spec.method == "closed_form_ou":
@@ -465,24 +463,29 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
 
     oracle         : Nystrom eigensolve on a Gauss-Legendre grid
     closed_form_ou : exact H = 1/2 spectrum (requires H = 1/2)
-    first_order    : two-term frequencies and the eigenvalue formula
     refined        : oracle pairs below the solver's reach, then the
                      integro-algebraic solver (H >= 1/2)
 
     The dense routes (oracle, refined) assemble an N x N kernel matrix on
     `grid`, else on the Gauss-Legendre grid of `grid_size` nodes, and keep
-    the grid with their eigenfunction samples.  The others have no grid:
-    their `extend` evaluates the eigenfunctions at any u.  Before any grid
-    or array is built, DomainError refuses n_max < 1 on every route, a
-    `grid` or `wiener_hopf` on a route without a matrix, a dense request
-    with n_max above N, a request whose arrays would exceed MEMORY_BUDGET,
-    and the refined route at H < 1/2.
+    the grid with their eigenfunction samples.  The closed form has no
+    grid: its `extend` evaluates the eigenfunctions at any u.  Before any
+    grid or array is built, DomainError refuses any other method, n_max < 1
+    on every route, a `grid` or `wiener_hopf` on the closed form, a dense
+    request with n_max above N, a request whose arrays would exceed
+    MEMORY_BUDGET, and the refined route at H < 1/2.  The first-order
+    pairs are not a route: Mercer's remainder cannot close a series over
+    them, and `fouspec eigs` tabulates them against the oracle.
 
     `wiener_hopf` = (eps_grid, u_points) asks a dense route for the dense
     Wiener-Hopf column: `WienerHopfTable.read` solves it on the assembled
     matrix before the eigensolve spends that matrix, and the
     spectrum keeps the table as `wiener_hopf`.
     """
+    if method not in ("oracle", "refined", "closed_form_ou"):
+        hint = ("; the first-order pairs, which no error series can close, are tabulated "
+                "by `fouspec eigs`" if method == "first_order" else "")
+        raise DomainError(f"unknown spectrum method {method!r}{hint}")
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
     dense = method in ("oracle", "refined")
@@ -494,14 +497,9 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
         raise DomainError(f"n_max={n_max} exceeds the grid size {N}; "
                           "raise grid_size or lower n_max (--N-unit, --n-max)")
     if dense:
-        need, size = DENSE_DOUBLES * N ** 2, f"N = {N} grid nodes"
+        need, size = 8 * DENSE_DOUBLES * N ** 2, f"N = {N} grid nodes"
     else:
-        need, size = PAIR_DOUBLES * n_max, f"n_max = {n_max} pairs"
-    if method == "first_order" and not is_half(p.H):  # one block of layer exponentials
-        from . import asymptotics as a
-
-        need += min(a._CHUNK, n_max) * a._LAYER_PANELS * a._LAYER_M
-    need *= 8
+        need, size = 8 * PAIR_DOUBLES * n_max, f"n_max = {n_max} pairs"
     budget = MEMORY_BUDGET
     with contextlib.suppress(AttributeError, ValueError, OSError):  # no sysconf
         budget = min(budget, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
@@ -525,20 +523,7 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
         n_head = n_max if method == "oracle" else min(n_max, ia_refine.DEFAULT_N_MIN - 1)
         head = replace(nystrom_eigs(cov, n_head), wiener_hopf=table)
         return head if method == "oracle" else ia_refine.refined_spectrum(head, n_max)
-    if method == "closed_form_ou":
-        return ou_closed_form_eigs(p, n_max)
-    if method == "first_order":
-        from . import asymptotics
-
-        n = np.arange(1, n_max + 1)
-        nu = asymptotics.nu_first_order(n, p.H)
-        lam = asymptotics.lambda_from_nu(nu, p.H, p.beta_eff) * p.T ** (2.0 * p.H)
-        phi1 = asymptotics.phi_first_order(1.0, n, p.H)
-        integ = asymptotics.phi_integral_first_order(n, p.H)
-        return Spectrum("first_order", p, lam, nu, None, None, phi1, integ,
-                        extend=lambda spec, u: asymptotics.phi_first_order(
-                            u, n, spec.params.H))
-    raise DomainError(f"unknown spectrum method {method!r}")
+    return ou_closed_form_eigs(p, n_max)
 
 
 def convergence_study(spec: Spectrum, eps_grid, u_points) -> MseReport:
@@ -552,8 +537,7 @@ def convergence_study(spec: Spectrum, eps_grid, u_points) -> MseReport:
     or when the table lacks a requested (eps, u) cell.  Also records the
     oscillation diagnostic I2 = P(u) - I1, where I1 is the series with phi^2
     replaced by its interior mean 1: I2 must stay O(eps), i.e. vanish faster
-    than the main term.  On every route but the first-order one, whose pairs
-    come from no one operator, it also records the Mercer closure (module
+    than the main term.  It also records the Mercer closure (module
     docstring): `mercer_R` per u, and `P_closed`, `P_lo` and `P_hi` per
     cell, with `mercer_remainder`'s refusal (SolverError) of a remainder
     below its rounding pad.  The closed form also records `mercer_R_err` per
@@ -602,15 +586,14 @@ def convergence_study(spec: Spectrum, eps_grid, u_points) -> MseReport:
         "I2_over_eps": I2 / eps_grid[:, None],
         "monotone_in_eps": bool(np.all(np.diff(P_series, axis=0) <= 1e-12)),
     }
-    if spec.method != "first_order":
-        if spec.method == "closed_form_ou":
-            R, diagnostics["mercer_R_err"] = np.array(
-                [_closed_form_remainder(spec, float(u), f) for u, f in zip(u_points, phi2)]).T
-        else:
-            R = np.array([_kernel_remainder(spec, float(u), f) for u, f in zip(u_points, phi2)])
-        diagnostics["mercer_R"] = R
-        diagnostics.update(zip(("P_closed", "P_lo", "P_hi"),
-                               _closure(eps_grid[:, None], spec, P_series, R)))
+    if spec.method == "closed_form_ou":
+        R, diagnostics["mercer_R_err"] = np.array(
+            [_closed_form_remainder(spec, float(u), f) for u, f in zip(u_points, phi2)]).T
+    else:
+        R = np.array([_kernel_remainder(spec, float(u), f) for u, f in zip(u_points, phi2)])
+    diagnostics["mercer_R"] = R
+    diagnostics.update(zip(("P_closed", "P_lo", "P_hi"),
+                           _closure(eps_grid[:, None], spec, P_series, R)))
     return MseReport(params=p, eps_values=eps_grid, u_points=u_points,
                      P_series=P_series, P_asymptotic=P_asym,
                      ratios=ratios, spectrum_method=spec.method,
@@ -624,9 +607,11 @@ def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
     for the problem `p`, with the ratios to the asymptote.
 
     The one door from a request to an `MseReport`; `convergence_study` does
-    the sweep.  `spectrum` names the route of `build_spectrum`, and the
-    oracle at H = 1/2 is swapped for the exact closed form unless `with_wh`
-    asks for the dense Wiener-Hopf column, which needs the oracle's matrix.
+    the sweep.  `spectrum` names the route of `build_spectrum` (oracle,
+    refined or closed_form_ou; the first-order pairs serve `fouspec eigs`
+    only, and `build_spectrum` refuses them here), and the oracle at
+    H = 1/2 is swapped for the exact closed form unless `with_wh` asks for
+    the dense Wiener-Hopf column, which needs the oracle's matrix.
 
     Sizes of 0 are automatic, from n_eff at the smallest eps
     (`effective_terms`).  With both 0 the oracle takes two grids: the finer

@@ -56,16 +56,15 @@ def traced_matrices():
 @pytest.fixture
 def no_allocation(monkeypatch):
     """Every allocator behind `build_spectrum` (the grid, the kernel matrix
-    and the closed-form and first-order arrays) patched to fail: a request
-    must be refused before any of them runs."""
-    from fouspec import asymptotics, error_analysis
+    and the closed-form arrays) patched to fail: a request must be refused
+    before any of them runs."""
+    from fouspec import error_analysis
 
     def never(*args, **kwargs):
         raise AssertionError("allocated before the request was refused")
 
     for name in ("cov_matrix", "ou_closed_form_eigs"):
         monkeypatch.setattr(error_analysis, name, never)
-    monkeypatch.setattr(asymptotics, "nu_first_order", never)
     monkeypatch.setattr(QuadGrid, "gauss_legendre_unit", never)
 
 

@@ -8,10 +8,9 @@ from scipy import integrate
 from fouspec import asymptotics
 from fouspec.asymptotics import (ThetaProfile, b_alpha_closed, b_alpha_numeric,
                                  eta_h, gamma0, h_weight, h_weight_parts,
-                                 lambda_from_nu, nu_first_order, phi_first_order,
-                                 phi_integral_first_order, rho0, theta0)
+                                 lambda_from_nu, nu_first_order, phi_first_order, rho0,
+                                 theta0)
 from fouspec.exceptions import DomainError
-from fouspec.model import QuadGrid
 
 
 def _x_cauchy_subtracted(prof, z):
@@ -291,23 +290,6 @@ class TestPhiFirstOrder:
                                         + math.pi * eta_h(H))
         assert np.array_equal(phi_first_order(x, n, H), sine)
 
-    def test_layer_temporaries_share_one_block(self):
-        # 1e6 (x, n) pairs: both layers reuse one _CHUNK x 640 block of
-        # exponentials.  Three such blocks at a time traced a 90.6 MiB peak;
-        # one block traces 50.7 MiB
-        import tracemalloc
-
-        x = QuadGrid.gauss_legendre_unit(500).nodes
-        n = np.arange(1, 2001)
-        phi_first_order(x[:3], n[:3], 0.7)  # the cached layer rule is not counted
-        tracemalloc.start()
-        try:
-            phi_first_order(x, n, 0.7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 70 * 2 ** 20
-
     def test_vanishes_at_zero(self):
         for n in (10, 20, 30):
             assert abs(phi_first_order(0.0, n, 0.7)) < 5e-3
@@ -331,13 +313,9 @@ class TestPhiFirstOrder:
             phi_first_order(1.2, 3, 0.7)
 
     @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
-    @pytest.mark.parametrize("chunk", [None, 5])
-    def test_broadcasts_x_against_n(self, H, chunk, monkeypatch):
+    def test_broadcasts_x_against_n(self, H):
         # an array of x against an array of n equals the one-by-one calls to
-        # 1 ulp (matrix products of different shapes may round differently),
-        # also when the pairs are split into several blocks
-        if chunk is not None:
-            monkeypatch.setattr(asymptotics, "_CHUNK", chunk)
+        # 1 ulp (matrix products of different shapes may round differently)
         x = np.array([[0.05, 0.25, 0.5], [0.75, 0.9, 1.0]])
         n = np.array([1, 2, 7, 40])
         vals = phi_first_order(x, n, H)
@@ -349,19 +327,3 @@ class TestPhiFirstOrder:
         assert phi_first_order(0.5, n, H).shape == n.shape
         assert isinstance(phi_first_order(0.5, 7, H), float)
 
-
-class TestPhiIntegralFirstOrder:
-    def test_bm_value(self):
-        # |int sqrt2 sin(pi x/2)| = 2 sqrt2/pi, negative under the convention
-        assert_allclose(phi_integral_first_order(1, 0.5),
-                        -2.0 * math.sqrt(2.0) / math.pi, rtol=1e-14)
-
-    def test_against_oracle(self, oracle_07):
-        p, _, spec = oracle_07
-        val = phi_integral_first_order(10, p.H)
-        assert abs(val / spec.phi_integral[9] - 1.0) <= 0.10
-
-    def test_scaled_value_stabilizes(self):
-        vals = [phi_integral_first_order(n, 0.7) * nu_first_order(n, 0.7)
-                for n in (10, 20, 40)]
-        assert_allclose(vals[0], vals[2], rtol=1e-12)  # exactly n-free by construction

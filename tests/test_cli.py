@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fouspec import cli, error_analysis
-from fouspec.exceptions import TruncationError
+from fouspec.exceptions import DomainError, TruncationError
 from fouspec.model import ModelParams
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -33,11 +33,11 @@ def test_config_text_is_parsed_by_field_type():
 H = 0.65
 n_max = 77   # an int
 eps = 1e-3, 2.5e-5
-spectrum = first_order
+spectrum = refined
 with_wh = yes
 """
     assert cli.parse_config_text(text) == {"H": 0.65, "n_max": 77, "eps": (1e-3, 2.5e-5),
-                                           "spectrum": "first_order", "with_wh": True}
+                                           "spectrum": "refined", "with_wh": True}
 
 
 def test_flags_override_config(tmp_path):
@@ -248,6 +248,24 @@ def test_config_values_obey_flag_choices(tmp_path):
         assert key in err and "must be one of" in err
 
 
+def test_first_order_spectrum_is_refused(tmp_path, capsys):
+    # the first-order pairs left `mse` for `eigs`: a usage error from the
+    # flag and from a config file, and a DomainError that names `eigs` from
+    # the library
+    conf = tmp_path / "fo.conf"
+    conf.write_text("spectrum = first_order\n")
+    for argv in (["mse", "--H", "0.7", "--spectrum", "first_order", "--eps", "1e-2"],
+                 ["mse", "--H", "0.7", "--config", str(conf), "--eps", "1e-2"]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "first_order" in captured.err
+    for build in (lambda: error_analysis.build_spectrum(ModelParams(H=0.7), "first_order"),
+                  lambda: error_analysis.estimate(ModelParams(H=0.7), [1e-2], [1.0],
+                                                  spectrum="first_order")):
+        with pytest.raises(DomainError, match="first_order.*`fouspec eigs`"):
+            build()
+
+
 @pytest.mark.parametrize("argv", [
     # each comment says what the command did before these values were refused
     ["special", "--nu", "0"],                            # ZeroDivisionError
@@ -443,8 +461,7 @@ def test_noise_ratio_out_of_float_range_is_refused(mu, eps, capsys):
 def test_unsizable_mse_is_refused(capsys):
     # mu^2/eps overflows, so the auto n_max has no size; this used to end in
     # OverflowError at int(5 * n_eff)
-    argv = ["mse", "--H", "0.7", "--mu", "1000", "--eps", "5e-324",
-            "--spectrum", "first_order"]
+    argv = ["mse", "--H", "0.7", "--mu", "1000", "--eps", "5e-324"]
     assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "cannot size" in err and "--n-max" in err and "--N-unit" in err
@@ -453,7 +470,6 @@ def test_unsizable_mse_is_refused(capsys):
 @pytest.mark.parametrize("argv", [
     ["mse", "--H", "0.7", "--eps", "1e-3"],
     ["mse", "--H", "0.7", "--spectrum", "refined", "--n-max", "20", "--eps", "1e-1"],
-    ["mse", "--H", "0.7", "--spectrum", "first_order", "--eps", "1e-3"],
     ["mse", "--H", "0.5", "--eps", "1e-3"],
     ["eigs", "--H", "0.7"],
 ])
@@ -464,7 +480,7 @@ def test_run_over_the_memory_budget_is_refused(argv, tiny_memory_budget, capsys)
     assert cli.main(argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    gridless = "first_order" in argv or "0.5" in argv
+    gridless = "0.5" in argv
     assert "budget" in captured.err and "--n-max" in captured.err
     assert ("--N-unit" in captured.err) != gridless
 
@@ -588,9 +604,7 @@ def test_closed_form_and_oracle_routes_load_only_what_they_use():
     # solves that keep at most N/20 pairs, the refined head among them: the
     # oracle run here keeps 30 of 60 and takes the full reduction, and
     # neither those two routes nor importing the modules of an `mse` run
-    # loads it.  The H = 1/2 closed form and the first-order route load no
-    # scipy module at all (the latter checked in a second interpreter, since
-    # the oracle run above must not find the first-order module loaded), and
+    # loads it.  The H = 1/2 closed form loads no scipy module at all, and
     # the error layer imports scipy.linalg only for the Wiener-Hopf solve.
     # The Gauss rules are built in the package: no mse or eigs route loads
     # scipy.special
@@ -613,28 +627,15 @@ import fouspec.error_analysis, fouspec.ia_refine
 loaded["ia_refine"] = [m for m in heavy[2:] if m in sys.modules]
 run("refined", ["mse", "--H", "0.7", "--spectrum", "refined", "--N-unit", "60",
                 "--n-max", "20", "--eps", "1e-1"], heavy[2:4])
-run("first_order", ["mse", "--H", "0.7", "--spectrum", "first_order", "--N-unit", "60",
-                    "--n-max", "20", "--eps", "1e-1"], heavy[2:4])
 run("eigs", ["eigs", "--N-unit", "60", "--n-max", "6"], heavy[2:4])
 print(json.dumps(loaded))
 """
-    first_order = """
-import contextlib, io, json, sys
-from fouspec import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["mse", "--H", "0.7", "--spectrum", "first_order", "--n-max", "20",
-                     "--eps", "1e-1"]) == cli.EXIT_OK
-print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
-"""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    out = []
-    for script in (code, first_order):
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
-        assert proc.returncode == 0, proc.stderr
-        out.append(json.loads(proc.stdout))
-    assert out == [{"error_analysis": [], "0.5": [], "0.5 scipy": [], "0.7": [],
-                    "ia_refine": [], "refined": [], "first_order": [], "eigs": []}, []]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"error_analysis": [], "0.5": [], "0.5 scipy": [],
+                                       "0.7": [], "ia_refine": [], "refined": [], "eigs": []}
 
 
 @pytest.mark.parametrize("argv", [

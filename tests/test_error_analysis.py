@@ -13,7 +13,6 @@ from scipy import integrate
 
 from fouspec import error_analysis
 from fouspec._quad import gauss_legendre_01
-from fouspec.asymptotics import phi_first_order
 from fouspec.error_analysis import (build_spectrum, check_truncation,
                                     convergence_study, mercer_remainder, mse_asymptotic,
                                     mse_series, hyp2f1_tail, mse_wiener_hopf,
@@ -259,12 +258,6 @@ class TestConvergenceStudy:
         rep = convergence_study(spec, [1e-3, 1e-4, 1e-5], [0.35])
         assert np.max(np.abs(rep.diagnostics["I2_over_eps"])) < 1.0
 
-    def test_first_order_spectrum_source(self):
-        p = ModelParams(H=0.7, beta=-1.0)
-        spec = build_spectrum(p, "first_order", n_max=3000)
-        rep = convergence_study(spec, [1e-5, 1e-6], [0.5, 1.0])
-        assert np.max(np.abs(rep.ratios[-1] - 1.0)) < 0.05
-
     def test_t_invariance_of_leading_term(self):
         ratios = {}
         for T in (1.0, 2.0):
@@ -391,11 +384,12 @@ class TestTruncationGuard:
             check_truncation(1e-9, spec, u=1.0)
 
     def test_slow_tail_refusal(self):
-        # small H: every excluded term looks negligible but their mass is not
+        # small H: every excluded term looks negligible (the largest is 5.7e-4
+        # of P here) but their mass is not (0.19 of P)
         p = ModelParams(H=0.3, beta=-1.0)
-        spec = build_spectrum(p, "first_order", n_max=4000)
+        spec = build_spectrum(p, "oracle", n_max=200, grid_size=400)
         with pytest.raises(TruncationError, match="excluded series mass"):
-            check_truncation(1e-6, spec, u=1.0)
+            check_truncation(1e-2, spec, u=1.0)
 
     def test_sweep_reuses_its_series(self, monkeypatch):
         # convergence_study hands its smallest-eps row to check_truncation
@@ -463,8 +457,9 @@ def test_truncation_tail_against_integral(H):
     # the closed form against an independent integration of the decay law;
     # adaptive quadrature at the default tolerance was off by 5e-6
     p = ModelParams(H=H, beta=-1.0, mu=1.5, T=2.0)
-    spec = build_spectrum(p, "first_order", n_max=50)
+    spec = build_spectrum(p, "oracle", n_max=50, grid_size=100)
     N, lam_n = spec.n_max, float(spec.lam[-1])
+    assert lam_n > 0.0
     ys = np.array([1e-8, 1e-3, 1.0, 1e3])
     eps = p.mu ** 2 * p.T * lam_n / ys
     for y, e in zip(ys, eps):
@@ -557,9 +552,9 @@ def test_dense_route_refuses_more_pairs_than_nodes(method, monkeypatch):
 
 
 @pytest.mark.parametrize("n_max", [0, -3])
-@pytest.mark.parametrize("method", ["oracle", "refined", "closed_form_ou", "first_order"])
+@pytest.mark.parametrize("method", ["oracle", "refined", "closed_form_ou"])
 def test_fewer_than_one_pair_is_refused_first(method, n_max, no_allocation):
-    # the closed-form and first-order routes returned an empty spectrum here,
+    # the closed-form route returned an empty spectrum here,
     # and the dense ones assembled the matrix before the eigensolve refused
     H = 0.5 if method == "closed_form_ou" else 0.7
     with pytest.raises(DomainError, match=f"n_max must be at least 1, got {n_max}"):
@@ -568,8 +563,7 @@ def test_fewer_than_one_pair_is_refused_first(method, n_max, no_allocation):
 
 @pytest.mark.parametrize("method,size", [("oracle", "N = 1000 grid nodes"),
                                          ("refined", "N = 1000 grid nodes"),
-                                         ("closed_form_ou", "n_max = 500 pairs"),
-                                         ("first_order", "n_max = 500 pairs")])
+                                         ("closed_form_ou", "n_max = 500 pairs")])
 def test_request_over_the_memory_budget_is_refused_before_any_array(method, size,
                                                                    tiny_memory_budget):
     # the hint names what the route can lower: a route without a grid has no --N-unit
@@ -581,7 +575,7 @@ def test_request_over_the_memory_budget_is_refused_before_any_array(method, size
         build_spectrum(ModelParams(H=H, beta=-1.0), method, n_max=500, grid_size=1000)
 
 
-@pytest.mark.parametrize("method,H", [("closed_form_ou", 0.5), ("first_order", 0.7)])
+@pytest.mark.parametrize("method,H", [("closed_form_ou", 0.5)])
 @pytest.mark.parametrize("matrix_input", ["grid", "wiener_hopf", "both"])
 def test_routes_without_a_matrix_refuse_its_inputs(method, H, matrix_input, no_allocation):
     # a grid used to make these routes sample every pair on it; neither a
@@ -594,41 +588,12 @@ def test_routes_without_a_matrix_refuse_its_inputs(method, H, matrix_input, no_a
         build_spectrum(ModelParams(H=H, beta=-1.0), method, n_max=20, **kwargs)
 
 
-def test_first_order_layer_block_is_charged(traced_matrices, monkeypatch):
-    # off H = 1/2 the gate charges the one 21 MB block of layer exponentials
-    # next to 20 doubles per pair: 21.3 MiB here, against a traced 20.7 MiB
-    p = ModelParams(H=0.7, beta=-1.0)
-
-    def build():
-        return build_spectrum(p, "first_order", n_max=8192)
-
-    peak, _, spec = traced_matrices(build, 1)  # in doubles
-    assert spec.n_max == 8192
-    # the charge is at least the traced peak: a budget one byte below refuses
-    monkeypatch.setattr(error_analysis, "MEMORY_BUDGET", int(8 * peak) - 1)
-    with pytest.raises(DomainError, match="first_order spectrum .* budget"):
-        build()
-    monkeypatch.setattr(error_analysis, "MEMORY_BUDGET", int(12 * peak))
-    assert build().n_max == 8192
-
-
 def test_refined_head_pairs_are_the_oracle_pairs():
     # the head pairs come from the oracle matrix of the same grid
     p = ModelParams(H=0.7, beta=-1.0)
     g = QuadGrid.gauss_legendre_unit(60)
     spec = build_spectrum(p, "refined", n_max=3, grid=g)
     assert np.array_equal(spec.lam[:2], nystrom_eigs(cov_matrix(g, p), 2).lam)
-
-
-def test_first_order_extends_by_formula():
-    # the route has no grid: at a node, too, the value is the formula's
-    p = ModelParams(H=0.7, beta=-1.0)
-    spec = build_spectrum(p, "first_order", n_max=25)
-    assert spec.grid is None and spec.phi is None
-    n = np.arange(1, 26)
-    node = float(QuadGrid.gauss_legendre_unit(30).nodes[11])
-    for u in (1.0, 0.3, node):
-        assert np.array_equal(spec.phi_values(u), phi_first_order(u, n, p.H))
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 4, 7])
@@ -735,9 +700,8 @@ def test_non_finite_matrix_is_refused(entry):
 @pytest.mark.parametrize("H, route", [
     (0.7, dict(spectrum="oracle", n_max=100, grid_size=200, with_wh=True)),
     (0.7, dict(spectrum="oracle", with_wh=True)),
-    (0.5, dict()),
-    (0.7, dict(spectrum="first_order", n_max=2000))],
-    ids=["oracle", "two_grids", "closed_form", "first_order"])
+    (0.5, dict())],
+    ids=["oracle", "two_grids", "closed_form"])
 def test_scaling_in_T_and_mu(H, route):
     # P(u; beta, T, mu, eps) = T^(2H) P(u; beta T, 1, 1, eps / (mu^2 T^(2H+1))):
     # pins the mu^2 T factors of the series, of the Wiener-Hopf system and of
@@ -747,8 +711,7 @@ def test_scaling_in_T_and_mu(H, route):
     rep = error_analysis.estimate(ModelParams(H=H, beta=beta, T=T, mu=mu), eps, us, **route)
     unit = error_analysis.estimate(ModelParams(H=H, beta=beta * T),
                                    [e / (mu ** 2 * T ** (2 * H + 1)) for e in eps], us, **route)
-    columns = ["P_series"] + (["P_wiener_hopf"] if route.get("with_wh") else []) \
-        + (["P_closed"] if rep.spectrum_method != "first_order" else [])
+    columns = ["P_series", "P_closed"] + (["P_wiener_hopf"] if route.get("with_wh") else [])
     for name in columns:
         assert_allclose(getattr(rep, name), T ** (2 * H) * getattr(unit, name), rtol=1e-13,
                         atol=0, err_msg=name)

@@ -37,8 +37,6 @@ CASES = {
                     "--u", "0.5,1"],
     "mse_closed_form": ["mse", "--H", "0.5", "--beta", "-1", "--n-max", "2000",
                         "--eps", "1e-2,1e-3", "--u", "0.5,1"],
-    "mse_first_order": ["mse", "--H", "0.7", "--beta", "-1", "--spectrum", "first_order",
-                        "--n-max", "2000", "--eps", "1e-2,1e-3", "--u", "0.5,1"],
     "eigs_h07": ["eigs", "--H", "0.7", "--beta", "-1", "--N-unit", "40", "--n-max", "5"],
     "eigs_h07_b0": ["eigs", "--H", "0.7", "--beta", "0", "--N-unit", "40", "--n-max", "5"],
     "eigs_h03": ["eigs", "--H", "0.3", "--beta", "-1", "--N-unit", "40", "--n-max", "5"],

@@ -52,6 +52,55 @@ def test_src_lines_counts_every_module_of_the_package():
     assert all(0 < code < total and opts >= 0 for total, code, opts in table.values())
 
 
+needs_git = pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
+                               reason="needs git and the repository's history")
+
+
+def _unpack_head(dest):
+    """HEAD's package, unpacked by `git archive` under `dest`."""
+    tar = subprocess.run(["git", "archive", "--format=tar", "HEAD", "src"], cwd=ROOT,
+                         capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+    return dest / "src" / "fouspec"
+
+
+@needs_git
+def test_src_lines_against_a_revision(tmp_path):
+    # HEAD's own package plus one module against HEAD: the base columns are
+    # HEAD's counts, and only the new module differs, with 0 at the base
+    package = _unpack_head(tmp_path)
+    (package / "extra.py").write_text("X = 1\n")
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(package), "--against", "HEAD"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    assert header.split() == ["module", "lines", "code", "options", "base_lines", "base_code",
+                              "base_options", "diff_lines", "diff_code", "diff_options"]
+    rows = {name: (tuple(map(int, cells[:6])), cells[6:])
+            for name, *cells in (line.split() for line in lines)}
+    alone = _table(str(package))
+    assert sorted(rows) == sorted(alone)
+    for name, (counts, diff) in rows.items():
+        assert counts[:3] == alone[name]
+        if name in ("extra.py", "total"):
+            assert diff == [f"{v:+d}" for v in (1, 1, 0)]
+        else:
+            assert counts[3:] == counts[:3] and diff == ["+0"] * 3
+    assert rows["extra.py"][0][3:] == (0, 0, 0)
+
+
+def test_src_lines_exit_0_without_the_revision(tmp_path):
+    # a revision that cannot be unpacked is named on stderr; this tree's
+    # counts are still printed, and the exit code is 0
+    (tmp_path / "b.py").write_text("X = 1\n")
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path), "--against",
+                           "no-such-revision"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "cannot unpack no-such-revision" in proc.stderr
+    assert _table(str(tmp_path)) == {"b.py": (1, 1, 0), "total": (1, 1, 0)}
+    assert proc.stdout.splitlines()[0].split() == ["module", "lines", "code", "options"]
+
+
 TINY = ["--H", "0.5", "--n-max", "50", "--eps", "1e-1", "--u", "1"]
 
 
@@ -81,12 +130,14 @@ def test_workload_digests_hash_each_command_stdout(monkeypatch, capsys):
         assert float(rss) > 0  # the child's peak RSS in MB
 
 
-@pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
-                    reason="needs git and the repository's history")
-def test_workload_digests_against_a_revision(monkeypatch, capsys):
-    # the workload's output does not depend on uncommitted changes, so HEAD's
-    # src/ prints the same bytes as this tree's
+@needs_git
+def test_workload_digests_against_a_revision(monkeypatch, capsys, tmp_path):
+    # both sides run HEAD's committed src/: this tree's side from a second
+    # unpacked copy, so an uncommitted change to the output cannot fail it
     tool = _digests_tool(monkeypatch)
+    head_src = tool.unpack_src("HEAD", tmp_path)
+    run = tool.digest
+    monkeypatch.setattr(tool, "digest", lambda args, beta, src=head_src: run(args, beta, src))
     assert tool.main(["--beta", "-0.5,0", "--against", "HEAD"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["workload", "beta", "exit", "sha256", "rss_mb",

@@ -6,18 +6,29 @@ so neither blank lines, comment lines nor the lines of a docstring (the
 string that opens a module, class or function) count.  Options are the
 parameters that have a default value, in every function and method whose
 name does not start with a single underscore (`__init__` counts).
-Standard library only (`tokenize` and `ast`).
+`--against REV` also counts revision REV's package, unpacked from its
+`src/` by `git archive` into a temporary directory (as
+tools/workload_digests.py does), and adds its three counts and this tree's
+difference from them; a module that one tree lacks counts 0 there.  The
+counts are a report, not a gate: the exit code is always 0, and a revision
+that cannot be unpacked is named on stderr and left out.  Standard library
+(`tokenize` and `ast`), git and tar only.
 
     python tools/src_lines.py [package directory]
+    python tools/src_lines.py --against HEAD~1
 """
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
+import tempfile
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fouspec"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fouspec"
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -53,16 +64,54 @@ def count(source):
     return len(source.splitlines()), len(code - docs), options(tree)
 
 
+def counts(package):
+    """{module file name: (total lines, code lines, options)} of a package directory."""
+    return {path.name: count(path.read_text()) for path in sorted(Path(package).glob("*.py"))}
+
+
+def unpack_package(rev, dest):
+    """Write revision `rev`'s `src/` under `dest` with `git archive`; return
+    the path of its package."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+                         capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+    return Path(dest) / PACKAGE.relative_to(ROOT)
+
+
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    package = Path(argv[0]) if argv else PACKAGE
-    rows = [(path.name, *count(path.read_text())) for path in sorted(package.glob("*.py"))]
-    rows.append(("total", *(sum(r[k] for r in rows) for k in (1, 2, 3))))
-    width = max(len(r[0]) for r in rows)
-    print(f"{'module':<{width}}  {'lines':>6}  {'code':>6}  {'options':>7}")
-    for name, total, code, opts in rows:
-        print(f"{name:<{width}}  {total:>6}  {code:>6}  {opts:>7}")
+    ap = argparse.ArgumentParser(description="Total lines, code lines and options per "
+                                             "module of the fouspec package.")
+    ap.add_argument("package", nargs="?", default=PACKAGE, help="package directory")
+    ap.add_argument("--against", metavar="REV",
+                    help="also count REV's package and print the difference")
+    args = ap.parse_args(sys.argv[1:] if argv is None else argv)
+    tables = [counts(args.package)]
+    if args.against:
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                tables.append(counts(unpack_package(args.against, tmp)))
+            except (OSError, subprocess.CalledProcessError) as exc:
+                why = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
+                sys.stderr.write(f"cannot unpack {args.against}: {why or exc}\n")
+    rows = {name: [t.get(name, (0, 0, 0)) for t in tables]
+            for name in sorted(set().union(*tables))}
+    rows["total"] = [tuple(sum(r[k][j] for r in rows.values()) for j in range(3))
+                     for k in range(len(tables))]
+    sides = [""]
+    if len(tables) == 2:
+        sides += ["base_", "diff_"]
+        for parts in rows.values():
+            parts.append(tuple(a - b for a, b in zip(*parts)))
+    header = [side + h for side in sides for h in ("lines", "code", "options")]
+    widths = [max(6, len(h)) for h in header]
+    width = max(map(len, rows))
+    print(f"{'module':<{width}}" + "".join(f"  {h:>{w}}" for h, w in zip(header, widths)))
+    for name, parts in rows.items():
+        cells = [f"{v:+d}" if side == "diff_" else str(v)
+                 for side, part in zip(sides, parts) for v in part]
+        print(f"{name:<{width}}" + "".join(f"  {c:>{w}}" for c, w in zip(cells, widths)))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
