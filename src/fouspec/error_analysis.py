@@ -57,16 +57,15 @@ EXCLUDED_TERM_BUDGET = 1e-3  # largest excluded series term, relative to P
 TAIL_BUDGET = 2e-2           # estimated excluded series mass, relative to P
 
 # A spectrum request is refused above MEMORY_BUDGET bytes, or the physical
-# memory if less.  Peak RSS over the interpreter's (one thread, H = 0.7, two u,
-# N = 1000-3000: the automatic `mse` grids run from N = 1000 up, and
-# explicit ones above) is 1.6-1.7 doubles per N^2 on the oracle route keeping N/2
-# pairs, 1.7-2.0 with the Wiener-Hopf column and 1.2-2.9 on the refined route,
-# whose fixed costs weigh most at N = 1000; 8-17 per pair on the closed form
-# (1e6 pairs).  The factors round those up.  DENSE_DOUBLES stays 3,
-# so the same requests are refused as before, although the dense peak no
-# longer reaches it: 2.1-2.9 was measured while the Wiener-Hopf solve had
-# its own matrix and beta = 0 its own kernel, which traced 3.0 matrices
-# against 1.44 for the expansion every drift now takes.
+# memory if less.  Peak RSS of `mse --threads 1 --H 0.7 --beta -1` on one grid
+# of N = 1000 / 2000 / 3000 nodes (the automatic grids run from N = 1000 up),
+# less that of the same command at N = 50, in doubles per N^2: 1.81 / 1.63 /
+# 1.59 on the oracle route keeping N/2 pairs (eps 1e-3 to 1e-5, two u), 2.26
+# / 2.19 / 2.13 with the Wiener-Hopf column, whose solve factors a matrix of
+# its own next to K, and 1.59 / 1.00 / 1.04 on the refined route (100 pairs,
+# eps 1e-2 and 1e-3), whose fixed costs weigh most at N = 1000.  The closed
+# form (H = 1/2, eps 1e-4 to 1e-7, two u) takes 9.07 / 9.02 doubles per pair
+# at 1e6 / 3e6 pairs over its run at 1500.  The factors round those up.
 MEMORY_BUDGET = 4 * 2 ** 30
 DENSE_DOUBLES, PAIR_DOUBLES = 3, 20
 
@@ -320,31 +319,6 @@ def cho_factor(a, **kwargs):
     return factor(a, **kwargs)
 
 
-_BLOCK = 128  # rows per block of `_mirror_upper`
-_UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool))
-
-
-def _mirror_upper(K, sw=None, s=None):
-    """Write the mirror of the C-ordered square K's strict lower triangle and
-    diagonal into its upper triangle, diagonal included, in row blocks: K_ji
-    itself, or ((K_ji sw_j) sw_i) s, the bits of `CovMatrix.weighted()`
-    scaled by s.  The off-diagonal rectangles are written directly and the
-    diagonal squares through a fixed mask."""
-    N = len(K)
-    for a in range(0, N, _BLOCK):
-        b = min(a + _BLOCK, N)
-        square = K[a:b, a:b].T.copy()
-        for out, mirror, cols in ((K[a:b, b:], K[b:, a:b].T, slice(b, N)),
-                                  (square, square, slice(a, b))):
-            if sw is None:
-                out[...] = mirror
-            else:
-                np.multiply(mirror, sw[cols], out=out)
-                out *= sw[a:b, None]
-                out *= s
-        np.copyto(K[a:b, a:b], square, where=_UPPER[:b - a, :b - a])
-
-
 def mse_wiener_hopf(u, eps, cov: CovMatrix):
     """P(u, eps) from the dense Wiener-Hopf solve on the matrix's grid, with
     mu and T from its params, of shape np.shape(eps) + np.shape(u): a
@@ -352,7 +326,7 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
 
     Each u in [0,1] is snapped to the nearest grid node (`QuadGrid.nearest`:
     the lower one on a tie).  Each eps takes one Cholesky factorization,
-    which every u shares; all eps are checked before K is touched.
+    which every u shares; all eps are checked before any is solved.
     Algebraically identical to `mse_series` fed the full spectrum of the
     same matrix at that node.  So at u = 1 this is the value at the last
     node, not at the endpoint where `mse_series` reads phi(1): at N = 300
@@ -360,17 +334,12 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
     differ by 2.7e-4 relative.  The off-grid formula of ROADMAP item 1,
     evaluated at u itself, closes this gap.
 
-    No new N x N array is made.  The system eps I + mu^2 T B, with B the
-    bits of `cov.weighted()`, is written into the upper triangle of K's
-    own C-ordered buffer from the strict lower triangle, which `cov_matrix`
-    mirrors exactly (K must be exactly symmetric), and Cholesky-factored
-    there.  The right-hand sides and the diagonal are read first, and the
-    diagonal is put back before each eps's fill.  The upper triangle and
-    the diagonal are restored once, after the last eps or when a solve
-    raises, so `cov.values` is K again and is left for the eigensolve to
-    spend.  While the call runs it is not K, so one `CovMatrix` must not be
-    shared with another thread then.  A `CovMatrix` is finite by
-    construction, so the solve skips its own scan of the factor.
+    The system eps I + mu^2 T B, B = W^{1/2} K W^{1/2} with the bits of
+    `cov.weighted()`, is built and factored in one N x N Fortran-ordered
+    buffer of the call's own, refilled for each eps.  The solve only reads
+    `cov.values`, which stays K for the eigensolve to spend.  A `CovMatrix`
+    is finite by construction, so the solve skips its own scan of the
+    factor.
     """
     from scipy.linalg import cho_solve
 
@@ -383,25 +352,21 @@ def mse_wiener_hopf(u, eps, cov: CovMatrix):
     p, grid = cov.params, cov.grid
     j = grid.nearest(us)
     sw = np.sqrt(grid.weights)
-    K = cov.values
-    rhs = p.mu ** 2 * sw[:, None] * K[:, j]
-    diagonal = np.diag_indices_from(K)
-    saved = K[diagonal]
+    rhs = p.mu ** 2 * sw[:, None] * cov.values[:, j]
+    M = np.empty((grid.size, grid.size), order="F")
+    diagonal = np.diag_indices_from(M)
     P = np.empty((len(eps_list), len(j)))
     try:
         for row, e in zip(P, eps_list):
-            K[diagonal] = saved
-            _mirror_upper(K, sw, p.mu ** 2 * p.T)
-            K[diagonal] += e
-            ch = cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)
+            cov._weigh(M.T)
+            M *= p.mu ** 2 * p.T
+            M[diagonal] += e
+            ch = cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
             h_cols = cho_solve(ch, rhs, check_finite=False) / sw[:, None]
             row[:] = e / p.mu ** 2 * h_cols[j, np.arange(len(j))]
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Wiener-Hopf system not positive definite: {exc}",
                           stage="mse_wiener_hopf")
-    finally:
-        _mirror_upper(K)
-        K[diagonal] = saved
     P = P.reshape(np.shape(eps) + np.shape(u))
     return float(P) if P.ndim == 0 else P
 
@@ -414,9 +379,8 @@ class WienerHopfTable:
     `nodes[k]` that u_points[k] snaps to (`QuadGrid.nearest`).
     `build_spectrum` reads the table before the eigensolve spends the
     matrix, so a spectrum carries these cells and not the matrix.  The
-    solve borrows the spare triangle of `cov`'s own buffer and puts K back,
-    so reading the table adds no matrix to K and leaves `cov` to the
-    eigensolve.
+    solve factors in a matrix of its own and only reads `cov`, which it
+    leaves to the eigensolve.
     """
 
     eps: np.ndarray
@@ -515,8 +479,9 @@ def build_spectrum(p: ModelParams, method="oracle", n_max=200, grid: QuadGrid = 
             ia_refine.check_scope(p)
         if grid is None:
             grid = QuadGrid.gauss_legendre_unit(grid_size)
-        # one matrix at a time: K is read for the Wiener-Hopf cells, then the
-        # eigensolve weights and reduces it in place and frees it
+        # K is read for the Wiener-Hopf cells, whose solve factors a matrix of
+        # its own and frees it; then the eigensolve weights K and reduces it in
+        # place and frees it
         cov = cov_matrix(grid, p)
         table = None if wiener_hopf is None else WienerHopfTable.read(cov, *wiener_hopf)
         # the refined route keeps only the head pairs below the solver's start

@@ -158,13 +158,13 @@ class CovMatrix:
     triangle of `weighted()` only, so they could not see such an entry.
 
     The matrix owns a writeable C-ordered buffer: the array it is given, or
-    a copy of it when that array is read-only or in another order.  A solve
-    spends the matrix: the eigensolve takes the buffer through `weighted()`,
+    a copy of it when that array is read-only or in another order.  The
+    eigensolve spends the matrix: it takes the buffer through `weighted()`,
     reduces it in place and frees it, and from then on reading `values`
     raises DomainError.  `CovMatrix(cov.values.copy(), cov.grid,
-    cov.params)`, made before, gives a second solve its own matrix.
-    `error_analysis.mse_wiener_hopf` borrows the upper triangle while it
-    runs and puts K back.
+    cov.params)`, made before, gives a second eigensolve its own matrix.
+    `error_analysis.mse_wiener_hopf` only reads `values`, so it runs before
+    the eigensolve.
     """
 
     _values: np.ndarray = field(repr=False)
@@ -194,19 +194,26 @@ class CovMatrix:
         """B = W^{1/2} K W^{1/2} as a Fortran-ordered view of K's own buffer,
         which the matrix gives up: the solve that calls this spends it.
 
-        Built in place as the C-ordered B' = (K_ij sw_j) sw_i, sw = sqrt(w),
-        in two contiguous passes (0.05 s at N = 3000, against 0.155 s for a
-        strided Fortran-order build).  K is exactly symmetric, so B'.T is
-        (sw_i K_ij) sw_j bit for bit: the matrix the eigensolvers overwrite
-        in place, and free with it.  The Wiener-Hopf solve writes the same
-        bits into K's own upper triangle instead
-        (`error_analysis.mse_wiener_hopf`).
+        The eigensolvers overwrite B in place, and free it with it.
+        """
+        B = self._weigh(self.values)
+        object.__setattr__(self, "_values", None)
+        return B
+
+    def _weigh(self, out):
+        """B = W^{1/2} K W^{1/2} written into the C-ordered N x N `out` and
+        returned as `out.T`, a Fortran-ordered array.
+
+        `out` takes B' = (K_ij sw_j) sw_i, sw = sqrt(w), in two contiguous
+        passes (0.05 s at N = 3000, against 0.155 s for a strided
+        Fortran-order build).  K is exactly symmetric, so B'.T is
+        (sw_i K_ij) sw_j bit for bit.  `weighted()` passes K's own buffer,
+        `error_analysis.mse_wiener_hopf` a buffer of its own.
         """
         sw = np.sqrt(self.grid.weights)
-        B = np.multiply(self.values, sw, out=self.values)
-        object.__setattr__(self, "_values", None)
-        B *= sw[:, None]
-        return B.T
+        np.multiply(self.values, sw, out=out)
+        out *= sw[:, None]
+        return out.T
 
 
 def fbm_cov(s, t, H):

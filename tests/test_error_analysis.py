@@ -105,7 +105,8 @@ class TestWienerHopf:
         assert np.array_equal(cov.values, before)
 
     def test_failed_factorization_restores_the_matrix(self, monkeypatch):
-        # the system is written into K's upper triangle; a refusal must put K back
+        # the system is factored in a matrix of the solve's own; a refusal
+        # leaves K as it was
         def not_definite(*args, **kwargs):
             raise np.linalg.LinAlgError("leading minor not positive")
 
@@ -116,6 +117,16 @@ class TestWienerHopf:
             mse_wiener_hopf([0.5, 1.0], 1e-3, cov)
         assert exc.value.stage == "mse_wiener_hopf"
         assert np.array_equal(cov.values, before)
+
+    def test_the_solve_never_writes_the_matrix(self):
+        # K's own buffer made read-only after construction: every eps is
+        # solved from reads of K alone, to the bits of a writeable copy
+        cov = cov_matrix(QuadGrid.gauss_legendre_unit(300), ModelParams(H=0.7, beta=-1.0))
+        copy = CovMatrix(cov.values.copy(), cov.grid, cov.params)
+        cov.values.flags.writeable = False
+        P = mse_wiener_hopf([0.5, 1.0], self.EPS, cov)
+        assert np.array_equal(P, mse_wiener_hopf([0.5, 1.0], self.EPS, copy))
+        assert np.array_equal(cov.values, copy.values)
 
     def test_read_only_matrix_is_solved_on_a_copy(self):
         # CovMatrix copies a read-only array into a writeable buffer of its own
@@ -146,8 +157,8 @@ class TestWienerHopf:
         return calls
 
     def test_several_eps_match_one_call_each(self, monkeypatch):
-        # one fill and factorization per eps and one restore per call give
-        # the bits of one scalar-eps call per eps, and K back exactly
+        # one fill and factorization per eps give the bits of one scalar-eps
+        # call per eps, and K is never written
         cov = cov_matrix(QuadGrid.gauss_legendre_unit(300), ModelParams(H=0.7, beta=-1.0))
         before = cov.values.copy()
         us = [0.5, 1.0]
@@ -178,20 +189,19 @@ class TestWienerHopf:
         before = cov.values.copy()
         eps = list(self.EPS)
         eps[bad] = [0.0, math.nan, -1e-3][bad]
-        monkeypatch.setattr(error_analysis, "_mirror_upper", never)
         monkeypatch.setattr(error_analysis, "cho_factor", never)
         with pytest.raises(DomainError, match="eps must be finite and positive"):
             mse_wiener_hopf([0.5, 1.0], eps, cov)
         assert np.array_equal(cov.values, before)
 
     def test_peak_memory(self, peak_matrices):
-        # the system is built and factored in K's own upper triangle: 0.12
-        # matrices, the right-hand sides and one row block; in a weighted
-        # copy of K it was 1.03, and with a temporary and the factorization's
-        # Fortran-order copy 2.13
+        # the solve's own N x N buffer, in which each eps's system is built
+        # and factored, sets the peak: 1.03 matrices with the right-hand
+        # sides.  Built in K's spare upper triangle it was 0.12, and with a
+        # temporary and the factorization's Fortran-order copy 2.13
         N = 600
         cov = cov_matrix(QuadGrid.gauss_legendre_unit(N), ModelParams(H=0.7, beta=-1.0))
-        assert peak_matrices(lambda: mse_wiener_hopf([0.5, 1.0], 1e-4, cov), N) <= 0.5
+        assert peak_matrices(lambda: mse_wiener_hopf([0.5, 1.0], 1e-4, cov), N) <= 1.15
 
     def test_half_snaps_to_the_lower_central_node(self):
         # u = 1/2 is midway between the central nodes of an even grid; the
@@ -342,17 +352,17 @@ class TestConvergenceStudy:
         assert rep.P_wiener_hopf.shape == (2, 2)
 
     def test_peak_memory_of_the_dense_run(self, traced_matrices):
-        # K with the Wiener-Hopf solves in its own upper triangle, then the
-        # eigensolve's panels (0.56) next to dstemr's N x N output: 1.58
-        # matrices; with a weighted copy of K per solve and the kept block
-        # copied out of the whole output, 2.07.  At N = 600 the node tables
-        # of phi(1) set the peak instead.
+        # K next to the Wiener-Hopf solve's own matrix sets the peak: 2.01
+        # matrices, under the DENSE_DOUBLES that the memory gate charges.
+        # The eigensolve's panels (0.56) next to dstemr's N x N output come
+        # to 1.58; with the solves in K's spare upper triangle that was the
+        # peak.  At N = 600 the assembly of K sets it instead.
         N = 1500
         grid = QuadGrid.gauss_legendre_unit(N)
         peak, kept, spec = traced_matrices(lambda: build_spectrum(
             ModelParams(H=0.7, beta=-1.0), "oracle", n_max=N // 2, grid=grid,
             wiener_hopf=((1e-3, 1e-4, 1e-5), (0.5, 1.0))), N)
-        assert peak <= 1.65
+        assert peak <= 2.1 < error_analysis.DENSE_DOUBLES
         assert kept <= 1.1
         assert spec.wiener_hopf.P.shape == (3, 2)
 

@@ -7,8 +7,8 @@ string that opens a module, class or function) count.  Options are the
 parameters that have a default value, in every function and method whose
 name does not start with a single underscore (`__init__` counts).
 `--against REV` also counts revision REV's package, unpacked from its
-`src/` by `git archive` into a temporary directory (as
-tools/workload_digests.py does), and adds its three counts and this tree's
+`src/` by `git archive` into a temporary directory (`unpack_src`, which
+tools/workload_digests.py shares), and adds its three counts and this tree's
 difference from them; a module that one tree lacks counts 0 there.  The
 counts are a report, not a gate: the exit code is always 0, and a revision
 that cannot be unpacked is named on stderr and left out.  Standard library
@@ -69,13 +69,12 @@ def counts(package):
     return {path.name: count(path.read_text()) for path in sorted(Path(package).glob("*.py"))}
 
 
-def unpack_package(rev, dest):
-    """Write revision `rev`'s `src/` under `dest` with `git archive`; return
-    the path of its package."""
+def unpack_src(rev, dest):
+    """Write revision `rev`'s `src/` under `dest` with `git archive`; return its path."""
     tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
                          capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
-    return Path(dest) / PACKAGE.relative_to(ROOT)
+    return Path(dest) / "src"
 
 
 def main(argv=None):
@@ -89,7 +88,7 @@ def main(argv=None):
     if args.against:
         with tempfile.TemporaryDirectory() as tmp:
             try:
-                tables.append(counts(unpack_package(args.against, tmp)))
+                tables.append(counts(unpack_src(args.against, tmp) / PACKAGE.name))
             except (OSError, subprocess.CalledProcessError) as exc:
                 why = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
                 sys.stderr.write(f"cannot unpack {args.against}: {why or exc}\n")

@@ -8,7 +8,8 @@ sha256 of its stdout and its peak RSS in MB (`ru_maxrss` from `os.wait4`,
 as perfbench/run.py's `spawn` reads it).  The digests must match between
 two checkouts; the RSS column is a measurement.  `--against REV` makes the
 comparison itself: it also runs each command on the `src/` of revision REV,
-unpacked by `git archive` into a temporary directory, adds that run's peak
+unpacked by `git archive` into a temporary directory (tools/src_lines.py's
+`unpack_src`), adds that run's peak
 RSS and a `same` column (exit code and digest both equal), and exits 1 on
 any difference.  Under each row that differs it explains the move from
 both stdout tables: the columns added and removed, the `#` lines that
@@ -18,7 +19,7 @@ workload definitions from perfbench/run.py and changes nothing there or in
 `.git`.
 
     python tools/workload_digests.py --beta -1.5,-1.1,-0.5
-    python tools/workload_digests.py --beta -1.1,0 --against HEAD~1
+    python tools/workload_digests.py --beta -1.5,-1.1,-0.5,0 --against HEAD~1
 """
 
 import argparse
@@ -31,9 +32,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tools")]
 
 from run import WORKLOADS, child_env, cli_argv  # noqa: E402
+from src_lines import unpack_src  # noqa: E402
 
 
 def digest(args, beta, src=ROOT / "src"):
@@ -86,14 +88,6 @@ def explain(base_out, out):
         lines.append(f"{name}: {len(moved)} of {len(pairs)} cells moved{size}, largest "
                      f"relative move {max(moved, default=0.0):.3g}")
     return lines
-
-
-def unpack_src(rev, dest):
-    """Write revision `rev`'s `src/` under `dest` with `git archive`; return its path."""
-    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
-                         capture_output=True, check=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
-    return Path(dest) / "src"
 
 
 def main(argv=None):
