@@ -42,7 +42,8 @@ class RunConfig:
     # 0 = auto.  eigs: 1000 nodes, 20 pairs.  mse with both 0 on the oracle:
     # N = max(1000, 10 n_eff) nodes keeping N/2 pairs, and N/2 nodes keeping
     # N/4 for the u = 1 extrapolation; otherwise max(1500, 5 n_eff) pairs
-    # (closed form: max(1500, 20 n_eff)) on max(3000, 2*n_max) nodes
+    # (closed form: max(1500, 20 n_eff)) on max(3000, 2*n_max) nodes, or
+    # N_unit // 2 pairs on a dense route whose set N_unit is below that
     N_unit: int = 0
     n_max: int = 0
     eps: tuple = (1e-3, 1e-4, 1e-5)
@@ -132,7 +133,8 @@ _FLAGS = {
                                   "mse sized to the smallest eps, and on the oracle "
                                   "with --n-max auto too, two grids: N >= 1000 and N/2]"),
     "n-max": dict(type=int, help="eigenpairs [auto: 20 for eigs; for mse sized to the "
-                                 "smallest eps, half the finer grid on the oracle]"),
+                                 "smallest eps; half the grid on the oracle's two "
+                                 "grids and on a set --N-unit below that size]"),
     "mu": dict(type=float, help="observation gain [1]"),
     "eps": dict(type=float_list, help="comma list of noise intensities"),
     "u": dict(type=float_list, help="comma list of relative times in (0,1]"),

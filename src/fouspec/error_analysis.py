@@ -15,8 +15,9 @@ must agree to rounding.  As eps -> 0,
 
 independent of beta, T and of the interior position.  `convergence_study`
 sweeps eps and tabulates the ratios to this limit together with tail and
-oscillation diagnostics; `estimate` runs it by the rules of `fouspec mse`
-(route, sizing, the snap of u) on the spectrum of `build_spectrum`.
+oscillation diagnostics, and closes each cell (below); `estimate` runs it
+by the rules of `fouspec mse` (route, sizing, the snap of u) on the
+spectrum of `build_spectrum`.
 
 The series mass beyond N = n_max is the integral of the terms over n >= N
 under lambda_n = lambda_N (N/n)^(2H+1), with phi_n^2 at its mean phi_bar^2
@@ -102,8 +103,8 @@ class MseReport:
     truncation_n: int
     P_wiener_hopf: np.ndarray = None
     diagnostics: dict = field(default_factory=dict, repr=False)
-    # oracle and closed-form routes of `estimate` only: the closed values and
-    # their error bars
+    # oracle and closed-form routes of `convergence_study` only: the closed
+    # values and their error bars
     P_closed: np.ndarray = None
     P_closed_err: np.ndarray = None
 
@@ -132,7 +133,21 @@ def mse_series(u, eps, spec: Spectrum):
     """
     _check_series_args(eps, spec)
     phi2 = np.asarray(spec.phi_values(u)) ** 2
-    return float(_series_terms(eps, spec.params, spec.lam) @ phi2)
+    return float(_series_cells([float(eps)], spec, [phi2])[0][0, 0])
+
+
+def _series_cells(eps_list, spec: Spectrum, phi2):
+    """(P, I1): the series at each Python-float eps of `eps_list` (rows) and
+    each phi_n(u)^2 array of `phi2` (columns), and per eps the sum of the
+    terms, the series with phi^2 at its interior mean 1."""
+    P, i1 = [], []
+    for eps in eps_list:  # a Python float, so that eps + array reuses the temporary
+        terms = _series_terms(eps, spec.params, spec.lam)
+        # one dot product per cell: a matrix product would round differently
+        P.append([float(terms @ f) for f in phi2])
+        i1.append(float(np.sum(terms)))
+        del terms  # freed before the next eps's terms are formed
+    return np.array(P), np.array(i1)
 
 
 _SERIES_REL = 1e-17  # a series stops at the first term below this share of its sum
@@ -202,10 +217,14 @@ def mercer_remainder(spec: Spectrum, u):
     and reads 0 (`_closed_form_remainder`).  The refined route joins the
     pairs of two solvers, so its remainder is reported and not refused.
     """
-    phi2 = np.asarray(spec.phi_values(u)) ** 2
-    if spec.method == "closed_form_ou":
-        return _closed_form_remainder(spec, u, phi2)[0]
-    return _kernel_remainder(spec, u, phi2)
+    return float(_remainders(spec, [u], [np.asarray(spec.phi_values(u)) ** 2])[0][0])
+
+
+def _remainders(spec: Spectrum, us, phi2):
+    """(R_M, a bound on its rounding) per u of `us`, from the kept pairs'
+    phi_n(u)^2 in `phi2`: the closed form's exact sum, else the kernel's."""
+    remainder = _closed_form_remainder if spec.method == "closed_form_ou" else _kernel_remainder
+    return np.array([remainder(spec, u, f) for u, f in zip(us, phi2)]).T
 
 
 def _refuse_below_pad(spec: Spectrum, u, R, K):
@@ -216,14 +235,14 @@ def _refuse_below_pad(spec: Spectrum, u, R, K):
 
 
 def _kernel_remainder(spec: Spectrum, u, phi2):
-    """R_M(u) from the kept pairs' phi_n(u)^2: `fou_cov` less one dot
-    product, refused below the pad on the oracle."""
+    """(R_M(u), 0) from the kept pairs' phi_n(u)^2: `fou_cov` less one dot
+    product, refused below the pad on the oracle, with no rounding bound."""
     p = spec.params
     K = fou_cov(u * p.T, u * p.T, p)
     R = K - float(spec.lam @ phi2)
     if spec.method == "oracle":
         _refuse_below_pad(spec, u, R, K)
-    return R
+    return R, 0.0
 
 
 def _ou_variance(p: ModelParams, u):
@@ -265,11 +284,14 @@ def _closed_form_remainder(spec: Spectrum, u, phi2):
     return max(R, 0.0), bound
 
 
-def _closure(eps, spec: Spectrum, P, R):
-    """(P_closed, P_lo, P_hi): the series values P at the noise intensities
-    eps closed by the remainders R (module docstring), broadcast."""
+def _closure(eps, spec: Spectrum, P, R, R_err):
+    """(P_closed, P_closed_err, P_lo, P_hi): the series values P at the noise
+    intensities eps closed by the remainders R (module docstring), broadcast.
+    The bar is the distance to the bracket's farther end plus R_err, the
+    rounding bound on R."""
     y, shape = _law_shape(eps, spec)
-    return P + R * shape, P + R / (1.0 + y), P + R
+    closed, lo, hi = P + R * shape, P + R / (1.0 + y), P + R
+    return closed, np.maximum(np.abs(closed - lo), np.abs(hi - closed)) + R_err, lo, hi
 
 
 def effective_terms(eps, p: ModelParams):
@@ -503,10 +525,18 @@ def convergence_study(spec: Spectrum, eps_grid, u_points) -> MseReport:
     oscillation diagnostic I2 = P(u) - I1, where I1 is the series with phi^2
     replaced by its interior mean 1: I2 must stay O(eps), i.e. vanish faster
     than the main term.  It also records the Mercer closure (module
-    docstring): `mercer_R` per u, and `P_closed`, `P_lo` and `P_hi` per
+    docstring): `mercer_R` per u, and the bracket `P_lo` and `P_hi` per
     cell, with `mercer_remainder`'s refusal (SolverError) of a remainder
     below its rounding pad.  The closed form also records `mercer_R_err` per
     u, a bound on the rounding of R_M = K - S_M (`_closed_form_remainder`).
+
+    On the oracle and closed-form routes the report holds `P_closed`, the
+    closure of each cell, and `P_closed_err`, the distance from it to the
+    farther end of its bracket plus `mercer_R_err`.  On the closed form,
+    whose pairs are exact, that bounds the whole error; the rounding bound
+    dominates it at strong positive drift, K(1,1) ~ e^(2 beta T) / (2 beta T).
+    On the oracle it bounds the truncation only, not the grid error.  The
+    refined route joins the pairs of two solvers and leaves both None.
     """
     p = spec.params
     eps_grid = np.asarray(list(eps_grid), dtype=float)
@@ -521,19 +551,11 @@ def convergence_study(spec: Spectrum, eps_grid, u_points) -> MseReport:
         P_wh = spec.wiener_hopf.cells(spec.grid, eps_grid, u_points)
     endpoint = u_points == 1.0
     phi2 = [np.asarray(spec.phi_values(float(u))) ** 2 for u in u_points]
-    P_series, i1 = [], []
-    # Python floats, so that eps + array reuses the array's temporary
-    for eps in eps_grid.tolist():
-        terms = _series_terms(eps, p, spec.lam)
-        # one dot product per cell: a matrix product would round differently
-        P_series.append([float(terms @ f) for f in phi2])
-        i1.append(float(np.sum(terms)))
-        del terms  # freed before the next eps's terms are formed
-    P_series = np.array(P_series)
+    P_series, i1 = _series_cells(eps_grid.tolist(), spec, phi2)
     # the smallest eps row is exactly what mse_series gives at each u
     for u, P in zip(u_points, P_series[-1]):
         check_truncation(eps_grid[-1], spec, u=float(u), P=float(P))
-    I2 = P_series - np.array(i1)[:, None]
+    I2 = P_series - i1[:, None]
     tails = truncation_tail(eps_grid[:, None], spec, endpoint=endpoint)
     P_asym = np.array([[mse_asymptotic("endpoint" if e else "interior", float(eps), p)
                         for e in endpoint] for eps in eps_grid])
@@ -545,25 +567,24 @@ def convergence_study(spec: Spectrum, eps_grid, u_points) -> MseReport:
     if bad:
         raise DomainError(f"{', '.join(bad)} not finite at mu = {p.mu:g}: "
                           "eps/mu^2 leaves the float range")
+    R, R_err = _remainders(spec, u_points.tolist(), phi2)
+    closed, err, lo, hi = _closure(eps_grid[:, None], spec, P_series, R, R_err)
     diagnostics = {
         "tails": tails,
         "I2": I2,
         "I2_over_eps": I2 / eps_grid[:, None],
         "monotone_in_eps": bool(np.all(np.diff(P_series, axis=0) <= 1e-12)),
+        "mercer_R": R, "P_lo": lo, "P_hi": hi,
     }
     if spec.method == "closed_form_ou":
-        R, diagnostics["mercer_R_err"] = np.array(
-            [_closed_form_remainder(spec, float(u), f) for u, f in zip(u_points, phi2)]).T
-    else:
-        R = np.array([_kernel_remainder(spec, float(u), f) for u, f in zip(u_points, phi2)])
-    diagnostics["mercer_R"] = R
-    diagnostics.update(zip(("P_closed", "P_lo", "P_hi"),
-                           _closure(eps_grid[:, None], spec, P_series, R)))
+        diagnostics["mercer_R_err"] = R_err
+    if spec.method == "refined":  # its pairs are not one operator's
+        closed = err = None
     return MseReport(params=p, eps_values=eps_grid, u_points=u_points,
                      P_series=P_series, P_asymptotic=P_asym,
                      ratios=ratios, spectrum_method=spec.method,
                      truncation_n=spec.n_max, P_wiener_hopf=P_wh,
-                     diagnostics=diagnostics)
+                     diagnostics=diagnostics, P_closed=closed, P_closed_err=err)
 
 
 def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
@@ -585,23 +606,19 @@ def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
     holds comes from the finer grid, save the closed value at u = 1, which
     is extrapolated from the two grids' closures at the grid order q = 2H + 1:
     P_N + (P_N - P_{N/2}) / (2^q - 1).  Otherwise n_max = 0 takes
-    max(1500, 5 n_eff) pairs, and on the closed form max(1500, 20 n_eff),
-    capped at CLOSED_FORM_PAIRS, or max(1500, 200 n_eff), capped alike,
-    where the tail law of `check_truncation` refuses the first (P well below
-    sqrt(eps) / mu at strong negative drift), and grid_size = 0 takes
-    max(3000, 2 n_max) nodes.  An interior u is snapped to its nearest grid node
+    max(1500, 5 n_eff) pairs, or max(1, grid_size // 2) on a dense route
+    whose set grid_size is below that, and on the closed form
+    max(1500, 20 n_eff), capped at CLOSED_FORM_PAIRS, or max(1500, 200 n_eff),
+    capped alike, where the tail law of `check_truncation` refuses the first
+    (P well below sqrt(eps) / mu at strong negative drift), and grid_size = 0
+    takes max(3000, 2 n_max) nodes.  An interior u is snapped to its nearest grid node
     (`QuadGrid.nearest`) on a route with a grid, and the report's
     `u_points` echo the snapped values; eps comes back sorted decreasing.
 
-    On the oracle and closed-form routes the report also holds `P_closed`,
-    the Mercer closure of each cell (module docstring), and `P_closed_err`,
-    the distance from it to the farther end of its bracket.  On the closed
-    form, whose pairs are exact, that bounds the whole error once it adds
-    the rounding bound of K - S_M (`mercer_R_err` of `convergence_study`),
-    which dominates it at strong positive drift: K(1,1) ~ e^(2 beta T) /
-    (2 beta T).  On the oracle at an extrapolated u = 1 the error adds the
-    extrapolation step, and the two brackets enter through the same formula;
-    elsewhere it bounds the truncation only, not the grid error.
+    The closed values `P_closed` and `P_closed_err` are those of
+    `convergence_study`, save at an extrapolated u = 1, where the error adds
+    the extrapolation step and the coarser grid's bar, closed by the same
+    helpers, enters through the same formula.
     DomainError refuses an empty or invalid eps or u list, duplicate eps,
     and an auto n_max that overflows; TruncationError refuses an auto
     closed form that its cap cannot serve, before the spectrum is built;
@@ -637,6 +654,8 @@ def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
             n_max = grid_size // 2
         else:
             n_max = max(1500, int(5 * n_eff))
+            if spectrum != "closed_form_ou" and n_max > grid_size > 0:
+                n_max = max(1, grid_size // 2)  # the share the two-grid default keeps
         if spectrum == "closed_form_ou":
             if n_eff >= CLOSED_FORM_PAIRS / 5:
                 raise TruncationError(
@@ -662,27 +681,18 @@ def estimate(p: ModelParams, eps, u, *, spectrum="oracle", n_max=0, grid_size=0,
         del spec
         spec = build_spectrum(p, spectrum, n_max=law_pairs)
         rep = convergence_study(spec, eps, us)
-    if spectrum not in ("oracle", "closed_form_ou"):
-        return rep
-    del spec  # the coarser grid is built after the finer one is freed
-    diagnostics = dict(rep.diagnostics)
-
-    def bar(closed, lo, hi):  # the distance to the bracket's farther end
-        return np.maximum(np.abs(closed - lo), np.abs(hi - closed))
-
-    P_closed = diagnostics["P_closed"].copy()
-    err = bar(P_closed, diagnostics["P_lo"], diagnostics["P_hi"])
-    if "mercer_R_err" in diagnostics:
-        err += diagnostics["mercer_R_err"]
     end = np.array(us) == 1.0
     if two_grids and end.any():
+        del spec  # the coarser grid is built after the finer one is freed
         coarse = build_spectrum(p, "oracle", n_max=grid_size // 4, grid_size=grid_size // 2)
-        S = np.array([mse_series(1.0, e, coarse) for e in eps])
-        c_closed, c_lo, c_hi = _closure(np.array(eps), coarse, S, mercer_remainder(coarse, 1.0))
-        c_err = bar(c_closed, c_lo, c_hi)
+        phi2 = [np.asarray(coarse.phi_values(1.0)) ** 2]
+        c_closed, c_err, _, _ = _closure(np.array(eps)[:, None], coarse,
+                                         _series_cells(eps, coarse, phi2)[0],
+                                         *_remainders(coarse, [1.0], phi2))
         r = 2.0 ** (2.0 * p.H + 1.0) - 1.0
-        step = (P_closed[:, end] - c_closed[:, None]) / r
-        err[:, end] = np.abs(step) + ((r + 1.0) * err[:, end] + c_err[:, None]) / r
-        P_closed[:, end] += step
-        diagnostics["grids"] = (grid_size, grid_size // 2)
-    return replace(rep, P_closed=P_closed, P_closed_err=err, diagnostics=diagnostics)
+        step = (rep.P_closed[:, end] - c_closed) / r
+        rep.P_closed_err[:, end] = np.abs(step) + ((r + 1.0) * rep.P_closed_err[:, end]
+                                                   + c_err) / r
+        rep.P_closed[:, end] += step
+        rep.diagnostics["grids"] = (grid_size, grid_size // 2)
+    return rep

@@ -4,10 +4,12 @@ Each check returns {"id", "name", "passed", "seconds", "details"}.  Every
 spectrum is built by `error_analysis.build_spectrum`, as `mse` and `eigs`
 build theirs, so the suite passes the same gate and takes the same route.
 Oracle spectra are cached per parameter set so the eigenvalue, endpoint and
-dominance checks reuse one eigensolve.  Trend assertions use a floor rule: a
-decreasing error sequence passes outright, and so does one that never
-leaves a 1% band (the trend is unobservable below the oracle's own
-discretization floor).
+dominance checks reuse one eigensolve.  Two trend rules are in use, and
+each also passes a sequence that never leaves the 1% band FLOOR (the trend
+is unobservable below the oracle's own discretization floor):
+`_trend_ok` (`eigenvalue_formula`) asks that the mean of the last 8 errors
+lie below the mean of the first 8, and `check_error_asymptote` that the
+errors strictly decrease.
 """
 
 import functools

@@ -772,7 +772,8 @@ def test_study_reports_the_closure_of_each_cell():
     p = ModelParams(H=0.7, beta=-1.0)
     spec = build_spectrum(p, "oracle", n_max=100, grid_size=200)
     eps, us = [1e-2, 1e-3], [float(spec.grid.nodes[100]), 1.0]
-    d = convergence_study(spec, eps, us).diagnostics
+    rep = convergence_study(spec, eps, us)
+    d = rep.diagnostics
     for k, u in enumerate(us):
         R = mercer_remainder(spec, u)
         assert d["mercer_R"][k] == R
@@ -780,7 +781,45 @@ def test_study_reports_the_closure_of_each_cell():
             S = mse_series(u, e, spec)
             assert_allclose([d["P_lo"][i, k], d["P_hi"][i, k]],
                             [S + e / (e + spec.lam[-1]) * R, S + R], rtol=1e-14)
-            assert d["P_lo"][i, k] < d["P_closed"][i, k] < d["P_hi"][i, k]
+            assert d["P_lo"][i, k] < rep.P_closed[i, k] < d["P_hi"][i, k]
+
+
+@pytest.mark.parametrize("H, route, n_max, grid_size", [
+    (0.7, "oracle", 100, 200), (0.5, "closed_form_ou", 3000, 0)], ids=["oracle", "closed_form"])
+def test_study_closes_what_estimate_prints(H, route, n_max, grid_size):
+    # convergence_study closes each cell itself, and estimate at set sizes
+    # returns those cells unchanged, bit for bit
+    p, eps = ModelParams(H=H, beta=-1.0), [1e-2, 1e-3]
+    rep = error_analysis.estimate(p, eps, [0.5, 1.0], spectrum=route, n_max=n_max,
+                                  grid_size=grid_size)
+    spec = build_spectrum(p, route, n_max=n_max, grid_size=grid_size)
+    study = convergence_study(spec, eps, rep.u_points)
+    assert rep.spectrum_method == study.spectrum_method == route
+    for name in ("P_closed", "P_closed_err"):
+        assert np.array_equal(getattr(study, name), getattr(rep, name)), name
+    assert "P_closed" not in study.diagnostics and "P_closed" not in rep.diagnostics
+
+
+def test_refined_study_is_not_closed_and_no_route_keeps_a_diagnostic_copy():
+    p, eps = ModelParams(H=0.7, beta=-1.0), [1e-1, 1e-2]
+    spec = build_spectrum(p, "refined", n_max=40, grid_size=100)
+    rep = convergence_study(spec, eps, [1.0])
+    assert rep.P_closed is None and rep.P_closed_err is None
+    assert "P_closed" not in rep.diagnostics and "P_lo" in rep.diagnostics
+    two_grids = error_analysis.estimate(p, eps, [0.5, 1.0])
+    assert two_grids.diagnostics["grids"] == (1000, 500)
+    assert "P_closed" not in two_grids.diagnostics
+
+
+@pytest.mark.parametrize("H, route, grid_size, n_max", [
+    (0.7, dict(), 1000, 500), (0.7, dict(spectrum="refined"), 300, 150),
+    (0.5, dict(with_wh=True), 1000, 500)], ids=["oracle", "refined", "oracle_h05_wh"])
+def test_set_grid_sizes_the_automatic_pairs(H, route, grid_size, n_max):
+    # a grid below the automatic max(1500, 5 n_eff) pairs keeps half its
+    # nodes, as the two-grid default does, instead of refusing n_max > N
+    rep = error_analysis.estimate(ModelParams(H=H), [1e-3], [1.0], grid_size=grid_size, **route)
+    assert rep.spectrum_method == route.get("spectrum", "oracle")
+    assert rep.truncation_n == n_max
 
 
 def test_negative_oracle_remainder_is_refused():
